@@ -11,11 +11,14 @@ after another.  The seed fixes one pass of inputs; the run repeats that
 pass, cold each time (fresh presets, new CLI processes), while one more
 pass still fits in S seconds.
 
-With --trace 0 the run measures the end-to-end metrics.  Host contention
-on a shared machine only ever adds time, and it comes in phases of
-seconds, so an operation's latency and CPU time are those of its fastest
-repeat and a pass's are their sums; set-up is the median of fresh
-interpreters started one after each pass.  With
+With --trace 0 the run measures the end-to-end metrics.  A shared host
+runs the same code at up to half speed for seconds to minutes at a time,
+in CPU time as much as in wall time, so the gated times are CPU seconds at
+a reference speed: hostspeed.py samples the host's speed on the CPU the
+run is pinned to, and each operation's CPU time is scaled by the speed
+sampled around it.  Passes and operations take the median of their
+repeats; set-up is the median of fresh interpreters started one after
+each pass.  Raw wall and CPU times are printed as well.  With
 --trace 1 the run makes the pass three times untraced and once under the span
 tracer (tracing.py) and reports the per-layer metrics, including the
 tracing overhead (traced minus untraced pass wall time).
@@ -71,12 +74,14 @@ def load_library():
         sys.exit(f"error: imported branchgroups from {branchgroups.__file__}, not {SRC}")
 
 
-def setup_sample(cmd: list[str], env: dict) -> float:
-    """Wall time of one fresh interpreter that imports branchgroups and
-    builds the workload's presets."""
-    start = time.perf_counter()
+def setup_sample(cmd: list[str], env: dict):
+    """One fresh interpreter that imports branchgroups and builds the
+    workload's presets: (start, wall seconds, CPU seconds)."""
+    from workloads import children_cpu
+
+    cpu, start = children_cpu(), time.perf_counter()
     subprocess.run(cmd, env=env, check=True)
-    return time.perf_counter() - start
+    return start, time.perf_counter() - start, children_cpu() - cpu
 
 
 def run_pass(wl, inputs):
@@ -135,6 +140,7 @@ def checked(wl, inputs, passes) -> list[str]:
 
 
 def end_to_end(wl, args, small: bool):
+    from hostspeed import HostSpeed
     from workloads import child_env
 
     inputs = wl.inputs(args.seed, small)
@@ -144,48 +150,54 @@ def end_to_end(wl, args, small: bool):
     # after each pass, so that their median sees the same host as the passes.
     setup_sample(setup_cmd, env)
     passes, setups = [], []
-    start = time.perf_counter()
-    while True:
-        passes.append(run_pass(wl, inputs))
-        setups.append(setup_sample(setup_cmd, env))
-        typical = statistics.median(p["wall"] for p in passes)
-        if time.perf_counter() - start + typical > args.seconds:
-            break
-    while len(setups) < SETUP_SAMPLES:
-        setups.append(setup_sample(setup_cmd, env))
-    setup_s = statistics.median(setups)
-    peak_rss_mb = resource.getrusage(wl.rss).ru_maxrss / 1024
+    with HostSpeed() as speed:
+        start = time.perf_counter()
+        while True:
+            passes.append(run_pass(wl, inputs))
+            setups.append(setup_sample(setup_cmd, env))
+            typical = statistics.median(p["wall"] for p in passes)
+            if time.perf_counter() - start + typical > args.seconds:
+                break
+        while len(setups) < SETUP_SAMPLES:
+            setups.append(setup_sample(setup_cmd, env))
+        peak_rss_mb = resource.getrusage(wl.rss).ru_maxrss / 1024
     failures = checked(wl, inputs, [p["ops"] for p in passes])
 
-    walls = [p["wall"] for p in passes]
-    # Each operation at its fastest repeat: the pass as the host's quietest
-    # moments in the run would have run it.
-    per_op = [min(p["ops"][i].seconds for p in passes) for i in range(len(inputs))]
-    per_op_cpu = [min(p["ops"][i].cpu for p in passes) for i in range(len(inputs))]
-    wall_s = sum(per_op)
+    setup_s = statistics.median(speed.scaled(cpu, t, t + wall) for t, wall, cpu in setups)
+    # Each operation's CPU seconds at the reference speed, pass by pass.
+    ref = [[speed.scaled(op.cpu, op.start, op.start + op.seconds) for op in p["ops"]] for p in passes]
+    ref_cpu_s = statistics.median(sum(r) for r in ref)
+    per_op = [statistics.median(r[i] for r in ref) for i in range(len(inputs))]
     metrics = {
         "setup_s": (setup_s, "s"),
-        "wall_s": (wall_s, "s"),
-        "cpu_s": (sum(per_op_cpu), "s"),
+        "ref_cpu_s": (ref_cpu_s, "s"),
+        "ref_op_p50_ms": (1000 * statistics.median(per_op), "ms"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
-        "ops_per_s": (len(inputs) / wall_s, "1/s"),
-        "op_p50_ms": (1000 * statistics.median(per_op), "ms"),
+        "wall_s": (statistics.median(p["wall"] for p in passes), "s"),
+        "cpu_s": (statistics.median(sum(op.cpu for op in p["ops"]) for p in passes), "s"),
+        "ops_per_s": (len(inputs) / ref_cpu_s, "1/s"),
     }
     notes = [
-        f"passes {len(passes)} of {len(inputs)} operations each, set-up samples {len(setups)}",
-        "pass wall s: " + " ".join(f"{w:.4g}" for w in walls),
+        f"passes {len(passes)} of {len(inputs)} operations each, set-up samples {len(setups)}, "
+        f"host speed samples {len(speed.loop_s)} on CPU {speed.cpu}",
+        "pass wall s: " + " ".join(f"{p['wall']:.4g}" for p in passes),
+        "pass host speed: " + " ".join(
+            f"{speed.factor(p['ops'][0].start, p['ops'][-1].start + p['ops'][-1].seconds):.3g}"
+            for p in passes),
     ]
     # The names the workload's users know, with their sample counts.
     if wl.name in ("portrait_sweep", "long_words"):
-        notes.append(f"words_per_s {len(inputs) / wall_s:.6g} 1/s")
-        notes.append(f"word_p50_ms {1000 * statistics.median(per_op):.6g} ms")
+        notes.append(f"words_per_s {len(inputs) / ref_cpu_s:.6g} 1/s (at the reference speed)")
+        notes.append(f"word_p50_ms {1000 * statistics.median(per_op):.6g} ms (at the reference speed)")
         t = tail(per_op)
         if t is not None:
             notes.append(f"word_tail_ms {1000 * t[0]:.6g} ms "
-                         f"(p{t[1]:.2f}, {t[2]} of {len(per_op)} words above)")
+                         f"(p{t[1]:.2f}, {t[2]} of {len(per_op)} words above, at the reference speed)")
     if wl.name == "certificate":
         for i, label in enumerate(("build", "validate")):
-            notes.append(f"{label}_s {per_op[i]:.6g} s (fastest of {len(passes)} CLI processes)")
+            wall = statistics.median(p["ops"][i].seconds for p in passes)
+            notes.append(f"{label}_s {wall:.6g} s wall, {per_op[i]:.6g} s CPU at the reference speed "
+                         f"(medians of {len(passes)} CLI processes)")
     return metrics, len(inputs) * len(passes), failures, notes
 
 

@@ -21,12 +21,14 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import unittest
 
 ROOT = os.getcwd()
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.dirname(os.path.abspath(__file__))]
 
 import workloads  # noqa: E402
+from hostspeed import HostSpeed  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 from workloads import Op  # noqa: E402
 
@@ -98,6 +100,20 @@ class BenchmarkRuns(unittest.TestCase):
             self.assertNotIn('"correct"', proc.stdout)
         finally:
             shutil.rmtree(bare)
+
+
+class HostSpeedSampler(unittest.TestCase):
+    def test_sampler_shares_the_cpu_samples_the_work_and_ends(self):
+        with HostSpeed() as speed:
+            proc = speed._proc
+            self.assertEqual(os.sched_getaffinity(proc.pid), {speed.cpu})
+            start, cpu = time.perf_counter(), time.process_time()
+            while time.perf_counter() - start < 0.3:
+                pass
+            end, cpu = time.perf_counter(), time.process_time() - cpu
+        self.assertIsNotNone(proc.returncode)
+        self.assertGreater(sum(start <= t <= end for t in speed.times), 10)
+        self.assertGreater(speed.scaled(cpu, start, end), 0)
 
 
 class Oracles(unittest.TestCase):

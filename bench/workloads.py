@@ -34,6 +34,7 @@ class Op:
     cpu: float  # CPU seconds, of the CLI process for a CLI operation
     answer: object = None
     error: str | None = None  # exception text, or "undecided" for an exhausted budget
+    start: float = 0.0  # time.perf_counter() when the operation began
 
 
 def _timed(label, fn) -> Op:
@@ -45,10 +46,11 @@ def _timed(label, fn) -> Op:
         error = "undecided"
     except Exception as exc:  # noqa: BLE001 - any error is a failed operation, reported by name
         error = f"{type(exc).__name__}: {exc}"
-    return Op(label, time.perf_counter() - start, time.process_time() - cpu, answer, error)
+    return Op(label, time.perf_counter() - start, time.process_time() - cpu, answer, error, start)
 
 
-def _children_cpu() -> float:
+def children_cpu() -> float:
+    """CPU seconds of the child processes that have ended and been waited for."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
 
@@ -95,7 +97,10 @@ EXPECTED_ORDER = {"grigorchuk": grigorchuk_quotient_order, "gupta-sidki": gupta_
 
 
 class QuotientLadder(InProcess):
-    """`quotient_order` on a fresh preset per rung, in a seeded rung order."""
+    """`quotient_order` on a fresh preset per rung, lowest level first.
+
+    Rungs and order are the same for every seed, so runs with different
+    seeds time the same work."""
 
     name = "quotient_ladder"
     setup_code = "import branchgroups\nbranchgroups.grigorchuk_preset()\nbranchgroups.gupta_sidki_preset()"
@@ -104,7 +109,6 @@ class QuotientLadder(InProcess):
         top_g, top_gs = (5, 3) if small else (6, 4)
         rungs = [("grigorchuk", n) for n in range(1, top_g + 1)]
         rungs += [("gupta-sidki", n) for n in range(1, top_gs + 1)]
-        _rng(self.name, seed).shuffle(rungs)
         return rungs
 
     def run(self, inputs):
@@ -152,15 +156,15 @@ class Certificate:
         return [("build", BUILD_ARGS + ["--out", path]), ("validate", ["wm", "validate", path])]
 
     def _cli(self, label, prefix, args) -> Op:
-        start, cpu = time.perf_counter(), _children_cpu()
+        start, cpu = time.perf_counter(), children_cpu()
         proc = subprocess.run(prefix + args, env=child_env(), capture_output=True, text=True)
-        seconds, cpu = time.perf_counter() - start, _children_cpu() - cpu
+        seconds, cpu = time.perf_counter() - start, children_cpu() - cpu
         error = None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
         answer = {"stdout": proc.stdout}
         if label == "build" and os.path.exists(args[-1]):
             with open(args[-1], "rb") as fh:
                 answer["sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        return Op(label, seconds, cpu, answer, error)
+        return Op(label, seconds, cpu, answer, error, start)
 
     def run(self, inputs):
         prefix = [sys.executable, "-m", "branchgroups.cli"]
@@ -216,7 +220,7 @@ class PortraitSweep(InProcess):
 
     name = "portrait_sweep"
     setup_code = "import branchgroups\nbranchgroups.grigorchuk_preset()"
-    words_per_pass = 200
+    words_per_pass = 500
     depth = 12
 
     def inputs(self, seed: int, small: bool):
