@@ -21,10 +21,10 @@ from .presets import GroupPreset
 from .quotients import (
     PermSubgroup,
     Perm,
-    StabChain,
     compose,
     perm_inverse,
     point_stabilizer_words,
+    stabilizer_generators,
     word_perm,
 )
 from .subgroups import (
@@ -35,7 +35,7 @@ from .subgroups import (
     in_rigid_stabilizer,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
-from .words import Word
+from .words import BudgetExhausted, Word
 
 
 class CertificateBuildError(RuntimeError):
@@ -432,29 +432,41 @@ def trap_subgroup(
 # -- finite subgroups and certificates ------------------------------------
 
 
-def finite_subgroup_elements(q: SubgroupHandle, cap: int = 256) -> list[Word]:
-    """All elements of a finite subgroup, as canonical words.
+# Elements are bucketed by their image at this level before the word
+# problem decides equality within a bucket.
+_CLOSURE_LEVEL = 4
 
-    Closes the generating set under multiplication, deduplicating by
-    canonical form; raises if the closure exceeds the cap (infinite or
-    non-collapsing subgroup).
+
+def finite_subgroup_elements(q: SubgroupHandle, cap: int = 256) -> list[Word]:
+    """All elements of a finite subgroup, one word each, sorted by factors.
+
+    Closes the generating set under multiplication breadth first.  Reduced
+    words are not a normal form, so a product is new only if the word
+    problem separates it from every known element with the same level
+    image; the first word found for an element is kept.  Raises if the
+    closure exceeds the cap (infinite subgroup).
     """
     preset = q.preset
-    elems = {(): Word.identity(preset)}
-    frontier = [Word.identity(preset)]
+    identity = Word.identity(preset)
+    buckets = {word_perm(identity, _CLOSURE_LEVEL): [identity]}
+    elems = [identity]
+    frontier = [identity]
     gens = [w for w in q.generators] + [w.inverse() for w in q.generators]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
                 p = e * g
-                if p.factors not in elems:
-                    if len(elems) >= cap:
-                        raise ValueError(f"subgroup closure exceeds cap {cap}; not finite?")
-                    elems[p.factors] = p
-                    nxt.append(p)
+                bucket = buckets.setdefault(word_perm(p, _CLOSURE_LEVEL), [])
+                if any((u.inverse() * p).is_identity() for u in bucket):
+                    continue
+                if len(elems) >= cap:
+                    raise ValueError(f"subgroup closure exceeds cap {cap}; not finite?")
+                bucket.append(p)
+                elems.append(p)
+                nxt.append(p)
         frontier = nxt
-    return [elems[f] for f in sorted(elems)]
+    return sorted(elems, key=lambda w: w.factors)
 
 
 def _orbit_vertices(q_elems: list[Word], v: Vertex) -> set[Vertex]:
@@ -670,30 +682,6 @@ def build_certificate(
 # -- certificate validation -----------------------------------------------
 
 
-def _schreier_point_stabilizer(gens: list[Perm], npoints: int, beta: int) -> list[Perm]:
-    """Schreier generators of the stabilizer of beta, deterministic."""
-    identity = tuple(range(npoints))
-    transversal = {beta: identity}
-    queue = [beta]
-    while queue:
-        u = queue.pop(0)
-        rep = transversal[u]
-        for s in gens:
-            v = s[u]
-            if v not in transversal:
-                transversal[v] = compose(s, rep)
-                queue.append(v)
-    out, seen = [], set()
-    for u in sorted(transversal):
-        rep = transversal[u]
-        for s in gens:
-            g = compose(perm_inverse(transversal[s[u]]), compose(s, rep))
-            if g != identity and g not in seen:
-                seen.add(g)
-                out.append(g)
-    return out
-
-
 def _combined_perm(w: Word, n: int, k: int) -> Perm:
     """Action on the disjoint union: level-k points first, then level-n."""
     pk = word_perm(w, k)
@@ -702,25 +690,23 @@ def _combined_perm(w: Word, n: int, k: int) -> Perm:
     return pk + tuple(x + off for x in pn)
 
 
-def _normal_closure_perms(
-    seed: list[Perm], group_gens: list[Perm], npoints: int
-) -> list[Perm]:
-    """Generators of the normal closure of seed inside <group_gens>."""
-    gens = [g for g in seed if g != tuple(range(npoints))]
-    chain = StabChain(npoints, gens)
-    frontier = list(gens)
+def _normal_closure(
+    seed: list[Perm], group_gens: list[Perm], level: int, npoints: int
+) -> PermSubgroup:
+    """The normal closure of seed inside <group_gens>."""
+    identity = tuple(range(npoints))
+    ncl = PermSubgroup(level, [g for g in seed if g != identity] or [identity], npoints)
+    frontier = list(ncl.gens)
     while frontier:
         nxt = []
         for h in group_gens:
             h_inv = perm_inverse(h)
             for g in frontier:
                 c = compose(h, compose(g, h_inv))
-                if not chain.contains(c):
-                    gens.append(c)
+                if ncl.add(c):
                     nxt.append(c)
-                    chain = StabChain(npoints, gens)
         frontier = nxt
-    return gens
+    return ncl
 
 
 @dataclass
@@ -854,11 +840,10 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
             _combined_perm(w, n, k1) for w in (list(cert.q_generators) + [s.w for s in cert.stages])
         ]
         w_perms = [_combined_perm(s.w, n, k1) for s in cert.stages]
-        ncl = _normal_closure_perms(w_perms, h_gens, npoints)
+        ncl_group = _normal_closure(w_perms, h_gens, n, npoints)
         kernel = list(h_gens)
         for beta in range(preset.degree**k1):
-            kernel = _schreier_point_stabilizer(kernel, npoints, beta)
-        ncl_group = PermSubgroup(n, ncl or [tuple(range(npoints))], npoints)
+            kernel = stabilizer_generators(kernel, npoints, beta)
         kernel_group = PermSubgroup(n, kernel or [tuple(range(npoints))], npoints)
         equal = ncl_group.equals(kernel_group)
         add(
@@ -944,7 +929,7 @@ def conjugate_count_lower_bound(
         tried += 1
         try:
             m = gamma.order(order_budget)
-        except Exception:
+        except BudgetExhausted:
             continue
         pp = _prime_power(m)
         if pp is None:

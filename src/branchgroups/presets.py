@@ -111,6 +111,10 @@ class GroupPreset:
         return {}
 
     @cached_property
+    def _perm_cache(self) -> dict:
+        return {}
+
+    @cached_property
     def _rist_cache(self) -> dict:
         return {}
 

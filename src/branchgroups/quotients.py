@@ -1,16 +1,28 @@
 """Finite level quotients as permutation groups on lexicographic level vertices.
 
 Permutations are one-line image tuples over the d^n level-n vertices in
-lexicographic order.  Stabilizer chains are built with a deterministic
-variant of Schreier-Sims: base points are always the smallest moved point,
-orbits are explored in sorted order, and generators are processed in their
-declared order, so orders, sifting and coset data reproduce exactly across
-runs and platforms.
+lexicographic order.  `word_perm` composes generator images; each
+generator's level-n image is built once from the wreath recursion and
+memoized on the preset, like the other memo tables.
+
+Stabilizer chains are built by incremental Schreier-Sims.  Every level
+keeps its orbit as a list, a coset representative for each orbit point and
+the representative's inverse, so a sift costs one composition per level.
+A new generator extends the orbit in place, and only the Schreier
+generators of the new (point, generator) pairs are sifted into the level
+below: old representatives never change and lower levels only grow, so
+the old pairs stay sifted.  Base points are the smallest point moved by
+the residue that opens a level, and generators and pairs are processed in
+a fixed order, so the chain is deterministic.  The base order follows the
+order in which generators arrive; orders and membership do not depend on
+it, and no output shows it.
 """
 
 from __future__ import annotations
 
-from .presets import GroupPreset
+import math
+
+from .presets import Factors, GroupPreset
 from .tree import Vertex, format_vertex, level_vertices
 from .words import Word
 
@@ -46,11 +58,45 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
+def _generator_perm(preset: GroupPreset, name: str, inverse: bool, n: int) -> Perm:
+    """Level-n image of a generator or its inverse, memoized on the preset.
+
+    Wreath recursion: the vertex x v goes to root(x) g|_x(v), so the block
+    of x is the level-(n-1) image of the section, shifted to block root(x).
+    """
+    key = (name, inverse, n)
+    cache = preset._perm_cache
+    got = cache.get(key)
+    if got is None:
+        if inverse:
+            got = perm_inverse(_generator_perm(preset, name, False, n))
+        else:
+            gen = preset.gen_map[name]
+            block = preset.degree ** (n - 1)
+            out: list[int] = []
+            for x, section in enumerate(gen.sections):
+                off = gen.root_perm[x] * block
+                out.extend([off + y for y in _factors_perm(preset, section, n - 1)])
+            got = tuple(out)
+        cache[key] = got
+    return got
+
+
+def _factors_perm(preset: GroupPreset, factors: Factors, n: int) -> Perm:
+    perm = range(preset.degree ** n)
+    if n:
+        for g, e in reversed(factors):
+            p = _generator_perm(preset, g, e < 0, n)
+            for _ in range(abs(e)):
+                perm = [p[x] for x in perm]
+    return tuple(perm)
+
+
 def word_perm(w: Word, n: int) -> Perm:
     """Image of a word on the lexicographic level-n vertices."""
-    verts = level_vertices(w.preset.degree, n)
-    index = {v: i for i, v in enumerate(verts)}
-    return tuple(index[w.apply(v)] for v in verts)
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
+    return _factors_perm(w.preset, w.factors, n)
 
 
 class LevelAction:
@@ -76,84 +122,144 @@ def level_action(preset: GroupPreset, n: int, level_cap: int | None = None) -> L
     return LevelAction(preset, n, level_cap)
 
 
-class _ChainLevel:
-    __slots__ = ("beta", "gens", "transversal")
+class _Orbit:
+    """Orbit of beta under generators added one at a time.
+
+    `reps[u]` maps beta to u and `invs[u]` is its inverse; both are None
+    off the orbit.  Representatives, once chosen, never change.
+    """
+
+    __slots__ = ("beta", "gens", "gen_invs", "points", "reps", "invs")
 
     def __init__(self, beta: int, npoints: int):
+        identity = tuple(range(npoints))
         self.beta = beta
         self.gens: list[Perm] = []
-        self.transversal: dict[int, Perm] = {beta: tuple(range(npoints))}
+        self.gen_invs: list[Perm] = []
+        self.points = [beta]
+        self.reps: list[Perm | None] = [None] * npoints
+        self.invs: list[Perm | None] = [None] * npoints
+        self.reps[beta] = self.invs[beta] = identity
+
+    def add_generator(self, g: Perm):
+        """Add g and extend the orbit; returns an iterator over the
+        nontrivial Schreier generators of the new (point, generator) pairs."""
+        gens, gen_invs, points, reps, invs = (
+            self.gens, self.gen_invs, self.points, self.reps, self.invs
+        )
+        gens.append(g)
+        gen_invs.append(perm_inverse(g))
+        old = len(points)
+        # Pairs whose image point got its representative through them have
+        # the identity as Schreier generator.
+        tree: set[tuple[int, int]] = set()
+        last = len(gens) - 1
+        for i, u in enumerate(points):
+            for j in (last,) if i < old else range(last + 1):
+                s = gens[j]
+                v = s[u]
+                if reps[v] is None:
+                    rep, inv, s_inv = reps[u], invs[u], gen_invs[j]
+                    reps[v] = tuple([s[x] for x in rep])
+                    invs[v] = tuple([inv[x] for x in s_inv])
+                    points.append(v)
+                    tree.add((u, j))
+        return self._schreier_generators(old, len(points), last, tree)
+
+    def _schreier_generators(self, old: int, end: int, last: int, tree):
+        gens, reps, invs = self.gens, self.reps, self.invs
+        identity = reps[self.beta]
+        for i, u in enumerate(self.points[:end]):
+            rep = reps[u]
+            for j in (last,) if i < old else range(last + 1):
+                if (u, j) in tree:
+                    continue
+                s = gens[j]
+                inv = invs[s[u]]
+                schreier = tuple([inv[s[x]] for x in rep])
+                if schreier != identity:
+                    yield schreier
+
+
+def _min_moved(p: Perm) -> int:
+    for i, x in enumerate(p):
+        if x != i:
+            return i
+    raise ValueError("identity has no moved point")
+
+
+def stabilizer_generators(gens, npoints: int, beta: int) -> list[Perm]:
+    """Distinct nontrivial Schreier generators of the stabilizer of beta."""
+    orbit = _Orbit(beta, npoints)
+    out: list[Perm] = []
+    seen: set[Perm] = set()
+    for g in gens:
+        for s in orbit.add_generator(tuple(g)):
+            if s not in seen:
+                seen.add(s)
+                out.append(s)
+    return out
 
 
 class StabChain:
-    """Deterministic stabilizer chain with membership sifting."""
+    """Deterministic stabilizer chain with membership sifting.
+
+    Level i holds the orbit of its base point under its own generators;
+    the group at level i + 1 is the stabilizer of that point in the group
+    at level i.
+    """
 
     def __init__(self, npoints: int, gens):
         self.npoints = npoints
         self.identity = tuple(range(npoints))
-        self.levels: list[_ChainLevel] = []
+        self.levels: list[_Orbit] = []
         for g in gens:
-            g = tuple(g)
-            if g != self.identity:
-                self._extend(g, 0)
+            self.add(g)
 
-    def _min_moved(self, p: Perm) -> int:
-        for i, x in enumerate(p):
-            if x != i:
-                return i
-        raise ValueError("identity has no moved point")
+    def add(self, g) -> bool:
+        """Extend the group by g; False if g was already a member.
 
-    def _sift(self, p: Perm, start: int) -> tuple[Perm, int]:
-        """Strip p through levels start..; returns (residue, stuck level)."""
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
-            t = lvl.transversal.get(p[lvl.beta])
-            if t is None:
-                return p, i
-            p = compose(perm_inverse(t), p)
-        return p, len(self.levels)
+        New Schreier generators are worked off depth first on an explicit
+        stack, so each is sifted only through levels that are complete.
+        """
+        stack: list = []
+        if not self._absorb(tuple(g), 0, stack):
+            return False
+        while stack:
+            i, pending = stack[-1]
+            s = next(pending, None)
+            if s is None:
+                stack.pop()
+            else:
+                self._absorb(s, i + 1, stack)
+        return True
 
-    def _extend(self, p: Perm, i: int) -> None:
-        """Add p (known to fix the base points above level i) at level i."""
-        residue, _ = self._sift(p, i)
-        if residue == self.identity:
-            return
+    def _absorb(self, p: Perm, i: int, stack: list) -> bool:
+        """Sift p from level i; a nontrivial residue becomes a generator there."""
+        p = self._sift(p, i)
+        if p == self.identity:
+            return False
         if i == len(self.levels):
-            self.levels.append(_ChainLevel(self._min_moved(residue), self.npoints))
-        self.levels[i].gens.append(residue)
-        self._close(i)
+            self.levels.append(_Orbit(_min_moved(p), self.npoints))
+        stack.append((i, self.levels[i].add_generator(p)))
+        return True
 
-    def _close(self, i: int) -> None:
-        """Recompute orbit at level i and sift all Schreier generators."""
-        lvl = self.levels[i]
-        lvl.transversal = {lvl.beta: self.identity}
-        queue = [lvl.beta]
-        while queue:
-            u = queue.pop(0)
-            rep = lvl.transversal[u]
-            for s in lvl.gens:
-                v = s[u]
-                if v not in lvl.transversal:
-                    lvl.transversal[v] = compose(s, rep)
-                    queue.append(v)
-        for u in sorted(lvl.transversal):
-            rep = lvl.transversal[u]
-            for s in lvl.gens:
-                schreier = compose(
-                    perm_inverse(lvl.transversal[s[u]]), compose(s, rep)
-                )
-                if schreier != self.identity:
-                    self._extend(schreier, i + 1)
+    def _sift(self, p: Perm, start: int) -> Perm:
+        """Strip p through levels start..; returns the residue."""
+        for lvl in self.levels[start:]:
+            u = p[lvl.beta]
+            if u != lvl.beta:
+                inv = lvl.invs[u]
+                if inv is None:
+                    return p
+                p = tuple([inv[x] for x in p])
+        return p
 
     def order(self) -> int:
-        n = 1
-        for lvl in self.levels:
-            n *= len(lvl.transversal)
-        return n
+        return math.prod(len(lvl.points) for lvl in self.levels)
 
     def contains(self, p: Perm) -> bool:
-        residue, _ = self._sift(tuple(p), 0)
-        return residue == self.identity
+        return self._sift(tuple(p), 0) == self.identity
 
     def base(self) -> list[int]:
         return [lvl.beta for lvl in self.levels]
@@ -167,6 +273,14 @@ class PermSubgroup:
         self.npoints = npoints
         self.gens = [tuple(g) for g in gens]
         self.chain = StabChain(npoints, self.gens)
+
+    def add(self, g: Perm) -> bool:
+        """Extend the subgroup by g; False if g was already a member."""
+        g = tuple(g)
+        if not self.chain.add(g):
+            return False
+        self.gens.append(g)
+        return True
 
     def order(self) -> int:
         return self.chain.order()

@@ -37,13 +37,6 @@ def _invert_factors(factors: Factors) -> Factors:
     return tuple((g, -e) for g, e in reversed(factors))
 
 
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def root_perm_of(preset: GroupPreset, factors: Factors) -> tuple[int, ...]:
     """The permutation induced on the first level (leftmost factor last)."""
     perm = tuple(range(preset.degree))

@@ -161,6 +161,13 @@ def test_finite_subgroup_elements(grig):
     assert sorted(str(e) for e in klein) == ["1", "b", "c", "d"]
 
 
+def test_finite_subgroup_elements_dedup_by_word_problem(grig):
+    # a d a d a d a d is reduced yet trivial: <a, d> is dihedral of order 8
+    elems = finite_subgroup_elements(SubgroupHandle.from_strings(grig, ["a", "d"]))
+    assert len(elems) == 8
+    assert [e.factors for e in elems] == sorted(e.factors for e in elems)
+
+
 def test_finite_subgroup_cap(grig):
     with pytest.raises(ValueError):
         finite_subgroup_elements(
@@ -300,6 +307,16 @@ def test_conjugate_count_full_group_trivial(grig):
     bound = conjugate_count_lower_bound(h, 3, budget=40)
     assert bound.count == 1
     assert bound.gamma is None
+
+
+def test_conjugate_count_propagates_non_budget_errors(grig, monkeypatch):
+    def broken_order(self, budget=None):
+        raise ValueError("broken order")
+
+    monkeypatch.setattr(Word, "order", broken_order)
+    h = SubgroupHandle.from_strings(grig, ["b"], membership_level=3)
+    with pytest.raises(ValueError, match="broken order"):
+        conjugate_count_lower_bound(h, 3, budget=5)
 
 
 def _parabolic_words(preset, vstr, n):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from branchgroups.quotients import (
@@ -12,6 +14,7 @@ from branchgroups.quotients import (
     perm_inverse,
     point_stabilizer_words,
     quotient_order,
+    stabilizer_generators,
     subgroup_index_in_quotient,
     word_perm,
 )
@@ -24,9 +27,8 @@ GRIG_ORDERS = {1: 2, 2: 8, 3: 128, 4: 4096, 5: 2**22, 6: 2**42}
 GS_ORDERS = {1: 3, 2: 27, 3: 2187, 4: 3**19}
 
 
-def brute_closure_order(preset, n):
-    gens = {word_perm(Word.generator(preset, g), n) for g in preset.gen_names}
-    identity = tuple(range(preset.degree**n))
+def brute_closure(gens, npoints):
+    identity = tuple(range(npoints))
     elems = {identity}
     frontier = [identity]
     while frontier:
@@ -38,7 +40,12 @@ def brute_closure_order(preset, n):
                     elems.add(q)
                     nxt.append(q)
         frontier = nxt
-    return len(elems)
+    return elems
+
+
+def brute_closure_order(preset, n):
+    gens = {word_perm(Word.generator(preset, g), n) for g in preset.gen_names}
+    return len(brute_closure(gens, preset.degree**n))
 
 
 def test_perm_helpers():
@@ -158,3 +165,93 @@ def test_determinism_of_chain(grig):
     g2 = full_level_group(grig, 4)
     assert g1.chain.base() == g2.chain.base()
     assert g1.to_dict() == g2.to_dict()
+
+
+def test_closed_form_orders_at_deeper_levels(grig, gs):
+    # |G/St(n)| = 2^(5*2^(n-3)+2) for Grigorchuk, 3^(2*3^(n-2)+1) for Gupta-Sidki
+    assert quotient_order(grig, 7) == 2**82
+    assert quotient_order(gs, 5) == 3**55
+
+
+def _random_letters_word(preset, rng, max_len):
+    """Random word with inverse letters and exponents up to 3, unreduced input."""
+    factors = [
+        (rng.choice(preset.gen_names), rng.choice((-3, -2, -1, 1, 2, 3)))
+        for _ in range(rng.randrange(max_len + 1))
+    ]
+    return Word(preset, factors)
+
+
+@pytest.mark.parametrize("name", ["grig", "gs"])
+def test_word_perm_matches_vertex_action(name, request):
+    from branchgroups.tree import level_vertices
+
+    preset = request.getfixturevalue(name)
+    rng = random.Random(61)
+    for n in range(1, 7):
+        verts = level_vertices(preset.degree, n)
+        index = {v: i for i, v in enumerate(verts)}
+        for _ in range(6):
+            w = _random_letters_word(preset, rng, 10)
+            assert word_perm(w, n) == tuple(index[w.apply(v)] for v in verts)
+
+
+def _level_gens(preset, n, texts):
+    return [word_perm(Word.from_str(preset, t), n) for t in texts]
+
+
+def test_stab_chain_order_independent_of_generator_order(grig, gs):
+    rng = random.Random(5)
+    for preset, n, texts in (
+        (grig, 4, ["a", "b", "c", "d", "abab", "adad"]),
+        (gs, 3, ["a", "b", "a b a^-1", "b^2 a"]),
+    ):
+        gens = _level_gens(preset, n, texts)
+        expected = StabChain(preset.degree**n, gens).order()
+        for _ in range(5):
+            rng.shuffle(gens)
+            assert StabChain(preset.degree**n, gens).order() == expected
+
+
+def test_stab_chain_membership_matches_closure(grig):
+    rng = random.Random(9)
+    n, npoints = 3, 8
+    for texts in (["a", "b", "c", "d"], ["b", "c"], ["a", "d"], ["abab"]):
+        gens = _level_gens(grig, n, texts)
+        closure = brute_closure(gens, npoints)
+        chain = StabChain(npoints, gens)
+        assert chain.order() == len(closure)
+        assert all(chain.contains(p) for p in closure)
+        for _ in range(200):
+            p = list(range(npoints))
+            rng.shuffle(p)
+            assert chain.contains(tuple(p)) == (tuple(p) in closure)
+
+
+def test_stab_chain_grown_by_add_matches_one_call(grig, rng):
+    n, npoints = 4, 16
+    gens = _level_gens(grig, n, ["b", "a d a", "c", "a b a c", "a"])
+    grown = StabChain(npoints, [])
+    assert grown.order() == 1
+    assert grown.add(gens[0])
+    assert not grown.add(gens[0])
+    for g in gens[1:]:
+        grown.add(g)
+    whole = StabChain(npoints, gens)
+    assert grown.order() == whole.order() == 2**12
+    for _ in range(30):
+        p = word_perm(random_word(grig, rng, 12), n)
+        assert grown.contains(p) and whole.contains(p)
+    for _ in range(30):
+        p = list(range(npoints))
+        rng.shuffle(p)
+        assert grown.contains(tuple(p)) == whole.contains(tuple(p))
+
+
+def test_stabilizer_generators_orbit_stabilizer(grig, gs):
+    for preset, n in ((grig, 4), (gs, 3)):
+        full = full_level_group(preset, n)
+        stab = stabilizer_generators(full.gens, full.npoints, 0)
+        assert all(g[0] == 0 for g in stab)
+        assert len(set(stab)) == len(stab)
+        assert full.order() == PermSubgroup(n, stab, full.npoints).order() * preset.degree**n
