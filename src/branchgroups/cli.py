@@ -20,7 +20,7 @@ import sys
 from . import construction, quotients, subgroups
 from .presets import GroupPreset, builtin_preset, load_preset, validate_preset
 from .tree import format_vertex, parse_vertex
-from .words import DEFAULT_ORDER_BUDGET, BudgetExhausted, Word
+from .words import DEFAULT_ORDER_BUDGET, BudgetExhausted, InfiniteOrder, Word
 
 CONFIG_ENV = "BRANCHGROUPS_CONFIG"
 
@@ -253,6 +253,8 @@ def _cmd_elem(args, preset, rep) -> int:
         except BudgetExhausted:
             rep.emit({"order": None, "undecided": True}, "undecided (budget exhausted)")
             return EXIT_UNDECIDED
+        except InfiniteOrder:
+            m = "infinite"
         rep.emit({"order": str(m)}, str(m))
         return EXIT_OK
     if args.cmd == "portrait":

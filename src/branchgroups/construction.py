@@ -35,7 +35,7 @@ from .subgroups import (
     in_rigid_stabilizer,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
-from .words import BudgetExhausted, Word
+from .words import BudgetExhausted, InfiniteOrder, Word
 
 
 class CertificateBuildError(RuntimeError):
@@ -94,19 +94,6 @@ def _rist_support(g: Word, k: int) -> Vertex | None:
     return support
 
 
-def _single_support(g: Word) -> Vertex | None:
-    """The one moved first-level subtree of a level-1 stabilizer, if unique."""
-    if not g.fixes_level(1):
-        return None
-    support = None
-    for x in range(g.preset.degree):
-        if not g.section((x,)).is_identity():
-            if support is not None:
-                return None
-            support = (x,)
-    return support
-
-
 # Per-source caps within the overall budget; the commutator tower is the
 # cheap primary source, the scan and descent kick in only when it yields
 # nothing at all.
@@ -153,7 +140,7 @@ def _scan_segment(preset: GroupPreset, budget: int):
             return
         if not w.factors:
             continue
-        support = _single_support(w)
+        support = _rist_support(w, 1)
         if support is not None:
             yield w, support
 
@@ -193,7 +180,7 @@ def _descend_segment(preset: GroupPreset, k: int, budget: int):
                             continue
                         seen.add(cand.factors)
                         tested += 1
-                        s = _single_support(cand.section(v))
+                        s = _rist_support(cand.section(v), 1)
                         if s is not None:
                             yield cand, v + s
                         else:
@@ -929,7 +916,7 @@ def conjugate_count_lower_bound(
         tried += 1
         try:
             m = gamma.order(order_budget)
-        except BudgetExhausted:
+        except (BudgetExhausted, InfiniteOrder):
             continue
         pp = _prime_power(m)
         if pp is None:

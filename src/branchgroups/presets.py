@@ -2,8 +2,10 @@
 
 A preset bundles everything needed to compute in one group: the tree degree,
 one wreath recursion per generator (root permutation + d section words), a
-finite set of length-non-increasing reduction rules giving canonical word
-forms, and a seed generating set for the designated branching subgroup.
+finite set of length-non-increasing reduction rules, and a seed generating
+set for the designated branching subgroup.  Reduction applies the rules in
+one stack pass; the reduced word is canonical when the rules are confluent,
+as every shipped preset's are.
 
 Words are stored as tuples of (generator name, exponent) factors.  The text
 syntax is whitespace-separated factors with optional ^-exponents
@@ -74,6 +76,11 @@ class GroupPreset:
         return orders
 
     @cached_property
+    def _gen_mod(self) -> dict[str, int]:
+        """Declared order of every generator, 0 where none is declared."""
+        return {name: self.gen_order.get(name, 0) for name in self.gen_names}
+
+    @cached_property
     def pair_table(self) -> dict[tuple[Factor, Factor], Factors]:
         """Rules whose left side is a product of two factors."""
         table: dict[tuple[Factor, Factor], Factors] = {}
@@ -111,6 +118,10 @@ class GroupPreset:
         return {}
 
     @cached_property
+    def _letter_cache(self) -> dict:
+        return {}
+
+    @cached_property
     def _perm_cache(self) -> dict:
         return {}
 
@@ -121,69 +132,76 @@ class GroupPreset:
     # -- word handling ----------------------------------------------------
 
     def reduce(self, factors) -> Factors:
-        """Canonical form of a factor sequence under the preset's rules."""
-        syl = [(g, e) for g, e in factors if e != 0]
-        for g, _ in syl:
-            if g not in self.gen_map:
-                raise PresetError(f"unknown generator {g!r}")
-        orders = self.gen_order
+        """Reduced form of a factor sequence under the preset's rules."""
+        pending = list(factors)
+        pending.reverse()
+        return self._rewrite([], pending, ())
+
+    def product(self, u: Factors, v: Factors) -> Factors:
+        """Reduced form of u·v for reduced u and v.
+
+        Only the junction is rewritten: once a factor of v is pushed
+        unchanged, the rest of v follows as it is.
+        """
+        return self._rewrite(list(u), [], v)
+
+    def _rewrite(self, out: list, pending: list, tail: Factors) -> Factors:
+        """One stack pass of the rules over pending, then tail, onto out.
+
+        out is a reduced stack and pending a stack of factors still to push
+        (next one last); tail is a reduced word that follows them.  Each
+        incoming factor is merged with the top of out when they share a
+        generator, taken mod its declared order, and tried against the pair
+        table with the top; a rule's right-hand side goes back on pending.
+        out is irreducible after every step, so on a confluent rule set the
+        result is the canonical form.  Once a factor of tail is pushed
+        unchanged with nothing pending, the rest of tail is appended as it is.
+        """
+        mods = self._gen_mod
         table = self.pair_table
-        for _ in range(_MAX_REDUCTION_PASSES):
-            changed = False
-            merged: list[Factor] = []
-            for g, e in syl:
-                if merged and merged[-1][0] == g:
-                    e += merged.pop()[1]
-                    changed = True
-                o = orders.get(g)
-                if o is not None:
-                    e2 = e % o
-                    if e2 != e:
-                        changed = True
-                    e = e2
-                if e:
-                    merged.append((g, e))
-                else:
-                    changed = True
-            rewritten: list[Factor] = []
-            i = 0
-            while i < len(merged):
-                if i + 1 < len(merged) and (merged[i], merged[i + 1]) in table:
-                    rewritten.extend(table[(merged[i], merged[i + 1])])
-                    i += 2
-                    changed = True
-                else:
-                    rewritten.append(merged[i])
-                    i += 1
-            syl = rewritten
-            if not changed:
-                return tuple(syl)
-        raise PresetError("reduction did not terminate (non-terminating rules?)")
+        limit = _MAX_REDUCTION_PASSES * (len(out) + len(pending) + len(tail) + 1)
+        rewrites = 0
+        i, n = 0, len(tail)
+        while True:
+            if pending:
+                g, e = pending.pop()
+                fresh = False
+            elif i < n:
+                g, e = tail[i]
+                i += 1
+                fresh = True
+            else:
+                return tuple(out)
+            if not e:
+                continue
+            try:
+                o = mods[g]
+            except KeyError:
+                raise PresetError(f"unknown generator {g!r}") from None
+            if out and out[-1][0] == g:
+                e += out.pop()[1]
+                fresh = False
+            if o:
+                e %= o
+            if not e:
+                continue
+            if table and out:
+                rhs = table.get((out[-1], (g, e)))
+                if rhs is not None:
+                    rewrites += 1
+                    if rewrites > limit:
+                        raise PresetError("reduction did not terminate (non-terminating rules?)")
+                    out.pop()
+                    pending.extend(reversed(rhs))
+                    continue
+            out.append((g, e))
+            if fresh:
+                out.extend(tail[i:])
+                return tuple(out)
 
     def parse_word(self, text: str) -> Factors:
         """Parse the word syntax into reduced factors."""
-        factors: list[Factor] = []
-        for token in text.replace("*", " ").split():
-            name, _, exp = token.partition("^")
-            if exp:
-                try:
-                    e = int(exp)
-                except ValueError:
-                    raise PresetError(f"bad exponent in token {token!r}") from None
-            else:
-                e = 1
-            if name in self.gen_map:
-                factors.append((name, e))
-            elif all(c in self.gen_map for c in name):
-                # run of one-letter generators, e.g. "abab"
-                for c in name[:-1]:
-                    factors.append((c, 1))
-                factors.append((name[-1], e))
-            elif name == "1" or name == "":
-                continue
-            else:
-                raise PresetError(f"unknown generator in token {token!r}")
-        return self.reduce(factors)
+        return self.reduce(_tokenize(text, self.gen_map))
 
     @staticmethod
     def format_factors(factors: Factors) -> str:
@@ -218,15 +236,19 @@ class GroupPreset:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parse_factors_loose(text: str, names: set[str]) -> Factors:
-    """Word parsing against a name set, for use before a preset exists."""
+def _tokenize(text: str, names) -> Factors:
+    """Unreduced factors of the word syntax over a set of generator names."""
     factors: list[Factor] = []
     for token in str(text).replace("*", " ").split():
         name, _, exp = token.partition("^")
-        e = int(exp) if exp else 1
+        try:
+            e = int(exp) if exp else 1
+        except ValueError:
+            raise PresetError(f"bad exponent in token {token!r}") from None
         if name in names:
             factors.append((name, e))
         elif name and all(c in names for c in name):
+            # run of one-letter generators, e.g. "abab"
             for c in name[:-1]:
                 factors.append((c, 1))
             factors.append((name[-1], e))
@@ -250,14 +272,14 @@ def preset_from_dict(data: dict) -> GroupPreset:
             GeneratorRecursion(
                 name=str(g["name"]),
                 root_perm=tuple(int(x) for x in g["root_perm"]),
-                sections=tuple(_parse_factors_loose(s, names) for s in g["sections"]),
+                sections=tuple(_tokenize(s, names) for s in g["sections"]),
             )
         )
     rules = tuple(
-        (_parse_factors_loose(r["lhs"], names), _parse_factors_loose(r["rhs"], names))
+        (_tokenize(r["lhs"], names), _tokenize(r["rhs"], names))
         for r in data.get("rules", [])
     )
-    branching = tuple(_parse_factors_loose(w, names) for w in data.get("branching", []))
+    branching = tuple(_tokenize(w, names) for w in data.get("branching", []))
     return GroupPreset(
         degree=degree,
         generators=tuple(gens),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .presets import Factors, GroupPreset
 from .tree import Vertex, format_vertex, level_vertices
@@ -33,19 +34,48 @@ class BudgetExhausted(Exception):
         self.budget = budget
 
 
+class InfiniteOrder(ArithmeticError):
+    """The element was proved to have infinite order."""
+
+
 def _invert_factors(factors: Factors) -> Factors:
     return tuple((g, -e) for g, e in reversed(factors))
+
+
+def _letter(preset: GroupPreset, factor) -> tuple[tuple[int, ...], tuple[Factors, ...]]:
+    """Fill the letter table for factor = (g, e): the root permutation of
+    g^e and its reduced section at each first-level vertex."""
+    g, e = factor
+    gen = preset.gen_map[g]
+    d = preset.degree
+    # p and secs describe the letter l = g or g^-1; the loop multiplies by l
+    # on the left |e| times: (l h)(x) = l(h(x)) and (l h)_x = l_{h(x)} h_x.
+    if e > 0:
+        p, secs = gen.root_perm, gen.sections
+    else:
+        p = preset.inverse_perms[g]
+        secs = tuple(_invert_factors(gen.sections[p[x]]) for x in range(d))
+    perm, sections = tuple(range(d)), [() for _ in range(d)]
+    for _ in range(abs(e)):
+        sections = [secs[perm[x]] + sections[x] for x in range(d)]
+        perm = tuple(p[y] for y in perm)
+    entry = (perm, tuple(preset.reduce(s) for s in sections))
+    preset._letter_cache[factor] = entry
+    return entry
 
 
 def root_perm_of(preset: GroupPreset, factors: Factors) -> tuple[int, ...]:
     """The permutation induced on the first level (leftmost factor last)."""
     perm = tuple(range(preset.degree))
-    for g, e in reversed(factors):
-        p = preset.gen_map[g].root_perm
-        if e < 0:
-            p, e = preset.inverse_perms[g], -e
-        for _ in range(e):
-            perm = tuple(p[x] for x in perm)
+    if preset.degree == 1:
+        return perm  # itemgetter with one index returns an item, not a tuple
+    letters = preset._letter_cache
+    for f in factors:
+        try:
+            p = letters[f][0]
+        except KeyError:
+            p = _letter(preset, f)[0]
+        perm = itemgetter(*p)(perm)
     return perm
 
 
@@ -95,21 +125,19 @@ def section1(preset: GroupPreset, factors: Factors, x: int) -> Factors:
     got = cache.get(key)
     if got is not None:
         return got
+    letters = preset._letter_cache
     parts: list[Factors] = []
     cur = x
-    for g, e in reversed(factors):
-        gen = preset.gen_map[g]
-        if e > 0:
-            for _ in range(e):
-                parts.append(gen.sections[cur])
-                cur = gen.root_perm[cur]
-        else:
-            for _ in range(-e):
-                cur = preset.inverse_perms[g][cur]
-                parts.append(_invert_factors(gen.sections[cur]))
+    for f in reversed(factors):
+        try:
+            perm, sections = letters[f]
+        except KeyError:
+            perm, sections = _letter(preset, f)
+        parts.append(sections[cur])
+        cur = perm[cur]
     flat: list = []
     for p in reversed(parts):
-        flat.extend(p)
+        flat += p
     result = preset.reduce(flat)
     cache[key] = result
     return result
@@ -161,16 +189,17 @@ def is_identity_factors(
 
 
 def _power_factors(preset: GroupPreset, factors: Factors, m: int) -> Factors:
+    """The m-th power of a reduced word, reduced."""
     if m < 0:
-        factors, m = _invert_factors(factors), -m
+        factors, m = preset.reduce(_invert_factors(factors)), -m
     out: Factors = ()
     piece = factors
     while m:
         if m & 1:
-            out = preset.reduce(out + piece)
+            out = preset.product(out, piece)
         m >>= 1
         if m:
-            piece = preset.reduce(piece + piece)
+            piece = preset.product(piece, piece)
     return out
 
 
@@ -196,8 +225,11 @@ def order_factors(
     Recursion: with r the order of the root permutation, ord(g) equals
     r * lcm of the orders of the first-level sections of g^r.  A budget
     bounds the total number of recursion nodes; exhaustion (in particular
-    on non-torsion elements, which recurse forever) raises BudgetExhausted.
+    on a non-torsion element whose recursion does not close) raises
+    BudgetExhausted.  A word that re-enters its own recursion below a power
+    step is proved non-torsion and raises InfiniteOrder.
     """
+    factors = preset.reduce(factors)
     counter = [0]
     stack: list[Factors] = []
     positions: dict[Factors, tuple[int, int]] = {}  # word -> (stack depth, multiplier)
@@ -207,7 +239,6 @@ def order_factors(
         # Returns (order contribution, shallowest back-edge depth).  A value
         # whose subtree reached back to a strict ancestor is exact only as a
         # contribution to that ancestor's lcm and must not be memoized.
-        f = preset.reduce(f)
         if not f:
             return 1, _NO_BACKEDGE
         cache = preset._order_cache
@@ -226,7 +257,7 @@ def order_factors(
                 return 1, depth
             # Re-entered below a power step: g^m = 1 forces g^(m*k) = 1
             # with k > 1, so no finite order exists.
-            raise BudgetExhausted("element_order", budget or 0)
+            raise InfiniteOrder(f"{preset.format_factors(f)} re-enters its order recursion")
         my_depth = len(stack)
         stack.append(f)
         positions[f] = (my_depth, mult)
@@ -323,7 +354,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.preset is not other.preset:
             raise ValueError("cannot multiply words over different presets")
-        return Word(self.preset, self.preset.reduce(self.factors + other.factors), True)
+        return Word(self.preset, self.preset.product(self.factors, other.factors), True)
 
     def inverse(self) -> "Word":
         return Word(self.preset, _invert_factors(self.factors))

@@ -28,6 +28,13 @@ def test_elem_order(capsys):
     assert (code, out) == (EXIT_OK, "16")
 
 
+def test_elem_order_proved_infinite(capsys):
+    code, out = run(capsys, "elem", "order", "--preset", "ggs:3:1,0", "a b")
+    assert (code, out) == (EXIT_OK, "infinite")
+    code, out = run(capsys, "elem", "order", "--preset", "ggs:3:1,0", "--format", "json", "a b")
+    assert code == EXIT_OK and json.loads(out)["order"] == "infinite"
+
+
 def test_elem_identity_exit_codes(capsys):
     assert run(capsys, "elem", "identity", "a a") == (EXIT_OK, "true")
     assert run(capsys, "elem", "identity", "a b") == (EXIT_FALSE, "false")

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchgroups.presets import (
     GeneratorRecursion,
@@ -154,3 +156,146 @@ def test_definition_file_round_trip_computes(tmp_path, grig):
     from branchgroups.words import Word
 
     assert Word.from_str(loaded, "a b").order() == 16
+
+
+# -- one-pass reduction against the multi-pass reducer ---------------------
+
+
+def multipass_reduce(preset, factors):
+    """The reducer as it was before the one-pass rewrite: merge adjacent
+    factors mod the declared orders, then rewrite non-overlapping pairs left
+    to right, and repeat until a pass changes nothing."""
+    syl = [(g, e) for g, e in factors if e != 0]
+    orders, table = preset.gen_order, preset.pair_table
+    while True:
+        changed = False
+        merged = []
+        for g, e in syl:
+            if merged and merged[-1][0] == g:
+                e += merged.pop()[1]
+                changed = True
+            o = orders.get(g)
+            if o is not None and e % o != e:
+                e %= o
+                changed = True
+            if e:
+                merged.append((g, e))
+            else:
+                changed = True
+        rewritten, i = [], 0
+        while i < len(merged):
+            if i + 1 < len(merged) and (merged[i], merged[i + 1]) in table:
+                rewritten.extend(table[(merged[i], merged[i + 1])])
+                i += 2
+                changed = True
+            else:
+                rewritten.append(merged[i])
+                i += 1
+        syl = rewritten
+        if not changed:
+            return tuple(syl)
+
+
+ORACLE_PRESETS = {
+    "grigorchuk": grigorchuk_preset(),
+    "gupta-sidki": gupta_sidki_preset(),
+    "ggs5": ggs_preset(5, (1, 0, 0, 1)),
+}
+
+
+def merging_rules_preset():
+    """A rule set, not a group: generators of order 3 whose pair rule fires
+    only after two factors merge, and a right-hand side of two factors."""
+    return preset_from_dict(
+        {
+            "degree": 2,
+            "generators": [
+                {"name": "x", "root_perm": [0, 1], "sections": ["1", "1"]},
+                {"name": "y", "root_perm": [0, 1], "sections": ["1", "1"]},
+            ],
+            "rules": [
+                {"lhs": "x^3", "rhs": "1"},
+                {"lhs": "y^3", "rhs": "1"},
+                {"lhs": "x^2 y", "rhs": "y x"},
+            ],
+        }
+    )
+
+
+def factor_lists(preset, max_size=60):
+    factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-4, 4))
+    return st.lists(factor, max_size=max_size)
+
+
+@st.composite
+def preset_and_factors(draw, presets, count=1):
+    preset = presets[draw(st.sampled_from(sorted(presets)))]
+    return (preset, *(draw(factor_lists(preset)) for _ in range(count)))
+
+
+def test_rule_right_hand_side_keeps_its_order():
+    p = merging_rules_preset()
+    assert p.reduce([("x", 2), ("y", 1)]) == (("y", 1), ("x", 1))
+    assert p.reduce([("x", 1), ("x", 1), ("y", 1)]) == (("y", 1), ("x", 1))
+    assert p.product((("x", 1),), (("x", 1), ("y", 1))) == (("y", 1), ("x", 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(preset_and_factors(ORACLE_PRESETS))
+def test_reduce_matches_multipass_oracle(case):
+    preset, factors = case
+    assert preset.reduce(factors) == multipass_reduce(preset, factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(preset_and_factors({**ORACLE_PRESETS, "merging": merging_rules_preset()}, count=2))
+def test_product_matches_reduce_of_concatenation(case):
+    # Both push u unchanged and then v; product skips the part of v that
+    # reduce would push unchanged, so they agree on any rule set.
+    preset, f, g = case
+    u, v = preset.reduce(f), preset.reduce(g)
+    assert preset.product(u, v) == preset.reduce(u + v)
+    assert preset.product(u, ()) == u and preset.product((), v) == v
+    if preset.name:
+        # a shipped group: u·u⁻¹ cancels completely
+        u_inv = preset.reduce(tuple((x, -e) for x, e in reversed(u)))
+        assert preset.product(u, u_inv) == ()
+
+
+def test_reduce_rejects_unknown_generator_only_when_it_acts(grig):
+    assert grig.reduce([("a", 1), ("z", 0)]) == (("a", 1),)
+    with pytest.raises(PresetError, match="unknown generator"):
+        grig.reduce([("a", 1), ("z", 2)])
+
+
+def cycling_preset():
+    return preset_from_dict(
+        {
+            "degree": 2,
+            "generators": [
+                {"name": "x", "root_perm": [1, 0], "sections": ["1", "1"]},
+                {"name": "y", "root_perm": [0, 1], "sections": ["1", "1"]},
+            ],
+            "rules": [{"lhs": "x y", "rhs": "y x"}, {"lhs": "y x", "rhs": "x y"}],
+        }
+    )
+
+
+def test_cycling_rules_raise_instead_of_hanging():
+    p = cycling_preset()
+    with pytest.raises(PresetError, match="did not terminate"):
+        p.reduce([("x", 1), ("y", 1)])
+    with pytest.raises(PresetError, match="did not terminate"):
+        p.product((("y", 1),), (("x", 1),))
+    with pytest.raises(PresetError, match="did not terminate"):
+        p.parse_word("x y")
+
+
+def test_bad_exponent_raises_preset_error_in_both_parsers(grig):
+    with pytest.raises(PresetError, match="bad exponent"):
+        grig.parse_word("a^x")
+    data = grig.to_dict()
+    data["branching"] = ["a b^x"]
+    with pytest.raises(PresetError, match="bad exponent"):
+        preset_from_dict(data)
+

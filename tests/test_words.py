@@ -1,8 +1,9 @@
 import pytest
 
-from branchgroups.presets import ggs_preset
+import branchgroups
+from branchgroups.presets import GeneratorRecursion, GroupPreset, ggs_preset
 from branchgroups.tree import level_vertices
-from branchgroups.words import BudgetExhausted, Word
+from branchgroups.words import BudgetExhausted, InfiniteOrder, Word, root_perm_of, section1
 
 from conftest import random_word
 
@@ -120,6 +121,15 @@ def test_nontorsion_raises_budget():
         Word.from_str(p, "a b").order(budget=3)
 
 
+def test_proved_infinite_order_is_not_budget_exhaustion():
+    p = ggs_preset(3, (1, 0))
+    with pytest.raises(InfiniteOrder):
+        W(p, "a b").order(budget=None)
+    with pytest.raises(InfiniteOrder):
+        W(p, "a b").order()
+    assert branchgroups.InfiniteOrder is InfiniteOrder
+
+
 # -- portraits -------------------------------------------------------------
 
 
@@ -205,3 +215,45 @@ def test_gs_word_problem(gs, rng):
         assert (g * g.inverse()).is_identity()
         m = g.order()
         assert m in (1, 3, 9, 27, 81)
+
+
+# -- letter table ----------------------------------------------------------
+
+
+def random_factors(preset, rng, length):
+    """An unreduced factor sequence with inverse letters and powers."""
+    exps = (-3, -2, -1, 1, 2, 3)
+    return tuple((rng.choice(preset.gen_names), rng.choice(exps)) for _ in range(length))
+
+
+@pytest.mark.parametrize("fixture", ["grig", "gs", "ggs5"])
+def test_root_perm_agrees_with_level_one_action(fixture, request, rng):
+    preset = request.getfixturevalue(fixture)
+    for _ in range(40):
+        factors = random_factors(preset, rng, rng.randrange(12))
+        w = Word(preset, factors)
+        expected = tuple(w.apply((x,))[0] for x in range(preset.degree))
+        assert root_perm_of(preset, w.factors) == expected
+        assert root_perm_of(preset, factors) == expected
+
+
+@pytest.mark.parametrize("fixture", ["grig", "gs", "ggs5"])
+def test_first_level_sections_act_below_their_vertex(fixture, request, rng):
+    # w(x u) = w(x) s(u) with s the section of w at x
+    preset = request.getfixturevalue(fixture)
+    for _ in range(15):
+        w = Word(preset, random_factors(preset, rng, rng.randrange(10)))
+        for x in range(preset.degree):
+            s = Word(preset, section1(preset, w.factors, x), reduced=True)
+            for u in level_vertices(preset.degree, 2):
+                assert w.apply((x,) + u) == w.apply((x,)) + s.apply(u)
+
+
+def test_root_perm_on_degree_one():
+    p = GroupPreset(
+        degree=1,
+        generators=(GeneratorRecursion("x", (0,), (((("x", 1),)),)),),
+        reduction_rules=(),
+        branching_generators=(),
+    )
+    assert root_perm_of(p, (("x", 2), ("x", -1))) == (0,)
