@@ -372,8 +372,7 @@ def _cmd_wm(args, preset, rep) -> int:
         seeds = [parse_vertex(t, preset.degree) for t in args.avoid_vertex]
         level = args.level
         if level is None:
-            # deepest escape motion sits two levels under the deepest stage
-            level = max(4, max(len(s) for s in seeds) + 2 + len(seeds) - 1)
+            level = construction.default_level(q, seeds, preset)
         avoid = [
             construction.parabolic_approximation(preset, s, level) for s in seeds
         ]

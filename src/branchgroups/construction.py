@@ -22,6 +22,7 @@ from .quotients import (
     PermSubgroup,
     Perm,
     compose,
+    orbit_transversal,
     perm_inverse,
     point_stabilizer_words,
     stabilizer_generators,
@@ -54,19 +55,7 @@ def transporter_word(preset: GroupPreset, u: Vertex, v: Vertex) -> Word | None:
     """A word m with m(u) = v, by BFS over the level orbit; None if absent."""
     if len(u) != len(v):
         raise ValueError("transporter endpoints must share a level")
-    gens = [Word.generator(preset, g) for g in preset.gen_names]
-    reps: dict[Vertex, Word] = {u: Word.identity(preset)}
-    queue = [u]
-    while queue:
-        w = queue.pop(0)
-        if w == v:
-            return reps[w]
-        for g in gens:
-            w2 = g.apply(w)
-            if w2 not in reps:
-                reps[w2] = g * reps[w]
-                queue.append(w2)
-    return reps.get(v)
+    return orbit_transversal(preset, u, until=v).get(v)
 
 
 # -- rigid-stabilizer element search --------------------------------------
@@ -541,7 +530,12 @@ def parabolic_approximation(
     preset: GroupPreset, v: Vertex, membership_level: int
 ) -> SubgroupHandle:
     """Vertex-stabilizer approximation of the parabolic subgroup along the
-    leftmost ray through v: the stabilizer of v extended by zeros."""
+    leftmost ray through v: the stabilizer of v extended by zeros.
+
+    The handle records that vertex, so membership at its level is decided
+    by the predicate w(x) = x; its generators are the Schreier words of
+    `point_stabilizer_words`, which generate exactly that stabilizer there.
+    """
     if membership_level < len(v):
         raise ValueError("membership level must be at least the vertex level")
     extended = v + (0,) * (membership_level - len(v))
@@ -550,6 +544,7 @@ def parabolic_approximation(
         tuple(gens),
         membership_level=membership_level,
         label=f"stab-{format_vertex(v)}",
+        vertex=extended,
     )
 
 
@@ -567,6 +562,17 @@ def _choose_k1(q_elems: list[Word], preset: GroupPreset, max_level: int = 8) -> 
         if len(orbit) < len(verts):
             return k
     return None
+
+
+def default_level(q: SubgroupHandle, seeds: list[Vertex], preset: GroupPreset) -> int:
+    """Membership and verification level for an avoid list of seed vertices.
+
+    Stage levels start at k1 (or at the longest seed) and rise by at least
+    one per stage; the deepest escape motion sits two levels under the
+    deepest stage.
+    """
+    k1 = _choose_k1(finite_subgroup_elements(q), preset) or 0
+    return max(4, max([k1] + [len(s) for s in seeds]) + len(seeds) + 1)
 
 
 def build_certificate(

@@ -21,6 +21,7 @@ it, and no output shows it.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .presets import Factors, GroupPreset
 from .tree import Vertex, format_vertex, level_vertices
@@ -83,13 +84,14 @@ def _generator_perm(preset: GroupPreset, name: str, inverse: bool, n: int) -> Pe
 
 
 def _factors_perm(preset: GroupPreset, factors: Factors, n: int) -> Perm:
-    perm = range(preset.degree ** n)
-    if n:
-        for g, e in reversed(factors):
-            p = _generator_perm(preset, g, e < 0, n)
-            for _ in range(abs(e)):
-                perm = [p[x] for x in perm]
-    return tuple(perm)
+    perm = tuple(range(preset.degree ** n))
+    if len(perm) == 1:
+        return perm  # itemgetter with one index returns an item, not a tuple
+    for g, e in factors:
+        step = itemgetter(*_generator_perm(preset, g, e < 0, n))
+        for _ in range(abs(e)):
+            perm = step(perm)
+    return perm
 
 
 def word_perm(w: Word, n: int) -> Perm:
@@ -300,17 +302,14 @@ class PermSubgroup:
         for start in range(self.npoints):
             if seen[start]:
                 continue
-            orbit = [start]
             seen[start] = True
-            queue = [start]
-            while queue:
-                u = queue.pop(0)
+            orbit = [start]
+            for u in orbit:  # grows while it is walked: breadth first
                 for g in self.gens:
                     v = g[u]
                     if not seen[v]:
                         seen[v] = True
                         orbit.append(v)
-                        queue.append(v)
             out.append(sorted(orbit))
         return out
 
@@ -330,6 +329,24 @@ def image_subgroup(words, n: int, level_cap: int | None = None) -> PermSubgroup:
     preset = words[0].preset
     _check_level(preset, n, level_cap)
     return PermSubgroup(n, [word_perm(w, n) for w in words], preset.degree ** n)
+
+
+def common_fixed_points(words, n: int, level_cap: int | None = None) -> list[int]:
+    """Level-n points fixed by every word's image, in increasing order.
+
+    Every element of the subgroup the words generate fixes them too, so a
+    word moving one of them is exactly refuted as a member.
+    """
+    words = list(words)
+    if not words:
+        raise ValueError("common_fixed_points needs at least one word (may be identity)")
+    preset = words[0].preset
+    _check_level(preset, n, level_cap)
+    fixed = list(range(preset.degree ** n))
+    for w in words:
+        p = word_perm(w, n)
+        fixed = [x for x in fixed if p[x] == x]
+    return fixed
 
 
 def full_level_group(preset: GroupPreset, n: int, level_cap: int | None = None) -> PermSubgroup:
@@ -366,6 +383,30 @@ def subgroup_index_in_quotient(words, n: int, level_cap: int | None = None) -> i
     return q
 
 
+def orbit_transversal(
+    preset: GroupPreset, v: Vertex, until: Vertex | None = None
+) -> dict[Vertex, Word]:
+    """Coset representative words over the level orbit of v: reps[u](v) = u.
+
+    Breadth first over the generators in declared order, each orbit vertex
+    keeping the first word that reaches it; the dict lists the orbit in
+    discovery order.  The walk stops once `until` is reached, whose word is
+    then the same as in the full walk.
+    """
+    gens = [Word.generator(preset, g) for g in preset.gen_names]
+    reps: dict[Vertex, Word] = {v: Word.identity(preset)}
+    queue = [v]
+    for u in queue:  # grows while it is walked: breadth first
+        if u == until:
+            break
+        for g in gens:
+            w = g.apply(u)
+            if w not in reps:
+                reps[w] = g * reps[u]
+                queue.append(w)
+    return reps
+
+
 def point_stabilizer_words(
     v: Vertex, n: int, preset: GroupPreset, level_cap: int | None = None
 ) -> list[Word]:
@@ -381,20 +422,13 @@ def point_stabilizer_words(
     gens = [Word.generator(preset, g) for g in preset.gen_names]
     if n == 0:
         return gens
-    reps: dict[Vertex, Word] = {v: Word.identity(preset)}
-    queue = [v]
-    while queue:
-        u = queue.pop(0)
-        for g in gens:
-            w = g.apply(u)
-            if w not in reps:
-                reps[w] = g * reps[u]
-                queue.append(w)
+    reps = orbit_transversal(preset, v)
+    invs = {u: rep.inverse() for u, rep in reps.items()}
     out: list[Word] = []
     seen = set()
     for u in sorted(reps):
         for g in gens:
-            word = reps[g.apply(u)].inverse() * g * reps[u]
+            word = invs[g.apply(u)] * g * reps[u]
             if word.factors and word.factors not in seen:
                 seen.add(word.factors)
                 out.append(word)

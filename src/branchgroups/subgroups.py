@@ -3,8 +3,12 @@ stabilizers, index evidence and escaping conjugates.
 
 Membership in an abstractly defined subgroup is always answered inside a
 finite level quotient: non-membership at any level is exact, membership at
-the tested level is only evidence.  Searches are iterative-deepening over
-reduced words with lexicographic tie-breaking, so results replay exactly.
+the tested level is only evidence.  A handle that knows it is a vertex
+stabilizer is decided at its own level by its predicate, w(x) = x.  Any
+other handle first refutes by a moved common fixed point of its
+generators, and only then sifts through a stabilizer chain of its image.
+Searches are iterative-deepening over reduced words with lexicographic
+tie-breaking, so results replay exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .presets import GroupPreset
-from .quotients import PermSubgroup, image_subgroup, subgroup_index_in_quotient, word_perm
+from .quotients import (
+    PermSubgroup,
+    common_fixed_points,
+    image_subgroup,
+    subgroup_index_in_quotient,
+    word_perm,
+)
 from .tree import Vertex, format_vertex, level_vertices, vertex_leq
 from .words import Word
 
@@ -23,12 +33,20 @@ class NotInLevelStabilizerError(ValueError):
 
 @dataclass
 class SubgroupHandle:
-    """A finitely generated subgroup with an optional membership level."""
+    """A finitely generated subgroup with an optional membership level.
+
+    `vertex`, when set, is a vertex x whose level-|x| stabilizer the
+    generators generate exactly at level |x|, as `parabolic_approximation`
+    builds them.  It is not serialized: a handle read from a file is
+    checked through its generators alone.
+    """
 
     generators: tuple[Word, ...]
     membership_level: int | None = None
     label: str = ""
+    vertex: Vertex | None = field(default=None, compare=False)
     _images: dict = field(default_factory=dict, repr=False, compare=False)
+    _fixed: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -51,19 +69,41 @@ class SubgroupHandle:
             self._images[n] = got
         return got
 
+    def fixed_points(self, n: int) -> list[int]:
+        """Level-n points fixed by every generator, hence by the subgroup."""
+        got = self._fixed.get(n)
+        if got is None:
+            gens = self.generators or (Word.identity(self.preset),)
+            got = self._fixed[n] = common_fixed_points(gens, n)
+        return got
+
     def contains_at_level(self, w: Word, n: int | None = None) -> bool:
-        """Quotient membership: exact as a refutation, evidence as a yes."""
+        """Quotient membership: exact as a refutation, evidence as a yes.
+
+        At the level of `vertex` the answer is w(x) = x, exact both ways.
+        Otherwise w is refuted if it moves a point that every generator
+        fixes; failing that, its image is sifted through the chain of the
+        subgroup's level-n image.
+        """
         if n is None:
             n = self.membership_level
         if n is None:
             raise ValueError("handle has no membership level")
-        return self.image(n).contains(word_perm(w, n))
+        x = self.vertex
+        if x is not None and len(x) == n:
+            return w.apply(x) == x
+        fixed = self.fixed_points(n)
+        p = word_perm(w, n)
+        if any(p[i] != i for i in fixed):
+            return False
+        return self.image(n).contains(p)
 
     def conjugated(self, g: Word) -> "SubgroupHandle":
         return SubgroupHandle(
             tuple(w.conjugate_by(g) for w in self.generators),
             membership_level=self.membership_level,
             label=f"({self.label})^conj" if self.label else "",
+            vertex=None if self.vertex is None else g.apply(self.vertex),
         )
 
     def to_dict(self) -> dict:

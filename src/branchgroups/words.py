@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .presets import Factors, GroupPreset
-from .tree import Vertex, format_vertex, level_vertices
+from .tree import Vertex, format_vertex
 
 DEFAULT_IDENTITY_BUDGET = 200_000
 DEFAULT_ORDER_BUDGET = 100_000
@@ -400,7 +400,19 @@ class Word:
         return is_identity_factors(self.preset, self.factors, budget)
 
     def fixes_level(self, n: int) -> bool:
-        return all(self.apply(v) == v for v in level_vertices(self.preset.degree, n))
+        """True iff every level-n vertex is fixed, that is, iff every section
+        above level n has a trivial root permutation.  Walks the distinct
+        section words level by level, so nothing of size d^n is built."""
+        preset = self.preset
+        children = range(preset.degree)
+        trivial = tuple(children)
+        frontier = {self.factors}
+        for _ in range(n):
+            frontier.discard(())
+            if any(root_perm_of(preset, f) != trivial for f in frontier):
+                return False
+            frontier = {section1(preset, f, x) for f in frontier for x in children}
+        return True
 
     def portrait(self, n: int) -> Portrait:
         return portrait_factors(self.preset, self.factors, n)

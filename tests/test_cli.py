@@ -121,6 +121,16 @@ def test_wm_build_and_validate(tmp_path, capsys):
     assert out.endswith("failed")
 
 
+def test_wm_build_default_level_covers_stage_levels(tmp_path, capsys):
+    # Q = <a> starts its stages at k1 = 2, deeper than the seeds 0 and 1.
+    cert = tmp_path / "cert.json"
+    args = ["wm", "build", "--q-gens", "a", "--avoid-vertex", "0", "1", "--out", str(cert)]
+    assert run(capsys, *args)[0] == EXIT_OK
+    assert json.loads(cert.read_text())["verification_level"] == 5
+    code, out = run(capsys, "wm", "validate", str(cert))
+    assert code == EXIT_OK and out.endswith("passed")
+
+
 def test_wm_trap(capsys):
     code, out = run(capsys, "wm", "trap", "--gens", "a", "--k", "1", "--format", "json")
     assert code == EXIT_OK

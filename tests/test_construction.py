@@ -227,6 +227,22 @@ def test_certificate_tampered_word_fails(grig_cert):
     assert "stage-1-rigid-stabilizer" in failed
 
 
+def test_certificate_stage_word_inside_avoid_fails_through_chain(grig_cert):
+    # A handle read from a file carries no vertex: a stage word inside W_1
+    # fixes every common fixed point of W_1's generators, so only the
+    # stabilizer chain of W_1's image can decide it.
+    preset, cert = grig_cert
+    data = cert.to_dict()
+    gens = data["avoid"][0]["generators"]
+    data["stages"][0]["w"] = str(Word.from_str(preset, gens[0]) * Word.from_str(preset, gens[1]))
+    bad = WMCertificate.from_dict(data, preset)
+    assert bad.avoid[0].vertex is None
+    report = validate_certificate(bad, preset)
+    failed = {c.name for c in report.clauses if not c.passed}
+    assert "stage-1-avoidance" in failed
+    assert 6 in bad.avoid[0]._images
+
+
 def test_certificate_tampered_nesting_fails(grig_cert):
     preset, cert = grig_cert
     s1 = cert.stages[1]

@@ -6,11 +6,13 @@ from branchgroups.quotients import (
     LevelCapExceeded,
     PermSubgroup,
     StabChain,
+    common_fixed_points,
     compose,
     full_level_group,
     image_subgroup,
     is_level_transitive,
     level_action,
+    orbit_transversal,
     perm_inverse,
     point_stabilizer_words,
     quotient_order,
@@ -255,3 +257,42 @@ def test_stabilizer_generators_orbit_stabilizer(grig, gs):
         assert all(g[0] == 0 for g in stab)
         assert len(set(stab)) == len(stab)
         assert full.order() == PermSubgroup(n, stab, full.npoints).order() * preset.degree**n
+
+
+def test_word_perm_on_a_single_point(grig):
+    from branchgroups.presets import GeneratorRecursion, GroupPreset
+
+    one = GroupPreset(
+        degree=1,
+        generators=(GeneratorRecursion("x", (0,), (((("x", 1),)),)),),
+        reduction_rules=(),
+        branching_generators=(),
+    )
+    assert word_perm(Word(one, (("x", 2), ("x", -1))), 3) == (0,)
+    assert word_perm(Word.from_str(grig, "a b"), 0) == (0,)
+
+
+def test_common_fixed_points_match_vertex_action(grig, gs, rng):
+    from branchgroups.tree import level_vertices
+
+    for preset in (grig, gs):
+        for n in (1, 2, 3):
+            verts = level_vertices(preset.degree, n)
+            for _ in range(5):
+                words = [random_word(preset, rng, 8) for _ in range(2)]
+                expected = [
+                    i for i, v in enumerate(verts) if all(w.apply(v) == v for w in words)
+                ]
+                assert common_fixed_points(words, n) == expected
+    with pytest.raises(LevelCapExceeded):
+        common_fixed_points([Word.from_str(grig, "a")], 11)
+
+
+def test_orbit_transversal_reaches_every_orbit_vertex(grig, gs):
+    for preset, v in ((grig, (0, 1, 1)), (gs, (2, 0))):
+        reps = orbit_transversal(preset, v)
+        assert len(reps) == preset.degree ** len(v)
+        assert list(reps)[0] == v
+        assert all(w.apply(v) == u for u, w in reps.items())
+        u = list(reps)[-1]
+        assert orbit_transversal(preset, v, until=u)[u] == reps[u]

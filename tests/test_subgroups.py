@@ -1,5 +1,11 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from branchgroups.construction import parabolic_approximation
+from branchgroups.presets import grigorchuk_preset, gupta_sidki_preset
 from branchgroups.quotients import word_perm
 from branchgroups.subgroups import (
     NotInLevelStabilizerError,
@@ -146,3 +152,79 @@ def _parabolic_words(preset, vstr, n):
 
     v = tuple(int(c) for c in vstr) + (0,) * (n - len(vstr))
     return point_stabilizer_words(v, n, preset)
+
+
+# -- membership by vertex predicate and by fixed points ---------------------
+
+
+def _parabolic_handles():
+    grig, gs = grigorchuk_preset(), gupta_sidki_preset()
+    return [
+        parabolic_approximation(grig, (0, 1), 4),
+        parabolic_approximation(grig, (1,), 5),
+        parabolic_approximation(gs, (2,), 3),
+    ]
+
+
+PARABOLIC_HANDLES = _parabolic_handles()
+
+
+@st.composite
+def handle_and_word(draw, handles):
+    """A handle and a word: a random word, or a random product of the
+    handle's generators times a random word of at most `tail` letters."""
+    h = draw(st.sampled_from(handles))
+    preset = h.preset
+    factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-2, 2))
+    w = Word(preset, draw(st.lists(factor, max_size=draw(st.sampled_from((0, 1, 12))))))
+    for i in draw(st.lists(st.integers(0, len(h.generators) - 1), max_size=4)):
+        w = h.generators[i] * w
+    return h, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(handle_and_word(PARABOLIC_HANDLES))
+def test_vertex_predicate_matches_chain(case):
+    h, w = case
+    n = h.membership_level
+    assert h.vertex is not None and len(h.vertex) == n
+    expected = h.image(n).contains(word_perm(w, n))
+    assert h.contains_at_level(w) == expected
+    assert (w.apply(h.vertex) == h.vertex) == expected
+
+
+def test_conjugated_handle_maps_its_vertex(grig, rng):
+    h = parabolic_approximation(grig, (0, 1), 3)
+    for _ in range(5):
+        g = random_word(grig, rng, 6)
+        conj = h.conjugated(g)
+        assert conj.vertex == g.apply(h.vertex)
+        for _ in range(10):
+            w = random_word(grig, rng, 10)
+            assert conj.contains_at_level(w) == conj.image(3).contains(word_perm(w, 3))
+
+
+def _random_generated_handles():
+    rng = random.Random(4)
+    handles = []
+    for preset in (grigorchuk_preset(), gupta_sidki_preset()):
+        for n in (1, 2, 3, 4):
+            for count in (1, 2, 3):
+                gens = tuple(random_word(preset, rng, 10) for _ in range(count))
+                handles.append(SubgroupHandle(gens, membership_level=n))
+    return handles
+
+
+GENERATED_HANDLES = _random_generated_handles()
+
+
+@settings(max_examples=300, deadline=None)
+@given(handle_and_word(GENERATED_HANDLES))
+def test_fixed_point_refutation_never_refutes_a_member(case):
+    h, w = case
+    n = h.membership_level
+    perm = word_perm(w, n)
+    member = h.image(n).contains(perm)
+    if member:
+        assert all(perm[i] == i for i in h.fixed_points(n))
+    assert h.contains_at_level(w) == member

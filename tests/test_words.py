@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import branchgroups
-from branchgroups.presets import GeneratorRecursion, GroupPreset, ggs_preset
+from branchgroups.presets import (
+    GeneratorRecursion,
+    GroupPreset,
+    ggs_preset,
+    grigorchuk_preset,
+    gupta_sidki_preset,
+)
+from branchgroups.quotients import word_perm
 from branchgroups.tree import level_vertices
 from branchgroups.words import BudgetExhausted, InfiniteOrder, Word, root_perm_of, section1
 
@@ -257,3 +266,40 @@ def test_root_perm_on_degree_one():
         branching_generators=(),
     )
     assert root_perm_of(p, (("x", 2), ("x", -1))) == (0,)
+
+
+# -- level stabilizers by section walks ------------------------------------
+
+
+SECTION_WALK_PRESETS = {
+    "grigorchuk": grigorchuk_preset(),
+    "gupta-sidki": gupta_sidki_preset(),
+    "ggs5": ggs_preset(5, (1, 0, 0, 1)),
+}
+
+
+def _perm_order(p):
+    q, m = p, 1
+    while q != tuple(range(len(p))):
+        q, m = tuple(p[x] for x in q), m + 1
+    return m
+
+
+@st.composite
+def words_fixing_some_levels(draw):
+    """A random word, raised to the order of its level-j image for
+    j = 1..depth, so that it fixes the first `depth` levels."""
+    preset = SECTION_WALK_PRESETS[draw(st.sampled_from(sorted(SECTION_WALK_PRESETS)))]
+    factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-2, 2))
+    w = Word(preset, draw(st.lists(factor, max_size=8)))
+    for j in range(1, draw(st.integers(0, 3)) + 1):
+        w = w ** _perm_order(word_perm(w, j))
+    assume(not w.is_identity())
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_fixing_some_levels(), st.integers(0, 5))
+def test_fixes_level_matches_vertex_action(w, n):
+    expected = all(w.apply(v) == v for v in level_vertices(w.preset.degree, n))
+    assert w.fixes_level(n) == expected
