@@ -184,10 +184,14 @@ def _rist_stream(preset: GroupPreset, k: int, budget: int):
 
     Results already discovered are replayed from the preset's cache;
     computation resumes exactly where the previous consumer stopped, so
-    different callers see the same deterministic sequence.
+    different callers see the same deterministic sequence.  The cache is
+    keyed by (k, budget): the sequence is a function of both, and a stream
+    grown under a larger budget may hold elements a smaller one never
+    reaches.
     """
-    state = preset._rist_cache.get(k)
-    if state is None or state["budget"] < budget:
+    key = (k, budget)
+    state = preset._rist_cache.get(key)
+    if state is None:
 
         def source():
             found = False
@@ -203,8 +207,8 @@ def _rist_stream(preset: GroupPreset, k: int, budget: int):
                 for pair in fallback:
                     yield pair
 
-        state = {"found": [], "iter": source(), "budget": budget}
-        preset._rist_cache[k] = state
+        state = {"found": [], "iter": source()}
+        preset._rist_cache[key] = state
     i = 0
     while True:
         while i < len(state["found"]):

@@ -203,87 +203,94 @@ def _power_factors(preset: GroupPreset, factors: Factors, m: int) -> Factors:
     return out
 
 
-def _perm_order(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for i in range(len(p)):
-        if not seen[i]:
-            n, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                n += 1
-            order = math.lcm(order, n)
-    return order
-
-
 def order_factors(
-    preset: GroupPreset, factors: Factors, budget: int | None = DEFAULT_ORDER_BUDGET
+    preset: GroupPreset,
+    factors: Factors,
+    budget: int | None = DEFAULT_ORDER_BUDGET,
+    reduced: bool = False,
 ) -> int:
     """Least m >= 1 with the m-th power trivial; arbitrary precision.
 
-    Recursion: with r the order of the root permutation, ord(g) equals
-    r * lcm of the orders of the first-level sections of g^r.  A budget
-    bounds the total number of recursion nodes; exhaustion (in particular
-    on a non-torsion element whose recursion does not close) raises
-    BudgetExhausted.  A word that re-enters its own recursion below a power
-    step is proved non-torsion and raises InfiniteOrder.
+    Recursion over the cycles of the root permutation pi: for a cycle C of
+    length c with least point x, g^c fixes x and its section there is
+    h_C = g_{pi^(c-1) x} ... g_{pi x} g_x.  The sections of g^c at the other
+    points of C are conjugates of h_C, and g acts on the subtrees below
+    different cycles independently, so ord(g) = lcm over C of c * ord(h_C).
+    A budget bounds the total number of recursion nodes; exhaustion (in
+    particular on a non-torsion element whose recursion does not close)
+    raises BudgetExhausted.
+
+    Each step to h_C multiplies the path's multiplier by c, because
+    c * ord(h_C) divides ord(g).  A word met again on its own recursion path
+    with a larger multiplier k * m would need k * ord(g) to divide ord(g)
+    with k > 1, so it is proved non-torsion and raises InfiniteOrder.  With
+    an equal multiplier (every cycle on the way has length 1) the constraint
+    repeats the ancestor's and adds nothing.  Pass reduced=True when factors
+    is already reduced.
     """
-    factors = preset.reduce(factors)
-    counter = [0]
-    stack: list[Factors] = []
-    positions: dict[Factors, tuple[int, int]] = {}  # word -> (stack depth, multiplier)
-    _NO_BACKEDGE = 1 << 60
+    if not reduced:
+        factors = preset.reduce(factors)
+    return _order_rec(preset, factors, 1, {}, budget, [0])[0]
 
-    def rec(f: Factors, mult: int) -> tuple[int, int]:
-        # Returns (order contribution, shallowest back-edge depth).  A value
-        # whose subtree reached back to a strict ancestor is exact only as a
-        # contribution to that ancestor's lcm and must not be memoized.
-        if not f:
-            return 1, _NO_BACKEDGE
-        cache = preset._order_cache
-        got = cache.get(f)
-        if got is not None:
-            return got, _NO_BACKEDGE
-        counter[0] += 1
-        if budget is not None and counter[0] > budget:
-            raise BudgetExhausted("element_order", budget)
-        hit = positions.get(f)
-        if hit is not None:
-            depth, entry_mult = hit
-            if mult == entry_mult:
-                # Section cycle through trivial root permutations: the
-                # constraint repeats the ancestor's and adds nothing.
-                return 1, depth
-            # Re-entered below a power step: g^m = 1 forces g^(m*k) = 1
-            # with k > 1, so no finite order exists.
-            raise InfiniteOrder(f"{preset.format_factors(f)} re-enters its order recursion")
-        my_depth = len(stack)
-        stack.append(f)
-        positions[f] = (my_depth, mult)
-        try:
-            r = _perm_order(root_perm_of(preset, f))
-            h = _power_factors(preset, f, r)
-            lowest = _NO_BACKEDGE
-            if not h:
-                result = r
-            else:
-                m = 1
-                for x in range(preset.degree):
-                    val, low = rec(section1(preset, h, x), mult * r)
-                    m = math.lcm(m, val)
-                    lowest = min(lowest, low)
-                result = r * m
-        finally:
-            stack.pop()
-            del positions[f]
-        if lowest >= my_depth:
-            # No dependence on a strict ancestor: the fixpoint is exact here.
-            cache[f] = result
-            return result, _NO_BACKEDGE
-        return result, lowest
 
-    return rec(factors, 1)[0]
+_NO_BACKEDGE = 1 << 60
+
+
+def _order_rec(
+    preset: GroupPreset,
+    f: Factors,
+    mult: int,
+    path: dict[Factors, tuple[int, int]],
+    budget: int | None,
+    nodes: list[int],
+) -> tuple[int, int]:
+    """One node of order_factors: returns (order contribution, shallowest
+    back-edge depth).  path maps each word on the current recursion path to
+    its (depth, multiplier); nodes counts the nodes visited.  A value whose
+    subtree reached back to a strict ancestor is exact only as a
+    contribution to that ancestor's lcm and is not memoized."""
+    if not f:
+        return 1, _NO_BACKEDGE
+    cache = preset._order_cache
+    got = cache.get(f)
+    if got is not None:
+        return got, _NO_BACKEDGE
+    nodes[0] += 1
+    if budget is not None and nodes[0] > budget:
+        raise BudgetExhausted("element_order", budget)
+    hit = path.get(f)
+    if hit is not None:
+        depth, entry_mult = hit
+        if mult == entry_mult:
+            return 1, depth
+        raise InfiniteOrder(f"{preset.format_factors(f)} re-enters its order recursion")
+    my_depth = len(path)
+    path[f] = (my_depth, mult)
+    perm = root_perm_of(preset, f)
+    result, lowest = 1, _NO_BACKEDGE
+    seen = [False] * len(perm)
+    try:
+        for x in range(len(perm)):
+            if seen[x]:
+                continue
+            # x is the least point of its cycle; fold h_C along the cycle.
+            h = section1(preset, f, x)
+            c, y = 1, perm[x]
+            while y != x:
+                seen[y] = True
+                h = preset.product(section1(preset, f, y), h)
+                c += 1
+                y = perm[y]
+            val, low = _order_rec(preset, h, mult * c, path, budget, nodes)
+            result = math.lcm(result, c * val)
+            lowest = min(lowest, low)
+    finally:
+        del path[f]
+    if lowest >= my_depth:
+        # No dependence on a strict ancestor: the fixpoint is exact here.
+        cache[f] = result
+        return result, _NO_BACKEDGE
+    return result, lowest
 
 
 @dataclass(frozen=True)
@@ -402,20 +409,22 @@ class Word:
     def fixes_level(self, n: int) -> bool:
         """True iff every level-n vertex is fixed, that is, iff every section
         above level n has a trivial root permutation.  Walks the distinct
-        section words level by level, so nothing of size d^n is built."""
+        section words level by level, so nothing of size d^n is built.  The
+        frontier is an insertion-ordered dict, not a set, so the walk and its
+        work do not depend on string hashing."""
         preset = self.preset
         children = range(preset.degree)
         trivial = tuple(children)
-        frontier = {self.factors}
+        frontier = {self.factors: None}
         for _ in range(n):
-            frontier.discard(())
+            frontier.pop((), None)
             if any(root_perm_of(preset, f) != trivial for f in frontier):
                 return False
-            frontier = {section1(preset, f, x) for f in frontier for x in children}
+            frontier = dict.fromkeys(section1(preset, f, x) for f in frontier for x in children)
         return True
 
     def portrait(self, n: int) -> Portrait:
         return portrait_factors(self.preset, self.factors, n)
 
     def order(self, budget: int | None = DEFAULT_ORDER_BUDGET) -> int:
-        return order_factors(self.preset, self.factors, budget)
+        return order_factors(self.preset, self.factors, budget, reduced=True)

@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset
+
+# Property tests replay the same examples on every run.
+settings.register_profile("replay", derandomize=True, deadline=None)
+settings.load_profile("replay")
 
 
 @pytest.fixture(scope="session")

@@ -70,6 +70,15 @@ def test_rist_search_zero_budget(grig):
     assert rist_element_search((0,), p, budget=0) is None
 
 
+def test_rist_search_does_not_depend_on_earlier_budgets():
+    # A stream grown under a larger budget must not serve a smaller one.
+    fresh = rist_element_search((0, 0, 0), grigorchuk_preset(), budget=1)
+    p = grigorchuk_preset()
+    assert rist_element_search((0, 0, 0), p, budget=4000) is not None
+    assert rist_element_search((0, 0, 0), p, budget=1) == fresh
+    assert fresh is None
+
+
 def test_iter_rist_yields_distinct_verified(grig):
     got = []
     for g in iter_rist_elements((1,), grig):

@@ -1,3 +1,10 @@
+import gc
+import math
+import os
+import subprocess
+import sys
+import weakref
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,10 +16,19 @@ from branchgroups.presets import (
     ggs_preset,
     grigorchuk_preset,
     gupta_sidki_preset,
+    preset_from_dict,
 )
 from branchgroups.quotients import word_perm
 from branchgroups.tree import level_vertices
-from branchgroups.words import BudgetExhausted, InfiniteOrder, Word, root_perm_of, section1
+from branchgroups.words import (
+    BudgetExhausted,
+    InfiniteOrder,
+    Word,
+    _power_factors,
+    order_factors,
+    root_perm_of,
+    section1,
+)
 
 from conftest import random_word
 
@@ -137,6 +153,147 @@ def test_proved_infinite_order_is_not_budget_exhaustion():
     with pytest.raises(InfiniteOrder):
         W(p, "a b").order()
     assert branchgroups.InfiniteOrder is InfiniteOrder
+
+
+def test_order_leaves_no_reference_cycle():
+    # The recursion must not keep its preset and memo tables alive as
+    # cyclic garbage until a full collection runs.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        preset = grigorchuk_preset()
+        ref = weakref.ref(preset)
+        m = Word.from_str(preset, "a b").order()
+        del preset
+        assert m == 16
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_order_reduces_unreduced_factors(grig):
+    assert order_factors(grig, (("a", 1), ("b", 1), ("c", 1), ("d", 1))) == 2
+    assert order_factors(grig, (("a", 1), ("b", 1)), reduced=True) == 16
+
+
+def power_then_sections_order(preset, factors, budget):
+    """The order recursion before it followed root cycles: with r the order
+    of the root permutation, ord(g) = r * lcm of the orders of the
+    first-level sections of g^r, with its own memo table."""
+    memo, path, nodes = {}, {}, [0]
+
+    def rec(f, mult):
+        if not f:
+            return 1, math.inf
+        if f in memo:
+            return memo[f], math.inf
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise BudgetExhausted("element_order", budget)
+        if f in path:
+            depth, entry_mult = path[f]
+            if mult == entry_mult:
+                return 1, depth
+            raise InfiniteOrder(preset.format_factors(f))
+        my_depth = len(path)
+        path[f] = (my_depth, mult)
+        try:
+            r = _perm_order(root_perm_of(preset, f))
+            h = _power_factors(preset, f, r)
+            result, lowest = r, math.inf
+            for x in range(preset.degree if h else 0):
+                val, low = rec(section1(preset, h, x), mult * r)
+                result = math.lcm(result, r * val)
+                lowest = min(lowest, low)
+        finally:
+            del path[f]
+        if lowest >= my_depth:
+            memo[f] = result
+            return result, math.inf
+        return result, lowest
+
+    return rec(factors, 1)[0]
+
+
+def order_outcome(compute):
+    try:
+        return compute()
+    except InfiniteOrder:
+        return "infinite"
+    except BudgetExhausted:
+        return "undecided"
+
+
+ORDER_PRESETS = {
+    "grigorchuk": grigorchuk_preset(),
+    "gupta-sidki": gupta_sidki_preset(),
+    "ggs5": ggs_preset(5, (1, 0, 0, 1)),
+    "ggs3": ggs_preset(3, (1, 0)),
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(ORDER_PRESETS)), st.data())
+def test_cycle_recursion_matches_power_recursion(name, data):
+    preset = ORDER_PRESETS[name]
+    factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-2, 2))
+    w = Word(preset, data.draw(st.lists(factor, max_size=30)))
+    budget = 20_000
+    old = order_outcome(lambda: power_then_sections_order(preset, w.factors, budget))
+    assert order_outcome(lambda: w.order(budget)) == old
+
+
+def mixed_cycles_preset():
+    """Degree 4: a swaps 0 and 1, r cycles 0 -> 1 -> 2, and both fix 3;
+    b, c, d form a Klein group directed along the ray 333...  Every root
+    permutation fixes 3, so root cycles of lengths 1, 2 and 3 meet in one
+    node, and the b -> c -> d -> b sections close a cycle of fixed points."""
+    return preset_from_dict(
+        {
+            "name": "mixed-cycles",
+            "degree": 4,
+            "generators": [
+                {"name": "a", "root_perm": [1, 0, 2, 3], "sections": ["1", "1", "1", "1"]},
+                {"name": "r", "root_perm": [1, 2, 0, 3], "sections": ["1", "1", "1", "1"]},
+                {"name": "b", "root_perm": [0, 1, 2, 3], "sections": ["a", "a", "1", "c"]},
+                {"name": "c", "root_perm": [0, 1, 2, 3], "sections": ["a", "1", "a", "d"]},
+                {"name": "d", "root_perm": [0, 1, 2, 3], "sections": ["1", "a", "a", "b"]},
+            ],
+            "rules": [
+                {"lhs": "a^2", "rhs": "1"},
+                {"lhs": "r^3", "rhs": "1"},
+                {"lhs": "b^2", "rhs": "1"},
+                {"lhs": "c^2", "rhs": "1"},
+                {"lhs": "d^2", "rhs": "1"},
+                {"lhs": "b c", "rhs": "d"},
+                {"lhs": "c b", "rhs": "d"},
+                {"lhs": "b d", "rhs": "c"},
+                {"lhs": "d b", "rhs": "c"},
+                {"lhs": "c d", "rhs": "b"},
+                {"lhs": "d c", "rhs": "b"},
+            ],
+        }
+    )
+
+
+def test_orders_with_mixed_root_cycles(rng):
+    p = mixed_cycles_preset()
+    # r b: the 3-cycle folds to b_2 b_1 b_0 = 1, the fixed point 3 gives c.
+    assert W(p, "r b").order() == 6
+    # a b: the 2-cycle folds to b_1 b_0 = a a = 1, the fixed points give 1 and c.
+    assert W(p, "a b").order() == 2
+    letters = [(g, e) for g in p.gen_names for e in (1, -1)]
+    seen = set()
+    for _ in range(60):
+        w = Word(p, [rng.choice(letters) for _ in range(rng.randrange(1, 16))])
+        m = w.order()
+        seen.add(m)
+        assert (w**m).is_identity()
+        for q in (2, 3, 5, 7):
+            if m % q == 0:
+                assert not (w ** (m // q)).is_identity()
+    assert {2, 3, 4, 6} <= seen
 
 
 # -- portraits -------------------------------------------------------------
@@ -303,3 +460,39 @@ def words_fixing_some_levels(draw):
 def test_fixes_level_matches_vertex_action(w, n):
     expected = all(w.apply(v) == v for v in level_vertices(w.preset.degree, n))
     assert w.fixes_level(n) == expected
+
+
+FIXES_LEVEL_WORK = """
+import random
+import branchgroups.words as words
+from branchgroups.presets import grigorchuk_preset
+
+calls = [0]
+root_perm_of = words.root_perm_of
+
+def counted(*args):
+    calls[0] += 1
+    return root_perm_of(*args)
+
+words.root_perm_of = counted
+G, rng = grigorchuk_preset(), random.Random(3)
+for _ in range(300):
+    w = words.Word(G, [(rng.choice("abcd"), 1) for _ in range(rng.randrange(30))])
+    w.fixes_level(rng.randrange(1, 6))
+print(calls[0])
+"""
+
+
+def test_fixes_level_work_does_not_depend_on_string_hashing():
+    # fixes_level stops at the first nontrivial root permutation, so the
+    # order it walks a level in decides how many it computes.
+    src = os.path.dirname(os.path.dirname(branchgroups.__file__))
+    counts = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", FIXES_LEVEL_WORK],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        counts.add(run.stdout)
+    assert len(counts) == 1
