@@ -204,12 +204,10 @@ def _power_factors(preset: GroupPreset, factors: Factors, m: int) -> Factors:
 
 
 def order_factors(
-    preset: GroupPreset,
-    factors: Factors,
-    budget: int | None = DEFAULT_ORDER_BUDGET,
-    reduced: bool = False,
+    preset: GroupPreset, factors: Factors, budget: int | None = DEFAULT_ORDER_BUDGET
 ) -> int:
-    """Least m >= 1 with the m-th power trivial; arbitrary precision.
+    """Order of a reduced word: least m >= 1 with the m-th power trivial;
+    arbitrary precision.
 
     Recursion over the cycles of the root permutation pi: for a cycle C of
     length c with least point x, g^c fixes x and its section there is
@@ -225,11 +223,8 @@ def order_factors(
     with a larger multiplier k * m would need k * ord(g) to divide ord(g)
     with k > 1, so it is proved non-torsion and raises InfiniteOrder.  With
     an equal multiplier (every cycle on the way has length 1) the constraint
-    repeats the ancestor's and adds nothing.  Pass reduced=True when factors
-    is already reduced.
+    repeats the ancestor's and adds nothing.
     """
-    if not reduced:
-        factors = preset.reduce(factors)
     return _order_rec(preset, factors, 1, {}, budget, [0])[0]
 
 
@@ -427,4 +422,4 @@ class Word:
         return portrait_factors(self.preset, self.factors, n)
 
     def order(self, budget: int | None = DEFAULT_ORDER_BUDGET) -> int:
-        return order_factors(self.preset, self.factors, budget, reduced=True)
+        return order_factors(self.preset, self.factors, budget)
