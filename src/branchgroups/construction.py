@@ -694,10 +694,10 @@ def _normal_closure(
     identity = tuple(range(npoints))
     ncl = PermSubgroup(level, [g for g in seed if g != identity] or [identity], npoints)
     frontier = list(ncl.gens)
+    conjugators = [(h, perm_inverse(h)) for h in group_gens]
     while frontier:
         nxt = []
-        for h in group_gens:
-            h_inv = perm_inverse(h)
+        for h, h_inv in conjugators:
             for g in frontier:
                 c = compose(h, compose(g, h_inv))
                 if ncl.add(c):

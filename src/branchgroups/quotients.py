@@ -5,9 +5,14 @@ lexicographic order.  `word_perm` composes generator images; each
 generator's level-n image is built once from the wreath recursion and
 memoized on the preset, like the other memo tables.
 
+Every composition, in word images and in the stabilizer chain alike,
+goes through `compose`, an `itemgetter` gather that runs in C; on a
+one-point domain, where the gather would return a bare item, it builds the
+tuple itself.
+
 Stabilizer chains are built by incremental Schreier-Sims.  Every level
 keeps its orbit as a list, a coset representative for each orbit point and
-the representative's inverse, so a sift costs one composition per level.
+the representative's inverse, so a sift costs one gather per level.
 A new generator extends the orbit in place, and only the Schreier
 generators of the new (point, generator) pairs are sifted into the level
 below: old representatives never change and lower levels only grow, so
@@ -24,7 +29,7 @@ import math
 from operator import itemgetter
 
 from .presets import Factors, GroupPreset
-from .tree import Vertex, format_vertex, level_vertices
+from .tree import Vertex, format_vertex
 from .words import Word
 
 Perm = tuple[int, ...]
@@ -48,8 +53,10 @@ def _check_level(preset: GroupPreset, n: int, level_cap: int | None):
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """Permutation of 'apply q, then p'."""
-    return tuple(p[x] for x in q)
+    """Permutation of 'apply q, then p': the gather of p at q's images."""
+    if len(q) == 1:
+        return (p[q[0]],)  # itemgetter with one index returns an item, not a tuple
+    return itemgetter(*q)(p)
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -85,12 +92,12 @@ def _generator_perm(preset: GroupPreset, name: str, inverse: bool, n: int) -> Pe
 
 def _factors_perm(preset: GroupPreset, factors: Factors, n: int) -> Perm:
     perm = tuple(range(preset.degree ** n))
-    if len(perm) == 1:
-        return perm  # itemgetter with one index returns an item, not a tuple
+    if n == 0:
+        return perm  # the root is fixed; the wreath recursion ends here
     for g, e in factors:
-        step = itemgetter(*_generator_perm(preset, g, e < 0, n))
+        image = _generator_perm(preset, g, e < 0, n)
         for _ in range(abs(e)):
-            perm = step(perm)
+            perm = compose(perm, image)
     return perm
 
 
@@ -99,29 +106,6 @@ def word_perm(w: Word, n: int) -> Perm:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     return _factors_perm(w.preset, w.factors, n)
-
-
-class LevelAction:
-    """Generator images of a preset on one tree level."""
-
-    def __init__(self, preset: GroupPreset, n: int, level_cap: int | None = None):
-        _check_level(preset, n, level_cap)
-        self.preset = preset
-        self.level = n
-        self.vertices = level_vertices(preset.degree, n)
-        self.images = {
-            g: word_perm(Word.generator(preset, g), n) for g in preset.gen_names
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "images": {g: list(p) for g, p in self.images.items()},
-        }
-
-
-def level_action(preset: GroupPreset, n: int, level_cap: int | None = None) -> LevelAction:
-    return LevelAction(preset, n, level_cap)
 
 
 class _Orbit:
@@ -161,9 +145,8 @@ class _Orbit:
                 s = gens[j]
                 v = s[u]
                 if reps[v] is None:
-                    rep, inv, s_inv = reps[u], invs[u], gen_invs[j]
-                    reps[v] = tuple([s[x] for x in rep])
-                    invs[v] = tuple([inv[x] for x in s_inv])
+                    reps[v] = compose(s, reps[u])
+                    invs[v] = compose(invs[u], gen_invs[j])
                     points.append(v)
                     tree.add((u, j))
         return self._schreier_generators(old, len(points), last, tree)
@@ -177,8 +160,7 @@ class _Orbit:
                 if (u, j) in tree:
                     continue
                 s = gens[j]
-                inv = invs[s[u]]
-                schreier = tuple([inv[s[x]] for x in rep])
+                schreier = compose(invs[s[u]], compose(s, rep))
                 if schreier != identity:
                     yield schreier
 
@@ -254,7 +236,7 @@ class StabChain:
                 inv = lvl.invs[u]
                 if inv is None:
                     return p
-                p = tuple([inv[x] for x in p])
+                p = compose(inv, p)
         return p
 
     def order(self) -> int:

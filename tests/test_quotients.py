@@ -11,7 +11,6 @@ from branchgroups.quotients import (
     full_level_group,
     image_subgroup,
     is_level_transitive,
-    level_action,
     orbit_transversal,
     perm_inverse,
     point_stabilizer_words,
@@ -54,6 +53,17 @@ def test_perm_helpers():
     p = (1, 2, 0)
     assert compose(p, perm_inverse(p)) == (0, 1, 2)
     assert perm_inverse((0, 1, 2)) == (0, 1, 2)
+
+
+def test_one_point_domain(grig):
+    # A gather over one index yields the bare item, not a 1-tuple.
+    assert compose((0,), (0,)) == (0,)
+    assert StabChain(1, [(0,)]).order() == 1
+    assert stabilizer_generators([(0,)], 1, 0) == []
+    grp = image_subgroup([Word.generator(grig, g) for g in grig.gen_names], 0)
+    assert grp.order() == 1
+    assert grp.contains((0,))
+    assert grp.orbits() == [[0]]
 
 
 def test_word_perm_matches_action(grig, rng):
@@ -103,10 +113,10 @@ def test_level_cap(grig):
 
 
 def test_level_action_shape(grig):
-    act = level_action(grig, 2)
-    assert act.images["a"] == (2, 3, 0, 1)
-    assert act.images["b"] == (1, 0, 2, 3)
-    assert act.images["d"] == (0, 1, 2, 3)
+    images = {g: word_perm(Word.generator(grig, g), 2) for g in "abd"}
+    assert images["a"] == (2, 3, 0, 1)
+    assert images["b"] == (1, 0, 2, 3)
+    assert images["d"] == (0, 1, 2, 3)
 
 
 def test_stab_chain_against_closure(grig):
@@ -172,6 +182,7 @@ def test_determinism_of_chain(grig):
 def test_closed_form_orders_at_deeper_levels(grig, gs):
     # |G/St(n)| = 2^(5*2^(n-3)+2) for Grigorchuk, 3^(2*3^(n-2)+1) for Gupta-Sidki
     assert quotient_order(grig, 7) == 2**82
+    assert quotient_order(grig, 8) == 2**162
     assert quotient_order(gs, 5) == 3**55
 
 
