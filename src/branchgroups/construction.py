@@ -22,18 +22,21 @@ from .quotients import (
     PermSubgroup,
     Perm,
     compose,
+    image_subgroup,
     orbit_transversal,
     perm_inverse,
     point_stabilizer_words,
-    stabilizer_generators,
     word_perm,
 )
 from .subgroups import (
     SubgroupHandle,
     conjugate_escaping,
     enumerate_reduced_words,
+    first_moved_vertex,
+    fixed_levels,
     fixed_vertices,
     in_rigid_stabilizer,
+    rist_support,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
 from .words import BudgetExhausted, InfiniteOrder, Word
@@ -70,18 +73,6 @@ def _generator_letters(preset: GroupPreset) -> list[Word]:
             letters.append(Word(preset, ((name, e),)))
     return [w for w in letters if w.factors]
 
-def _rist_support(g: Word, k: int) -> Vertex | None:
-    """The unique level-k vertex carrying g's action, if g is in its Rist."""
-    if not g.fixes_level(k):
-        return None
-    support = None
-    for v in level_vertices(g.preset.degree, k):
-        if not g.section(v).is_identity():
-            if support is not None:
-                return None
-            support = v
-    return support
-
 
 # Per-source caps within the overall budget; the commutator tower is the
 # cheap primary source, the scan and descent kick in only when it yields
@@ -105,7 +96,7 @@ def _tower_segment(preset: GroupPreset, k: int, budget: int):
     while frontier and produced < cap:
         for w in frontier:
             produced += 1
-            support = _rist_support(w, k)
+            support = rist_support(w, k)
             if support is not None:
                 yield w, support
             if produced >= cap:
@@ -129,7 +120,7 @@ def _scan_segment(preset: GroupPreset, budget: int):
             return
         if not w.factors:
             continue
-        support = _rist_support(w, 1)
+        support = rist_support(w, 1)
         if support is not None:
             yield w, support
 
@@ -169,7 +160,7 @@ def _descend_segment(preset: GroupPreset, k: int, budget: int):
                             continue
                         seen.add(cand.factors)
                         tested += 1
-                        s = _rist_support(cand.section(v), 1)
+                        s = rist_support(cand.section(v), 1)
                         if s is not None:
                             yield cand, v + s
                         else:
@@ -349,11 +340,9 @@ def level_trap_check(h: SubgroupHandle, k: int, l: int) -> TrapReport:
         raise ValueError(f"l must be >= 1, got {l}")
     moving = None
     for g in h.generators:
-        for v in level_vertices(h.preset.degree, k):
-            if g.apply(v) != v:
-                moving = f"{g} moves {format_vertex(v)}"
-                break
-        if moving:
+        v = first_moved_vertex((g,), k)
+        if v is not None:
+            moving = f"{g} moves {format_vertex(v)}"
             break
     fixed = fixed_vertices(h, k + l)
     return TrapReport(
@@ -388,17 +377,12 @@ def trap_subgroup(
     gens = list(pulled.handle.generators)
 
     base = None
-    base_support = None
     for w in enumerate_reduced_words(preset):
-        if not w.factors or not w.fixes_level(k):
-            continue
-        for v in level_vertices(preset.degree, k):
-            sec_perm = w.section(v).root_perm()
-            if sec_perm != tuple(range(preset.degree)):
-                base, base_support = w, v
+        if w.factors and w.fixes_level(k):
+            moved = first_moved_vertex((w,), k + 1)
+            if moved is not None:
+                base, base_support = w, moved[:-1]
                 break
-        if base is not None:
-            break
     if base is None:
         raise CertificateBuildError(0, f"no level-{k} stabilizer with a moving section found")
     for v in level_vertices(preset.degree, k):
@@ -608,6 +592,7 @@ def build_certificate(
     for i, w_avoid in enumerate(avoid, start=1):
         if w_avoid.membership_level is None:
             raise CertificateBuildError(i, f"avoid subgroup {i} has no membership level")
+        u_prev_orbit = () if u_prev is None else _orbit_vertices(q_elems, u_prev)
         if i == 1:
             k = k1
         else:
@@ -616,7 +601,7 @@ def build_certificate(
                 slice_verts = [
                     x
                     for x in level_vertices(preset.degree, cand_k)
-                    if any(vertex_leq(x, qu) for qu in _orbit_vertices(q_elems, u_prev))
+                    if any(vertex_leq(x, qu) for qu in u_prev_orbit)
                 ]
                 orbit = _orbit_vertices(q_elems, slice_verts[0])
                 if len(orbit & set(slice_verts)) < len(slice_verts):
@@ -650,10 +635,7 @@ def build_certificate(
             x
             for x in level_vertices(preset.degree, k)
             if x not in v_orbit
-            and (
-                u_prev is None
-                or any(vertex_leq(x, qu) for qu in _orbit_vertices(q_elems, u_prev))
-            )
+            and (u_prev is None or any(vertex_leq(x, qu) for qu in u_prev_orbit))
         ]
         if not candidates_u:
             raise CertificateBuildError(i, "no admissible nested vertex u_i")
@@ -677,14 +659,6 @@ def build_certificate(
 
 
 # -- certificate validation -----------------------------------------------
-
-
-def _combined_perm(w: Word, n: int, k: int) -> Perm:
-    """Action on the disjoint union: level-k points first, then level-n."""
-    pk = word_perm(w, k)
-    pn = word_perm(w, n)
-    off = len(pk)
-    return pk + tuple(x + off for x in pn)
 
 
 def _normal_closure(
@@ -737,9 +711,13 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     """Independent replay of every certificate clause.
 
     Clause 1 (avoidance) and the rigid-stabilizer predicates are exact.
-    Clause 2 (normal-closure equality) is checked inside the level quotient
-    at the certificate's verification level and is stamped as such.
-    Clause 3 (nesting and subtree fixing) is exact to the verification depth.
+    Clause 2 (normal-closure equality) is checked inside the level-m
+    quotient, m = max(n, k1) for the verification level n, and is stamped
+    with n.  The order of H meet Stab(k1) there is |H_m| / |H_k1|, two image
+    orders; the normal closure lies inside it iff every w_i fixes level k1,
+    which is checked exactly, so equal orders mean equal groups.
+    Clause 3 (nesting and subtree fixing) is exact to the verification depth;
+    the subtree check reads one fixed-tree walk per stage.
     """
     clauses: list[ClauseResult] = []
     n = cert.verification_level
@@ -810,44 +788,31 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
             for j in range(i)
             for qe in q_elems
         ]
-        ok, detail = True, ""
-        for qu in sorted(_orbit_vertices(q_elems, s.u)):
-            depth = n - len(qu)
-            for suffix in level_vertices(preset.degree, max(depth, 1)):
-                vert = qu + suffix
-                for g in closure_gens:
-                    if g.apply(vert) != vert:
-                        ok, detail = False, f"{g} moves {format_vertex(vert)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        add(
-            f"stage-{i}-subtrees-fixed",
-            ok,
-            detail or f"Q-conjugates of w_1..w_{i} fix below Q({format_vertex(s.u)}) to depth {n}",
-        )
+        depth = max(n - len(s.u), 1)
+        orbit = sorted(_orbit_vertices(q_elems, s.u))
+        moved = first_moved_vertex(closure_gens, len(s.u) + depth, orbit)
+        detail = f"Q-conjugates of w_1..w_{i} fix below Q({format_vertex(s.u)}) to depth {n}"
+        if moved is not None:
+            g = next(g for g in closure_gens if g.apply(moved) != moved)
+            detail = f"{g} moves {format_vertex(moved)}"
+        add(f"stage-{i}-subtrees-fixed", moved is None, detail)
 
-    # Clause (2): normal-closure equality inside the level-n quotient.
+    # Clause (2): normal-closure equality inside the level-m quotient.
     if cert.stages:
         k1 = cert.stages[0].k
-        npoints = preset.degree**k1 + preset.degree**n
-        h_gens = [
-            _combined_perm(w, n, k1) for w in (list(cert.q_generators) + [s.w for s in cert.stages])
-        ]
-        w_perms = [_combined_perm(s.w, n, k1) for s in cert.stages]
-        ncl_group = _normal_closure(w_perms, h_gens, n, npoints)
-        kernel = list(h_gens)
-        for beta in range(preset.degree**k1):
-            kernel = stabilizer_generators(kernel, npoints, beta)
-        kernel_group = PermSubgroup(n, kernel or [tuple(range(npoints))], npoints)
-        equal = ncl_group.equals(kernel_group)
+        m = max(n, k1)
+        h_words = list(cert.q_generators) + [s.w for s in cert.stages]
+        # The certificate sets its own level; the default cap does not apply.
+        h_m = image_subgroup(h_words, m, level_cap=m)
+        kernel_order = h_m.order() // image_subgroup(h_words, k1, level_cap=m).order()
+        w_perms = [word_perm(s.w, m) for s in cert.stages]
+        ncl_group = _normal_closure(w_perms, h_m.gens, m, preset.degree**m)
+        inside = all(s.w.fixes_level(k1) for s in cert.stages)
         add(
             "normal-closure-equality",
-            equal,
+            inside and ncl_group.order() == kernel_order,
             f"verified at level {n}: |ncl| = {ncl_group.order()}, "
-            f"|H meet Stab({k1})| = {kernel_group.order()}",
+            f"|H meet Stab({k1})| = {kernel_order}",
         )
     return CertificateReport(clauses=clauses, verification_level=n)
 
@@ -865,10 +830,9 @@ def fix_separation_witness(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    for t in range(1, depth + 1):
-        empty_i = not fixed_vertices(h_i, t)
-        empty_j = not fixed_vertices(h_j, t)
-        if empty_i != empty_j:
+    walks = zip(fixed_levels(h_i.words, depth), fixed_levels(h_j.words, depth))
+    for t, (fixed_i, fixed_j) in enumerate(walks):
+        if bool(fixed_i) != bool(fixed_j):
             return t
     return None
 

@@ -172,19 +172,6 @@ def _min_moved(p: Perm) -> int:
     raise ValueError("identity has no moved point")
 
 
-def stabilizer_generators(gens, npoints: int, beta: int) -> list[Perm]:
-    """Distinct nontrivial Schreier generators of the stabilizer of beta."""
-    orbit = _Orbit(beta, npoints)
-    out: list[Perm] = []
-    seen: set[Perm] = set()
-    for g in gens:
-        for s in orbit.add_generator(tuple(g)):
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-    return out
-
-
 class StabChain:
     """Deterministic stabilizer chain with membership sifting.
 
@@ -311,24 +298,6 @@ def image_subgroup(words, n: int, level_cap: int | None = None) -> PermSubgroup:
     preset = words[0].preset
     _check_level(preset, n, level_cap)
     return PermSubgroup(n, [word_perm(w, n) for w in words], preset.degree ** n)
-
-
-def common_fixed_points(words, n: int, level_cap: int | None = None) -> list[int]:
-    """Level-n points fixed by every word's image, in increasing order.
-
-    Every element of the subgroup the words generate fixes them too, so a
-    word moving one of them is exactly refuted as a member.
-    """
-    words = list(words)
-    if not words:
-        raise ValueError("common_fixed_points needs at least one word (may be identity)")
-    preset = words[0].preset
-    _check_level(preset, n, level_cap)
-    fixed = list(range(preset.degree ** n))
-    for w in words:
-        p = word_perm(w, n)
-        fixed = [x for x in fixed if p[x] == x]
-    return fixed
 
 
 def full_level_group(preset: GroupPreset, n: int, level_cap: int | None = None) -> PermSubgroup:

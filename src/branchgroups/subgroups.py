@@ -1,11 +1,14 @@
 """Finitely generated subgroup diagnostics: fixed trees, sections, rigid
 stabilizers, index evidence and escaping conjugates.
 
+Which vertices a list of words fixes is answered by one walk,
+`fixed_levels`, which descends from the root through fixed vertices only.
+
 Membership in an abstractly defined subgroup is always answered inside a
 finite level quotient: non-membership at any level is exact, membership at
 the tested level is only evidence.  A handle that knows it is a vertex
 stabilizer is decided at its own level by its predicate, w(x) = x.  Any
-other handle first refutes by a moved common fixed point of its
+other handle first refutes by a moved common fixed vertex of its
 generators, and only then sifts through a stabilizer chain of its image.
 Searches are iterative-deepening over reduced words with lexicographic
 tie-breaking, so results replay exactly.
@@ -18,13 +21,13 @@ from dataclasses import dataclass, field
 from .presets import GroupPreset
 from .quotients import (
     PermSubgroup,
-    common_fixed_points,
+    _check_level,
     image_subgroup,
     subgroup_index_in_quotient,
     word_perm,
 )
-from .tree import Vertex, format_vertex, level_vertices, vertex_leq
-from .words import Word
+from .tree import Vertex, format_vertex, level_vertices
+from .words import Word, root_perm_of, section1
 
 
 class NotInLevelStabilizerError(ValueError):
@@ -57,6 +60,11 @@ class SubgroupHandle:
             raise ValueError("trivial handle has no preset context")
         return self.generators[0].preset
 
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """The generators, or the identity word for the trivial handle."""
+        return self.generators or (Word.identity(self.preset),)
+
     @classmethod
     def from_strings(cls, preset: GroupPreset, texts, **kw) -> "SubgroupHandle":
         return cls(tuple(Word.from_str(preset, t) for t in texts), **kw)
@@ -64,24 +72,24 @@ class SubgroupHandle:
     def image(self, n: int, level_cap: int | None = None) -> PermSubgroup:
         got = self._images.get(n)
         if got is None:
-            gens = self.generators or (Word.identity(self.preset),)
-            got = image_subgroup(gens, n, level_cap)
-            self._images[n] = got
+            got = self._images[n] = image_subgroup(self.words, n, level_cap)
         return got
 
-    def fixed_points(self, n: int) -> list[int]:
-        """Level-n points fixed by every generator, hence by the subgroup."""
+    def fixed_points(self, n: int) -> list[Vertex]:
+        """Level-n vertices fixed by every generator, hence by the subgroup,
+        in lexicographic order."""
         got = self._fixed.get(n)
         if got is None:
-            gens = self.generators or (Word.identity(self.preset),)
-            got = self._fixed[n] = common_fixed_points(gens, n)
+            _check_level(self.preset, n, None)
+            *_, got = fixed_levels(self.words, n)
+            self._fixed[n] = got
         return got
 
     def contains_at_level(self, w: Word, n: int | None = None) -> bool:
         """Quotient membership: exact as a refutation, evidence as a yes.
 
         At the level of `vertex` the answer is w(x) = x, exact both ways.
-        Otherwise w is refuted if it moves a point that every generator
+        Otherwise w is refuted if it moves a vertex that every generator
         fixes; failing that, its image is sifted through the chain of the
         subgroup's level-n image.
         """
@@ -92,11 +100,9 @@ class SubgroupHandle:
         x = self.vertex
         if x is not None and len(x) == n:
             return w.apply(x) == x
-        fixed = self.fixed_points(n)
-        p = word_perm(w, n)
-        if any(p[i] != i for i in fixed):
+        if any(w.apply(v) != v for v in self.fixed_points(n)):
             return False
-        return self.image(n).contains(p)
+        return self.image(n).contains(word_perm(w, n))
 
     def conjugated(self, g: Word) -> "SubgroupHandle":
         return SubgroupHandle(
@@ -130,54 +136,65 @@ class FixedTree:
         }
 
 
+def fixed_levels(words, depth: int):
+    """Yield the lexicographic level-t vertices that every word fixes, for
+    t = 0..depth, stopping after the first empty level.
+
+    The walk descends through fixed vertices only: child x of a fixed vertex
+    is fixed iff every word's section there fixes x at the root.  Each vertex
+    carries the distinct nontrivial sections, read from the cached tables.
+    """
+    if depth < 0:
+        raise ValueError(f"level must be >= 0, got {depth}")
+    preset = words[0].preset
+    level = [((), tuple(dict.fromkeys(w.factors for w in words if w.factors)))]
+    yield [()]
+    for _ in range(depth):
+        nxt = []
+        for v, sections in level:
+            perms = [root_perm_of(preset, f) for f in sections]
+            for x in range(preset.degree):
+                if all(p[x] == x for p in perms):
+                    below = dict.fromkeys(section1(preset, f, x) for f in sections)
+                    below.pop((), None)
+                    nxt.append((v + (x,), tuple(below)))
+        level = nxt
+        yield [v for v, _ in level]
+        if not level:
+            return
+
+
+def first_moved_vertex(words, n: int, tops=((),)) -> Vertex | None:
+    """The first level-n vertex below `tops`, taken in order and then
+    lexicographically, that some word moves; None if every one is fixed."""
+    *_, last = fixed_levels(words, n)
+    fixed = set(last)
+    d = words[0].preset.degree
+    below = (u + x for u in tops for x in level_vertices(d, n - len(u)))
+    return next((v for v in below if v not in fixed), None)
+
+
 def fixed_vertices(h: SubgroupHandle, n: int) -> set[Vertex]:
     """Level-n vertices fixed by every generator, hence by the subgroup."""
-    d = h.preset.degree
-    return {
-        v
-        for v in level_vertices(d, n)
-        if all(g.apply(v) == v for g in h.generators)
-    }
+    *_, last = fixed_levels(h.words, n)
+    return set(last)
 
 
 def fixed_tree(h: SubgroupHandle, depth: int) -> FixedTree:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    d = h.preset.degree
-    fixed: set[Vertex] = {()}
-    frontier: list[Vertex] = [()]
-    deepest: Vertex = ()
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for x in range(d):
-                w = v + (x,)
-                if all(g.apply(w) == w for g in h.generators):
-                    fixed.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-        deepest = frontier[0]
-    return FixedTree(depth=depth, vertices=frozenset(fixed), deepest_path=deepest)
+    levels = [lvl for lvl in fixed_levels(h.words, depth) if lvl]
+    vertices = frozenset(v for lvl in levels for v in lvl)
+    return FixedTree(depth=depth, vertices=vertices, deepest_path=levels[-1][0])
 
 
 def minimal_non_fixing_level(h: SubgroupHandle, max_level: int) -> int | None:
     """Least level with no fixed vertex, or None up to max_level."""
     if max_level < 1:
         raise ValueError(f"max_level must be >= 1, got {max_level}")
-    d = h.preset.degree
-    frontier: list[Vertex] = [()]
-    for l in range(1, max_level + 1):
-        nxt = []
-        for v in frontier:
-            for x in range(d):
-                w = v + (x,)
-                if all(g.apply(w) == w for g in h.generators):
-                    nxt.append(w)
-        if not nxt:
-            return l
-        frontier = nxt
+    for t, fixed in enumerate(fixed_levels(h.words, max_level)):
+        if not fixed:
+            return t
     return None
 
 
@@ -187,26 +204,36 @@ def psi_sections(g: Word, k: int) -> list[Word]:
     Requires g to fix level k exactly; otherwise the tuple would not be a
     well-defined image under the level-k embedding.
     """
-    d = g.preset.degree
-    verts = level_vertices(d, k)
-    for v in verts:
-        if g.apply(v) != v:
-            raise NotInLevelStabilizerError(
-                f"word moves level-{k} vertex {format_vertex(v)}"
-            )
+    verts = level_vertices(g.preset.degree, k)
+    moved = first_moved_vertex((g,), k)
+    if moved is not None:
+        raise NotInLevelStabilizerError(
+            f"word moves level-{k} vertex {format_vertex(moved)}"
+        )
     return [g.section(v) for v in verts]
+
+
+def _nontrivial_sections(g: Word, k: int, skip: Vertex | None = None):
+    """Lexicographic level-k vertices but `skip` where g's section is
+    nontrivial, lazily.  g must fix level k."""
+    verts = level_vertices(g.preset.degree, k)
+    return (u for u in verts if u != skip and not g.section(u).is_identity())
 
 
 def in_rigid_stabilizer(g: Word, v: Vertex) -> bool:
     """True iff g fixes level |v| and acts trivially outside the subtree at v."""
     k = len(v)
+    return g.fixes_level(k) and next(_nontrivial_sections(g, k, v), None) is None
+
+
+def rist_support(g: Word, k: int) -> Vertex | None:
+    """The level-k vertex v with g in Rist(v) and g|_v nontrivial, if any.
+    The scan stops at a second nontrivial section."""
     if not g.fixes_level(k):
-        return False
-    d = g.preset.degree
-    for u in level_vertices(d, k):
-        if u != v and not g.section(u).is_identity():
-            return False
-    return True
+        return None
+    scan = _nontrivial_sections(g, k)
+    support = next(scan, None)
+    return support if next(scan, None) is None else None
 
 
 def index_growth_profile(
@@ -219,8 +246,7 @@ def index_growth_profile(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    gens = h.generators or (Word.identity(h.preset),)
-    return [subgroup_index_in_quotient(gens, n, level_cap) for n in range(1, n_max + 1)]
+    return [subgroup_index_in_quotient(h.words, n, level_cap) for n in range(1, n_max + 1)]
 
 
 def enumerate_reduced_words(preset: GroupPreset, max_length: int | None = None):

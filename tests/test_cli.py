@@ -172,3 +172,130 @@ def test_definition_file_as_preset(tmp_path, capsys):
     save_preset(grigorchuk_preset(), path)
     code, out = run(capsys, "elem", "order", "--preset", str(path), "a c")
     assert (code, out) == (EXIT_OK, "8")
+
+
+# -- outputs pinned before the fixed-tree walk replaced per-vertex loops ----
+
+
+@pytest.fixture(scope="module")
+def reference_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "ref.json"
+    args = ["wm", "build", "--q-gens", "a", "--avoid-vertex", "00", "01", "10", "--out", str(path)]
+    assert run_command(args) == EXIT_OK
+    return json.loads(path.read_text())
+
+
+def _validate_lines(capsys, tmp_path, data, preset="grigorchuk"):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "wm", "validate", "--preset", preset, str(path))
+    return code, out.splitlines()
+
+
+def _tampered(data, **stage_changes):
+    data = json.loads(json.dumps(data))
+    for key, (i, value) in stage_changes.items():
+        data["stages"][i][key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "tamper, line",
+    [
+        (("u", 0, "00"),
+         "[FAIL] stage-1-subtrees-fixed: b a c a b a d a b a c a b a d a moves 000000"),
+        (("u", 1, "010"),
+         "[FAIL] stage-2-subtrees-fixed: b a b a b a b a b a b a b a c a b a b a b a b a b a b a b a c a"
+         " moves 010000"),
+        (("w", 0, "d"), "[FAIL] stage-2-subtrees-fixed: a d a moves 011100"),
+        (("w", 1, "a"),
+         "[FAIL] normal-closure-equality: verified at level 6: |ncl| = 512, |H meet Stab(2)| = 256"),
+    ],
+)
+def test_validate_tampered_details_pinned(capsys, tmp_path, reference_certificate, tamper, line):
+    key, i, value = tamper
+    code, lines = _validate_lines(capsys, tmp_path, _tampered(reference_certificate, **{key: (i, value)}))
+    assert code == EXIT_FALSE
+    assert line in lines
+
+
+def test_validate_normal_closure_line_pinned(capsys, tmp_path, reference_certificate):
+    assert _validate_lines(capsys, tmp_path, reference_certificate)[1][-2] == (
+        "[ok] normal-closure-equality: verified at level 6: |ncl| = 4096, |H meet Stab(2)| = 4096"
+    )
+    first = dict(reference_certificate)
+    first["stages"] = first["stages"][:1]
+    first["avoid"] = first["avoid"][:1]
+    code, lines = _validate_lines(capsys, tmp_path, first)
+    assert code == EXIT_OK
+    assert lines[-2] == (
+        "[ok] normal-closure-equality: verified at level 6: |ncl| = 16, |H meet Stab(2)| = 16"
+    )
+    shallow = dict(reference_certificate, verification_level=1)
+    code, lines = _validate_lines(capsys, tmp_path, shallow)
+    assert code == EXIT_OK
+    assert "[ok] stage-3-subtrees-fixed: Q-conjugates of w_1..w_3 fix below Q(0110) to depth 1" in lines
+    assert lines[-2] == (
+        "[ok] normal-closure-equality: verified at level 1: |ncl| = 1, |H meet Stab(2)| = 1"
+    )
+
+
+def test_validate_gupta_sidki_normal_closure_pinned(capsys, tmp_path):
+    path = tmp_path / "gs.json"
+    args = ["wm", "build", "--preset", "gupta-sidki", "--q-gens", "a", "--avoid-vertex", "0",
+            "--budget", "4000", "--out", str(path)]
+    assert run(capsys, *args)[0] == EXIT_OK
+    code, lines = _validate_lines(capsys, tmp_path, json.loads(path.read_text()), "gupta-sidki")
+    assert code == EXIT_OK
+    assert lines[-2] == (
+        "[ok] normal-closure-equality: verified at level 4: |ncl| = 27, |H meet Stab(2)| = 27"
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, gens_a, gens_b, witness",
+    [
+        ("grigorchuk", ["a b a b"], ["b"], "2"),
+        ("grigorchuk", ["a b a b"], ["a"], "1"),
+        ("gupta-sidki", ["b", "a^2 b a"], ["b"], "2"),
+    ],
+)
+def test_separate_witness_pinned(capsys, preset, gens_a, gens_b, witness):
+    code, out = run(
+        capsys, "wm", "separate", "--preset", preset,
+        "--gens-a", *gens_a, "--gens-b", *gens_b, "--depth", "4",
+    )
+    assert (code, out) == (EXIT_OK, witness)
+
+
+@pytest.mark.parametrize(
+    "preset, word, level, vertex",
+    [("grigorchuk", "d", "3", "100"), ("gupta-sidki", "a b a a", "2", "10")],
+)
+def test_psi_moved_vertex_error_pinned(capsys, preset, word, level, vertex):
+    code, out = run(capsys, "sub", "psi", "--preset", preset, word, "--level", level)
+    assert (code, out) == (
+        EXIT_FALSE, f"not in level stabilizer: word moves level-{level} vertex {vertex}"
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, gens, depth, fixed, deepest",
+    [
+        ("grigorchuk", ["d", "a c a"], "4",
+         ["", "0", "00", "000", "0000", "0001", "001", "0010", "0011", "01", "010", "011",
+          "0110", "0111", "1"], "0000"),
+        ("gupta-sidki", ["b", "a b a a"], "3", ["", "0", "1", "2"], "0"),
+        ("ggs:5:1,0,0,1", ["b"], "2",
+         ["", "0", "1", "10", "11", "12", "13", "14", "2", "20", "21", "22", "23", "24", "3",
+          "4", "40", "41", "42", "43", "44"], "10"),
+    ],
+)
+def test_sub_fix_json_pinned(capsys, preset, gens, depth, fixed, deepest):
+    code, out = run(
+        capsys, "sub", "fix", "--preset", preset, "--gens", *gens, "--depth", depth,
+        "--format", "json",
+    )
+    data = json.loads(out)
+    assert code == EXIT_OK
+    assert (data["depth"], data["fixed"], data["deepest_path"]) == (int(depth), fixed, deepest)

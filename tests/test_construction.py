@@ -145,6 +145,16 @@ def test_trap_check_fails_on_moving_generator(grig):
     assert report.moving_witness
 
 
+def test_trap_check_moving_witness_pinned(grig, gs):
+    # Strings taken from the per-vertex loop the fixed-tree walk replaced.
+    h = SubgroupHandle.from_strings(grig, ["d", "a d a"])
+    assert level_trap_check(h, 3, 1).moving_witness == "d moves 100"
+    h = SubgroupHandle.from_strings(grig, ["b a b a", "d"])
+    assert level_trap_check(h, 3, 1).moving_witness == "b a b a moves 000"
+    h = SubgroupHandle.from_strings(gs, ["b a b a a", "a b a a"])
+    assert level_trap_check(h, 2, 1).moving_witness == "b a b a^2 moves 00"
+
+
 def test_trap_check_fails_on_fixed_vertex(grig):
     h = SubgroupHandle.from_strings(grig, ["b", "c", "d"])
     report = level_trap_check(h, 1, 1)
@@ -300,6 +310,11 @@ def test_fix_separation_witness(grig):
     h2 = SubgroupHandle.from_strings(grig, ["b", "c"])
     t = fix_separation_witness(h1, h2, 4)
     assert t == 2
+
+
+def test_fix_separation_witness_at_level_three(grig):
+    trap = trap_subgroup(Q_a(grig), 2, grig)
+    assert fix_separation_witness(trap, SubgroupHandle.from_strings(grig, ["b"]), 5) == 3
 
 
 def test_fix_separation_inconclusive_for_conjugates(grig, rng):

@@ -4,9 +4,7 @@ import pytest
 
 from branchgroups.quotients import (
     LevelCapExceeded,
-    PermSubgroup,
     StabChain,
-    common_fixed_points,
     compose,
     full_level_group,
     image_subgroup,
@@ -15,7 +13,6 @@ from branchgroups.quotients import (
     perm_inverse,
     point_stabilizer_words,
     quotient_order,
-    stabilizer_generators,
     subgroup_index_in_quotient,
     word_perm,
 )
@@ -59,7 +56,6 @@ def test_one_point_domain(grig):
     # A gather over one index yields the bare item, not a 1-tuple.
     assert compose((0,), (0,)) == (0,)
     assert StabChain(1, [(0,)]).order() == 1
-    assert stabilizer_generators([(0,)], 1, 0) == []
     grp = image_subgroup([Word.generator(grig, g) for g in grig.gen_names], 0)
     assert grp.order() == 1
     assert grp.contains((0,))
@@ -261,15 +257,6 @@ def test_stab_chain_grown_by_add_matches_one_call(grig, rng):
         assert grown.contains(tuple(p)) == whole.contains(tuple(p))
 
 
-def test_stabilizer_generators_orbit_stabilizer(grig, gs):
-    for preset, n in ((grig, 4), (gs, 3)):
-        full = full_level_group(preset, n)
-        stab = stabilizer_generators(full.gens, full.npoints, 0)
-        assert all(g[0] == 0 for g in stab)
-        assert len(set(stab)) == len(stab)
-        assert full.order() == PermSubgroup(n, stab, full.npoints).order() * preset.degree**n
-
-
 def test_word_perm_on_a_single_point(grig):
     from branchgroups.presets import GeneratorRecursion, GroupPreset
 
@@ -281,22 +268,6 @@ def test_word_perm_on_a_single_point(grig):
     )
     assert word_perm(Word(one, (("x", 2), ("x", -1))), 3) == (0,)
     assert word_perm(Word.from_str(grig, "a b"), 0) == (0,)
-
-
-def test_common_fixed_points_match_vertex_action(grig, gs, rng):
-    from branchgroups.tree import level_vertices
-
-    for preset in (grig, gs):
-        for n in (1, 2, 3):
-            verts = level_vertices(preset.degree, n)
-            for _ in range(5):
-                words = [random_word(preset, rng, 8) for _ in range(2)]
-                expected = [
-                    i for i, v in enumerate(verts) if all(w.apply(v) == v for w in words)
-                ]
-                assert common_fixed_points(words, n) == expected
-    with pytest.raises(LevelCapExceeded):
-        common_fixed_points([Word.from_str(grig, "a")], 11)
 
 
 def test_orbit_transversal_reaches_every_orbit_vertex(grig, gs):

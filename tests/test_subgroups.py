@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchgroups.construction import parabolic_approximation
-from branchgroups.presets import grigorchuk_preset, gupta_sidki_preset
-from branchgroups.quotients import word_perm
+from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset
+from branchgroups.quotients import LevelCapExceeded, word_perm
 from branchgroups.subgroups import (
     NotInLevelStabilizerError,
     SubgroupHandle,
     conjugate_escaping,
     enumerate_reduced_words,
+    fixed_levels,
     fixed_tree,
     fixed_vertices,
     in_rigid_stabilizer,
@@ -226,5 +227,53 @@ def test_fixed_point_refutation_never_refutes_a_member(case):
     perm = word_perm(w, n)
     member = h.image(n).contains(perm)
     if member:
-        assert all(perm[i] == i for i in h.fixed_points(n))
+        assert all(w.apply(v) == v for v in h.fixed_points(n))
     assert h.contains_at_level(w) == member
+
+
+def test_contains_at_level_caps_the_level_before_walking(grig):
+    h = H(grig, ["a"])
+    with pytest.raises(LevelCapExceeded):
+        h.contains_at_level(Word.from_str(grig, "b"), 11)
+    assert 11 not in h._fixed
+
+
+# -- the fixed-tree walk ---------------------------------------------------
+
+
+WALK_PRESETS = (grigorchuk_preset(), gupta_sidki_preset(), ggs_preset(5, (1, 0, 0, 1)))
+
+
+@st.composite
+def walk_handle(draw):
+    """Generators over a shipped preset, often level stabilizers (squares
+    and commutators of letters), so that deep levels keep fixed vertices."""
+    preset = draw(st.sampled_from(WALK_PRESETS))
+    factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-2, 2))
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = Word(preset, draw(st.lists(factor, max_size=8)))
+        shape = draw(st.sampled_from(("plain", "square", "commutator")))
+        if shape == "square":
+            w = w * w
+        elif shape == "commutator":
+            s = Word.generator(preset, draw(st.sampled_from(preset.gen_names)))
+            w = w * s * w.inverse() * s.inverse()
+        words.append(w)
+    return SubgroupHandle(tuple(words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_handle())
+def test_fixed_levels_match_vertex_action(h):
+    d = h.preset.degree
+    levels = list(fixed_levels(h.generators, 4))
+    for t in range(5):
+        expected = [
+            v for v in level_vertices(d, t) if all(g.apply(v) == v for g in h.generators)
+        ]
+        got = levels[t] if t < len(levels) else []
+        assert got == expected
+    # The walk stops right after its first empty level.
+    assert all(levels[:-1]) and (len(levels) == 5 or not levels[-1])
+    assert h.fixed_points(4) == (levels[4] if len(levels) == 5 else [])
