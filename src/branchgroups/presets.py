@@ -7,7 +7,9 @@ set for the designated branching subgroup.  Reduction applies the rules in
 one stack pass; the reduced word is canonical when the rules are confluent,
 as every shipped preset's are.
 
-Words are stored as tuples of (generator name, exponent) factors.  The text
+Words are stored as tuples of (generator name, exponent) factors; a reduced
+word holds the preset's canonical letter objects, so memo tables share them
+instead of copying one tuple per factor.  The text
 syntax is whitespace-separated factors with optional ^-exponents
 ("a b a^-1"); a single run of one-letter generator names may also be written
 without spaces ("abab").
@@ -76,17 +78,20 @@ class GroupPreset:
         return orders
 
     @cached_property
-    def _gen_mod(self) -> dict[str, int]:
-        """Declared order of every generator, 0 where none is declared."""
-        return {name: self.gen_order.get(name, 0) for name in self.gen_names}
+    def letters(self) -> "_LetterTable":
+        """Canonical letters: letters[(g, e)] is the one object every reduced
+        word holds for g^(e mod the declared order of g), None when that
+        power is trivial."""
+        return _LetterTable({name: self.gen_order.get(name, 0) for name in self.gen_names})
 
     @cached_property
     def pair_table(self) -> dict[tuple[Factor, Factor], Factors]:
-        """Rules whose left side is a product of two factors."""
+        """Rules whose left side is a product of two factors; right-hand
+        sides in canonical letters."""
         table: dict[tuple[Factor, Factor], Factors] = {}
         for lhs, rhs in self.reduction_rules:
             if len(lhs) == 2:
-                table[(lhs[0], lhs[1])] = rhs
+                table[(lhs[0], lhs[1])] = tuple(f for f in map(self.letters.__getitem__, rhs) if f)
         return table
 
     @cached_property
@@ -133,7 +138,7 @@ class GroupPreset:
 
     def reduce(self, factors) -> Factors:
         """Reduced form of a factor sequence under the preset's rules."""
-        pending = list(factors)
+        pending = [f for f in map(self.letters.__getitem__, factors) if f]
         pending.reverse()
         return self._rewrite([], pending, ())
 
@@ -148,45 +153,39 @@ class GroupPreset:
     def _rewrite(self, out: list, pending: list, tail: Factors) -> Factors:
         """One stack pass of the rules over pending, then tail, onto out.
 
-        out is a reduced stack and pending a stack of factors still to push
-        (next one last); tail is a reduced word that follows them.  Each
-        incoming factor is merged with the top of out when they share a
-        generator, taken mod its declared order, and tried against the pair
+        out is a reduced stack and pending a stack of letters still to push
+        (next one last); tail is a reduced word that follows them.  All hold
+        canonical letters, so an incoming letter is pushed as the object it
+        is unless it merges with the top of out: a shared generator's
+        exponents add up, and their canonical letter (taken mod the declared
+        order) replaces both.  The letter is then tried against the pair
         table with the top; a rule's right-hand side goes back on pending.
         out is irreducible after every step, so on a confluent rule set the
         result is the canonical form.  Once a factor of tail is pushed
         unchanged with nothing pending, the rest of tail is appended as it is.
         """
-        mods = self._gen_mod
+        letters = self.letters
         table = self.pair_table
         limit = _MAX_REDUCTION_PASSES * (len(out) + len(pending) + len(tail) + 1)
         rewrites = 0
         i, n = 0, len(tail)
         while True:
             if pending:
-                g, e = pending.pop()
+                f = pending.pop()
                 fresh = False
             elif i < n:
-                g, e = tail[i]
+                f = tail[i]
                 i += 1
                 fresh = True
             else:
                 return tuple(out)
-            if not e:
-                continue
-            try:
-                o = mods[g]
-            except KeyError:
-                raise PresetError(f"unknown generator {g!r}") from None
-            if out and out[-1][0] == g:
-                e += out.pop()[1]
+            if out and out[-1][0] == f[0]:
+                f = letters[(f[0], out.pop()[1] + f[1])]
+                if f is None:
+                    continue
                 fresh = False
-            if o:
-                e %= o
-            if not e:
-                continue
             if table and out:
-                rhs = table.get((out[-1], (g, e)))
+                rhs = table.get((out[-1], f))
                 if rhs is not None:
                     rewrites += 1
                     if rewrites > limit:
@@ -194,7 +193,7 @@ class GroupPreset:
                     out.pop()
                     pending.extend(reversed(rhs))
                     continue
-            out.append((g, e))
+            out.append(f)
             if fresh:
                 out.extend(tail[i:])
                 return tuple(out)
@@ -234,6 +233,29 @@ class GroupPreset:
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class _LetterTable(dict):
+    """(g, e) -> the one (g, e mod o) object, o the declared order of g (0
+    for none), or None when that power is trivial.  A miss checks that g is
+    a generator and fills the entry."""
+
+    def __init__(self, mods: dict[str, int]):
+        super().__init__()
+        self.mods = mods
+
+    def __missing__(self, factor: Factor) -> Factor | None:
+        g, e = factor
+        if e:
+            try:
+                o = self.mods[g]
+            except KeyError:
+                raise PresetError(f"unknown generator {g!r}") from None
+            if o:
+                e %= o
+        letter = self.setdefault((g, e), (g, e)) if e else None
+        self[factor] = letter
+        return letter
 
 
 def _tokenize(text: str, names) -> Factors:

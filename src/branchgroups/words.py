@@ -44,22 +44,30 @@ def _invert_factors(factors: Factors) -> Factors:
 
 def _letter(preset: GroupPreset, factor) -> tuple[tuple[int, ...], tuple[Factors, ...]]:
     """Fill the letter table for factor = (g, e): the root permutation of
-    g^e and its reduced section at each first-level vertex."""
+    g^e and, at each first-level vertex, its reduced section reversed, so
+    that it goes onto a pending stack as it is.  g^e is built by repeated
+    squaring of g or g^-1 with the section rule (uv)_x = u_{v(x)} v_x."""
     g, e = factor
     gen = preset.gen_map[g]
     d = preset.degree
-    # p and secs describe the letter l = g or g^-1; the loop multiplies by l
-    # on the left |e| times: (l h)(x) = l(h(x)) and (l h)_x = l_{h(x)} h_x.
     if e > 0:
-        p, secs = gen.root_perm, gen.sections
+        p, secs = gen.root_perm, [preset.reduce(s) for s in gen.sections]
     else:
         p = preset.inverse_perms[g]
-        secs = tuple(_invert_factors(gen.sections[p[x]]) for x in range(d))
-    perm, sections = tuple(range(d)), [() for _ in range(d)]
-    for _ in range(abs(e)):
-        sections = [secs[perm[x]] + sections[x] for x in range(d)]
-        perm = tuple(p[y] for y in perm)
-    entry = (perm, tuple(preset.reduce(s) for s in sections))
+        secs = [preset.reduce(_invert_factors(gen.sections[p[x]])) for x in range(d)]
+
+    def times(p, s, q, t):
+        return tuple(p[y] for y in q), [preset.product(s[q[x]], t[x]) for x in range(d)]
+
+    perm, sections = tuple(range(d)), [()] * d
+    m = abs(e)
+    while m:
+        if m & 1:
+            perm, sections = times(p, secs, perm, sections)
+        m >>= 1
+        if m:
+            p, secs = times(p, secs, p, secs)
+    entry = (perm, tuple(s[::-1] for s in sections))
     preset._letter_cache[factor] = entry
     return entry
 
@@ -79,42 +87,24 @@ def root_perm_of(preset: GroupPreset, factors: Factors) -> tuple[int, ...]:
     return perm
 
 
-def _apply_gen(preset: GroupPreset, name: str, v: Vertex) -> Vertex:
-    if not v:
-        return v
-    key = (name, v)
-    cache = preset._apply_cache
-    got = cache.get(key)
-    if got is None:
-        gen = preset.gen_map[name]
-        got = (gen.root_perm[v[0]],) + apply_factors(preset, gen.sections[v[0]], v[1:])
-        cache[key] = got
-    return got
-
-
-def _apply_gen_inverse(preset: GroupPreset, name: str, v: Vertex) -> Vertex:
-    if not v:
-        return v
-    key = (name, -1, v)
-    cache = preset._apply_cache
-    got = cache.get(key)
-    if got is None:
-        gen = preset.gen_map[name]
-        x = preset.inverse_perms[name][v[0]]
-        got = (x,) + apply_factors(preset, _invert_factors(gen.sections[x]), v[1:])
-        cache[key] = got
-    return got
-
-
 def apply_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Vertex:
-    """Image of vertex v under the word, rightmost factor applied first."""
-    for g, e in reversed(factors):
-        if e > 0:
-            for _ in range(e):
-                v = _apply_gen(preset, g, v)
-        else:
-            for _ in range(-e):
-                v = _apply_gen_inverse(preset, g, v)
+    """Image of vertex v under the word, rightmost factor applied first;
+    one cached step per (letter, vertex)."""
+    if not v:
+        return v
+    cache = preset._apply_cache
+    letters = preset._letter_cache
+    for f in reversed(factors):
+        key = (f, v)
+        got = cache.get(key)
+        if got is None:
+            try:
+                perm, sections = letters[f]
+            except KeyError:
+                perm, sections = _letter(preset, f)
+            got = (perm[v[0]],) + apply_factors(preset, sections[v[0]][::-1], v[1:])
+            cache[key] = got
+        v = got
     return v
 
 
@@ -126,19 +116,15 @@ def section1(preset: GroupPreset, factors: Factors, x: int) -> Factors:
     if got is not None:
         return got
     letters = preset._letter_cache
-    parts: list[Factors] = []
-    cur = x
+    pending: list = []
     for f in reversed(factors):
         try:
             perm, sections = letters[f]
         except KeyError:
             perm, sections = _letter(preset, f)
-        parts.append(sections[cur])
-        cur = perm[cur]
-    flat: list = []
-    for p in reversed(parts):
-        flat += p
-    result = preset.reduce(flat)
+        pending += sections[x]
+        x = perm[x]
+    result = preset._rewrite([], pending, ())
     cache[key] = result
     return result
 

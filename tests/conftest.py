@@ -3,7 +3,12 @@ import random
 import pytest
 from hypothesis import settings
 
-from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset
+from branchgroups.presets import (
+    ggs_preset,
+    grigorchuk_preset,
+    gupta_sidki_preset,
+    preset_from_dict,
+)
 
 # Property tests replay the same examples on every run.
 settings.register_profile("replay", derandomize=True, deadline=None)
@@ -23,6 +28,20 @@ def gs():
 @pytest.fixture(scope="session")
 def ggs5():
     return ggs_preset(5, (1, 0, 0, 1))
+
+
+@pytest.fixture(scope="session")
+def adding_machine():
+    """a = (1 0)(1, a): adds 1 to a vertex read as a binary number, first
+    digit least significant.  Infinite order, no rules."""
+    return preset_from_dict(
+        {
+            "name": "adding-machine",
+            "degree": 2,
+            "generators": [{"name": "a", "root_perm": [1, 0], "sections": ["1", "a"]}],
+            "contracting": True,
+        }
+    )
 
 
 @pytest.fixture

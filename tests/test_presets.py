@@ -244,7 +244,9 @@ def test_rule_right_hand_side_keeps_its_order():
 @given(preset_and_factors(ORACLE_PRESETS))
 def test_reduce_matches_multipass_oracle(case):
     preset, factors = case
-    assert preset.reduce(factors) == multipass_reduce(preset, factors)
+    reduced = preset.reduce(factors)
+    assert reduced == multipass_reduce(preset, factors)
+    assert all(preset.letters[f] is f for f in reduced)
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,7 +256,9 @@ def test_product_matches_reduce_of_concatenation(case):
     # reduce would push unchanged, so they agree on any rule set.
     preset, f, g = case
     u, v = preset.reduce(f), preset.reduce(g)
-    assert preset.product(u, v) == preset.reduce(u + v)
+    uv = preset.product(u, v)
+    assert uv == preset.reduce(u + v)
+    assert all(preset.letters[x] is x for x in uv)
     assert preset.product(u, ()) == u and preset.product((), v) == v
     if preset.name:
         # a shipped group: u·u⁻¹ cancels completely

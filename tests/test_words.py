@@ -13,6 +13,7 @@ import branchgroups
 from branchgroups.presets import (
     GeneratorRecursion,
     GroupPreset,
+    builtin_preset,
     ggs_preset,
     grigorchuk_preset,
     gupta_sidki_preset,
@@ -24,7 +25,9 @@ from branchgroups.words import (
     BudgetExhausted,
     InfiniteOrder,
     Word,
+    _invert_factors,
     _power_factors,
+    apply_factors,
     order_factors,
     root_perm_of,
     section1,
@@ -418,6 +421,99 @@ def test_first_level_sections_act_below_their_vertex(fixture, request, rng):
             s = Word(preset, section1(preset, w.factors, x), reduced=True)
             for u in level_vertices(preset.degree, 2):
                 assert w.apply((x,) + u) == w.apply((x,)) + s.apply(u)
+
+
+def _units(factors):
+    """A word as unit letters (g, 1) and (g, -1)."""
+    return [(g, 1 if e > 0 else -1) for g, e in factors for _ in range(abs(e))]
+
+
+def _unit_apply(preset, units, v):
+    """Image of v under unit letters, rightmost first, one wreath-recursion
+    step per letter: g(x u) = g(x) g_x(u), g^-1(x u) = y g_y^-1(u), g(y) = x."""
+    for g, s in reversed(units):
+        if not v:
+            return v
+        gen = preset.gen_map[g]
+        if s > 0:
+            sec = _units(gen.sections[v[0]])
+            v = (gen.root_perm[v[0]],) + _unit_apply(preset, sec, v[1:])
+        else:
+            y = preset.inverse_perms[g][v[0]]
+            sec = _units(_invert_factors(gen.sections[y]))
+            v = (y,) + _unit_apply(preset, sec, v[1:])
+    return v
+
+
+def _unit_section(preset, units, x):
+    """Unreduced section at x of unit letters by the rule (uv)_x = u_{v(x)} v_x."""
+    parts = []
+    for g, s in reversed(units):
+        gen = preset.gen_map[g]
+        if s > 0:
+            parts.append(gen.sections[x])
+            x = gen.root_perm[x]
+        else:
+            x = preset.inverse_perms[g][x]
+            parts.append(_invert_factors(gen.sections[x]))
+    return tuple(f for part in reversed(parts) for f in part)
+
+
+@pytest.mark.parametrize(
+    "fixture, depth", [("grig", 6), ("gs", 4), ("ggs5", 3), ("adding_machine", 6)]
+)
+def test_letter_powers_match_unit_steps(fixture, depth, request):
+    # The letter table builds g^e by squaring; e runs past every declared order.
+    preset = request.getfixturevalue(fixture)
+    vertices = level_vertices(preset.degree, depth)
+    for g in preset.gen_names:
+        for e in range(-7, 8):
+            letter, units = ((g, e),), [(g, 1 if e > 0 else -1)] * abs(e)
+            assert root_perm_of(preset, letter) == tuple(
+                _unit_apply(preset, units, (x,))[0] for x in range(preset.degree)
+            )
+            for x in range(preset.degree):
+                s = section1(preset, letter, x)
+                assert s == preset.reduce(_unit_section(preset, units, x))
+                assert all(preset.letters[f] is f for f in s)
+            for v in vertices:
+                assert apply_factors(preset, letter, v) == _unit_apply(preset, units, v)
+
+
+@pytest.mark.parametrize("n", [10**6, -(10**6) - 1])
+def test_adding_machine_huge_power(adding_machine, n):
+    # a^n adds n: digit x goes to (x + n) mod 2 with carry a^((x + n) // 2).
+    w = Word(adding_machine, [("a", n)])
+    v = (1, 0, 1) * 6 + (1, 1)
+    value = sum(x << i for i, x in enumerate(v))
+    image = (value + n) % 2 ** len(v)
+    assert w.apply(v) == tuple(image >> i & 1 for i in range(len(v)))
+    assert w.root_perm() == ((n % 2), (1 + n) % 2)
+    assert [str(w.section((x,))) for x in (0, 1)] == [f"a^{n // 2}", f"a^{(1 + n) // 2}"]
+    m = n
+    for x in (0, 1, 1):
+        m = (x + m) // 2
+    assert w.section((0, 1, 1)).factors == (("a", m),)
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "gupta-sidki", "ggs:5:1,0,0,1"])
+def test_memo_tables_hold_canonical_letters(name, rng):
+    # Every cached word shares the preset's letter objects; none holds a copy.
+    preset = builtin_preset(name)
+    for _ in range(30):
+        w = Word(preset, random_factors(preset, rng, rng.randrange(40)))
+        w.is_identity()
+        try:
+            w.order(budget=2000)
+        except (BudgetExhausted, InfiniteOrder):
+            pass
+    words = [
+        *preset._section_cache.values(),
+        *preset._identity_cache,
+        *preset._order_cache,
+    ]
+    assert len(preset._section_cache) > 30
+    assert all(preset.letters[f] is f for word in words for f in word)
 
 
 def test_root_perm_on_degree_one():
