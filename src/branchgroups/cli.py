@@ -5,14 +5,16 @@ came out false, 2 = usage or precondition error, 3 = undecided within
 budget.  A refutation (exit 1) and an exhausted search (exit 3) are never
 conflated.
 
-Every JSON report embeds the preset fingerprint, the seed and the budgets,
+Every option is read by the computation it configures: `--budget` exists
+only on `elem order|identity`, `sub escape` and
+`wm rist-search|pullback|trap|build|conjbound`.  Every JSON report embeds
+the preset fingerprint and, on those subcommands, the budget it ran with,
 so identical invocations reproduce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -20,44 +22,23 @@ import sys
 from . import construction, quotients, subgroups
 from .presets import GroupPreset, builtin_preset, load_preset, validate_preset
 from .tree import format_vertex, parse_vertex
-from .words import DEFAULT_ORDER_BUDGET, BudgetExhausted, InfiniteOrder, Word
-
-CONFIG_ENV = "BRANCHGROUPS_CONFIG"
+from .words import DEFAULT_IDENTITY_BUDGET, DEFAULT_ORDER_BUDGET
+from .words import BudgetExhausted, InfiniteOrder, Word
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
-
-@dataclasses.dataclass
-class RunConfig:
-    preset: str = "grigorchuk"
-    level: int = 4
-    budget: int = 2000
-    seed: int = 0
-    format: str = "text"
-
-    @classmethod
-    def from_environment(cls) -> "RunConfig":
-        cfg = cls()
-        path = os.environ.get(CONFIG_ENV)
-        if path:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            for f in dataclasses.fields(cls):
-                if f.name in data:
-                    setattr(cfg, f.name, data[f.name])
-        return cfg
+DEFAULT_LEVEL = 4
+DEFAULT_SEARCH_BUDGET = 2000
 
 
 class _Reporter:
     def __init__(self, preset: GroupPreset, args):
-        self.meta = {
-            "preset_fingerprint": preset.fingerprint(),
-            "seed": args.seed,
-            "budget": args.budget,
-        }
+        self.meta = {"preset_fingerprint": preset.fingerprint()}
+        if hasattr(args, "budget"):
+            self.meta["budget"] = args.budget
         self.format = args.format
 
     def emit(self, payload: dict, text: str) -> None:
@@ -85,14 +66,15 @@ def _handle(preset: GroupPreset, texts, level=None) -> subgroups.SubgroupHandle:
     return subgroups.SubgroupHandle.from_strings(preset, texts, membership_level=level)
 
 
-def _add_common(sub, config: RunConfig):
-    sub.add_argument("--preset", default=config.preset, help="built-in name or definition file")
-    sub.add_argument("--format", choices=["text", "json"], default=config.format)
-    sub.add_argument("--seed", type=int, default=config.seed)
-    sub.add_argument("--budget", type=int, default=config.budget)
+def _add_common(sub, budget: int | None = None):
+    """--preset and --format; --budget only where the computation takes one."""
+    sub.add_argument("--preset", default="grigorchuk", help="built-in name or definition file")
+    sub.add_argument("--format", choices=["text", "json"], default="text")
+    if budget is not None:
+        sub.add_argument("--budget", type=int, default=budget)
 
 
-def build_parser(config: RunConfig) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="branchgroups",
         description="Exact computation in self-similar groups on rooted trees.",
@@ -103,97 +85,97 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
     p = g.add_parser("show")
-    _add_common(p, config)
+    _add_common(p)
     p = g.add_parser("validate")
-    _add_common(p, config)
+    _add_common(p)
 
     e = top.add_parser("elem", help="element arithmetic").add_subparsers(
         dest="cmd", required=True
     )
     p = e.add_parser("apply")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("word")
     p.add_argument("vertex")
     p = e.add_parser("section")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("word")
     p.add_argument("vertex")
     p = e.add_parser("order")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_ORDER_BUDGET)
     p.add_argument("word")
     p = e.add_parser("portrait")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("word")
     p.add_argument("--depth", type=int, default=3)
     p = e.add_parser("identity")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_IDENTITY_BUDGET)
     p.add_argument("word")
 
     q = top.add_parser("quotient", help="finite level quotients").add_subparsers(
         dest="cmd", required=True
     )
     p = q.add_parser("order")
-    _add_common(p, config)
-    p.add_argument("--level", type=int, default=config.level)
+    _add_common(p)
+    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     p = q.add_parser("transitive")
-    _add_common(p, config)
-    p.add_argument("--level", type=int, default=config.level)
+    _add_common(p)
+    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     p = q.add_parser("index")
-    _add_common(p, config)
-    p.add_argument("--level", type=int, default=config.level)
+    _add_common(p)
+    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     p.add_argument("--gens", nargs="+", required=True)
     p = q.add_parser("stab")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("vertex")
 
     s = top.add_parser("sub", help="subgroup diagnostics").add_subparsers(
         dest="cmd", required=True
     )
     p = s.add_parser("fix")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--depth", type=int, default=config.level)
+    p.add_argument("--depth", type=int, default=DEFAULT_LEVEL)
     p = s.add_parser("fixlevel")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("--gens", nargs="+", required=True)
     p.add_argument("--max-level", type=int, default=8)
     p = s.add_parser("psi")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("word")
     p.add_argument("--level", type=int, default=1)
     p = s.add_parser("rist")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("word")
     p.add_argument("vertex")
     p = s.add_parser("profile")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--max-level", type=int, default=config.level)
+    p.add_argument("--max-level", type=int, default=DEFAULT_LEVEL)
     p = s.add_parser("escape")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_SEARCH_BUDGET)
     p.add_argument("--gens", nargs="+", required=True)
     p.add_argument("--gamma", required=True)
-    p.add_argument("--level", type=int, default=config.level)
+    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
 
     w = top.add_parser("wm", help="finite-stage constructions").add_subparsers(
         dest="cmd", required=True
     )
     p = w.add_parser("rist-search")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_SEARCH_BUDGET)
     p.add_argument("vertex")
     p = w.add_parser("pullback")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_SEARCH_BUDGET)
     p.add_argument("--gens", nargs="+", required=True, help="generators of Delta")
     p.add_argument("--delta-level", type=int, default=None)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--level", type=int, default=config.level)
+    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     p = w.add_parser("trap")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_SEARCH_BUDGET)
     p.add_argument("--gens", nargs="+", required=True, help="generators of Q")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, default=1)
     p = w.add_parser("build")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_SEARCH_BUDGET)
     p.add_argument("--q-gens", nargs="+", required=True)
     p.add_argument("--avoid-vertex", nargs="+", required=True,
                    help="seed vertices for vertex-stabilizer avoid subgroups")
@@ -201,17 +183,17 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
                    help="verification and membership level")
     p.add_argument("--out", default=None, help="write certificate JSON here")
     p = w.add_parser("validate")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("certificate", help="certificate JSON file")
     p = w.add_parser("separate")
-    _add_common(p, config)
+    _add_common(p)
     p.add_argument("--gens-a", nargs="+", required=True)
     p.add_argument("--gens-b", nargs="+", required=True)
-    p.add_argument("--depth", type=int, default=config.level)
+    p.add_argument("--depth", type=int, default=DEFAULT_LEVEL)
     p = w.add_parser("conjbound")
-    _add_common(p, config)
+    _add_common(p, DEFAULT_SEARCH_BUDGET)
     p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--level", type=int, default=config.level)
+    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     return parser
 
 
@@ -249,7 +231,7 @@ def _cmd_elem(args, preset, rep) -> int:
     if args.cmd == "order":
         w = _word(preset, args.word)
         try:
-            m = w.order(max(args.budget, DEFAULT_ORDER_BUDGET))
+            m = w.order(args.budget)
         except BudgetExhausted:
             rep.emit({"order": None, "undecided": True}, "undecided (budget exhausted)")
             return EXIT_UNDECIDED
@@ -264,7 +246,7 @@ def _cmd_elem(args, preset, rep) -> int:
         return EXIT_OK
     w = _word(preset, args.word)
     try:
-        ans = w.is_identity()
+        ans = w.is_identity(args.budget)
     except BudgetExhausted:
         rep.emit({"identity": None, "undecided": True}, "undecided (budget exhausted)")
         return EXIT_UNDECIDED
@@ -382,7 +364,6 @@ def _cmd_wm(args, preset, rep) -> int:
             preset,
             rist_budget=args.budget,
             verification_level=level,
-            seed=args.seed,
         )
         text = cert.to_json()
         if args.out:
@@ -428,9 +409,7 @@ _DISPATCH = {
 
 
 def run_command(argv=None) -> int:
-    config = RunConfig.from_environment()
-    parser = build_parser(config)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         preset = _resolve_preset(args.preset)
     except (ValueError, OSError) as exc:
@@ -442,10 +421,7 @@ def run_command(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except construction.CertificateBuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
+    except (construction.CertificateBuildError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -250,6 +250,9 @@ def rist_element_search(v: Vertex, preset: GroupPreset, budget: int = 2000) -> W
 # -- pullback of a subgroup through the first-section projection ----------
 
 
+_PULLBACK_GENERATORS = 8  # the pullback stops after this many generators
+
+
 @dataclass
 class PullbackResult:
     """Finitely generated under-approximation of a first-section preimage."""
@@ -275,7 +278,6 @@ def pullback_subgroup(
     n: int,
     preset: GroupPreset,
     budget: int = 3000,
-    max_generators: int = 8,
 ) -> PullbackResult:
     """Words of Stab(k) whose first section's image lies in delta's image.
 
@@ -299,7 +301,7 @@ def pullback_subgroup(
             continue
         if delta.contains_at_level(w.section(first)):
             found.append(w)
-            if len(found) >= max_generators:
+            if len(found) >= _PULLBACK_GENERATORS:
                 exhausted = False
                 break
     handle = SubgroupHandle(tuple(found), membership_level=n, label=f"pullback-k{k}")
@@ -359,7 +361,6 @@ def trap_subgroup(
     q: SubgroupHandle,
     k: int,
     preset: GroupPreset,
-    n: int | None = None,
     budget: int = 3000,
 ) -> SubgroupHandle:
     """Build a Stab(k)-subgroup with no fixed vertex at level k+1.
@@ -368,10 +369,10 @@ def trap_subgroup(
     level-k stabilizing words whose first section lies in the image of a
     subgroup containing q, then enrich with conjugates of a stabilizing
     word that carries a child-moving section, one per level-k vertex, so
-    the fixed set at level k+1 is demonstrably empty.
+    the fixed set at level k+1 is demonstrably empty.  Membership is
+    checked at level k + 2.
     """
-    if n is None:
-        n = k + 2
+    n = k + 2
     delta = SubgroupHandle(q.generators, membership_level=n, label="delta")
     pulled = pullback_subgroup(delta, k, n, preset, budget=budget)
     gens = list(pulled.handle.generators)
@@ -447,7 +448,11 @@ class CertificateStage:
 
 @dataclass
 class WMCertificate:
-    """Staged construction data, replayable by validate_certificate."""
+    """Staged construction data, replayable by validate_certificate.
+
+    The v1 format still carries a `seed` key for byte compatibility: it is
+    written as 0 and ignored on read, since no computation reads it.
+    """
 
     preset_fingerprint: str
     q_generators: tuple[Word, ...]
@@ -455,7 +460,6 @@ class WMCertificate:
     avoid: tuple[SubgroupHandle, ...]
     verification_level: int
     budgets: dict
-    seed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -474,7 +478,7 @@ class WMCertificate:
             "avoid": [h.to_dict() for h in self.avoid],
             "verification_level": self.verification_level,
             "budgets": dict(self.budgets),
-            "seed": self.seed,
+            "seed": 0,
         }
 
     def to_json(self) -> str:
@@ -506,7 +510,6 @@ class WMCertificate:
             avoid=avoid,
             verification_level=int(data["verification_level"]),
             budgets=dict(data.get("budgets", {})),
-            seed=int(data.get("seed", 0)),
         )
 
     @classmethod
@@ -536,13 +539,20 @@ def parabolic_approximation(
     )
 
 
-def _choose_k1(q_elems: list[Word], preset: GroupPreset, max_level: int = 8) -> int | None:
+# The deepest level tried for k1, and for a later stage's level.
+_MAX_K1 = 8
+_MAX_STAGE_LEVEL = 10
+# Rist candidates tested against an avoid subgroup per stage vertex.
+_CANDIDATES_PER_VERTEX = 4
+
+
+def _choose_k1(q_elems: list[Word], preset: GroupPreset) -> int | None:
     """Least level where Q meets the level stabilizer trivially and is not
     transitive."""
     nontrivial = [q for q in q_elems if q.factors]
     if not nontrivial:
         return None
-    for k in range(1, max_level + 1):
+    for k in range(1, _MAX_K1 + 1):
         if any(q.fixes_level(k) for q in nontrivial):
             continue
         verts = level_vertices(preset.degree, k)
@@ -568,10 +578,7 @@ def build_certificate(
     avoid: list[SubgroupHandle],
     preset: GroupPreset,
     rist_budget: int = 4000,
-    candidates_per_vertex: int = 4,
     verification_level: int | None = None,
-    seed: int = 0,
-    max_level: int = 10,
 ) -> WMCertificate:
     """Run the staged construction against the avoid list.
 
@@ -597,7 +604,7 @@ def build_certificate(
             k = k1
         else:
             k = None
-            for cand_k in range(k_prev + 1, max_level + 1):
+            for cand_k in range(k_prev + 1, _MAX_STAGE_LEVEL + 1):
                 slice_verts = [
                     x
                     for x in level_vertices(preset.degree, cand_k)
@@ -621,7 +628,7 @@ def build_certificate(
                     found = (v, cand)
                     break
                 tried += 1
-                if tried >= candidates_per_vertex:
+                if tried >= _CANDIDATES_PER_VERTEX:
                     break
             if found:
                 break
@@ -652,9 +659,8 @@ def build_certificate(
         verification_level=verification_level,
         budgets={
             "rist_budget": rist_budget,
-            "candidates_per_vertex": candidates_per_vertex,
+            "candidates_per_vertex": _CANDIDATES_PER_VERTEX,
         },
-        seed=seed,
     )
 
 
@@ -732,6 +738,11 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
 
     ks = [s.k for s in cert.stages]
     add("levels-increase", ks == sorted(ks) and len(set(ks)) == len(ks), f"k = {ks}")
+    add(
+        "one-avoid-per-stage",
+        len(cert.avoid) == len(cert.stages),
+        f"{len(cert.avoid)} avoid subgroups, {len(cert.stages)} stages",
+    )
 
     q_handle = SubgroupHandle(cert.q_generators or (Word.identity(preset),))
     try:
@@ -868,8 +879,11 @@ def _prime_power(m: int) -> tuple[int, int] | None:
     return (m, 1)
 
 
+_CONJBOUND_ORDER_BUDGET = 20000  # order recursion nodes per candidate gamma
+
+
 def conjugate_count_lower_bound(
-    h: SubgroupHandle, n: int, budget: int = 300, order_budget: int = 20000
+    h: SubgroupHandle, n: int, budget: int = 300
 ) -> ConjugateBound:
     """Count distinct level-n conjugates of h's image by powers of an
     escaping prime-power element.
@@ -889,7 +903,7 @@ def conjugate_count_lower_bound(
             continue
         tried += 1
         try:
-            m = gamma.order(order_budget)
+            m = gamma.order(_CONJBOUND_ORDER_BUDGET)
         except (BudgetExhausted, InfiniteOrder):
             continue
         pp = _prime_power(m)

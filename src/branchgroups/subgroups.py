@@ -85,16 +85,16 @@ class SubgroupHandle:
             self._fixed[n] = got
         return got
 
-    def contains_at_level(self, w: Word, n: int | None = None) -> bool:
-        """Quotient membership: exact as a refutation, evidence as a yes.
+    def contains_at_level(self, w: Word) -> bool:
+        """Membership in the image at the membership level n: exact as a
+        refutation, evidence as a yes.
 
         At the level of `vertex` the answer is w(x) = x, exact both ways.
         Otherwise w is refuted if it moves a vertex that every generator
         fixes; failing that, its image is sifted through the chain of the
         subgroup's level-n image.
         """
-        if n is None:
-            n = self.membership_level
+        n = self.membership_level
         if n is None:
             raise ValueError("handle has no membership level")
         x = self.vertex
@@ -249,13 +249,13 @@ def index_growth_profile(
     return [subgroup_index_in_quotient(h.words, n, level_cap) for n in range(1, n_max + 1)]
 
 
-def enumerate_reduced_words(preset: GroupPreset, max_length: int | None = None):
+def enumerate_reduced_words(preset: GroupPreset):
     """Yield canonical reduced words in (length, lexicographic) order.
 
     Walks the Cayley ball breadth-first over generator letters in their
     declared order; inverse letters are included only for generators
     without a declared finite order (otherwise inverses are powers and
-    already enumerated).  Deterministic.
+    already enumerated).  Deterministic and unbounded: callers stop it.
     """
     letters = []
     for name in preset.gen_names:
@@ -265,9 +265,7 @@ def enumerate_reduced_words(preset: GroupPreset, max_length: int | None = None):
     seen = {()}
     frontier = [()]
     yield Word.identity(preset)
-    length = 0
-    while frontier and (max_length is None or length < max_length):
-        length += 1
+    while frontier:
         nxt = []
         for f in frontier:
             for let in letters:

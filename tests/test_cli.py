@@ -1,20 +1,24 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from branchgroups.cli import (
-    CONFIG_ENV,
     EXIT_FALSE,
     EXIT_OK,
     EXIT_UNDECIDED,
     EXIT_USAGE,
+    build_parser,
     run_command,
 )
 
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV, raising=False)
+README = Path(__file__).resolve().parents[1] / "README.md"
+BUDGETED = {
+    "elem order", "elem identity", "sub escape", "wm rist-search", "wm pullback",
+    "wm trap", "wm build", "wm conjbound",
+}
 
 
 def run(capsys, *argv):
@@ -145,24 +149,79 @@ def test_wm_separate_inconclusive_exit_3(capsys):
 
 
 def test_json_reports_reproducible_and_stamped(capsys):
-    args = ["quotient", "order", "--level", "3", "--format", "json", "--seed", "7"]
+    args = ["quotient", "order", "--level", "3", "--format", "json"]
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert out1 == out2
     data = json.loads(out1)
     assert data["order"] == "128"
-    assert data["meta"]["seed"] == 7
-    assert "preset_fingerprint" in data["meta"]
-    assert "budget" in data["meta"]
+    assert list(data["meta"]) == ["preset_fingerprint"]
 
 
-def test_config_file_defaults(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"preset": "gupta-sidki", "format": "json"}))
-    monkeypatch.setenv(CONFIG_ENV, str(cfg))
-    code, out = run(capsys, "elem", "order", "a b")
-    assert code == EXIT_OK
-    assert json.loads(out)["order"] == "9"
+def test_json_meta_stamps_the_budget_run_with(capsys):
+    code, out = run(capsys, "elem", "order", "--budget", "7", "--format", "json", "a b")
+    assert code == EXIT_UNDECIDED
+    assert json.loads(out)["meta"]["budget"] == 7
+    _, out = run(capsys, "elem", "order", "--format", "json", "a b")
+    assert json.loads(out)["meta"]["budget"] == 100_000
+
+
+# -- the option surface -----------------------------------------------------
+
+
+def _subcommands():
+    """{"group cmd": parser} for every registered subcommand."""
+    def children(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    return {
+        f"{group} {cmd}": sub
+        for group, group_parser in children(build_parser()).items()
+        for cmd, sub in children(group_parser).items()
+    }
+
+
+def test_option_surface():
+    subs = _subcommands()
+    assert len(subs) == 24
+    flags = {name: {f for a in p._actions for f in a.option_strings} for name, p in subs.items()}
+    assert not any("--seed" in f for f in flags.values())
+    assert {name for name, f in flags.items() if "--budget" in f} == BUDGETED
+
+
+def _readme_subcommands(marker):
+    """Subcommands named by `group cmd|cmd` spans in the README block that
+    starts with the marker line and ends at a blank line."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index(marker):].split("\n\n", 1)[0]
+    return {
+        f"{group} {cmd}"
+        for group, cmds in re.findall(r"`(\w+) ([\w|-]+)`", block)
+        for cmd in cmds.split("|")
+    }
+
+
+def test_readme_names_the_registered_subcommands():
+    assert _readme_subcommands("Subcommands:") == set(_subcommands())
+    assert _readme_subcommands("Budgeted subcommands") == BUDGETED
+
+
+# A preset that claims to be contracting but is not: a = (a^2, 1), whose
+# section closure a, a^2, a^4, ... never closes.
+RUNAWAY = {
+    "degree": 2,
+    "contracting": True,
+    "generators": [{"name": "a", "root_perm": [0, 1], "sections": ["a a", ""]}],
+}
+
+
+@pytest.mark.parametrize("cmd", ["identity", "order"])
+def test_claimed_contracting_preset_stops_at_budget(tmp_path, capsys, cmd):
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(RUNAWAY))
+    code, out = run(capsys, "elem", cmd, "--preset", str(path), "--budget", "50", "a")
+    assert (code, out) == (EXIT_UNDECIDED, "undecided (budget exhausted)")
 
 
 def test_definition_file_as_preset(tmp_path, capsys):
@@ -250,6 +309,16 @@ def test_validate_gupta_sidki_normal_closure_pinned(capsys, tmp_path):
     assert lines[-2] == (
         "[ok] normal-closure-equality: verified at level 4: |ncl| = 27, |H meet Stab(2)| = 27"
     )
+
+
+@pytest.mark.parametrize("key, keep", [("avoid", 2), ("avoid", 0), ("stages", 0)])
+def test_validate_needs_one_avoid_per_stage(capsys, tmp_path, reference_certificate, key, keep):
+    data = dict(reference_certificate)
+    data[key] = data[key][:keep]
+    code, lines = _validate_lines(capsys, tmp_path, data)
+    assert code == EXIT_FALSE
+    assert lines[-1] == "failed"
+    assert lines[2].startswith("[FAIL] one-avoid-per-stage: ")
 
 
 @pytest.mark.parametrize(

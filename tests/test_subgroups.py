@@ -232,9 +232,9 @@ def test_fixed_point_refutation_never_refutes_a_member(case):
 
 
 def test_contains_at_level_caps_the_level_before_walking(grig):
-    h = H(grig, ["a"])
+    h = H(grig, ["a"], level=11)
     with pytest.raises(LevelCapExceeded):
-        h.contains_at_level(Word.from_str(grig, "b"), 11)
+        h.contains_at_level(Word.from_str(grig, "b"))
     assert 11 not in h._fixed
 
 
