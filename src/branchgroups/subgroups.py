@@ -27,7 +27,7 @@ from .quotients import (
     word_perm,
 )
 from .tree import Vertex, format_vertex, level_vertices
-from .words import Word, root_perm_of, section1
+from .words import Word, expand_factors
 
 
 class NotInLevelStabilizerError(ValueError):
@@ -152,10 +152,10 @@ def fixed_levels(words, depth: int):
     for _ in range(depth):
         nxt = []
         for v, sections in level:
-            perms = [root_perm_of(preset, f) for f in sections]
+            records = [expand_factors(preset, f) for f in sections]
             for x in range(preset.degree):
-                if all(p[x] == x for p in perms):
-                    below = dict.fromkeys(section1(preset, f, x) for f in sections)
+                if all(perm[x] == x for perm, _ in records):
+                    below = dict.fromkeys(secs[x] for _, secs in records)
                     below.pop((), None)
                     nxt.append((v + (x,), tuple(below)))
         level = nxt

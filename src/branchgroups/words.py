@@ -5,6 +5,11 @@ section rule (gh)_v = g_{h(v)} h_v.  Under this convention the Grigorchuk
 recursion reads b = (a, c), c = (a, d), d = (1, b) exactly as constructed
 by the preset.
 
+Every walk over the tree reads the first-level expansion of a reduced word,
+its root permutation and its d reduced first-level sections.  A per-letter
+table on the preset holds each letter's expansion; a word's expansion is one
+right-to-left pass over its letters, cached as one record per word.
+
 The word problem is solved by closing a word's set of iterated sections:
 an element is trivial iff every word in the closure has a trivial root
 permutation.  On contracting-certified presets the closure is finite and
@@ -108,25 +113,37 @@ def apply_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Vertex:
     return v
 
 
-def section1(preset: GroupPreset, factors: Factors, x: int) -> Factors:
-    """Section of a reduced word at first-level child x, reduced."""
-    key = (factors, x)
+def expand_factors(
+    preset: GroupPreset, factors: Factors
+) -> tuple[tuple[int, ...], tuple[Factors, ...]]:
+    """The first-level expansion of a reduced word: its root permutation and
+    its d reduced first-level sections, from one right-to-left pass over the
+    letters that follows all d start points at once.  Cached per word."""
     cache = preset._section_cache
-    got = cache.get(key)
+    got = cache.get(factors)
     if got is not None:
         return got
     letters = preset._letter_cache
-    pending: list = []
+    starts = range(preset.degree)
+    points = list(starts)
+    stacks = [[] for _ in starts]
     for f in reversed(factors):
         try:
             perm, sections = letters[f]
         except KeyError:
             perm, sections = _letter(preset, f)
-        pending += sections[x]
-        x = perm[x]
-    result = preset._rewrite([], pending, ())
-    cache[key] = result
-    return result
+        for x in starts:
+            y = points[x]
+            stacks[x] += sections[y]
+            points[x] = perm[y]
+    entry = (tuple(points), tuple(preset._rewrite([], pending, ()) for pending in stacks))
+    cache[factors] = entry
+    return entry
+
+
+def section1(preset: GroupPreset, factors: Factors, x: int) -> Factors:
+    """Section of a reduced word at first-level child x, reduced."""
+    return expand_factors(preset, factors)[1][x]
 
 
 def section_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Factors:
@@ -162,8 +179,7 @@ def is_identity_factors(
             cache[f] = False
             cache[factors] = False
             return False
-        for x in range(preset.degree):
-            s = section1(preset, f, x)
+        for s in expand_factors(preset, f)[1]:
             if s and s not in seen:
                 seen.add(s)
                 stack.append(s)
@@ -247,7 +263,7 @@ def _order_rec(
         raise InfiniteOrder(f"{preset.format_factors(f)} re-enters its order recursion")
     my_depth = len(path)
     path[f] = (my_depth, mult)
-    perm = root_perm_of(preset, f)
+    perm, sections = expand_factors(preset, f)
     result, lowest = 1, _NO_BACKEDGE
     seen = [False] * len(perm)
     try:
@@ -255,11 +271,11 @@ def _order_rec(
             if seen[x]:
                 continue
             # x is the least point of its cycle; fold h_C along the cycle.
-            h = section1(preset, f, x)
+            h = sections[x]
             c, y = 1, perm[x]
             while y != x:
                 seen[y] = True
-                h = preset.product(section1(preset, f, y), h)
+                h = preset.product(sections[y], h)
                 c += 1
                 y = perm[y]
             val, low = _order_rec(preset, h, mult * c, path, budget, nodes)
@@ -283,7 +299,8 @@ class Portrait:
     decorations: dict
 
     def is_trivial(self) -> bool:
-        return all(p == tuple(range(len(p))) for p in self.decorations.values())
+        identity = tuple(range(len(self.decorations.get((), ()))))
+        return all(p == identity for p in self.decorations.values())
 
     def walk(self, v: Vertex) -> Vertex:
         """Image of a vertex of level <= depth read off the decorations."""
@@ -304,17 +321,20 @@ class Portrait:
 
 
 def portrait_factors(preset: GroupPreset, factors: Factors, n: int) -> Portrait:
+    """Depth-n portrait, one level at a time from the expansions of the
+    level's section words; vertices come in lexicographic order."""
     if n < 0:
         raise ValueError(f"portrait depth must be >= 0, got {n}")
+    children = range(preset.degree)
+    cached = preset._section_cache.get
     decorations = {}
-    frontier: list[tuple[Vertex, Factors]] = [((), factors)]
+    vertices, words = [()], [factors]
     for _ in range(n):
-        nxt = []
-        for v, f in frontier:
-            decorations[v] = root_perm_of(preset, f)
-            for x in range(preset.degree):
-                nxt.append((v + (x,), section1(preset, f, x)))
-        frontier = nxt
+        # A hit skips the call: a depth-12 portrait reads 4,095 records.
+        records = [cached(f) or expand_factors(preset, f) for f in words]
+        decorations.update(zip(vertices, [perm for perm, _ in records]))
+        vertices = [v + (x,) for v in vertices for x in children]
+        words = [s for _, sections in records for s in sections]
     return Portrait(depth=n, decorations=decorations)
 
 
@@ -394,14 +414,13 @@ class Word:
         frontier is an insertion-ordered dict, not a set, so the walk and its
         work do not depend on string hashing."""
         preset = self.preset
-        children = range(preset.degree)
-        trivial = tuple(children)
+        trivial = tuple(range(preset.degree))
         frontier = {self.factors: None}
         for _ in range(n):
             frontier.pop((), None)
             if any(root_perm_of(preset, f) != trivial for f in frontier):
                 return False
-            frontier = dict.fromkeys(section1(preset, f, x) for f in frontier for x in children)
+            frontier = dict.fromkeys(s for f in frontier for s in expand_factors(preset, f)[1])
         return True
 
     def portrait(self, n: int) -> Portrait:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -368,3 +369,39 @@ def test_sub_fix_json_pinned(capsys, preset, gens, depth, fixed, deepest):
     data = json.loads(out)
     assert code == EXIT_OK
     assert (data["depth"], data["fixed"], data["deepest_path"]) == (int(depth), fixed, deepest)
+
+
+# SHA-256 of `elem portrait` stdout, text and --format json, frozen from the
+# flat-dict implementation that built one vertex at a time.
+PORTRAIT_DIGESTS = [
+    ("grigorchuk", "a b", 3,
+     "5859e3f257c8f2d6613a30395f14d18e5ffa073d4e649977d3d20fa07c05481d",
+     "06508a340e80c1742ab0026732f03c6f662d74f270ae3aa970a691976a00d9de"),
+    ("grigorchuk", "a b a c a d", 5,
+     "6221d88688ceb9fdb9239f2719a7402c0be70f92077cb700677cce05ad4be6d9",
+     "750a1faf028420f4bb663956a9271aba4595633d83a3d1cb08ecb34d679b934d"),
+    ("grigorchuk", "b a d a c", 6,
+     "15f666bc4d28610f98e1df2ae491369537486d380179cdafab521e844f1cfc75",
+     "e1e4b4c0429d927ef3e16ef55cf5c452b2075b1cf97dcb2a809e55d465a3a520"),
+    ("gupta-sidki", "a b", 3,
+     "2aaa9b5baaeed605f6675b3b361f7a480e86ccebf5343004f571a26868c35725",
+     "8696667e2e191e6fbf0bb80a4c882c4162b198da0d8a4a21b213c3d35380897f"),
+    ("gupta-sidki", "a^-1 b a b^-1", 4,
+     "bb9ebaf5990d736acd54ce13026c364a4ce0ebd3d1ca5197d356b62063517774",
+     "2ce3e6bbdf6b6af655cd94051eff58d2bbfc6567068ca255febac9e78f707f18"),
+    ("ggs:5:1,0,0,1", "a^2 b", 3,
+     "9fd657c12b59087239f3c167adda7932e81e035924e8d351c6864e6e24b8f86e",
+     "0c14335786d3d7fbe01980b810081759498091cdc613d85b643cacb40ec908ee"),
+    ("ggs:5:1,0,0,1", "b^-2 a b a^3", 3,
+     "75e6e9f3c322ef008e6e5b2e2bccfae2ae022d688de74bde060a358c466b0176",
+     "dc23513c74c3f391c658f8adb7b72080191aec6dc6f1e31b87326deddba9939a"),
+]
+
+
+@pytest.mark.parametrize("preset, word, depth, text_sha, json_sha", PORTRAIT_DIGESTS)
+def test_elem_portrait_output_is_pinned(capsys, preset, word, depth, text_sha, json_sha):
+    for fmt, want in (("text", text_sha), ("json", json_sha)):
+        argv = ["elem", "portrait", "--preset", preset, "--format", fmt, "--depth", str(depth), word]
+        assert run_command(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want

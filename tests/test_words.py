@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from branchgroups.words import (
     _invert_factors,
     _power_factors,
     apply_factors,
+    expand_factors,
     order_factors,
     root_perm_of,
     section1,
@@ -315,10 +317,15 @@ def test_portrait_matches_action(grig, rng):
             assert port.walk(v) == g.apply(v)
 
 
-def test_portrait_trivial_iff_identity(grig):
+def test_portrait_trivial_iff_identity(grig, gs):
     assert Word.identity(grig).portrait(4).is_trivial()
     assert W(grig, "b c d").portrait(6).is_trivial()
     assert not W(grig, "d").portrait(4).is_trivial()
+    # d moves nothing above level 2; a depth-0 portrait has no decorations
+    assert W(grig, "d").portrait(2).is_trivial()
+    assert W(grig, "a").portrait(0).is_trivial()
+    assert W(gs, "b").portrait(1).is_trivial()
+    assert not W(gs, "b").portrait(2).is_trivial()
 
 
 def test_portrait_serialization(grig):
@@ -507,23 +514,69 @@ def test_memo_tables_hold_canonical_letters(name, rng):
             w.order(budget=2000)
         except (BudgetExhausted, InfiniteOrder):
             pass
+    # An expansion record is (root permutation, first-level sections).
+    sections = [s for _, secs in preset._section_cache.values() for s in secs]
     words = [
-        *preset._section_cache.values(),
+        *sections,
+        *preset._section_cache,
         *preset._identity_cache,
         *preset._order_cache,
     ]
-    assert len(preset._section_cache) > 30
+    assert len(sections) > 30
     assert all(preset.letters[f] is f for word in words for f in word)
 
 
-def test_root_perm_on_degree_one():
-    p = GroupPreset(
+def degree_one_preset():
+    return GroupPreset(
         degree=1,
         generators=(GeneratorRecursion("x", (0,), (((("x", 1),)),)),),
         reduction_rules=(),
         branching_generators=(),
     )
-    assert root_perm_of(p, (("x", 2), ("x", -1))) == (0,)
+
+
+def test_root_perm_on_degree_one():
+    assert root_perm_of(degree_one_preset(), (("x", 2), ("x", -1))) == (0,)
+
+
+# -- first-level expansion -------------------------------------------------
+
+
+EXPANSION_PRESETS = {
+    "grigorchuk": grigorchuk_preset(),
+    "gupta-sidki": gupta_sidki_preset(),
+    "ggs:5:1,0,0,1": ggs_preset(5, (1, 0, 0, 1)),
+    "degree-1": degree_one_preset(),
+}
+EXPANSION_PORTRAIT_DEPTH = {1: 5, 2: 5, 3: 3, 5: 3}
+
+
+@st.composite
+def expansion_words(draw):
+    """A reduced word with exponents up to 4 in absolute value."""
+    preset = EXPANSION_PRESETS[draw(st.sampled_from(sorted(EXPANSION_PRESETS)))]
+    factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-4, 4))
+    return Word(preset, draw(st.lists(factor, max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansion_words())
+def test_expansion_matches_root_perm_action_and_sections(w):
+    preset, d = w.preset, w.preset.degree
+    perm, sections = expand_factors(preset, w.factors)
+    assert perm == root_perm_of(preset, w.factors)
+    assert len(sections) == d
+    for x, y in itertools.product(range(d), repeat=2):
+        assert w.apply((x, y)) == (perm[x],) + apply_factors(preset, sections[x], (y,))
+    n = EXPANSION_PORTRAIT_DEPTH[d]
+    reference = {
+        v: w.section(v).root_perm()
+        for t in range(n)
+        for v in itertools.product(range(d), repeat=t)
+    }
+    decorations = w.portrait(n).decorations
+    assert decorations == reference
+    assert list(decorations) == list(reference)
 
 
 # -- level stabilizers by section walks ------------------------------------
@@ -580,7 +633,8 @@ G, rng = grigorchuk_preset(), random.Random(3)
 for _ in range(300):
     w = words.Word(G, [(rng.choice("abcd"), 1) for _ in range(rng.randrange(30))])
     w.fixes_level(rng.randrange(1, 6))
-print(calls[0])
+# Root permutations tested, and expansions computed: one table entry per miss.
+print(calls[0], len(G._section_cache))
 """
 
 
@@ -595,5 +649,7 @@ def test_fixes_level_work_does_not_depend_on_string_hashing():
             [sys.executable, "-c", FIXES_LEVEL_WORK],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        counts.add(run.stdout)
+        counts.add(tuple(map(int, run.stdout.split())))
     assert len(counts) == 1
+    (roots, expansions), = counts
+    assert roots > 0 and expansions > 0
