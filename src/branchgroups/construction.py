@@ -3,9 +3,9 @@ level traps, staged certificates and conjugate-count bounds.
 
 Every search here is deterministic: candidates are generated breadth-first
 from the preset's branching generators by iterated commutators with
-generator letters, vertices are scanned lexicographically, and all budgets
-are explicit and recorded in the results, so a certificate replays to the
-byte.
+generator letters, each certificate stage searches the one vertex its
+avoided ray forces, and all budgets are explicit and recorded in the
+results, so a certificate replays to the byte.
 
 Certificate soundness discipline: non-membership demonstrated in a level
 quotient is unconditional; equalities checked inside a quotient are
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .presets import GroupPreset
 from .quotients import (
@@ -115,9 +116,7 @@ def _tower_segment(preset: GroupPreset, k: int, budget: int):
 def _scan_segment(preset: GroupPreset, budget: int):
     """Fallback level-1 source: scan the Cayley ball for level-1 stabilizers
     whose action is carried by a single subtree."""
-    for n, w in enumerate(enumerate_reduced_words(preset)):
-        if n >= budget:
-            return
+    for w in islice(enumerate_reduced_words(preset), budget):
         if not w.factors:
             continue
         support = rist_support(w, 1)
@@ -135,19 +134,11 @@ def _descend_segment(preset: GroupPreset, k: int, budget: int):
     Rist(v) and act on the section by conjugation and commutation with the
     word's own section, so the search walks the section's normal closure.
     """
-    parents = []
-    for pair in _rist_stream(preset, k - 1, budget):
-        parents.append(pair)
-        if len(parents) >= preset.degree:
-            break
+    parents = list(islice(_rist_stream(preset, k - 1, budget), preset.degree))
     tested = 0
     for g, v in parents:
-        fixers = []
-        for n, h in enumerate(enumerate_reduced_words(preset)):
-            if n >= _DESCEND_FIXER_CAP:
-                break
-            if h.factors and h.apply(v) == v:
-                fixers.append(h)
+        ball = islice(enumerate_reduced_words(preset), _DESCEND_FIXER_CAP)
+        fixers = [h for h in ball if h.factors and h.apply(v) == v]
         seen = {g.factors}
         frontier = [g]
         while frontier and tested < budget:
@@ -171,49 +162,16 @@ def _descend_segment(preset: GroupPreset, k: int, budget: int):
 
 
 def _rist_stream(preset: GroupPreset, k: int, budget: int):
-    """Classified rigid-stabilizer elements at level k, lazily and cached.
-
-    Results already discovered are replayed from the preset's cache;
-    computation resumes exactly where the previous consumer stopped, so
-    different callers see the same deterministic sequence.  The cache is
-    keyed by (k, budget): the sequence is a function of both, and a stream
-    grown under a larger budget may hold elements a smaller one never
-    reaches.
-    """
-    key = (k, budget)
-    state = preset._rist_cache.get(key)
-    if state is None:
-
-        def source():
-            found = False
-            for pair in _tower_segment(preset, k, budget):
-                found = True
-                yield pair
-            if not found:
-                fallback = (
-                    _scan_segment(preset, budget)
-                    if k == 1
-                    else _descend_segment(preset, k, budget)
-                )
-                for pair in fallback:
-                    yield pair
-
-        state = {"found": [], "iter": source()}
-        preset._rist_cache[key] = state
-    i = 0
-    while True:
-        while i < len(state["found"]):
-            yield state["found"][i]
-            i += 1
-        it = state["iter"]
-        if it is None:
-            return
-        try:
-            pair = next(it)
-        except StopIteration:
-            state["iter"] = None
-            return
-        state["found"].append(pair)
+    """Classified rigid-stabilizer elements at level k: the commutator tower,
+    then, only when it yields nothing, the scan (k = 1) or the descent."""
+    found = False
+    for pair in _tower_segment(preset, k, budget):
+        found = True
+        yield pair
+    if not found:
+        yield from (
+            _scan_segment(preset, budget) if k == 1 else _descend_segment(preset, k, budget)
+        )
 
 
 def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = 2000):
@@ -242,9 +200,7 @@ def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = 2000):
 
 def rist_element_search(v: Vertex, preset: GroupPreset, budget: int = 2000) -> Word | None:
     """First nontrivial element of Rist(v) found within budget, or None."""
-    for g in iter_rist_elements(v, preset, budget):
-        return g
-    return None
+    return next(iter_rist_elements(v, preset, budget), None)
 
 
 # -- pullback of a subgroup through the first-section projection ----------
@@ -386,8 +342,9 @@ def trap_subgroup(
                 break
     if base is None:
         raise CertificateBuildError(0, f"no level-{k} stabilizer with a moving section found")
+    transporters = orbit_transversal(preset, base_support)
     for v in level_vertices(preset.degree, k):
-        m = transporter_word(preset, base_support, v)
+        m = transporters.get(v)
         if m is None:
             raise CertificateBuildError(0, f"level {k} is not transitive; cannot cover {v}")
         gens.append(base.conjugate_by(m))
@@ -542,8 +499,13 @@ def parabolic_approximation(
 # The deepest level tried for k1, and for a later stage's level.
 _MAX_K1 = 8
 _MAX_STAGE_LEVEL = 10
-# Rist candidates tested against an avoid subgroup per stage vertex.
+# Rist candidates tested against an avoid subgroup at a stage vertex.
 _CANDIDATES_PER_VERTEX = 4
+
+
+def _splits(q_elems: list[Word], verts: list[Vertex]) -> bool:
+    """Whether Q is not transitive on verts: the orbit of the first misses one."""
+    return len(_orbit_vertices(q_elems, verts[0]) & set(verts)) < len(verts)
 
 
 def _choose_k1(q_elems: list[Word], preset: GroupPreset) -> int | None:
@@ -553,24 +515,57 @@ def _choose_k1(q_elems: list[Word], preset: GroupPreset) -> int | None:
     if not nontrivial:
         return None
     for k in range(1, _MAX_K1 + 1):
-        if any(q.fixes_level(k) for q in nontrivial):
-            continue
-        verts = level_vertices(preset.degree, k)
-        orbit = _orbit_vertices(q_elems, verts[0])
-        if len(orbit) < len(verts):
-            return k
+        if not any(q.fixes_level(k) for q in nontrivial):
+            if _splits(q_elems, level_vertices(preset.degree, k)):
+                return k
     return None
 
 
-def default_level(q: SubgroupHandle, seeds: list[Vertex], preset: GroupPreset) -> int:
-    """Membership and verification level for an avoid list of seed vertices.
+def _stage_skeleton(
+    q_elems: list[Word], seeds: list[Vertex], preset: GroupPreset
+) -> list[tuple[int, Vertex, Vertex]]:
+    """The (k_i, v_i, u_i) of every stage, from Q and the seed vertices alone.
 
-    Stage levels start at k1 (or at the longest seed) and rise by at least
-    one per stage; the deepest escape motion sits two levels under the
-    deepest stage.
+    k_1 is `_choose_k1`; each later k_i is the least deeper level where Q
+    does not act transitively on the vertices below Q(u_{i-1}).  v_i is the
+    level-k_i prefix of seed i extended by zeros, and u_i the least level-k_i
+    vertex below Q(u_{i-1}) and outside Q(v_i).
     """
-    k1 = _choose_k1(finite_subgroup_elements(q), preset) or 0
-    return max(4, max([k1] + [len(s) for s in seeds]) + len(seeds) + 1)
+    k1 = _choose_k1(q_elems, preset)
+    if k1 is None:
+        raise CertificateBuildError(
+            0, "Q is trivial or never satisfies the level-selection conditions"
+        )
+
+    def below(level: int, tops) -> list[Vertex]:
+        verts = level_vertices(preset.degree, level)
+        return verts if tops is None else [x for x in verts if any(vertex_leq(x, t) for t in tops)]
+
+    skeleton: list[tuple[int, Vertex, Vertex]] = []
+    tops = None  # Q(u_{i-1}); nothing restricts stage 1
+    for i, seed in enumerate(seeds, start=1):
+        k = k1
+        if tops is not None:
+            deeper = range(skeleton[-1][0] + 1, _MAX_STAGE_LEVEL + 1)
+            k = next((lvl for lvl in deeper if _splits(q_elems, below(lvl, tops))), None)
+            if k is None:
+                raise CertificateBuildError(i, "no suitable next level found")
+        v = (seed + (0,) * k)[:k]
+        v_orbit = _orbit_vertices(q_elems, v)
+        candidates_u = [x for x in below(k, tops) if x not in v_orbit]
+        if not candidates_u:
+            raise CertificateBuildError(i, "no admissible nested vertex u_i")
+        skeleton.append((k, v, candidates_u[0]))
+        tops = _orbit_vertices(q_elems, candidates_u[0])
+    return skeleton
+
+
+def default_level(q: SubgroupHandle, seeds: list[Vertex], preset: GroupPreset) -> int:
+    """Membership and verification level for an avoid list of seed vertices:
+    two levels under the deepest stage of the skeleton, at least 4 and at
+    least the longest seed."""
+    skeleton = _stage_skeleton(finite_subgroup_elements(q), seeds, preset)
+    return max([4] + [k + 2 for k, _, _ in skeleton] + [len(s) for s in seeds])
 
 
 def build_certificate(
@@ -582,73 +577,34 @@ def build_certificate(
 ) -> WMCertificate:
     """Run the staged construction against the avoid list.
 
-    Stage i picks the lexicographically least vertex v_i of level k_i that
-    admits a rigid-stabilizer element whose image escapes W_i at W_i's
-    membership level (an exact refutation), then the least vertex u_i below
-    the Q-orbit of u_{i-1} and outside the Q-orbit of v_i.
+    Each W_i must be the stabilizer of a vertex x_i at its membership level,
+    as `parabolic_approximation` builds it.  The stage levels and vertices
+    come first, from `_stage_skeleton`.  An element of Rist(v) fixes every
+    vertex outside the subtree at v, so only v_i, the level-k_i prefix of
+    x_i, can carry an element escaping W_i: stage i tries the first
+    `_CANDIDATES_PER_VERTEX` elements of Rist(v_i) and keeps the first that
+    moves x_i (an exact refutation).
     """
-    q_elems = finite_subgroup_elements(q)
-    k1 = _choose_k1(q_elems, preset)
-    if k1 is None:
-        raise CertificateBuildError(
-            0, "Q is trivial or never satisfies the level-selection conditions"
-        )
-    stages: list[CertificateStage] = []
-    u_prev: Vertex | None = None
-    k_prev = None
     for i, w_avoid in enumerate(avoid, start=1):
-        if w_avoid.membership_level is None:
-            raise CertificateBuildError(i, f"avoid subgroup {i} has no membership level")
-        u_prev_orbit = () if u_prev is None else _orbit_vertices(q_elems, u_prev)
-        if i == 1:
-            k = k1
-        else:
-            k = None
-            for cand_k in range(k_prev + 1, _MAX_STAGE_LEVEL + 1):
-                slice_verts = [
-                    x
-                    for x in level_vertices(preset.degree, cand_k)
-                    if any(vertex_leq(x, qu) for qu in u_prev_orbit)
-                ]
-                orbit = _orbit_vertices(q_elems, slice_verts[0])
-                if len(orbit & set(slice_verts)) < len(slice_verts):
-                    k = cand_k
-                    break
-            if k is None:
-                raise CertificateBuildError(i, "no suitable next level found")
+        x = w_avoid.vertex
+        if x is None or len(x) != w_avoid.membership_level:
+            raise CertificateBuildError(i, f"avoid subgroup {i} is not a vertex stabilizer")
+    skeleton = _stage_skeleton(
+        finite_subgroup_elements(q), [h.vertex for h in avoid], preset
+    )
+    stages: list[CertificateStage] = []
+    for i, ((k, v, u), w_avoid) in enumerate(zip(skeleton, avoid), start=1):
         if w_avoid.membership_level <= k:
             raise CertificateBuildError(
                 i, f"avoid subgroup {i} membership level must exceed stage level {k}"
             )
-        found = None
-        for v in level_vertices(preset.degree, k):
-            tried = 0
-            for cand in iter_rist_elements(v, preset, rist_budget):
-                if not w_avoid.contains_at_level(cand):
-                    found = (v, cand)
-                    break
-                tried += 1
-                if tried >= _CANDIDATES_PER_VERTEX:
-                    break
-            if found:
-                break
-        if not found:
+        candidates = islice(iter_rist_elements(v, preset, rist_budget), _CANDIDATES_PER_VERTEX)
+        w = next((g for g in candidates if not w_avoid.contains_at_level(g)), None)
+        if w is None:
             raise CertificateBuildError(
                 i, f"no rigid-stabilizer element escaping avoid subgroup {i} at level {k}"
             )
-        v_i, w_i = found
-        v_orbit = _orbit_vertices(q_elems, v_i)
-        candidates_u = [
-            x
-            for x in level_vertices(preset.degree, k)
-            if x not in v_orbit
-            and (u_prev is None or any(vertex_leq(x, qu) for qu in u_prev_orbit))
-        ]
-        if not candidates_u:
-            raise CertificateBuildError(i, "no admissible nested vertex u_i")
-        u_i = min(candidates_u)
-        stages.append(CertificateStage(k=k, v=v_i, w=w_i, u=u_i))
-        u_prev, k_prev = u_i, k
+        stages.append(CertificateStage(k=k, v=v, w=w, u=u))
     if verification_level is None:
         verification_level = max([4] + [s.k + 2 for s in stages])
     return WMCertificate(

@@ -130,10 +130,6 @@ class GroupPreset:
     def _perm_cache(self) -> dict:
         return {}
 
-    @cached_property
-    def _rist_cache(self) -> dict:
-        return {}
-
     # -- word handling ----------------------------------------------------
 
     def reduce(self, factors) -> Factors:

@@ -405,3 +405,66 @@ def test_elem_portrait_output_is_pinned(capsys, preset, word, depth, text_sha, j
         assert run_command(argv) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# -- certificates pinned before the stage skeleton replaced the vertex scan ----
+
+CERTIFICATE_DIGESTS = [
+    ("grigorchuk", ["a"], ["00", "01", "10"], [],
+     "b826627d5e0e3f52e24d73fd292592a382d332913e24d3c6a7996b195f7d1f5b"),
+    ("grigorchuk", ["b", "c"], ["00", "01", "10"], [],
+     "a2c294e1eab781f8403a022508d10e4f42ccb5a8edcad67176151c5a88b293f4"),
+    ("grigorchuk", ["a"], ["0", "1"], [],
+     "932ad1c2ee7ef2e23a2c5f1a09ddaa30ec3085a05c90e79d0f21a979128970be"),
+    ("gupta-sidki", ["a"], ["0"], ["--budget", "4000"],
+     "84af4cf5529fec9d29878cbe9036fc5a2c8d6d0aaf42f3e59c6e1d122578d329"),
+    ("ggs:3:1,0", ["a"], ["00", "01", "10"], [],
+     "48cfdc5d095808dbcd6006a3b5420e402d86957ef94b1e89d0a307e3cbc5f37a"),
+]
+
+
+def _build_to_file(capsys, tmp_path, preset, q_gens, seeds, extra):
+    path = tmp_path / "cert.json"
+    argv = ["wm", "build", "--preset", preset, "--q-gens", *q_gens, "--avoid-vertex", *seeds,
+            *extra, "--out", str(path)]
+    code, _ = run(capsys, *argv)
+    return code, path
+
+
+@pytest.mark.parametrize("preset, q_gens, seeds, extra, sha", CERTIFICATE_DIGESTS)
+def test_wm_build_certificate_is_pinned(capsys, tmp_path, preset, q_gens, seeds, extra, sha):
+    code, path = _build_to_file(capsys, tmp_path, preset, q_gens, seeds, extra)
+    assert code == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_wm_build_default_level_follows_the_stages(capsys, tmp_path):
+    # Q = <a, d> with avoid 00 01: k1 = 3 and the second stage skips level 4, so
+    # the stages sit at levels 3 and 5 and the level must be 7.  A default that
+    # assumed one level per stage gave 6, and the build failed at stage 2.
+    code, path = _build_to_file(capsys, tmp_path, "grigorchuk", ["a", "d"], ["00", "01"], [])
+    assert code == EXIT_OK
+    data = json.loads(path.read_text())
+    assert [s["k"] for s in data["stages"]] == [3, 5]
+    assert data["verification_level"] == 7
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1a12b5f5a8e120554a353850221747127e627e22d72ab4055dfea90a97f15e27"
+    )
+    code, out = run(capsys, "wm", "validate", str(path))
+    assert code == EXIT_OK and out.endswith("passed")
+
+
+@pytest.mark.parametrize(
+    "preset, k, sha",
+    [
+        ("grigorchuk", 1, "b283155b9b80c265faf91c827d9619f746af51b88ebbc9af6cec6a398ced000a"),
+        ("grigorchuk", 2, "8154cbc4b9a2b59dd9e3c8b7502ec6e4556a4764f2fb82659200655fe380c107"),
+        ("grigorchuk", 3, "a84b49ebc6a6e9e2a54502ff18b6012cd9e173f65d3a7795cf0f441bc62a025a"),
+        ("gupta-sidki", 2, "0fdc389c98eb69a07910b4af6af13ad0007771eebbc47ae3fe0f011c81e9247b"),
+    ],
+)
+def test_wm_trap_output_is_pinned(capsys, preset, k, sha):
+    # Pinned while each vertex still ran its own transporter BFS.
+    argv = ["wm", "trap", "--preset", preset, "--gens", "a", "--k", str(k), "--format", "json"]
+    assert run_command(argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha

@@ -1,12 +1,16 @@
 import dataclasses
+from itertools import islice
 
 import pytest
 
 from branchgroups.construction import (
+    _CANDIDATES_PER_VERTEX,
     CertificateBuildError,
     WMCertificate,
+    _stage_skeleton,
     build_certificate,
     conjugate_count_lower_bound,
+    default_level,
     finite_subgroup_elements,
     fix_separation_witness,
     iter_rist_elements,
@@ -300,6 +304,51 @@ def test_avoid_level_must_exceed_stage_level(grig):
     shallow = parabolic_approximation(grig, parse_vertex("00", 2), 2)
     with pytest.raises(CertificateBuildError):
         build_certificate(Q_a(grig), [shallow], grig)
+
+
+@pytest.mark.parametrize("level", [6, None])
+def test_avoid_handle_without_vertex_rejected(grig, level):
+    handle = SubgroupHandle.from_strings(grig, ["b", "c"], membership_level=level)
+    with pytest.raises(CertificateBuildError, match="avoid subgroup 1 is not a vertex stabilizer"):
+        build_certificate(Q_a(grig), [handle], grig)
+
+
+def _reference_avoid(preset):
+    return [parabolic_approximation(preset, parse_vertex(s, 2), 6) for s in ("00", "01", "10")]
+
+
+def test_stage_skeleton_needs_only_q_and_seeds(grig):
+    q_elems = finite_subgroup_elements(Q_a(grig))
+    skeleton = _stage_skeleton(q_elems, [parse_vertex(s, 2) for s in ("00", "01", "10")], grig)
+    assert [(k, "".join(map(str, v)), "".join(map(str, u))) for k, v, u in skeleton] == [
+        (2, "00", "01"), (3, "010", "011"), (4, "1000", "0110"),
+    ]
+    assert _stage_skeleton(q_elems, [h.vertex for h in _reference_avoid(grig)], grig) == skeleton
+
+
+def test_default_level_is_two_under_the_deepest_stage(grig):
+    seeds = [parse_vertex(s, 2) for s in ("00", "01")]
+    assert default_level(SubgroupHandle.from_strings(grig, ["a", "d"]), seeds, grig) == 7
+    assert default_level(Q_a(grig), seeds, grig) == 5
+    assert default_level(Q_a(grig), [parse_vertex("0000000", 2)], grig) == 7
+    with pytest.raises(CertificateBuildError, match="stage 0"):
+        default_level(SubgroupHandle((Word.identity(grig),)), seeds, grig)
+
+
+def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
+    # An element of Rist(x) fixes every vertex outside the subtree at x, so at
+    # every level-k_i vertex but v_i the candidates cannot escape W_i.
+    avoid = _reference_avoid(grig)
+    skeleton = _stage_skeleton(
+        finite_subgroup_elements(Q_a(grig)), [h.vertex for h in avoid], grig
+    )
+    for (k, v, _), w_avoid in zip(skeleton, avoid):
+        for x in level_vertices(2, k):
+            if x == v:
+                continue
+            candidates = list(islice(iter_rist_elements(x, grig, 4000), _CANDIDATES_PER_VERTEX))
+            assert len(candidates) == _CANDIDATES_PER_VERTEX
+            assert all(w_avoid.contains_at_level(g) for g in candidates)
 
 
 # -- non-conjugacy tools ---------------------------------------------------
