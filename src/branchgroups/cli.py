@@ -22,7 +22,7 @@ import sys
 from . import construction, quotients, subgroups
 from .presets import GroupPreset, builtin_preset, load_preset, validate_preset
 from .tree import format_vertex, parse_vertex
-from .words import DEFAULT_IDENTITY_BUDGET, DEFAULT_ORDER_BUDGET
+from .words import DEFAULT_IDENTITY_BUDGET, DEFAULT_ORDER_BUDGET, DEFAULT_SEARCH_BUDGET
 from .words import BudgetExhausted, InfiniteOrder, Word
 
 EXIT_OK = 0
@@ -31,7 +31,6 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 DEFAULT_LEVEL = 4
-DEFAULT_SEARCH_BUDGET = 2000
 
 
 class _Reporter:
@@ -327,7 +326,7 @@ def _cmd_sub(args, preset, rep) -> int:
 def _cmd_wm(args, preset, rep) -> int:
     if args.cmd == "rist-search":
         v = parse_vertex(args.vertex, preset.degree)
-        g = construction.rist_element_search(v, preset, budget=args.budget)
+        g = next(construction.iter_rist_elements(v, preset, args.budget), None)
         if g is None:
             rep.emit({"word": None, "undecided": True}, "not found (budget exhausted)")
             return EXIT_UNDECIDED
@@ -352,18 +351,8 @@ def _cmd_wm(args, preset, rep) -> int:
     if args.cmd == "build":
         q = _handle(preset, args.q_gens)
         seeds = [parse_vertex(t, preset.degree) for t in args.avoid_vertex]
-        level = args.level
-        if level is None:
-            level = construction.default_level(q, seeds, preset)
-        avoid = [
-            construction.parabolic_approximation(preset, s, level) for s in seeds
-        ]
         cert = construction.build_certificate(
-            q,
-            avoid,
-            preset,
-            rist_budget=args.budget,
-            verification_level=level,
+            q, seeds, preset, rist_budget=args.budget, verification_level=args.level
         )
         text = cert.to_json()
         if args.out:

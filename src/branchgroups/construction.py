@@ -3,9 +3,14 @@ level traps, staged certificates and conjugate-count bounds.
 
 Every search here is deterministic: candidates are generated breadth-first
 from the preset's branching generators by iterated commutators with
-generator letters, each certificate stage searches the one vertex its
-avoided ray forces, and all budgets are explicit and recorded in the
+generator letters, and all budgets are explicit, default to
+DEFAULT_SEARCH_BUDGET as on the command line, and are recorded in the
 results, so a certificate replays to the byte.
+
+A certificate is built from Q and seed vertices alone: the avoided
+subgroups are the stabilizers of the seeds' rays, every stage's level and
+vertices follow from Q and those rays before any search, and each stage
+searches the one vertex its avoided ray forces.
 
 Certificate soundness discipline: non-membership demonstrated in a level
 quotient is unconditional; equalities checked inside a quotient are
@@ -27,6 +32,7 @@ from .quotients import (
     orbit_transversal,
     perm_inverse,
     point_stabilizer_words,
+    quotient_order,
     word_perm,
 )
 from .subgroups import (
@@ -40,7 +46,7 @@ from .subgroups import (
     rist_support,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
-from .words import BudgetExhausted, InfiniteOrder, Word
+from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, InfiniteOrder, Word
 
 
 class CertificateBuildError(RuntimeError):
@@ -174,7 +180,7 @@ def _rist_stream(preset: GroupPreset, k: int, budget: int):
         )
 
 
-def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = 2000):
+def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = DEFAULT_SEARCH_BUDGET):
     """Yield verified elements of Rist(v), deterministically.
 
     Candidates found at other level-|v| vertices are transported by
@@ -196,11 +202,6 @@ def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = 2000):
         if g.factors not in emitted and in_rigid_stabilizer(g, v):
             emitted.add(g.factors)
             yield g
-
-
-def rist_element_search(v: Vertex, preset: GroupPreset, budget: int = 2000) -> Word | None:
-    """First nontrivial element of Rist(v) found within budget, or None."""
-    return next(iter_rist_elements(v, preset, budget), None)
 
 
 # -- pullback of a subgroup through the first-section projection ----------
@@ -233,7 +234,7 @@ def pullback_subgroup(
     k: int,
     n: int,
     preset: GroupPreset,
-    budget: int = 3000,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> PullbackResult:
     """Words of Stab(k) whose first section's image lies in delta's image.
 
@@ -317,7 +318,7 @@ def trap_subgroup(
     q: SubgroupHandle,
     k: int,
     preset: GroupPreset,
-    budget: int = 3000,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> SubgroupHandle:
     """Build a Stab(k)-subgroup with no fixed vertex at level k+1.
 
@@ -327,21 +328,23 @@ def trap_subgroup(
     word that carries a child-moving section, one per level-k vertex, so
     the fixed set at level k+1 is demonstrably empty.  Membership is
     checked at level k + 2.
+
+    Such a word exists iff |G/St(k+1)| > |G/St(k)|, which is checked first,
+    so the unbounded ball search below always ends.
     """
+    if quotient_order(preset, k + 1) == quotient_order(preset, k):
+        raise CertificateBuildError(0, f"no level-{k} stabilizer moves level {k + 1}")
     n = k + 2
     delta = SubgroupHandle(q.generators, membership_level=n, label="delta")
     pulled = pullback_subgroup(delta, k, n, preset, budget=budget)
     gens = list(pulled.handle.generators)
 
-    base = None
     for w in enumerate_reduced_words(preset):
         if w.factors and w.fixes_level(k):
             moved = first_moved_vertex((w,), k + 1)
             if moved is not None:
                 base, base_support = w, moved[:-1]
                 break
-    if base is None:
-        raise CertificateBuildError(0, f"no level-{k} stabilizer with a moving section found")
     transporters = orbit_transversal(preset, base_support)
     for v in level_vertices(preset.degree, k):
         m = transporters.get(v)
@@ -560,41 +563,31 @@ def _stage_skeleton(
     return skeleton
 
 
-def default_level(q: SubgroupHandle, seeds: list[Vertex], preset: GroupPreset) -> int:
-    """Membership and verification level for an avoid list of seed vertices:
-    two levels under the deepest stage of the skeleton, at least 4 and at
-    least the longest seed."""
-    skeleton = _stage_skeleton(finite_subgroup_elements(q), seeds, preset)
-    return max([4] + [k + 2 for k, _, _ in skeleton] + [len(s) for s in seeds])
-
-
 def build_certificate(
     q: SubgroupHandle,
-    avoid: list[SubgroupHandle],
+    seeds: list[Vertex],
     preset: GroupPreset,
-    rist_budget: int = 4000,
+    rist_budget: int = DEFAULT_SEARCH_BUDGET,
     verification_level: int | None = None,
 ) -> WMCertificate:
-    """Run the staged construction against the avoid list.
+    """Run the staged construction for Q against the rays through the seeds.
 
-    Each W_i must be the stabilizer of a vertex x_i at its membership level,
-    as `parabolic_approximation` builds it.  The stage levels and vertices
-    come first, from `_stage_skeleton`.  An element of Rist(v) fixes every
-    vertex outside the subtree at v, so only v_i, the level-k_i prefix of
-    x_i, can carry an element escaping W_i: stage i tries the first
-    `_CANDIDATES_PER_VERTEX` elements of Rist(v_i) and keeps the first that
-    moves x_i (an exact refutation).
+    The stage levels and vertices come first, from `_stage_skeleton`.  The
+    level n, unless given, is two under the deepest stage, at least 4 and at
+    least the longest seed; W_i is the level-n stabilizer of seed i extended
+    by zeros, x_i, as `parabolic_approximation` builds it.  An element of
+    Rist(v) fixes every vertex outside the subtree at v, so only v_i, the
+    level-k_i prefix of x_i, can carry an element escaping W_i: stage i
+    tries the first `_CANDIDATES_PER_VERTEX` elements of Rist(v_i) and keeps
+    the first that moves x_i (an exact refutation).
     """
-    for i, w_avoid in enumerate(avoid, start=1):
-        x = w_avoid.vertex
-        if x is None or len(x) != w_avoid.membership_level:
-            raise CertificateBuildError(i, f"avoid subgroup {i} is not a vertex stabilizer")
-    skeleton = _stage_skeleton(
-        finite_subgroup_elements(q), [h.vertex for h in avoid], preset
-    )
+    skeleton = _stage_skeleton(finite_subgroup_elements(q), seeds, preset)
+    if verification_level is None:
+        verification_level = max([4] + [k + 2 for k, _, _ in skeleton] + [len(s) for s in seeds])
+    avoid = [parabolic_approximation(preset, s, verification_level) for s in seeds]
     stages: list[CertificateStage] = []
     for i, ((k, v, u), w_avoid) in enumerate(zip(skeleton, avoid), start=1):
-        if w_avoid.membership_level <= k:
+        if verification_level <= k:
             raise CertificateBuildError(
                 i, f"avoid subgroup {i} membership level must exceed stage level {k}"
             )
@@ -605,8 +598,6 @@ def build_certificate(
                 i, f"no rigid-stabilizer element escaping avoid subgroup {i} at level {k}"
             )
         stages.append(CertificateStage(k=k, v=v, w=w, u=u))
-    if verification_level is None:
-        verification_level = max([4] + [s.k + 2 for s in stages])
     return WMCertificate(
         preset_fingerprint=preset.fingerprint(),
         q_generators=q.generators,
@@ -839,7 +830,7 @@ _CONJBOUND_ORDER_BUDGET = 20000  # order recursion nodes per candidate gamma
 
 
 def conjugate_count_lower_bound(
-    h: SubgroupHandle, n: int, budget: int = 300
+    h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ConjugateBound:
     """Count distinct level-n conjugates of h's image by powers of an
     escaping prime-power element.

@@ -55,7 +55,7 @@ class GroupPreset:
     generators: tuple[GeneratorRecursion, ...]
     reduction_rules: tuple[tuple[Factors, Factors], ...]
     branching_generators: tuple[Factors, ...]
-    contracting_certified: bool = False
+    contracting_certified: bool = False  # recorded in the fingerprint; no budget trusts it
     name: str = ""
 
     # -- derived tables ---------------------------------------------------

@@ -27,7 +27,7 @@ from .quotients import (
     word_perm,
 )
 from .tree import Vertex, format_vertex, level_vertices
-from .words import Word, expand_factors
+from .words import DEFAULT_SEARCH_BUDGET, Word, expand_factors
 
 
 class NotInLevelStabilizerError(ValueError):
@@ -278,7 +278,7 @@ def enumerate_reduced_words(preset: GroupPreset):
 
 
 def conjugate_escaping(
-    h: SubgroupHandle, gamma: Word, n: int, budget: int = 2000
+    h: SubgroupHandle, gamma: Word, n: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> Word | None:
     """A word f with the level-n image of f gamma f^-1 outside h's image.
 

@@ -12,9 +12,9 @@ right-to-left pass over its letters, cached as one record per word.
 
 The word problem is solved by closing a word's set of iterated sections:
 an element is trivial iff every word in the closure has a trivial root
-permutation.  On contracting-certified presets the closure is finite and
-the recursion runs unbounded; otherwise an explicit node budget applies
-and exhaustion raises BudgetExhausted.
+permutation.  A node budget applies on every preset, DEFAULT_IDENTITY_BUDGET
+when none is given: a preset's claim to be contracting is recorded, not
+trusted, and exhaustion raises BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .tree import Vertex, format_vertex
 
 DEFAULT_IDENTITY_BUDGET = 200_000
 DEFAULT_ORDER_BUDGET = 100_000
+DEFAULT_SEARCH_BUDGET = 2000  # candidates tried by every search in the library and CLI
 
 
 class BudgetExhausted(Exception):
@@ -159,13 +160,14 @@ def is_identity_factors(
     """True iff the word acts trivially on the whole tree.
 
     Closes the word under first-level sections; triviality holds iff every
-    member of the closure has a trivial root permutation.
+    member of the closure has a trivial root permutation.  The budget bounds
+    the distinct sections in the closure; None means DEFAULT_IDENTITY_BUDGET.
     """
     cache = preset._identity_cache
     known = cache.get(factors)
     if known is not None:
         return known
-    if budget is None and not preset.contracting_certified:
+    if budget is None:
         budget = DEFAULT_IDENTITY_BUDGET
     trivial_perm = tuple(range(preset.degree))
     seen = {factors}
@@ -183,7 +185,7 @@ def is_identity_factors(
             if s and s not in seen:
                 seen.add(s)
                 stack.append(s)
-                if budget is not None and len(seen) > budget:
+                if len(seen) > budget:
                     raise BudgetExhausted("is_identity", budget)
     for f in seen:
         cache[f] = True

@@ -1,11 +1,15 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from branchgroups import construction
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
@@ -14,6 +18,9 @@ from branchgroups.cli import (
     build_parser,
     run_command,
 )
+from branchgroups.presets import grigorchuk_preset
+from branchgroups.subgroups import SubgroupHandle
+from branchgroups.tree import parse_vertex
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BUDGETED = {
@@ -203,9 +210,25 @@ def _readme_subcommands(marker):
     }
 
 
+def _readme_budget_defaults():
+    """{"group cmd": N} for the "default N" of every item in the README's
+    budget list; an item names its subcommands in its first code span."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("Budgeted subcommands"):].split("\n\n", 1)[0]
+    defaults = {}
+    for item in block.split("\n- ")[1:]:
+        group, cmds = re.match(r"`(\w+) ([\w|-]+)`", item).groups()
+        n = int(re.search(r"default (\d+)", item).group(1))
+        defaults.update((f"{group} {cmd}", n) for cmd in cmds.split("|"))
+    return defaults
+
+
 def test_readme_names_the_registered_subcommands():
-    assert _readme_subcommands("Subcommands:") == set(_subcommands())
+    subs = _subcommands()
+    assert _readme_subcommands("Subcommands:") == set(subs)
     assert _readme_subcommands("Budgeted subcommands") == BUDGETED
+    parser_defaults = {name: subs[name].get_default("budget") for name in BUDGETED}
+    assert _readme_budget_defaults() == parser_defaults
 
 
 # A preset that claims to be contracting but is not: a = (a^2, 1), whose
@@ -223,6 +246,52 @@ def test_claimed_contracting_preset_stops_at_budget(tmp_path, capsys, cmd):
     path.write_text(json.dumps(RUNAWAY))
     code, out = run(capsys, "elem", cmd, "--preset", str(path), "--budget", "50", "a")
     assert (code, out) == (EXIT_UNDECIDED, "undecided (budget exhausted)")
+
+
+# is_identity with no budget stops at DEFAULT_IDENTITY_BUDGET, whatever the
+# preset claims.
+UNTRUSTED_CLAIM = """
+import json, sys
+import branchgroups.words as words
+from branchgroups.presets import preset_from_dict
+
+words.DEFAULT_IDENTITY_BUDGET = 50
+word = words.Word.from_str(preset_from_dict(json.loads(sys.argv[1])), "a")
+try:
+    word.is_identity()
+except words.BudgetExhausted as exc:
+    print(exc.budget)
+"""
+
+
+def test_claimed_contracting_preset_gets_the_default_identity_budget():
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", UNTRUSTED_CLAIM, json.dumps(RUNAWAY)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert run.stdout.split() == ["50"]
+
+
+# G = <a> has order 2: a swaps the two subtrees rigidly and b = (b, b) is
+# trivial, so no level-1 stabilizer moves level 2 and no trap base word exists.
+FROZEN = {
+    "degree": 2,
+    "generators": [
+        {"name": "a", "root_perm": [1, 0], "sections": ["", ""]},
+        {"name": "b", "root_perm": [0, 1], "sections": ["b", "b"]},
+    ],
+    "rules": [{"lhs": "a a", "rhs": ""}],
+}
+
+
+def test_wm_trap_without_a_moving_stabilizer_exits_2(tmp_path, capsys):
+    path = tmp_path / "frozen.json"
+    path.write_text(json.dumps(FROZEN))
+    argv = ["wm", "trap", "--preset", str(path), "--gens", "a", "--k", "1", "--budget", "10"]
+    assert run_command(argv) == EXIT_USAGE
+    assert "no level-1 stabilizer moves level 2" in capsys.readouterr().err
 
 
 def test_definition_file_as_preset(tmp_path, capsys):
@@ -436,6 +505,28 @@ def test_wm_build_certificate_is_pinned(capsys, tmp_path, preset, q_gens, seeds,
     code, path = _build_to_file(capsys, tmp_path, preset, q_gens, seeds, extra)
     assert code == EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_wm_build_plans_the_stages_once(capsys, tmp_path, monkeypatch):
+    calls = {"finite_subgroup_elements": 0, "_stage_skeleton": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(construction, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(construction, name, counted)
+    code, _ = _build_to_file(capsys, tmp_path, "grigorchuk", ["a"], ["00", "01", "10"], [])
+    assert code == EXIT_OK
+    assert calls == {"finite_subgroup_elements": 1, "_stage_skeleton": 1}
+
+
+def test_library_build_writes_the_wm_build_bytes(capsys, tmp_path):
+    code, path = _build_to_file(capsys, tmp_path, "grigorchuk", ["a"], ["00", "01", "10"], [])
+    assert code == EXIT_OK
+    G = grigorchuk_preset()
+    seeds = [parse_vertex(s, 2) for s in ("00", "01", "10")]
+    cert = construction.build_certificate(SubgroupHandle.from_strings(G, ["a"]), seeds, G)
+    assert cert.to_json().encode() == path.read_bytes()
 
 
 def test_wm_build_default_level_follows_the_stages(capsys, tmp_path):

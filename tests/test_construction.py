@@ -10,14 +10,12 @@ from branchgroups.construction import (
     _stage_skeleton,
     build_certificate,
     conjugate_count_lower_bound,
-    default_level,
     finite_subgroup_elements,
     fix_separation_witness,
     iter_rist_elements,
     level_trap_check,
     parabolic_approximation,
     pullback_subgroup,
-    rist_element_search,
     transporter_word,
     trap_subgroup,
     validate_certificate,
@@ -25,11 +23,19 @@ from branchgroups.construction import (
 from branchgroups.presets import grigorchuk_preset
 from branchgroups.subgroups import SubgroupHandle, in_rigid_stabilizer
 from branchgroups.tree import level_vertices, parse_vertex
-from branchgroups.words import Word
+from branchgroups.words import DEFAULT_SEARCH_BUDGET, Word
 
 
 def Q_a(preset):
     return SubgroupHandle.from_strings(preset, ["a"])
+
+
+def _first_rist(v, preset, budget=DEFAULT_SEARCH_BUDGET):
+    """The first element of Rist(v) that `wm rist-search` reports, or None."""
+    return next(iter_rist_elements(v, preset, budget), None)
+
+
+REFERENCE_SEEDS = [parse_vertex(s, 2) for s in ("00", "01", "10")]
 
 
 # -- transporters ----------------------------------------------------------
@@ -50,7 +56,7 @@ def test_transporter_moves_vertex(grig):
 def test_rist_search_grigorchuk_all_vertices(grig):
     for k in (1, 2, 3):
         for v in level_vertices(2, k):
-            g = rist_element_search(v, grig)
+            g = _first_rist(v, grig)
             assert g is not None
             assert in_rigid_stabilizer(g, v)
             assert not g.is_identity()
@@ -58,28 +64,28 @@ def test_rist_search_grigorchuk_all_vertices(grig):
 
 def test_rist_search_level_four(grig):
     v = parse_vertex("1000", 2)
-    g = rist_element_search(v, grig)
+    g = _first_rist(v, grig)
     assert g is not None and in_rigid_stabilizer(g, v)
 
 
 def test_rist_search_gupta_sidki(gs):
     for vstr in ("0", "2", "01"):
         v = parse_vertex(vstr, 3)
-        g = rist_element_search(v, gs, budget=6000)
+        g = _first_rist(v, gs, budget=6000)
         assert g is not None and in_rigid_stabilizer(g, v)
 
 
 def test_rist_search_zero_budget(grig):
     p = grigorchuk_preset()  # fresh preset: no warm cache
-    assert rist_element_search((0,), p, budget=0) is None
+    assert _first_rist((0,), p, budget=0) is None
 
 
 def test_rist_search_does_not_depend_on_earlier_budgets():
     # A stream grown under a larger budget must not serve a smaller one.
-    fresh = rist_element_search((0, 0, 0), grigorchuk_preset(), budget=1)
+    fresh = _first_rist((0, 0, 0), grigorchuk_preset(), budget=1)
     p = grigorchuk_preset()
-    assert rist_element_search((0, 0, 0), p, budget=4000) is not None
-    assert rist_element_search((0, 0, 0), p, budget=1) == fresh
+    assert _first_rist((0, 0, 0), p, budget=4000) is not None
+    assert _first_rist((0, 0, 0), p, budget=1) == fresh
     assert fresh is None
 
 
@@ -97,7 +103,7 @@ def test_iter_rist_yields_distinct_verified(grig):
 
 def test_rist_search_rejects_root(grig):
     with pytest.raises(ValueError):
-        rist_element_search((), grig)
+        _first_rist((), grig)
 
 
 # -- pullback --------------------------------------------------------------
@@ -204,17 +210,13 @@ def test_finite_subgroup_cap(grig):
 @pytest.fixture(scope="module")
 def grig_cert():
     preset = grigorchuk_preset()
-    q = SubgroupHandle.from_strings(preset, ["a"])
-    avoid = [
-        parabolic_approximation(preset, parse_vertex(s, 2), 6)
-        for s in ("00", "01", "10")
-    ]
-    cert = build_certificate(q, avoid, preset, verification_level=6)
-    return preset, cert
+    return preset, build_certificate(Q_a(preset), REFERENCE_SEEDS, preset)
 
 
 def test_certificate_stages(grig_cert):
     _, cert = grig_cert
+    assert cert.verification_level == 6
+    assert [h.vertex for h in cert.avoid] == [s + (0,) * (6 - len(s)) for s in REFERENCE_SEEDS]
     assert [s.k for s in cert.stages] == [2, 3, 4]
     assert ["".join(map(str, s.v)) for s in cert.stages] == ["00", "010", "1000"]
     assert ["".join(map(str, s.u)) for s in cert.stages] == ["01", "011", "0110"]
@@ -301,16 +303,8 @@ def test_empty_avoid_list_gives_stageless_certificate(grig):
 
 
 def test_avoid_level_must_exceed_stage_level(grig):
-    shallow = parabolic_approximation(grig, parse_vertex("00", 2), 2)
     with pytest.raises(CertificateBuildError):
-        build_certificate(Q_a(grig), [shallow], grig)
-
-
-@pytest.mark.parametrize("level", [6, None])
-def test_avoid_handle_without_vertex_rejected(grig, level):
-    handle = SubgroupHandle.from_strings(grig, ["b", "c"], membership_level=level)
-    with pytest.raises(CertificateBuildError, match="avoid subgroup 1 is not a vertex stabilizer"):
-        build_certificate(Q_a(grig), [handle], grig)
+        build_certificate(Q_a(grig), [parse_vertex("00", 2)], grig, verification_level=2)
 
 
 def _reference_avoid(preset):
@@ -319,7 +313,7 @@ def _reference_avoid(preset):
 
 def test_stage_skeleton_needs_only_q_and_seeds(grig):
     q_elems = finite_subgroup_elements(Q_a(grig))
-    skeleton = _stage_skeleton(q_elems, [parse_vertex(s, 2) for s in ("00", "01", "10")], grig)
+    skeleton = _stage_skeleton(q_elems, REFERENCE_SEEDS, grig)
     assert [(k, "".join(map(str, v)), "".join(map(str, u))) for k, v, u in skeleton] == [
         (2, "00", "01"), (3, "010", "011"), (4, "1000", "0110"),
     ]
@@ -328,11 +322,15 @@ def test_stage_skeleton_needs_only_q_and_seeds(grig):
 
 def test_default_level_is_two_under_the_deepest_stage(grig):
     seeds = [parse_vertex(s, 2) for s in ("00", "01")]
-    assert default_level(SubgroupHandle.from_strings(grig, ["a", "d"]), seeds, grig) == 7
-    assert default_level(Q_a(grig), seeds, grig) == 5
-    assert default_level(Q_a(grig), [parse_vertex("0000000", 2)], grig) == 7
+
+    def level(q, seeds):
+        return build_certificate(q, seeds, grig).verification_level
+
+    assert level(SubgroupHandle.from_strings(grig, ["a", "d"]), seeds) == 7
+    assert level(Q_a(grig), seeds) == 5
+    assert level(Q_a(grig), [parse_vertex("0000000", 2)]) == 7
     with pytest.raises(CertificateBuildError, match="stage 0"):
-        default_level(SubgroupHandle((Word.identity(grig),)), seeds, grig)
+        level(SubgroupHandle((Word.identity(grig),)), seeds)
 
 
 def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
@@ -346,7 +344,7 @@ def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
         for x in level_vertices(2, k):
             if x == v:
                 continue
-            candidates = list(islice(iter_rist_elements(x, grig, 4000), _CANDIDATES_PER_VERTEX))
+            candidates = list(islice(iter_rist_elements(x, grig), _CANDIDATES_PER_VERTEX))
             assert len(candidates) == _CANDIDATES_PER_VERTEX
             assert all(w_avoid.contains_at_level(g) for g in candidates)
 
@@ -422,11 +420,5 @@ def test_certificate_build_deterministic():
     texts = []
     for _ in range(2):
         preset = grigorchuk_preset()
-        q = SubgroupHandle.from_strings(preset, ["a"])
-        avoid = [
-            parabolic_approximation(preset, parse_vertex(s, 2), 6)
-            for s in ("00", "01", "10")
-        ]
-        cert = build_certificate(q, avoid, preset, verification_level=6)
-        texts.append(cert.to_json())
+        texts.append(build_certificate(Q_a(preset), REFERENCE_SEEDS, preset).to_json())
     assert texts[0] == texts[1]
