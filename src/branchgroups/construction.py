@@ -25,8 +25,9 @@ from itertools import islice
 
 from .presets import GroupPreset
 from .quotients import (
-    PermSubgroup,
     Perm,
+    StabChain,
+    _check_level,
     compose,
     image_subgroup,
     orbit_transversal,
@@ -250,10 +251,7 @@ def pullback_subgroup(
     found: list[Word] = []
     tested = 0
     exhausted = True
-    for w in enumerate_reduced_words(preset):
-        if tested >= budget:
-            break
-        tested += 1
+    for tested, w in enumerate(islice(enumerate_reduced_words(preset), budget), start=1):
         if not w.factors or not w.fixes_level(k):
             continue
         if delta.contains_at_level(w.section(first)):
@@ -614,12 +612,9 @@ def build_certificate(
 # -- certificate validation -----------------------------------------------
 
 
-def _normal_closure(
-    seed: list[Perm], group_gens: list[Perm], level: int, npoints: int
-) -> PermSubgroup:
+def _normal_closure(seed: list[Perm], group_gens: list[Perm], npoints: int) -> StabChain:
     """The normal closure of seed inside <group_gens>."""
-    identity = tuple(range(npoints))
-    ncl = PermSubgroup(level, [g for g in seed if g != identity] or [identity], npoints)
+    ncl = StabChain(npoints, seed)
     frontier = list(ncl.gens)
     conjugators = [(h, perm_inverse(h)) for h in group_gens]
     while frontier:
@@ -670,10 +665,12 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     orders; the normal closure lies inside it iff every w_i fixes level k1,
     which is checked exactly, so equal orders mean equal groups.
     Clause 3 (nesting and subtree fixing) is exact to the verification depth;
-    the subtree check reads one fixed-tree walk per stage.
+    the subtree check reads one fixed-tree walk per stage.  A verification
+    level past the level cap raises LevelCapExceeded before any clause.
     """
     clauses: list[ClauseResult] = []
     n = cert.verification_level
+    _check_level(preset, n)
 
     def add(name, passed, detail=""):
         clauses.append(ClauseResult(name=name, passed=passed, detail=detail))
@@ -760,11 +757,10 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
         k1 = cert.stages[0].k
         m = max(n, k1)
         h_words = list(cert.q_generators) + [s.w for s in cert.stages]
-        # The certificate sets its own level; the default cap does not apply.
-        h_m = image_subgroup(h_words, m, level_cap=m)
-        kernel_order = h_m.order() // image_subgroup(h_words, k1, level_cap=m).order()
+        h_m = image_subgroup(h_words, m)
+        kernel_order = h_m.order() // image_subgroup(h_words, k1).order()
         w_perms = [word_perm(s.w, m) for s in cert.stages]
-        ncl_group = _normal_closure(w_perms, h_m.gens, m, preset.degree**m)
+        ncl_group = _normal_closure(w_perms, h_m.gens, preset.degree**m)
         inside = all(s.w.fixes_level(k1) for s in cert.stages)
         add(
             "normal-closure-equality",
@@ -842,13 +838,8 @@ def conjugate_count_lower_bound(
     """
     preset = h.preset
     base_img = h.image(n)
-    tried = 0
-    for gamma in enumerate_reduced_words(preset):
-        if tried >= budget:
-            break
-        if not gamma.factors:
-            continue
-        tried += 1
+    gammas = (g for g in enumerate_reduced_words(preset) if g.factors)
+    for gamma in islice(gammas, budget):
         try:
             m = gamma.order(_CONJBOUND_ORDER_BUDGET)
         except (BudgetExhausted, InfiniteOrder):
@@ -863,7 +854,7 @@ def conjugate_count_lower_bound(
         else:
             f = Word.identity(preset)
         g = gamma.conjugate_by(f)
-        images: list[PermSubgroup] = []
+        images: list[StabChain] = []
         for i in range(m):
             conj = h.conjugated(g**i)
             img = conj.image(n)

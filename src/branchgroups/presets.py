@@ -119,10 +119,6 @@ class GroupPreset:
         return {}
 
     @cached_property
-    def _apply_cache(self) -> dict:
-        return {}
-
-    @cached_property
     def _letter_cache(self) -> dict:
         return {}
 

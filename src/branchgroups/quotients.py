@@ -10,17 +10,22 @@ goes through `compose`, an `itemgetter` gather that runs in C; on a
 one-point domain, where the gather would return a bare item, it builds the
 tuple itself.
 
-Stabilizer chains are built by incremental Schreier-Sims.  Every level
-keeps its orbit as a list, a coset representative for each orbit point and
-the representative's inverse, so a sift costs one gather per level.
-A new generator extends the orbit in place, and only the Schreier
-generators of the new (point, generator) pairs are sifted into the level
-below: old representatives never change and lower levels only grow, so
-the old pairs stay sifted.  Base points are the smallest point moved by
-the residue that opens a level, and generators and pairs are processed in
-a fixed order, so the chain is deterministic.  The base order follows the
-order in which generators arrive; orders and membership do not depend on
-it, and no output shows it.
+Every subgroup of a level quotient is a `StabChain`, built by incremental
+Schreier-Sims.  Every level keeps its orbit as a list, a coset
+representative for each orbit point and the representative's inverse, so a
+sift costs one gather per level.  A new generator extends the orbit in
+place, and only the Schreier generators of the new (point, generator)
+pairs are sifted into the level below: old representatives never change
+and lower levels only grow, so the old pairs stay sifted.  Base points are
+the smallest point moved by the residue that opens a level, and generators
+and pairs are processed in a fixed order, so the chain is deterministic.
+The base order follows the order in which generators arrive; orders and
+membership do not depend on it, and no output shows it.
+
+Level-transitivity is one orbit walk from the vertex 0...0, with no chain.
+Every quotient level, and every depth of a fixed-tree walk, is checked
+against the fixed LEVEL_CAP before any work, so neither runs past that
+level whoever calls it.
 """
 
 from __future__ import annotations
@@ -34,22 +39,18 @@ from .words import Word
 
 Perm = tuple[int, ...]
 
-DEFAULT_LEVEL_CAP = 10
+LEVEL_CAP = 10
 
 
 class LevelCapExceeded(ValueError):
-    """Guard against accidental huge quotients; override explicitly."""
+    """A level beyond LEVEL_CAP: its quotient or tree walk could exhaust memory."""
 
 
-def _check_level(preset: GroupPreset, n: int, level_cap: int | None):
+def _check_level(preset: GroupPreset, n: int):
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    cap = DEFAULT_LEVEL_CAP if level_cap is None else level_cap
-    if preset.degree ** n > preset.degree ** cap:
-        raise LevelCapExceeded(
-            f"level {n} exceeds cap {cap} for degree {preset.degree}; "
-            "pass an explicit level_cap to override"
-        )
+    if n > LEVEL_CAP and preset.degree > 1:
+        raise LevelCapExceeded(f"level {n} exceeds cap {LEVEL_CAP} for degree {preset.degree}")
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -173,16 +174,19 @@ def _min_moved(p: Perm) -> int:
 
 
 class StabChain:
-    """Deterministic stabilizer chain with membership sifting.
+    """A subgroup of a level quotient: a deterministic stabilizer chain
+    with exact order and membership sifting.
 
-    Level i holds the orbit of its base point under its own generators;
-    the group at level i + 1 is the stabilizer of that point in the group
-    at level i.
+    `gens` lists the generators that enlarged the group, in the order they
+    arrived.  Level i holds the orbit of its base point under its own
+    generators; the group at level i + 1 is the stabilizer of that point in
+    the group at level i.
     """
 
     def __init__(self, npoints: int, gens):
         self.npoints = npoints
         self.identity = tuple(range(npoints))
+        self.gens: list[Perm] = []
         self.levels: list[_Orbit] = []
         for g in gens:
             self.add(g)
@@ -193,9 +197,11 @@ class StabChain:
         New Schreier generators are worked off depth first on an explicit
         stack, so each is sifted only through levels that are complete.
         """
+        g = tuple(g)
         stack: list = []
-        if not self._absorb(tuple(g), 0, stack):
+        if not self._absorb(g, 0, stack):
             return False
+        self.gens.append(g)
         while stack:
             i, pending = stack[-1]
             s = next(pending, None)
@@ -235,99 +241,46 @@ class StabChain:
     def base(self) -> list[int]:
         return [lvl.beta for lvl in self.levels]
 
-
-class PermSubgroup:
-    """A subgroup of a level quotient with exact order and membership."""
-
-    def __init__(self, level: int, gens, npoints: int):
-        self.level = level
-        self.npoints = npoints
-        self.gens = [tuple(g) for g in gens]
-        self.chain = StabChain(npoints, self.gens)
-
-    def add(self, g: Perm) -> bool:
-        """Extend the subgroup by g; False if g was already a member."""
-        g = tuple(g)
-        if not self.chain.add(g):
-            return False
-        self.gens.append(g)
-        return True
-
-    def order(self) -> int:
-        return self.chain.order()
-
-    def contains(self, p: Perm) -> bool:
-        return self.chain.contains(p)
-
-    def contains_subgroup(self, other: "PermSubgroup") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
-    def equals(self, other: "PermSubgroup") -> bool:
-        return self.order() == other.order() and self.contains_subgroup(other)
-
-    def orbits(self) -> list[list[int]]:
-        seen = [False] * self.npoints
-        out = []
-        for start in range(self.npoints):
-            if seen[start]:
-                continue
-            seen[start] = True
-            orbit = [start]
-            for u in orbit:  # grows while it is walked: breadth first
-                for g in self.gens:
-                    v = g[u]
-                    if not seen[v]:
-                        seen[v] = True
-                        orbit.append(v)
-            out.append(sorted(orbit))
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "order": str(self.order()),
-            "orbit_sizes": sorted((len(o) for o in self.orbits()), reverse=True),
-        }
+    def equals(self, other: "StabChain") -> bool:
+        return self.order() == other.order() and all(self.contains(g) for g in other.gens)
 
 
-def image_subgroup(words, n: int, level_cap: int | None = None) -> PermSubgroup:
+def image_subgroup(words, n: int) -> StabChain:
     """Level-n image subgroup generated by the given words."""
     words = list(words)
     if not words:
         raise ValueError("image_subgroup needs at least one word (may be identity)")
     preset = words[0].preset
-    _check_level(preset, n, level_cap)
-    return PermSubgroup(n, [word_perm(w, n) for w in words], preset.degree ** n)
+    _check_level(preset, n)
+    return StabChain(preset.degree ** n, [word_perm(w, n) for w in words])
 
 
-def full_level_group(preset: GroupPreset, n: int, level_cap: int | None = None) -> PermSubgroup:
+def full_level_group(preset: GroupPreset, n: int) -> StabChain:
     gens = [Word.generator(preset, g) for g in preset.gen_names]
-    return image_subgroup(gens, n, level_cap)
+    return image_subgroup(gens, n)
 
 
-def quotient_order(preset: GroupPreset, n: int, level_cap: int | None = None) -> int:
+def quotient_order(preset: GroupPreset, n: int) -> int:
     """|G / Stab_G(n)| via the stabilizer chain of the level image."""
     if n == 0:
         return 1
-    return full_level_group(preset, n, level_cap).order()
+    return full_level_group(preset, n).order()
 
 
-def is_level_transitive(preset: GroupPreset, n: int, level_cap: int | None = None) -> bool:
-    """True iff the level-n image has a single orbit."""
-    if n == 0:
-        return True
-    grp = full_level_group(preset, n, level_cap)
-    return len(grp.orbits()) == 1
+def is_level_transitive(preset: GroupPreset, n: int) -> bool:
+    """True iff the level-n vertices form one orbit: one orbit walk."""
+    _check_level(preset, n)
+    return len(orbit_transversal(preset, (0,) * n)) == preset.degree ** n
 
 
-def subgroup_index_in_quotient(words, n: int, level_cap: int | None = None) -> int:
+def subgroup_index_in_quotient(words, n: int) -> int:
     """Index of the words' image inside the full level-n quotient."""
     words = list(words)
     if not words:
         raise ValueError("need a preset context; pass the identity word for the trivial subgroup")
     preset = words[0].preset
-    full = quotient_order(preset, n, level_cap)
-    sub = image_subgroup(words, n, level_cap).order()
+    full = quotient_order(preset, n)
+    sub = image_subgroup(words, n).order()
     q, r = divmod(full, sub)
     if r:
         raise AssertionError("subgroup order does not divide group order")
@@ -358,9 +311,7 @@ def orbit_transversal(
     return reps
 
 
-def point_stabilizer_words(
-    v: Vertex, n: int, preset: GroupPreset, level_cap: int | None = None
-) -> list[Word]:
+def point_stabilizer_words(v: Vertex, n: int, preset: GroupPreset) -> list[Word]:
     """Schreier generators (as words) of the stabilizer of v at level n.
 
     Coset representative words are built by deterministic BFS over the
@@ -369,7 +320,7 @@ def point_stabilizer_words(
     """
     if len(v) != n:
         raise ValueError(f"vertex {format_vertex(v)} is not at level {n}")
-    _check_level(preset, n, level_cap)
+    _check_level(preset, n)
     gens = [Word.generator(preset, g) for g in preset.gen_names]
     if n == 0:
         return gens

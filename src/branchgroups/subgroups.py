@@ -17,10 +17,11 @@ tie-breaking, so results replay exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .presets import GroupPreset
 from .quotients import (
-    PermSubgroup,
+    StabChain,
     _check_level,
     image_subgroup,
     subgroup_index_in_quotient,
@@ -69,10 +70,10 @@ class SubgroupHandle:
     def from_strings(cls, preset: GroupPreset, texts, **kw) -> "SubgroupHandle":
         return cls(tuple(Word.from_str(preset, t) for t in texts), **kw)
 
-    def image(self, n: int, level_cap: int | None = None) -> PermSubgroup:
+    def image(self, n: int) -> StabChain:
         got = self._images.get(n)
         if got is None:
-            got = self._images[n] = image_subgroup(self.words, n, level_cap)
+            got = self._images[n] = image_subgroup(self.words, n)
         return got
 
     def fixed_points(self, n: int) -> list[Vertex]:
@@ -80,7 +81,6 @@ class SubgroupHandle:
         in lexicographic order."""
         got = self._fixed.get(n)
         if got is None:
-            _check_level(self.preset, n, None)
             *_, got = fixed_levels(self.words, n)
             self._fixed[n] = got
         return got
@@ -143,10 +143,10 @@ def fixed_levels(words, depth: int):
     The walk descends through fixed vertices only: child x of a fixed vertex
     is fixed iff every word's section there fixes x at the root.  Each vertex
     carries the distinct nontrivial sections, read from the cached tables.
+    The depth is checked against the level cap before the first level.
     """
-    if depth < 0:
-        raise ValueError(f"level must be >= 0, got {depth}")
     preset = words[0].preset
+    _check_level(preset, depth)
     level = [((), tuple(dict.fromkeys(w.factors for w in words if w.factors)))]
     yield [()]
     for _ in range(depth):
@@ -236,9 +236,7 @@ def rist_support(g: Word, k: int) -> Vertex | None:
     return support if next(scan, None) is None else None
 
 
-def index_growth_profile(
-    h: SubgroupHandle, n_max: int, level_cap: int | None = None
-) -> list[int]:
+def index_growth_profile(h: SubgroupHandle, n_max: int) -> list[int]:
     """Indices of the image subgroup in the level quotient, levels 1..n_max.
 
     A strictly increasing tail is evidence of infinite index; a constant
@@ -246,7 +244,7 @@ def index_growth_profile(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return [subgroup_index_in_quotient(h.words, n, level_cap) for n in range(1, n_max + 1)]
+    return [subgroup_index_in_quotient(h.words, n) for n in range(1, n_max + 1)]
 
 
 def enumerate_reduced_words(preset: GroupPreset):
@@ -291,11 +289,7 @@ def conjugate_escaping(
     if h.membership_level is not None and h.membership_level > n:
         raise ValueError("membership level exceeds the check level")
     img = h.image(n)
-    tried = 0
-    for f in enumerate_reduced_words(gamma.preset):
-        if tried >= budget:
-            return None
-        tried += 1
+    for f in islice(enumerate_reduced_words(gamma.preset), budget):
         if not img.contains(word_perm(gamma.conjugate_by(f), n)):
             return f
     return None

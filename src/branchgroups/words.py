@@ -5,10 +5,11 @@ section rule (gh)_v = g_{h(v)} h_v.  Under this convention the Grigorchuk
 recursion reads b = (a, c), c = (a, d), d = (1, b) exactly as constructed
 by the preset.
 
-Every walk over the tree reads the first-level expansion of a reduced word,
-its root permutation and its d reduced first-level sections.  A per-letter
-table on the preset holds each letter's expansion; a word's expansion is one
-right-to-left pass over its letters, cached as one record per word.
+Every walk over the tree, the image of a vertex included, reads the
+first-level expansion of a reduced word, its root permutation and its d
+reduced first-level sections.  A per-letter table on the preset holds each
+letter's expansion; a word's expansion is one right-to-left pass over its
+letters, cached as one record per word.
 
 The word problem is solved by closing a word's set of iterated sections:
 an element is trivial iff every word in the closure has a trivial root
@@ -94,24 +95,14 @@ def root_perm_of(preset: GroupPreset, factors: Factors) -> tuple[int, ...]:
 
 
 def apply_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Vertex:
-    """Image of vertex v under the word, rightmost factor applied first;
-    one cached step per (letter, vertex)."""
-    if not v:
-        return v
-    cache = preset._apply_cache
-    letters = preset._letter_cache
-    for f in reversed(factors):
-        key = (f, v)
-        got = cache.get(key)
-        if got is None:
-            try:
-                perm, sections = letters[f]
-            except KeyError:
-                perm, sections = _letter(preset, f)
-            got = (perm[v[0]],) + apply_factors(preset, sections[v[0]][::-1], v[1:])
-            cache[key] = got
-        v = got
-    return v
+    """Image of vertex v under the word: for each letter x of v, the image
+    of x under the word's root permutation, then on to its section at x."""
+    out = []
+    for x in v:
+        perm, sections = expand_factors(preset, factors)
+        out.append(perm[x])
+        factors = sections[x]
+    return tuple(out)
 
 
 def expand_factors(

@@ -1,8 +1,9 @@
-"""The functions the bench tracer wraps must still exist in the library.
+"""The functions the bench tracer wraps, and the attributes its hooks
+read, must still exist in the library.
 
 `bench/tracing.py` names every traced function by module and attribute
-path; a deleted or renamed function would only show up as a crash of
-`bench/run.py --trace 1`.  The tracer file is read, not imported as a
+path; a deleted or renamed function or attribute would only show up as a
+crash of `bench/run.py --trace 1`.  The tracer file is read, not imported as a
 package, so nothing under `bench/` is written.
 """
 
@@ -11,6 +12,10 @@ import runpy
 from pathlib import Path
 
 import pytest
+
+from branchgroups.presets import grigorchuk_preset
+from branchgroups.quotients import StabChain
+from branchgroups.subgroups import SubgroupHandle
 
 TRACING = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "tracing.py"))
 TRACED = TRACING["TIMED"] + TRACING["GENERATORS"] + TRACING["COUNTED"]
@@ -28,3 +33,11 @@ def test_traced_function_resolves(metric, module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_attributes_the_tracer_hooks_read_exist():
+    # The hooks read a chain's `base()` and test `n in handle._images`.
+    assert StabChain(2, [(1, 0)]).base() == [0]
+    handle = SubgroupHandle.from_strings(grigorchuk_preset(), ["a"])
+    handle.image(1)
+    assert 1 in handle._images

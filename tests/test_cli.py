@@ -19,6 +19,7 @@ from branchgroups.cli import (
     run_command,
 )
 from branchgroups.presets import grigorchuk_preset
+from branchgroups.quotients import LEVEL_CAP
 from branchgroups.subgroups import SubgroupHandle
 from branchgroups.tree import parse_vertex
 
@@ -389,6 +390,28 @@ def test_validate_needs_one_avoid_per_stage(capsys, tmp_path, reference_certific
     assert code == EXIT_FALSE
     assert lines[-1] == "failed"
     assert lines[2].startswith("[FAIL] one-avoid-per-stage: ")
+
+
+def test_validate_caps_the_verification_level(capsys, tmp_path, reference_certificate):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(reference_certificate, verification_level=40)))
+    assert run_command(["wm", "validate", str(path)]) == EXIT_USAGE
+    assert f"level 40 exceeds cap {LEVEL_CAP}" in capsys.readouterr().err
+
+
+# d fixes a vertex at every level, so an uncapped walk would visit a fixed
+# tree that doubles per level.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sub", "fix", "--gens", "d", "--depth", "26"],
+        ["sub", "fixlevel", "--gens", "d", "--max-level", "26"],
+        ["wm", "separate", "--gens-a", "d", "--gens-b", "d", "--depth", "26"],
+    ],
+)
+def test_tree_walks_cap_the_depth(capsys, argv):
+    assert run_command(argv) == EXIT_USAGE
+    assert f"level 26 exceeds cap {LEVEL_CAP}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
