@@ -240,6 +240,7 @@ def _cmd_elem(args, preset, rep) -> int:
         return EXIT_OK
     if args.cmd == "portrait":
         w = _word(preset, args.word)
+        quotients._check_level(preset, args.depth)
         data = w.portrait(args.depth).to_dict()
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
         return EXIT_OK

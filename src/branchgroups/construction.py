@@ -47,7 +47,7 @@ from .subgroups import (
     rist_support,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
-from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, InfiniteOrder, Word
+from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, InfiniteOrder, Word, root_perm_of
 
 
 class CertificateBuildError(RuntimeError):
@@ -252,9 +252,10 @@ def pullback_subgroup(
     tested = 0
     exhausted = True
     for tested, w in enumerate(islice(enumerate_reduced_words(preset), budget), start=1):
-        if not w.factors or not w.fixes_level(k):
+        sections = w.level_sections(k)
+        if not w.factors or sections is None:
             continue
-        if delta.contains_at_level(w.section(first)):
+        if delta.contains_at_level(Word(preset, sections.get(first, ()), True)):
             found.append(w)
             if len(found) >= _PULLBACK_GENERATORS:
                 exhausted = False
@@ -337,12 +338,13 @@ def trap_subgroup(
     pulled = pullback_subgroup(delta, k, n, preset, budget=budget)
     gens = list(pulled.handle.generators)
 
-    for w in enumerate_reduced_words(preset):
-        if w.factors and w.fixes_level(k):
-            moved = first_moved_vertex((w,), k + 1)
-            if moved is not None:
-                base, base_support = w, moved[:-1]
-                break
+    trivial = tuple(range(preset.degree))
+    for base in enumerate_reduced_words(preset):
+        sections = base.level_sections(k) or {}
+        moving = (u for u, f in sections.items() if root_perm_of(preset, f) != trivial)
+        base_support = next(moving, None)
+        if base_support is not None:
+            break
     transporters = orbit_transversal(preset, base_support)
     for v in level_vertices(preset.degree, k):
         m = transporters.get(v)

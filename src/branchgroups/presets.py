@@ -111,10 +111,6 @@ class GroupPreset:
         return {}
 
     @cached_property
-    def _identity_cache(self) -> dict:
-        return {}
-
-    @cached_property
     def _order_cache(self) -> dict:
         return {}
 

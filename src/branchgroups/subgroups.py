@@ -3,6 +3,7 @@ stabilizers, index evidence and escaping conjugates.
 
 Which vertices a list of words fixes is answered by one walk,
 `fixed_levels`, which descends from the root through fixed vertices only.
+One word's section tuple and rigid stabilizers read `Word.level_sections`.
 
 Membership in an abstractly defined subgroup is always answered inside a
 finite level quotient: non-membership at any level is exact, membership at
@@ -28,7 +29,7 @@ from .quotients import (
     word_perm,
 )
 from .tree import Vertex, format_vertex, level_vertices
-from .words import DEFAULT_SEARCH_BUDGET, Word, expand_factors
+from .words import DEFAULT_SEARCH_BUDGET, Word, expand_factors, is_identity_factors
 
 
 class NotInLevelStabilizerError(ValueError):
@@ -204,34 +205,32 @@ def psi_sections(g: Word, k: int) -> list[Word]:
     Requires g to fix level k exactly; otherwise the tuple would not be a
     well-defined image under the level-k embedding.
     """
-    verts = level_vertices(g.preset.degree, k)
-    moved = first_moved_vertex((g,), k)
-    if moved is not None:
+    _check_level(g.preset, k)  # the tuple has d^k entries
+    sections = g.level_sections(k)
+    if sections is None:
+        moved = first_moved_vertex((g,), k)
         raise NotInLevelStabilizerError(
             f"word moves level-{k} vertex {format_vertex(moved)}"
         )
-    return [g.section(v) for v in verts]
-
-
-def _nontrivial_sections(g: Word, k: int, skip: Vertex | None = None):
-    """Lexicographic level-k vertices but `skip` where g's section is
-    nontrivial, lazily.  g must fix level k."""
     verts = level_vertices(g.preset.degree, k)
-    return (u for u in verts if u != skip and not g.section(u).is_identity())
+    return [Word(g.preset, sections.get(v, ()), True) for v in verts]
 
 
 def in_rigid_stabilizer(g: Word, v: Vertex) -> bool:
     """True iff g fixes level |v| and acts trivially outside the subtree at v."""
-    k = len(v)
-    return g.fixes_level(k) and next(_nontrivial_sections(g, k, v), None) is None
+    sections = g.level_sections(len(v))
+    return sections is not None and all(
+        is_identity_factors(g.preset, f) for u, f in sections.items() if u != v
+    )
 
 
 def rist_support(g: Word, k: int) -> Vertex | None:
     """The level-k vertex v with g in Rist(v) and g|_v nontrivial, if any.
     The scan stops at a second nontrivial section."""
-    if not g.fixes_level(k):
+    sections = g.level_sections(k)
+    if sections is None:
         return None
-    scan = _nontrivial_sections(g, k)
+    scan = (u for u, f in sections.items() if not is_identity_factors(g.preset, f))
     support = next(scan, None)
     return support if next(scan, None) is None else None
 

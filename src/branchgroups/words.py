@@ -5,24 +5,24 @@ section rule (gh)_v = g_{h(v)} h_v.  Under this convention the Grigorchuk
 recursion reads b = (a, c), c = (a, d), d = (1, b) exactly as constructed
 by the preset.
 
-Every walk over the tree, the image of a vertex included, reads the
-first-level expansion of a reduced word, its root permutation and its d
-reduced first-level sections.  A per-letter table on the preset holds each
-letter's expansion; a word's expansion is one right-to-left pass over its
-letters, cached as one record per word.
+Every walk over the tree, the image of a vertex and the root permutation
+included, reads the first-level expansion of a reduced word: its root
+permutation and d reduced first-level sections, from one right-to-left
+pass over its letters through a per-letter table, cached per word.  Level
+and rigid stabilizers and level-n sections read `Word.level_sections`.
 
 The word problem is solved by closing a word's set of iterated sections:
 an element is trivial iff every word in the closure has a trivial root
 permutation.  A node budget applies on every preset, DEFAULT_IDENTITY_BUDGET
 when none is given: a preset's claim to be contracting is recorded, not
-trusted, and exhaustion raises BudgetExhausted.
+trusted, and exhaustion raises BudgetExhausted.  No answer is memoized, so
+the outcome depends only on the preset, the word and the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .presets import Factors, GroupPreset
 from .tree import Vertex, format_vertex
@@ -81,17 +81,7 @@ def _letter(preset: GroupPreset, factor) -> tuple[tuple[int, ...], tuple[Factors
 
 def root_perm_of(preset: GroupPreset, factors: Factors) -> tuple[int, ...]:
     """The permutation induced on the first level (leftmost factor last)."""
-    perm = tuple(range(preset.degree))
-    if preset.degree == 1:
-        return perm  # itemgetter with one index returns an item, not a tuple
-    letters = preset._letter_cache
-    for f in factors:
-        try:
-            p = letters[f][0]
-        except KeyError:
-            p = _letter(preset, f)[0]
-        perm = itemgetter(*p)(perm)
-    return perm
+    return expand_factors(preset, factors)[0]
 
 
 def apply_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Vertex:
@@ -154,32 +144,21 @@ def is_identity_factors(
     member of the closure has a trivial root permutation.  The budget bounds
     the distinct sections in the closure; None means DEFAULT_IDENTITY_BUDGET.
     """
-    cache = preset._identity_cache
-    known = cache.get(factors)
-    if known is not None:
-        return known
     if budget is None:
         budget = DEFAULT_IDENTITY_BUDGET
     trivial_perm = tuple(range(preset.degree))
     seen = {factors}
     stack = [factors]
     while stack:
-        f = stack.pop()
-        cached = cache.get(f)
-        if cached is True:
-            continue
-        if cached is False or root_perm_of(preset, f) != trivial_perm:
-            cache[f] = False
-            cache[factors] = False
+        perm, sections = expand_factors(preset, stack.pop())
+        if perm != trivial_perm:
             return False
-        for s in expand_factors(preset, f)[1]:
+        for s in sections:
             if s and s not in seen:
                 seen.add(s)
                 stack.append(s)
                 if len(seen) > budget:
                     raise BudgetExhausted("is_identity", budget)
-    for f in seen:
-        cache[f] = True
     return True
 
 
@@ -400,21 +379,29 @@ class Word:
     def is_identity(self, budget: int | None = None) -> bool:
         return is_identity_factors(self.preset, self.factors, budget)
 
-    def fixes_level(self, n: int) -> bool:
-        """True iff every level-n vertex is fixed, that is, iff every section
-        above level n has a trivial root permutation.  Walks the distinct
-        section words level by level, so nothing of size d^n is built.  The
-        frontier is an insertion-ordered dict, not a set, so the walk and its
-        work do not depend on string hashing."""
+    def level_sections(self, n: int) -> dict[Vertex, Factors] | None:
+        """The nonempty reduced sections at level n, keyed by vertex in
+        lexicographic order, or None if the word moves a vertex of level
+        <= n, that is, if some section above level n has a nontrivial root
+        permutation.  Only vertices with a nonempty section are walked, so
+        the work follows the word's length, not d^n."""
         preset = self.preset
         trivial = tuple(range(preset.degree))
-        frontier = {self.factors: None}
+        level = {(): self.factors} if self.factors else {}
         for _ in range(n):
-            frontier.pop((), None)
-            if any(root_perm_of(preset, f) != trivial for f in frontier):
-                return False
-            frontier = dict.fromkeys(s for f in frontier for s in expand_factors(preset, f)[1])
-        return True
+            below = {}
+            for v, f in level.items():
+                if root_perm_of(preset, f) != trivial:
+                    return None
+                for x, s in enumerate(expand_factors(preset, f)[1]):
+                    if s:
+                        below[v + (x,)] = s
+            level = below
+        return level
+
+    def fixes_level(self, n: int) -> bool:
+        """True iff every level-n vertex is fixed."""
+        return self.level_sections(n) is not None
 
     def portrait(self, n: int) -> Portrait:
         return portrait_factors(self.preset, self.factors, n)

@@ -400,13 +400,15 @@ def test_validate_caps_the_verification_level(capsys, tmp_path, reference_certif
 
 
 # d fixes a vertex at every level, so an uncapped walk would visit a fixed
-# tree that doubles per level.
+# tree that doubles per level; a section tuple and a portrait have d^n entries.
 @pytest.mark.parametrize(
     "argv",
     [
         ["sub", "fix", "--gens", "d", "--depth", "26"],
         ["sub", "fixlevel", "--gens", "d", "--max-level", "26"],
         ["wm", "separate", "--gens-a", "d", "--gens-b", "d", "--depth", "26"],
+        ["sub", "psi", "a a", "--level", "26"],
+        ["elem", "portrait", "a", "--depth", "26"],
     ],
 )
 def test_tree_walks_cap_the_depth(capsys, argv):

@@ -16,7 +16,7 @@ from branchgroups.quotients import (
     subgroup_index_in_quotient,
     word_perm,
 )
-from branchgroups.presets import preset_from_dict
+from branchgroups.presets import builtin_preset, preset_from_dict
 from branchgroups.words import Word
 
 from conftest import random_word
@@ -189,6 +189,47 @@ def test_closed_form_orders_at_deeper_levels(grig, gs):
     assert quotient_order(grig, 7) == 2**82
     assert quotient_order(grig, 8) == 2**162
     assert quotient_order(gs, 5) == 3**55
+
+
+def _rank_mod_p(rows, p):
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows[rank:] if r[col] % p), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[col], -1, p)
+        pivot = [x * inv % p for x in pivot]
+        rows = [[(x - r[col] * y) % p for x, y in zip(r, pivot)] for r in rows]
+        rows.insert(rank, pivot)
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize(
+    "name, levels",
+    [
+        ("gupta-sidki", (2, 3, 4, 5)),
+        ("ggs:3:1,0", (2, 3, 4, 5)),
+        ("ggs:5:1,0,0,1", (2, 3)),
+        ("ggs:5:1,2,0,0", (2, 3)),
+    ],
+)
+def test_ggs_quotient_orders_match_closed_form(name, levels):
+    # Fernandez-Alcober and Zugadi-Reizabal (2014): for the GGS group with
+    # defining vector e over F_p, log_p |G : St(n)| = t p^(n-2) + 1
+    # - delta (p^(n-2) - 1)/(p - 1) for n >= 2, where t is the rank of the
+    # circulant matrix of (e_1, ..., e_(p-1), 0) and delta = 1 iff e is
+    # symmetric.  e is read off b = (a^e_1, ..., a^e_(p-1), b).
+    preset = builtin_preset(name)
+    p = preset.degree
+    e = tuple(sum(k for _, k in s) % p for s in preset.gen_map["b"].sections[:-1])
+    row = (*e, 0)
+    t = _rank_mod_p([row[-i:] + row[:-i] for i in range(p)], p)
+    delta = int(e == e[::-1])
+    for n in levels:
+        exponent = t * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
+        assert quotient_order(preset, n) == p**exponent
 
 
 def _random_letters_word(preset, rng, max_len):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchgroups import subgroups
 from branchgroups.construction import parabolic_approximation
 from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset
 from branchgroups.quotients import LevelCapExceeded, word_perm
@@ -19,6 +20,7 @@ from branchgroups.subgroups import (
     index_growth_profile,
     minimal_non_fixing_level,
     psi_sections,
+    rist_support,
 )
 from branchgroups.tree import level_vertices
 from branchgroups.words import Word
@@ -83,6 +85,22 @@ def test_in_rigid_stabilizer(grig):
     assert not in_rigid_stabilizer(Word.from_str(grig, "b"), (1,))
     # identity is in every rigid stabilizer by the predicate
     assert in_rigid_stabilizer(Word.identity(grig), (0, 1))
+
+
+def test_rigid_stabilizer_predicates_enumerate_no_level(grig, monkeypatch):
+    # Both read the word's nonempty sections, never the d^k level vertices.
+    def no_enumeration(d, n):
+        raise AssertionError(f"level {n} enumerated")
+
+    monkeypatch.setattr(subgroups, "level_vertices", no_enumeration)
+    deep = (0,) * 30
+    trivial, d = Word.from_str(grig, "a a"), Word.from_str(grig, "d")
+    assert in_rigid_stabilizer(trivial, deep)
+    assert rist_support(trivial, 30) is None
+    assert not in_rigid_stabilizer(d, deep)
+    assert rist_support(d, 30) is None
+    assert in_rigid_stabilizer(d, (1,))
+    assert rist_support(d, 1) == (1,)
 
 
 def test_index_growth_profile(grig):

@@ -519,11 +519,26 @@ def test_memo_tables_hold_canonical_letters(name, rng):
     words = [
         *sections,
         *preset._section_cache,
-        *preset._identity_cache,
         *preset._order_cache,
     ]
     assert len(sections) > 30
     assert all(preset.letters[f] is f for word in words for f in word)
+
+
+def test_bounded_identity_replays_whatever_ran_before(grig):
+    # (a c)^8 is trivial but not emptied by reduction; at budgets 1 and 2 its
+    # section closure does not fit, whether or not it was decided before.
+    def outcome(preset, budget):
+        try:
+            return (W(preset, "a c") ** 8).is_identity(budget)
+        except BudgetExhausted:
+            return "undecided"
+
+    assert (W(grig, "a c") ** 8).factors
+    assert (W(grig, "a c") ** 8).is_identity()
+    for budget in range(1, 6):
+        assert outcome(grig, budget) == outcome(grigorchuk_preset(), budget)
+    assert [outcome(grig, b) for b in (1, 2, 3)] == ["undecided", "undecided", True]
 
 
 def degree_one_preset():
@@ -614,6 +629,18 @@ def words_fixing_some_levels(draw):
 def test_fixes_level_matches_vertex_action(w, n):
     expected = all(w.apply(v) == v for v in level_vertices(w.preset.degree, n))
     assert w.fixes_level(n) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_fixing_some_levels(), st.integers(0, 5))
+def test_level_sections_match_sections_and_action(w, n):
+    vertices = level_vertices(w.preset.degree, n)
+    if any(w.apply(v) != v for v in vertices):
+        assert w.level_sections(n) is None
+    else:
+        expected = {v: w.section(v).factors for v in vertices if w.section(v).factors}
+        assert w.level_sections(n) == expected
+        assert list(w.level_sections(n)) == list(expected)
 
 
 FIXES_LEVEL_WORK = """
