@@ -10,6 +10,9 @@ only on `elem order|identity`, `sub escape` and
 `wm rist-search|pullback|trap|build|conjbound`.  Every JSON report embeds
 the preset fingerprint and, on those subcommands, the budget it ran with,
 so identical invocations reproduce byte-identical output.
+
+A malformed preset file or certificate is a usage error (exit 2); only
+`group validate` reads a preset file unchecked, to report its issues.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import sys
 
 from . import construction, quotients, subgroups
-from .presets import GroupPreset, builtin_preset, load_preset, validate_preset
+from .presets import GroupPreset, _preset_from_dict, builtin_preset, load_preset, validate_preset
 from .tree import format_vertex, parse_vertex
 from .words import DEFAULT_IDENTITY_BUDGET, DEFAULT_ORDER_BUDGET, DEFAULT_SEARCH_BUDGET
 from .words import BudgetExhausted, InfiniteOrder, Word
@@ -49,10 +52,14 @@ class _Reporter:
             print(text)
 
 
-def _resolve_preset(source: str) -> GroupPreset:
-    if os.path.exists(source):
-        return load_preset(source)
-    return builtin_preset(source)
+def _resolve_preset(args) -> GroupPreset:
+    if not os.path.exists(args.preset):
+        return builtin_preset(args.preset)
+    if (args.group_cmd, args.cmd) == ("group", "validate"):
+        # reports a malformed file's issues, which every other command refuses
+        with open(args.preset, encoding="utf-8") as fh:
+            return _preset_from_dict(json.load(fh))
+    return load_preset(args.preset)
 
 
 def _word(preset: GroupPreset, text: str) -> Word:
@@ -269,7 +276,7 @@ def _cmd_quotient(args, preset, rep) -> int:
         rep.emit({"level": args.level, "index": str(m)}, str(m))
         return EXIT_OK
     v = parse_vertex(args.vertex, preset.degree)
-    words = quotients.point_stabilizer_words(v, len(v), preset)
+    words = quotients.point_stabilizer_words(preset, v)
     payload = {"vertex": format_vertex(v), "generators": [str(w) for w in words]}
     rep.emit(payload, "\n".join(str(w) for w in words))
     return EXIT_OK
@@ -336,15 +343,13 @@ def _cmd_wm(args, preset, rep) -> int:
     if args.cmd == "pullback":
         delta_level = args.delta_level if args.delta_level is not None else args.level
         delta = _handle(preset, args.gens, level=delta_level)
-        result = construction.pullback_subgroup(
-            delta, args.k, args.level, preset, budget=args.budget
-        )
+        result = construction.pullback_subgroup(delta, args.k, args.level, budget=args.budget)
         data = result.to_dict()
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
         return EXIT_OK
     if args.cmd == "trap":
         q = _handle(preset, args.gens)
-        h = construction.trap_subgroup(q, args.k, preset, budget=args.budget)
+        h = construction.trap_subgroup(q, args.k, budget=args.budget)
         report = construction.level_trap_check(h, args.k, args.l)
         data = {"subgroup": h.to_dict(), "check": report.to_dict()}
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
@@ -353,7 +358,7 @@ def _cmd_wm(args, preset, rep) -> int:
         q = _handle(preset, args.q_gens)
         seeds = [parse_vertex(t, preset.degree) for t in args.avoid_vertex]
         cert = construction.build_certificate(
-            q, seeds, preset, rist_budget=args.budget, verification_level=args.level
+            q, seeds, rist_budget=args.budget, verification_level=args.level
         )
         text = cert.to_json()
         if args.out:
@@ -401,7 +406,7 @@ _DISPATCH = {
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        preset = _resolve_preset(args.preset)
+        preset = _resolve_preset(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,7 +10,8 @@ results, so a certificate replays to the byte.
 A certificate is built from Q and seed vertices alone: the avoided
 subgroups are the stabilizers of the seeds' rays, every stage's level and
 vertices follow from Q and those rays before any search, and each stage
-searches the one vertex its avoided ray forces.
+searches the one vertex its avoided ray forces.  A stage's level is the
+length of its vertex; reading a file refuses a stage whose k or u disagrees.
 
 Certificate soundness discipline: non-membership demonstrated in a level
 quotient is unconditional; equalities checked inside a quotient are
@@ -25,6 +26,7 @@ from itertools import islice
 
 from .presets import GroupPreset
 from .quotients import (
+    LEVEL_CAP,
     Perm,
     StabChain,
     _check_level,
@@ -231,11 +233,7 @@ class PullbackResult:
 
 
 def pullback_subgroup(
-    delta: SubgroupHandle,
-    k: int,
-    n: int,
-    preset: GroupPreset,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    delta: SubgroupHandle, k: int, n: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> PullbackResult:
     """Words of Stab(k) whose first section's image lies in delta's image.
 
@@ -247,6 +245,7 @@ def pullback_subgroup(
         raise ValueError(f"verification level {n} must exceed k={k}")
     if delta.membership_level is None:
         raise ValueError("delta needs a membership level")
+    preset = delta.preset
     first = tuple([0] * k)
     found: list[Word] = []
     tested = 0
@@ -314,10 +313,7 @@ def level_trap_check(h: SubgroupHandle, k: int, l: int) -> TrapReport:
 
 
 def trap_subgroup(
-    q: SubgroupHandle,
-    k: int,
-    preset: GroupPreset,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    q: SubgroupHandle, k: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> SubgroupHandle:
     """Build a Stab(k)-subgroup with no fixed vertex at level k+1.
 
@@ -331,11 +327,12 @@ def trap_subgroup(
     Such a word exists iff |G/St(k+1)| > |G/St(k)|, which is checked first,
     so the unbounded ball search below always ends.
     """
+    preset = q.preset
     if quotient_order(preset, k + 1) == quotient_order(preset, k):
         raise CertificateBuildError(0, f"no level-{k} stabilizer moves level {k + 1}")
     n = k + 2
     delta = SubgroupHandle(q.generators, membership_level=n, label="delta")
-    pulled = pullback_subgroup(delta, k, n, preset, budget=budget)
+    pulled = pullback_subgroup(delta, k, n, budget=budget)
     gens = list(pulled.handle.generators)
 
     trivial = tuple(range(preset.degree))
@@ -400,10 +397,13 @@ def _orbit_vertices(q_elems: list[Word], v: Vertex) -> set[Vertex]:
 
 @dataclass(frozen=True)
 class CertificateStage:
-    k: int
     v: Vertex
     w: Word
     u: Vertex
+
+    @property
+    def k(self) -> int:
+        return len(self.v)
 
 
 @dataclass
@@ -448,13 +448,18 @@ class WMCertificate:
     def from_dict(cls, data: dict, preset: GroupPreset) -> "WMCertificate":
         stages = tuple(
             CertificateStage(
-                k=int(s["k"]),
                 v=parse_vertex(s["v"], preset.degree),
                 w=Word.from_str(preset, s["w"]),
                 u=parse_vertex(s["u"], preset.degree),
             )
             for s in data["stages"]
         )
+        for i, (s, stage) in enumerate(zip(data["stages"], stages), start=1):
+            if int(s["k"]) != stage.k or len(stage.u) != stage.k:
+                raise ValueError(
+                    f"stage {i}: k = {s['k']}, v = {s['v']!r} and u = {s['u']!r}"
+                    " are not all at one level"
+                )
         avoid = tuple(
             SubgroupHandle(
                 tuple(Word.from_str(preset, t) for t in h["generators"]),
@@ -490,7 +495,7 @@ def parabolic_approximation(
     if membership_level < len(v):
         raise ValueError("membership level must be at least the vertex level")
     extended = v + (0,) * (membership_level - len(v))
-    gens = point_stabilizer_words(extended, membership_level, preset)
+    gens = point_stabilizer_words(preset, extended)
     return SubgroupHandle(
         tuple(gens),
         membership_level=membership_level,
@@ -499,9 +504,6 @@ def parabolic_approximation(
     )
 
 
-# The deepest level tried for k1, and for a later stage's level.
-_MAX_K1 = 8
-_MAX_STAGE_LEVEL = 10
 # Rist candidates tested against an avoid subgroup at a stage vertex.
 _CANDIDATES_PER_VERTEX = 4
 
@@ -511,45 +513,36 @@ def _splits(q_elems: list[Word], verts: list[Vertex]) -> bool:
     return len(_orbit_vertices(q_elems, verts[0]) & set(verts)) < len(verts)
 
 
-def _choose_k1(q_elems: list[Word], preset: GroupPreset) -> int | None:
-    """Least level where Q meets the level stabilizer trivially and is not
-    transitive."""
-    nontrivial = [q for q in q_elems if q.factors]
-    if not nontrivial:
-        return None
-    for k in range(1, _MAX_K1 + 1):
-        if not any(q.fixes_level(k) for q in nontrivial):
-            if _splits(q_elems, level_vertices(preset.degree, k)):
-                return k
-    return None
+def _stage_skeleton(q_elems: list[Word], seeds: list[Vertex]) -> list[tuple[Vertex, Vertex]]:
+    """The (v_i, u_i) of every stage, from Q and the seed vertices alone.
 
-
-def _stage_skeleton(
-    q_elems: list[Word], seeds: list[Vertex], preset: GroupPreset
-) -> list[tuple[int, Vertex, Vertex]]:
-    """The (k_i, v_i, u_i) of every stage, from Q and the seed vertices alone.
-
-    k_1 is `_choose_k1`; each later k_i is the least deeper level where Q
-    does not act transitively on the vertices below Q(u_{i-1}).  v_i is the
-    level-k_i prefix of seed i extended by zeros, and u_i the least level-k_i
-    vertex below Q(u_{i-1}) and outside Q(v_i).
+    A stage at level k needs a verification level above k and at most
+    LEVEL_CAP, so no stage lies deeper than LEVEL_CAP - 1.  k_1 is the least
+    level where Q meets the level stabilizer trivially and is not
+    transitive; each later k_i is the least deeper level where Q does not
+    act transitively on the vertices below Q(u_{i-1}).  v_i is the level-k_i
+    prefix of seed i extended by zeros, and u_i the least level-k_i vertex
+    below Q(u_{i-1}) and outside Q(v_i).
     """
-    k1 = _choose_k1(q_elems, preset)
-    if k1 is None:
+
+    def below(level: int, tops) -> list[Vertex]:
+        verts = level_vertices(q_elems[0].preset.degree, level)
+        return verts if tops is None else [x for x in verts if any(vertex_leq(x, t) for t in tops)]
+
+    nontrivial = [q for q in q_elems if q.factors]
+    trivial_meet = (k for k in range(1, LEVEL_CAP) if not any(q.fixes_level(k) for q in nontrivial))
+    k1 = next((k for k in trivial_meet if _splits(q_elems, below(k, None))), None)
+    if not nontrivial or k1 is None:
         raise CertificateBuildError(
             0, "Q is trivial or never satisfies the level-selection conditions"
         )
 
-    def below(level: int, tops) -> list[Vertex]:
-        verts = level_vertices(preset.degree, level)
-        return verts if tops is None else [x for x in verts if any(vertex_leq(x, t) for t in tops)]
-
-    skeleton: list[tuple[int, Vertex, Vertex]] = []
+    skeleton: list[tuple[Vertex, Vertex]] = []
     tops = None  # Q(u_{i-1}); nothing restricts stage 1
     for i, seed in enumerate(seeds, start=1):
         k = k1
         if tops is not None:
-            deeper = range(skeleton[-1][0] + 1, _MAX_STAGE_LEVEL + 1)
+            deeper = range(len(skeleton[-1][0]) + 1, LEVEL_CAP)
             k = next((lvl for lvl in deeper if _splits(q_elems, below(lvl, tops))), None)
             if k is None:
                 raise CertificateBuildError(i, "no suitable next level found")
@@ -558,7 +551,7 @@ def _stage_skeleton(
         candidates_u = [x for x in below(k, tops) if x not in v_orbit]
         if not candidates_u:
             raise CertificateBuildError(i, "no admissible nested vertex u_i")
-        skeleton.append((k, v, candidates_u[0]))
+        skeleton.append((v, candidates_u[0]))
         tops = _orbit_vertices(q_elems, candidates_u[0])
     return skeleton
 
@@ -566,7 +559,6 @@ def _stage_skeleton(
 def build_certificate(
     q: SubgroupHandle,
     seeds: list[Vertex],
-    preset: GroupPreset,
     rist_budget: int = DEFAULT_SEARCH_BUDGET,
     verification_level: int | None = None,
 ) -> WMCertificate:
@@ -581,25 +573,25 @@ def build_certificate(
     tries the first `_CANDIDATES_PER_VERTEX` elements of Rist(v_i) and keeps
     the first that moves x_i (an exact refutation).
     """
-    skeleton = _stage_skeleton(finite_subgroup_elements(q), seeds, preset)
+    skeleton = _stage_skeleton(finite_subgroup_elements(q), seeds)
     if verification_level is None:
-        verification_level = max([4] + [k + 2 for k, _, _ in skeleton] + [len(s) for s in seeds])
-    avoid = [parabolic_approximation(preset, s, verification_level) for s in seeds]
+        verification_level = max([4] + [len(v) + 2 for v, _ in skeleton] + [len(s) for s in seeds])
+    avoid = [parabolic_approximation(q.preset, s, verification_level) for s in seeds]
     stages: list[CertificateStage] = []
-    for i, ((k, v, u), w_avoid) in enumerate(zip(skeleton, avoid), start=1):
-        if verification_level <= k:
+    for i, ((v, u), w_avoid) in enumerate(zip(skeleton, avoid), start=1):
+        if verification_level <= len(v):
             raise CertificateBuildError(
-                i, f"avoid subgroup {i} membership level must exceed stage level {k}"
+                i, f"avoid subgroup {i} membership level must exceed stage level {len(v)}"
             )
-        candidates = islice(iter_rist_elements(v, preset, rist_budget), _CANDIDATES_PER_VERTEX)
+        candidates = islice(iter_rist_elements(v, q.preset, rist_budget), _CANDIDATES_PER_VERTEX)
         w = next((g for g in candidates if not w_avoid.contains_at_level(g)), None)
         if w is None:
             raise CertificateBuildError(
-                i, f"no rigid-stabilizer element escaping avoid subgroup {i} at level {k}"
+                i, f"no rigid-stabilizer element escaping avoid subgroup {i} at level {len(v)}"
             )
-        stages.append(CertificateStage(k=k, v=v, w=w, u=u))
+        stages.append(CertificateStage(v=v, w=w, u=u))
     return WMCertificate(
-        preset_fingerprint=preset.fingerprint(),
+        preset_fingerprint=q.preset.fingerprint(),
         q_generators=q.generators,
         stages=tuple(stages),
         avoid=tuple(avoid),

@@ -13,6 +13,10 @@ instead of copying one tuple per factor.  The text
 syntax is whitespace-separated factors with optional ^-exponents
 ("a b a^-1"); a single run of one-letter generator names may also be written
 without spaces ("abab").
+
+A preset read from a definition dict or file is checked by
+`validate_preset` as it loads and refused with every issue listed; the
+shipped presets are built directly and skip the check.
 """
 
 from __future__ import annotations
@@ -270,6 +274,18 @@ def _tokenize(text: str, names) -> Factors:
 
 
 def preset_from_dict(data: dict) -> GroupPreset:
+    """The preset a definition dict describes; PresetError lists every issue
+    `validate_preset` finds, so a malformed preset never computes."""
+    preset = _preset_from_dict(data)
+    issues = validate_preset(preset)
+    if issues:
+        found = "; ".join(f"{i.code} at {i.location}: {i.message}" for i in issues)
+        raise PresetError(f"invalid preset: {found}")
+    return preset
+
+
+def _preset_from_dict(data: dict) -> GroupPreset:
+    """The preset a definition dict describes, unchecked."""
     try:
         degree = int(data["degree"])
         gen_specs = data["generators"]

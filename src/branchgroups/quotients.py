@@ -1,9 +1,10 @@
 """Finite level quotients as permutation groups on lexicographic level vertices.
 
 Permutations are one-line image tuples over the d^n level-n vertices in
-lexicographic order.  `word_perm` composes generator images; each
-generator's level-n image is built once from the wreath recursion and
-memoized on the preset, like the other memo tables.
+lexicographic order.  `word_perm` composes generator images, raising a
+letter's image to its exponent by repeated squaring; each generator's
+level-n image is built once from the wreath recursion and memoized on the
+preset, like the other memo tables.
 
 Every composition, in word images and in the stabilizer chain alike,
 goes through `compose`, an `itemgetter` gather that runs in C; on a
@@ -23,9 +24,9 @@ The base order follows the order in which generators arrive; orders and
 membership do not depend on it, and no output shows it.
 
 Level-transitivity is one orbit walk from the vertex 0...0, with no chain.
-Every quotient level, and every depth of a fixed-tree walk, is checked
-against the fixed LEVEL_CAP before any work, so neither runs past that
-level whoever calls it.
+Every quotient level, word image level and depth of a fixed-tree walk is
+checked against the fixed LEVEL_CAP before any work, so none runs past
+that level whoever calls it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from operator import itemgetter
 
 from .presets import Factors, GroupPreset
-from .tree import Vertex, format_vertex
+from .tree import Vertex
 from .words import Word
 
 Perm = tuple[int, ...]
@@ -96,16 +97,25 @@ def _factors_perm(preset: GroupPreset, factors: Factors, n: int) -> Perm:
     if n == 0:
         return perm  # the root is fixed; the wreath recursion ends here
     for g, e in factors:
-        image = _generator_perm(preset, g, e < 0, n)
-        for _ in range(abs(e)):
-            perm = compose(perm, image)
+        perm = compose(perm, _perm_power(_generator_perm(preset, g, e < 0, n), abs(e)))
     return perm
+
+
+def _perm_power(p: Perm, m: int) -> Perm:
+    """p^m for m >= 1 by repeated squaring; p itself when m = 1."""
+    out = None
+    while True:
+        if m & 1:
+            out = p if out is None else compose(out, p)
+        m >>= 1
+        if not m:
+            return out
+        p = compose(p, p)
 
 
 def word_perm(w: Word, n: int) -> Perm:
     """Image of a word on the lexicographic level-n vertices."""
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
+    _check_level(w.preset, n)
     return _factors_perm(w.preset, w.factors, n)
 
 
@@ -311,18 +321,16 @@ def orbit_transversal(
     return reps
 
 
-def point_stabilizer_words(v: Vertex, n: int, preset: GroupPreset) -> list[Word]:
-    """Schreier generators (as words) of the stabilizer of v at level n.
+def point_stabilizer_words(preset: GroupPreset, v: Vertex) -> list[Word]:
+    """Schreier generators (as words) of the stabilizer of v at its level.
 
     Coset representative words are built by deterministic BFS over the
-    level-n orbit of v; the returned words generate a subgroup whose
-    level-n image is exactly the point stabilizer of v.
+    level-|v| orbit of v; the returned words generate a subgroup whose
+    level-|v| image is exactly the point stabilizer of v.
     """
-    if len(v) != n:
-        raise ValueError(f"vertex {format_vertex(v)} is not at level {n}")
-    _check_level(preset, n)
+    _check_level(preset, len(v))
     gens = [Word.generator(preset, g) for g in preset.gen_names]
-    if n == 0:
+    if not v:
         return gens
     reps = orbit_transversal(preset, v)
     invs = {u: rep.inverse() for u, rep in reps.items()}

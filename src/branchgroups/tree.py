@@ -23,10 +23,6 @@ def check_degree(d: int) -> None:
         raise InvalidDegreeError(f"tree degree must be >= 2, got {d}")
 
 
-def level(v: Vertex) -> int:
-    return len(v)
-
-
 def parse_vertex(s: str, d: int | None = None) -> Vertex:
     """Parse a digit string into a vertex.  "" denotes the root."""
     if not all(c.isdigit() for c in s):

@@ -16,7 +16,9 @@ an element is trivial iff every word in the closure has a trivial root
 permutation.  A node budget applies on every preset, DEFAULT_IDENTITY_BUDGET
 when none is given: a preset's claim to be contracting is recorded, not
 trusted, and exhaustion raises BudgetExhausted.  No answer is memoized, so
-the outcome depends only on the preset, the word and the budget.
+the outcome depends only on the preset, the word and the budget.  Element
+orders are bounded the same way, by DEFAULT_ORDER_BUDGET recursion nodes
+when no budget is given.
 """
 
 from __future__ import annotations
@@ -177,9 +179,7 @@ def _power_factors(preset: GroupPreset, factors: Factors, m: int) -> Factors:
     return out
 
 
-def order_factors(
-    preset: GroupPreset, factors: Factors, budget: int | None = DEFAULT_ORDER_BUDGET
-) -> int:
+def order_factors(preset: GroupPreset, factors: Factors, budget: int | None = None) -> int:
     """Order of a reduced word: least m >= 1 with the m-th power trivial;
     arbitrary precision.
 
@@ -188,9 +188,10 @@ def order_factors(
     h_C = g_{pi^(c-1) x} ... g_{pi x} g_x.  The sections of g^c at the other
     points of C are conjugates of h_C, and g acts on the subtrees below
     different cycles independently, so ord(g) = lcm over C of c * ord(h_C).
-    A budget bounds the total number of recursion nodes; exhaustion (in
-    particular on a non-torsion element whose recursion does not close)
-    raises BudgetExhausted.
+    A budget bounds the total number of recursion nodes, None meaning
+    DEFAULT_ORDER_BUDGET; exhaustion (in particular on a non-torsion element
+    whose recursion does not close) raises BudgetExhausted, and so does a
+    recursion deeper than the interpreter's stack allows.
 
     Each step to h_C multiplies the path's multiplier by c, because
     c * ord(h_C) divides ord(g).  A word met again on its own recursion path
@@ -199,7 +200,12 @@ def order_factors(
     an equal multiplier (every cycle on the way has length 1) the constraint
     repeats the ancestor's and adds nothing.
     """
-    return _order_rec(preset, factors, 1, {}, budget, [0])[0]
+    if budget is None:
+        budget = DEFAULT_ORDER_BUDGET
+    try:
+        return _order_rec(preset, factors, 1, {}, budget, [0])[0]
+    except RecursionError:
+        raise BudgetExhausted("element_order", budget) from None
 
 
 _NO_BACKEDGE = 1 << 60
@@ -210,7 +216,7 @@ def _order_rec(
     f: Factors,
     mult: int,
     path: dict[Factors, tuple[int, int]],
-    budget: int | None,
+    budget: int,
     nodes: list[int],
 ) -> tuple[int, int]:
     """One node of order_factors: returns (order contribution, shallowest
@@ -225,7 +231,7 @@ def _order_rec(
     if got is not None:
         return got, _NO_BACKEDGE
     nodes[0] += 1
-    if budget is not None and nodes[0] > budget:
+    if nodes[0] > budget:
         raise BudgetExhausted("element_order", budget)
     hit = path.get(f)
     if hit is not None:
@@ -406,5 +412,5 @@ class Word:
     def portrait(self, n: int) -> Portrait:
         return portrait_factors(self.preset, self.factors, n)
 
-    def order(self, budget: int | None = DEFAULT_ORDER_BUDGET) -> int:
+    def order(self, budget: int | None = None) -> int:
         return order_factors(self.preset, self.factors, budget)

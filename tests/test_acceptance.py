@@ -138,7 +138,7 @@ def test_criterion_5_level_trap_desk_scale(verdict):
     detail = []
     for k in (1, 2, 3):
         start = time.monotonic()
-        h = trap_subgroup(q, k, preset)
+        h = trap_subgroup(q, k)
         report = level_trap_check(h, k, 1)
         elapsed = time.monotonic() - start
         ok = ok and report.passed and elapsed < 60
@@ -151,7 +151,7 @@ def _build_reference_certificate(level=6):
     preset = grigorchuk_preset()
     q = SubgroupHandle.from_strings(preset, ["a"])
     seeds = [parse_vertex(s, 2) for s in ("00", "01", "10")]
-    return preset, build_certificate(q, seeds, preset, verification_level=level)
+    return preset, build_certificate(q, seeds, verification_level=level)
 
 
 def test_criterion_6_certificate_round_trip(verdict):
@@ -194,8 +194,8 @@ def test_criterion_8_non_conjugacy_ladder(verdict):
     preset = grigorchuk_preset()
     q = SubgroupHandle.from_strings(preset, ["a"])
     start = time.monotonic()
-    h1 = trap_subgroup(q, 1, preset)
-    h2 = trap_subgroup(q, 2, preset)
+    h1 = trap_subgroup(q, 1)
+    h2 = trap_subgroup(q, 2)
     witness = fix_separation_witness(h1, h2, 4)
     elapsed = time.monotonic() - start
     verdict(8, "trap subgroups at k=1,2 are separated by fixed-vertex profiles",
@@ -207,9 +207,7 @@ def test_criterion_9_conjugate_count_bound(verdict):
     preset = grigorchuk_preset()
     start = time.monotonic()
     v = parse_vertex("0", 2) + (0, 0)
-    h = SubgroupHandle(
-        tuple(point_stabilizer_words(v, 3, preset)), membership_level=3
-    )
+    h = SubgroupHandle(tuple(point_stabilizer_words(preset, v)), membership_level=3)
     bound = conjugate_count_lower_bound(h, 3)
     distinct = len(bound.witness_orders) == bound.count
     elapsed = time.monotonic() - start
@@ -242,7 +240,7 @@ def test_criterion_11_determinism(verdict):
     for _ in range(2):
         preset = grigorchuk_preset()
         q = SubgroupHandle.from_strings(preset, ["a"])
-        payload = [trap_subgroup(q, k, preset).to_dict() for k in (1, 2, 3)]
+        payload = [trap_subgroup(q, k).to_dict() for k in (1, 2, 3)]
         traps.append(json.dumps(payload, sort_keys=True))
     verdict(11, "reruns reproduce byte-identical certificates",
             certs_equal and traps[0] == traps[1])

@@ -197,6 +197,11 @@ def test_option_surface():
     flags = {name: {f for a in p._actions for f in a.option_strings} for name, p in subs.items()}
     assert not any("--seed" in f for f in flags.values())
     assert {name for name, f in flags.items() if "--budget" in f} == BUDGETED
+    # every settable argument, positional or optional: a new one edits this count
+    settable = [
+        a for p in subs.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
+    ]
+    assert len(settable) == 100
 
 
 def _readme_subcommands(marker):
@@ -273,6 +278,52 @@ def test_claimed_contracting_preset_gets_the_default_identity_budget():
         timeout=60,
     )
     assert run.stdout.split() == ["50"]
+
+
+def test_claimed_contracting_preset_order_is_undecided_at_the_default_budget(tmp_path):
+    # The order recursion of a = (a^2, 1) outgrows the interpreter stack
+    # before the node budget: undecided, not a refutation and no traceback.
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(RUNAWAY))
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", "elem", "order", "--preset", str(path), "a"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_UNDECIDED
+    assert run.stdout.strip() == "undecided (budget exhausted)"
+    assert "Traceback" not in run.stderr
+
+
+# Malformed user presets: a root permutation that is not one, and a degree-2
+# generator with one section.
+MALFORMED = {
+    "not-a-permutation": {"degree": 2, "generators": [
+        {"name": "a", "root_perm": [0, 0], "sections": ["", ""]}]},
+    "wrong-section-count": {"degree": 2, "generators": [
+        {"name": "a", "root_perm": [1, 0], "sections": [""]}]},
+}
+
+
+@pytest.mark.parametrize("code", sorted(MALFORMED))
+@pytest.mark.parametrize(
+    "argv",
+    [["elem", "identity", "a"], ["elem", "apply", "a", "11"], ["quotient", "order", "--level", "3"]],
+)
+def test_malformed_preset_is_refused_when_it_loads(tmp_path, capsys, code, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[code]))
+    assert run_command([*argv, "--preset", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: invalid preset: {code} at generator a" in captured.err
+
+
+@pytest.mark.parametrize("code", sorted(MALFORMED))
+def test_group_validate_reports_a_malformed_preset(tmp_path, capsys, code):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[code]))
+    status, out = run(capsys, "group", "validate", "--preset", str(path))
+    assert status == EXIT_FALSE and out.startswith(f"{code} at generator a: ")
 
 
 # G = <a> has order 2: a swaps the two subtrees rigidly and b = (b, b) is
@@ -390,6 +441,30 @@ def test_validate_needs_one_avoid_per_stage(capsys, tmp_path, reference_certific
     assert code == EXIT_FALSE
     assert lines[-1] == "failed"
     assert lines[2].startswith("[FAIL] one-avoid-per-stage: ")
+
+
+# Each edit restates a stage level that the stage's vertices contradict.
+@pytest.mark.parametrize(
+    "edit, stage",
+    [
+        (lambda stages: stages[0].update(k=stages[0]["k"] - 1), 1),
+        (lambda stages: [s.update(k=s["k"] + 1) for s in stages], 1),
+        (lambda stages: stages[0].update(u="011"), 1),
+        (lambda stages: stages[-1].update(u="011"), 3),
+    ],
+    ids=["k1-lowered", "every-k-raised", "u1-deeper", "last-u-higher"],
+)
+def test_validate_refuses_a_stage_level_its_vertices_contradict(
+    capsys, tmp_path, reference_certificate, edit, stage
+):
+    assert _validate_lines(capsys, tmp_path, reference_certificate)[1][-1] == "passed"
+    data = json.loads(json.dumps(reference_certificate))
+    edit(data["stages"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert run_command(["wm", "validate", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: stage {stage}: ")
 
 
 def test_validate_caps_the_verification_level(capsys, tmp_path, reference_certificate):
@@ -550,7 +625,7 @@ def test_library_build_writes_the_wm_build_bytes(capsys, tmp_path):
     assert code == EXIT_OK
     G = grigorchuk_preset()
     seeds = [parse_vertex(s, 2) for s in ("00", "01", "10")]
-    cert = construction.build_certificate(SubgroupHandle.from_strings(G, ["a"]), seeds, G)
+    cert = construction.build_certificate(SubgroupHandle.from_strings(G, ["a"]), seeds)
     assert cert.to_json().encode() == path.read_bytes()
 
 

@@ -113,7 +113,7 @@ def test_pullback_full_group_is_level_stabilizer(grig):
     delta = SubgroupHandle.from_strings(
         grig, [g for g in "abcd"], membership_level=3
     )
-    res = pullback_subgroup(delta, 1, 3, grig)
+    res = pullback_subgroup(delta, 1, 3)
     assert res.handle.generators
     for w in res.handle.generators:
         assert w.fixes_level(1)
@@ -122,7 +122,7 @@ def test_pullback_full_group_is_level_stabilizer(grig):
 
 def test_pullback_first_section_condition(grig):
     delta = SubgroupHandle.from_strings(grig, ["b", "c", "d"], membership_level=2)
-    res = pullback_subgroup(delta, 1, 4, grig)
+    res = pullback_subgroup(delta, 1, 4)
     for w in res.handle.generators:
         assert w.fixes_level(1)
         assert delta.contains_at_level(w.section((0,)))
@@ -131,21 +131,21 @@ def test_pullback_first_section_condition(grig):
 def test_pullback_rejects_bad_levels(grig):
     delta = SubgroupHandle.from_strings(grig, ["b"], membership_level=2)
     with pytest.raises(ValueError):
-        pullback_subgroup(delta, 3, 3, grig)
+        pullback_subgroup(delta, 3, 3)
 
 
 # -- level trap ------------------------------------------------------------
 
 
 def test_trap_pipeline_k1(grig):
-    h = trap_subgroup(Q_a(grig), 1, grig)
+    h = trap_subgroup(Q_a(grig), 1)
     report = level_trap_check(h, 1, 1)
     assert report.passed
     assert report.to_dict()["no_fixed_vertex_at_k_plus_l"]
 
 
 def test_trap_pipeline_k2(grig):
-    h = trap_subgroup(Q_a(grig), 2, grig)
+    h = trap_subgroup(Q_a(grig), 2)
     assert level_trap_check(h, 2, 1).passed
 
 
@@ -210,7 +210,7 @@ def test_finite_subgroup_cap(grig):
 @pytest.fixture(scope="module")
 def grig_cert():
     preset = grigorchuk_preset()
-    return preset, build_certificate(Q_a(preset), REFERENCE_SEEDS, preset)
+    return preset, build_certificate(Q_a(preset), REFERENCE_SEEDS)
 
 
 def test_certificate_stages(grig_cert):
@@ -293,18 +293,18 @@ def test_certificate_wrong_fingerprint_fails(grig_cert):
 def test_trivial_q_rejected(grig):
     q = SubgroupHandle((Word.identity(grig),))
     with pytest.raises(CertificateBuildError):
-        build_certificate(q, [], grig)
+        build_certificate(q, [])
 
 
 def test_empty_avoid_list_gives_stageless_certificate(grig):
-    cert = build_certificate(Q_a(grig), [], grig)
+    cert = build_certificate(Q_a(grig), [])
     assert cert.stages == ()
     assert validate_certificate(cert, grig).passed
 
 
 def test_avoid_level_must_exceed_stage_level(grig):
     with pytest.raises(CertificateBuildError):
-        build_certificate(Q_a(grig), [parse_vertex("00", 2)], grig, verification_level=2)
+        build_certificate(Q_a(grig), [parse_vertex("00", 2)], verification_level=2)
 
 
 def _reference_avoid(preset):
@@ -313,18 +313,18 @@ def _reference_avoid(preset):
 
 def test_stage_skeleton_needs_only_q_and_seeds(grig):
     q_elems = finite_subgroup_elements(Q_a(grig))
-    skeleton = _stage_skeleton(q_elems, REFERENCE_SEEDS, grig)
-    assert [(k, "".join(map(str, v)), "".join(map(str, u))) for k, v, u in skeleton] == [
+    skeleton = _stage_skeleton(q_elems, REFERENCE_SEEDS)
+    assert [(len(v), "".join(map(str, v)), "".join(map(str, u))) for v, u in skeleton] == [
         (2, "00", "01"), (3, "010", "011"), (4, "1000", "0110"),
     ]
-    assert _stage_skeleton(q_elems, [h.vertex for h in _reference_avoid(grig)], grig) == skeleton
+    assert _stage_skeleton(q_elems, [h.vertex for h in _reference_avoid(grig)]) == skeleton
 
 
 def test_default_level_is_two_under_the_deepest_stage(grig):
     seeds = [parse_vertex(s, 2) for s in ("00", "01")]
 
     def level(q, seeds):
-        return build_certificate(q, seeds, grig).verification_level
+        return build_certificate(q, seeds).verification_level
 
     assert level(SubgroupHandle.from_strings(grig, ["a", "d"]), seeds) == 7
     assert level(Q_a(grig), seeds) == 5
@@ -337,11 +337,9 @@ def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
     # An element of Rist(x) fixes every vertex outside the subtree at x, so at
     # every level-k_i vertex but v_i the candidates cannot escape W_i.
     avoid = _reference_avoid(grig)
-    skeleton = _stage_skeleton(
-        finite_subgroup_elements(Q_a(grig)), [h.vertex for h in avoid], grig
-    )
-    for (k, v, _), w_avoid in zip(skeleton, avoid):
-        for x in level_vertices(2, k):
+    skeleton = _stage_skeleton(finite_subgroup_elements(Q_a(grig)), [h.vertex for h in avoid])
+    for (v, _), w_avoid in zip(skeleton, avoid):
+        for x in level_vertices(2, len(v)):
             if x == v:
                 continue
             candidates = list(islice(iter_rist_elements(x, grig), _CANDIDATES_PER_VERTEX))
@@ -353,14 +351,14 @@ def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
 
 
 def test_fix_separation_witness(grig):
-    h1 = trap_subgroup(Q_a(grig), 1, grig)
+    h1 = trap_subgroup(Q_a(grig), 1)
     h2 = SubgroupHandle.from_strings(grig, ["b", "c"])
     t = fix_separation_witness(h1, h2, 4)
     assert t == 2
 
 
 def test_fix_separation_witness_at_level_three(grig):
-    trap = trap_subgroup(Q_a(grig), 2, grig)
+    trap = trap_subgroup(Q_a(grig), 2)
     assert fix_separation_witness(trap, SubgroupHandle.from_strings(grig, ["b"]), 5) == 3
 
 
@@ -410,7 +408,7 @@ def _parabolic_words(preset, vstr, n):
     from branchgroups.quotients import point_stabilizer_words
 
     v = tuple(int(c) for c in vstr) + (0,) * (n - len(vstr))
-    return point_stabilizer_words(v, n, preset)
+    return point_stabilizer_words(preset, v)
 
 
 # -- determinism -----------------------------------------------------------
@@ -420,5 +418,5 @@ def test_certificate_build_deterministic():
     texts = []
     for _ in range(2):
         preset = grigorchuk_preset()
-        texts.append(build_certificate(Q_a(preset), REFERENCE_SEEDS, preset).to_json())
+        texts.append(build_certificate(Q_a(preset), REFERENCE_SEEDS).to_json())
     assert texts[0] == texts[1]

@@ -148,6 +148,18 @@ def test_preset_from_dict_rejects_garbage():
         preset_from_dict({"generators": []})
 
 
+def test_preset_from_dict_lists_every_issue(grig):
+    data = grig.to_dict()
+    data["generators"][0]["root_perm"] = [0, 0]
+    data["generators"][1]["sections"] = ["a"]
+    with pytest.raises(PresetError) as exc:
+        preset_from_dict(data)
+    assert str(exc.value) == (
+        "invalid preset: not-a-permutation at generator a: root_perm (0, 0) is not a"
+        " bijection of 0..1; wrong-section-count at generator b: expected 2 sections, got 1"
+    )
+
+
 def test_definition_file_round_trip_computes(tmp_path, grig):
     # a preset loaded from its file computes identically
     path = tmp_path / "g.json"

@@ -17,6 +17,7 @@ from branchgroups.quotients import (
     word_perm,
 )
 from branchgroups.presets import builtin_preset, preset_from_dict
+from branchgroups.tree import level_vertices
 from branchgroups.words import Word
 
 from conftest import random_word
@@ -163,7 +164,7 @@ def test_point_stabilizer_is_exact(grig):
     for vstr in ("0", "01", "110"):
         v = tuple(int(c) for c in vstr)
         n = len(v)
-        words = point_stabilizer_words(v, n, grig)
+        words = point_stabilizer_words(grig, v)
         stab_img = image_subgroup(words, n)
         full = full_level_group(grig, n)
         # orbit-stabilizer: index equals the (transitive) orbit size
@@ -318,6 +319,28 @@ def test_word_perm_on_a_single_point(grig):
     )
     assert word_perm(Word(one, (("x", 2), ("x", -1))), 3) == (0,)
     assert word_perm(Word.from_str(grig, "a b"), 0) == (0,)
+
+
+def test_word_perm_raises_a_letter_power_by_squaring(adding_machine, monkeypatch):
+    # a^(10^6) on level 10 of the adding machine adds 10^6 mod 2^10; the
+    # image costs about 20 products, not one per unit of the exponent.
+    from branchgroups import quotients
+
+    calls = []
+    monkeypatch.setattr(quotients, "compose", lambda p, q: calls.append(1) or compose(p, q))
+    w = Word(adding_machine, (("a", 10**6),))
+    p = word_perm(w, 10)
+    assert len(calls) < 100
+    verts = level_vertices(2, 10)
+    index = {v: i for i, v in enumerate(verts)}
+    assert all(p[i] == index[w.apply(v)] for i, v in enumerate(verts))
+
+
+def test_word_perm_checks_its_level(grig):
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        word_perm(Word.from_str(grig, "a"), -1)
+    with pytest.raises(LevelCapExceeded):
+        word_perm(Word.from_str(grig, "a"), 11)
 
 
 def test_orbit_transversal_reaches_every_orbit_vertex(grig, gs):

@@ -170,7 +170,7 @@ def _parabolic_words(preset, vstr, n):
     from branchgroups.quotients import point_stabilizer_words
 
     v = tuple(int(c) for c in vstr) + (0,) * (n - len(vstr))
-    return point_stabilizer_words(v, n, preset)
+    return point_stabilizer_words(preset, v)
 
 
 # -- membership by vertex predicate and by fixed points ---------------------

@@ -6,7 +6,6 @@ from branchgroups.tree import (
     ROOT,
     InvalidDegreeError,
     format_vertex,
-    level,
     level_vertices,
     parse_vertex,
     vertex_leq,
@@ -15,7 +14,6 @@ from branchgroups.tree import (
 
 def test_root_is_empty():
     assert ROOT == ()
-    assert level(ROOT) == 0
     assert format_vertex(ROOT) == ""
 
 

@@ -151,6 +151,15 @@ def test_nontorsion_raises_budget():
         Word.from_str(p, "a b").order(budget=3)
 
 
+def test_order_without_a_budget_reads_the_default_when_it_runs(monkeypatch):
+    import branchgroups.words as words
+
+    monkeypatch.setattr(words, "DEFAULT_ORDER_BUDGET", 3)
+    with pytest.raises(BudgetExhausted) as exc:
+        Word.from_str(grigorchuk_preset(), "a b").order()
+    assert exc.value.budget == 3
+
+
 def test_proved_infinite_order_is_not_budget_exhaustion():
     p = ggs_preset(3, (1, 0))
     with pytest.raises(InfiniteOrder):
