@@ -72,134 +72,95 @@ def _handle(preset: GroupPreset, texts, level=None) -> subgroups.SubgroupHandle:
     return subgroups.SubgroupHandle.from_strings(preset, texts, membership_level=level)
 
 
-def _add_common(sub, budget: int | None = None):
-    """--preset and --format; --budget only where the computation takes one."""
-    sub.add_argument("--preset", default="grigorchuk", help="built-in name or definition file")
-    sub.add_argument("--format", choices=["text", "json"], default="text")
-    if budget is not None:
-        sub.add_argument("--budget", type=int, default=budget)
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
+_WORD = _arg("word")
+_VERTEX = _arg("vertex")
+_GENS = _arg("--gens", nargs="+", required=True)
+_LEVEL = _arg("--level", type=int, default=DEFAULT_LEVEL)
+
+# group -> (help, {command: (budget default or None, arguments after the common ones)})
+_COMMANDS = {
+    "group": ("preset inspection", {"show": (None,), "validate": (None,)}),
+    "elem": ("element arithmetic", {
+        "apply": (None, _WORD, _VERTEX),
+        "section": (None, _WORD, _VERTEX),
+        "order": (DEFAULT_ORDER_BUDGET, _WORD),
+        "portrait": (None, _WORD, _arg("--depth", type=int, default=3)),
+        "identity": (DEFAULT_IDENTITY_BUDGET, _WORD),
+    }),
+    "quotient": ("finite level quotients", {
+        "order": (None, _LEVEL),
+        "transitive": (None, _LEVEL),
+        "index": (None, _LEVEL, _GENS),
+        "stab": (None, _VERTEX),
+    }),
+    "sub": ("subgroup diagnostics", {
+        "fix": (None, _GENS, _arg("--depth", type=int, default=DEFAULT_LEVEL)),
+        "fixlevel": (None, _GENS, _arg("--max-level", type=int, default=8)),
+        "psi": (None, _WORD, _arg("--level", type=int, default=1)),
+        "rist": (None, _WORD, _VERTEX),
+        "profile": (None, _GENS, _arg("--max-level", type=int, default=DEFAULT_LEVEL)),
+        "escape": (DEFAULT_SEARCH_BUDGET, _GENS, _arg("--gamma", required=True), _LEVEL),
+    }),
+    "wm": ("finite-stage constructions", {
+        "rist-search": (DEFAULT_SEARCH_BUDGET, _VERTEX),
+        "pullback": (
+            DEFAULT_SEARCH_BUDGET,
+            _arg("--gens", nargs="+", required=True, help="generators of Delta"),
+            _arg("--delta-level", type=int, default=None),
+            _arg("--k", type=int, required=True),
+            _LEVEL,
+        ),
+        "trap": (
+            DEFAULT_SEARCH_BUDGET,
+            _arg("--gens", nargs="+", required=True, help="generators of Q"),
+            _arg("--k", type=int, required=True),
+            _arg("--l", type=int, default=1),
+        ),
+        "build": (
+            DEFAULT_SEARCH_BUDGET,
+            _arg("--q-gens", nargs="+", required=True),
+            _arg("--avoid-vertex", nargs="+", required=True,
+                 help="seed vertices for vertex-stabilizer avoid subgroups"),
+            _arg("--level", type=int, default=None, help="verification and membership level"),
+            _arg("--out", default=None, help="write certificate JSON here"),
+        ),
+        "validate": (None, _arg("certificate", help="certificate JSON file")),
+        "separate": (
+            None,
+            _arg("--gens-a", nargs="+", required=True),
+            _arg("--gens-b", nargs="+", required=True),
+            _arg("--depth", type=int, default=DEFAULT_LEVEL),
+        ),
+        "conjbound": (DEFAULT_SEARCH_BUDGET, _GENS, _LEVEL),
+    }),
+}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given a group name, only that group's
+    command parsers are built; help and usage errors come out the same."""
     parser = argparse.ArgumentParser(
         prog="branchgroups",
         description="Exact computation in self-similar groups on rooted trees.",
     )
     top = parser.add_subparsers(dest="group_cmd", required=True)
-
-    g = top.add_parser("group", help="preset inspection").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = g.add_parser("show")
-    _add_common(p)
-    p = g.add_parser("validate")
-    _add_common(p)
-
-    e = top.add_parser("elem", help="element arithmetic").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = e.add_parser("apply")
-    _add_common(p)
-    p.add_argument("word")
-    p.add_argument("vertex")
-    p = e.add_parser("section")
-    _add_common(p)
-    p.add_argument("word")
-    p.add_argument("vertex")
-    p = e.add_parser("order")
-    _add_common(p, DEFAULT_ORDER_BUDGET)
-    p.add_argument("word")
-    p = e.add_parser("portrait")
-    _add_common(p)
-    p.add_argument("word")
-    p.add_argument("--depth", type=int, default=3)
-    p = e.add_parser("identity")
-    _add_common(p, DEFAULT_IDENTITY_BUDGET)
-    p.add_argument("word")
-
-    q = top.add_parser("quotient", help="finite level quotients").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = q.add_parser("order")
-    _add_common(p)
-    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-    p = q.add_parser("transitive")
-    _add_common(p)
-    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-    p = q.add_parser("index")
-    _add_common(p)
-    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-    p.add_argument("--gens", nargs="+", required=True)
-    p = q.add_parser("stab")
-    _add_common(p)
-    p.add_argument("vertex")
-
-    s = top.add_parser("sub", help="subgroup diagnostics").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = s.add_parser("fix")
-    _add_common(p)
-    p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_LEVEL)
-    p = s.add_parser("fixlevel")
-    _add_common(p)
-    p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--max-level", type=int, default=8)
-    p = s.add_parser("psi")
-    _add_common(p)
-    p.add_argument("word")
-    p.add_argument("--level", type=int, default=1)
-    p = s.add_parser("rist")
-    _add_common(p)
-    p.add_argument("word")
-    p.add_argument("vertex")
-    p = s.add_parser("profile")
-    _add_common(p)
-    p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--max-level", type=int, default=DEFAULT_LEVEL)
-    p = s.add_parser("escape")
-    _add_common(p, DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-
-    w = top.add_parser("wm", help="finite-stage constructions").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = w.add_parser("rist-search")
-    _add_common(p, DEFAULT_SEARCH_BUDGET)
-    p.add_argument("vertex")
-    p = w.add_parser("pullback")
-    _add_common(p, DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--gens", nargs="+", required=True, help="generators of Delta")
-    p.add_argument("--delta-level", type=int, default=None)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-    p = w.add_parser("trap")
-    _add_common(p, DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--gens", nargs="+", required=True, help="generators of Q")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, default=1)
-    p = w.add_parser("build")
-    _add_common(p, DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--q-gens", nargs="+", required=True)
-    p.add_argument("--avoid-vertex", nargs="+", required=True,
-                   help="seed vertices for vertex-stabilizer avoid subgroups")
-    p.add_argument("--level", type=int, default=None,
-                   help="verification and membership level")
-    p.add_argument("--out", default=None, help="write certificate JSON here")
-    p = w.add_parser("validate")
-    _add_common(p)
-    p.add_argument("certificate", help="certificate JSON file")
-    p = w.add_parser("separate")
-    _add_common(p)
-    p.add_argument("--gens-a", nargs="+", required=True)
-    p.add_argument("--gens-b", nargs="+", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_LEVEL)
-    p = w.add_parser("conjbound")
-    _add_common(p, DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
+    for name, (help_text, commands) in _COMMANDS.items():
+        cmds = top.add_parser(name, help=help_text).add_subparsers(dest="cmd", required=True)
+        if group not in (None, name):
+            continue
+        for cmd, (budget, *arguments) in commands.items():
+            p = cmds.add_parser(cmd)
+            # --preset and --format; --budget only where the computation takes one
+            p.add_argument("--preset", default="grigorchuk", help="built-in name or definition file")
+            p.add_argument("--format", choices=["text", "json"], default="text")
+            if budget is not None:
+                p.add_argument("--budget", type=int, default=budget)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -404,7 +365,8 @@ _DISPATCH = {
 
 
 def run_command(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         preset = _resolve_preset(args)
     except (ValueError, OSError) as exc:

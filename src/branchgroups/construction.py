@@ -21,7 +21,6 @@ stamped with their verification level and are evidence, not proof.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .presets import GroupPreset
@@ -213,14 +212,14 @@ def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = DEFAULT_SEA
 _PULLBACK_GENERATORS = 8  # the pullback stops after this many generators
 
 
-@dataclass
 class PullbackResult:
     """Finitely generated under-approximation of a first-section preimage."""
 
-    handle: SubgroupHandle
-    level: int
-    words_tested: int
-    exhausted: bool
+    def __init__(self, handle: SubgroupHandle, level: int, words_tested: int, exhausted: bool):
+        self.handle = handle
+        self.level = level
+        self.words_tested = words_tested
+        self.exhausted = exhausted
 
     def to_dict(self) -> dict:
         return {
@@ -266,14 +265,22 @@ def pullback_subgroup(
 # -- level trap -----------------------------------------------------------
 
 
-@dataclass
 class TrapReport:
-    k: int
-    l: int
-    stabilizes_level: bool
-    moving_witness: str | None
-    no_fixed_vertex: bool
-    fixed_witness: str | None
+    def __init__(
+        self,
+        k: int,
+        l: int,
+        stabilizes_level: bool,
+        moving_witness: str | None,
+        no_fixed_vertex: bool,
+        fixed_witness: str | None,
+    ):
+        self.k = k
+        self.l = l
+        self.stabilizes_level = stabilizes_level
+        self.moving_witness = moving_witness
+        self.no_fixed_vertex = no_fixed_vertex
+        self.fixed_witness = fixed_witness
 
     @property
     def passed(self) -> bool:
@@ -395,18 +402,17 @@ def _orbit_vertices(q_elems: list[Word], v: Vertex) -> set[Vertex]:
     return {q.apply(v) for q in q_elems}
 
 
-@dataclass(frozen=True)
 class CertificateStage:
-    v: Vertex
-    w: Word
-    u: Vertex
+    def __init__(self, v: Vertex, w: Word, u: Vertex):
+        self.v = v
+        self.w = w
+        self.u = u
 
     @property
     def k(self) -> int:
         return len(self.v)
 
 
-@dataclass
 class WMCertificate:
     """Staged construction data, replayable by validate_certificate.
 
@@ -414,12 +420,21 @@ class WMCertificate:
     written as 0 and ignored on read, since no computation reads it.
     """
 
-    preset_fingerprint: str
-    q_generators: tuple[Word, ...]
-    stages: tuple[CertificateStage, ...]
-    avoid: tuple[SubgroupHandle, ...]
-    verification_level: int
-    budgets: dict
+    def __init__(
+        self,
+        preset_fingerprint: str,
+        q_generators: tuple[Word, ...],
+        stages: tuple[CertificateStage, ...],
+        avoid: tuple[SubgroupHandle, ...],
+        verification_level: int,
+        budgets: dict,
+    ):
+        self.preset_fingerprint = preset_fingerprint
+        self.q_generators = q_generators
+        self.stages = stages
+        self.avoid = avoid
+        self.verification_level = verification_level
+        self.budgets = budgets
 
     def to_dict(self) -> dict:
         return {
@@ -565,17 +580,18 @@ def build_certificate(
     """Run the staged construction for Q against the rays through the seeds.
 
     The stage levels and vertices come first, from `_stage_skeleton`.  The
-    level n, unless given, is two under the deepest stage, at least 4 and at
-    least the longest seed; W_i is the level-n stabilizer of seed i extended
-    by zeros, x_i, as `parabolic_approximation` builds it.  An element of
-    Rist(v) fixes every vertex outside the subtree at v, so only v_i, the
-    level-k_i prefix of x_i, can carry an element escaping W_i: stage i
-    tries the first `_CANDIDATES_PER_VERTEX` elements of Rist(v_i) and keeps
-    the first that moves x_i (an exact refutation).
+    level n, unless given, is two under the deepest stage but at most
+    LEVEL_CAP, at least 4 and at least the longest seed; W_i is the level-n
+    stabilizer of seed i extended by zeros, x_i, as `parabolic_approximation`
+    builds it.  An element of Rist(v) fixes every vertex outside the subtree
+    at v, so only v_i, the level-k_i prefix of x_i, can carry an element
+    escaping W_i: stage i tries the first `_CANDIDATES_PER_VERTEX` elements
+    of Rist(v_i) and keeps the first that moves x_i (an exact refutation).
     """
     skeleton = _stage_skeleton(finite_subgroup_elements(q), seeds)
     if verification_level is None:
-        verification_level = max([4] + [len(v) + 2 for v, _ in skeleton] + [len(s) for s in seeds])
+        stage_levels = [min(len(v) + 2, LEVEL_CAP) for v, _ in skeleton]
+        verification_level = max([4] + stage_levels + [len(s) for s in seeds])
     avoid = [parabolic_approximation(q.preset, s, verification_level) for s in seeds]
     stages: list[CertificateStage] = []
     for i, ((v, u), w_avoid) in enumerate(zip(skeleton, avoid), start=1):
@@ -622,20 +638,20 @@ def _normal_closure(seed: list[Perm], group_gens: list[Perm], npoints: int) -> S
     return ncl
 
 
-@dataclass
 class ClauseResult:
-    name: str
-    passed: bool
-    detail: str
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class CertificateReport:
-    clauses: list[ClauseResult]
-    verification_level: int
+    def __init__(self, clauses: list[ClauseResult], verification_level: int):
+        self.clauses = clauses
+        self.verification_level = verification_level
 
     @property
     def passed(self) -> bool:
@@ -785,12 +801,18 @@ def fix_separation_witness(
     return None
 
 
-@dataclass
 class ConjugateBound:
-    count: int
-    gamma: Word | None
-    conjugator: Word | None
-    witness_orders: list[int] = field(default_factory=list)
+    def __init__(
+        self,
+        count: int,
+        gamma: Word | None,
+        conjugator: Word | None,
+        witness_orders: list[int],
+    ):
+        self.count = count
+        self.gamma = gamma
+        self.conjugator = conjugator
+        self.witness_orders = witness_orders
 
     def to_dict(self) -> dict:
         return {
@@ -861,4 +883,4 @@ def conjugate_count_lower_bound(
                 conjugator=f,
                 witness_orders=[int(im.order()) for im in images],
             )
-    return ConjugateBound(count=1, gamma=None, conjugator=None)
+    return ConjugateBound(count=1, gamma=None, conjugator=None, witness_orders=[])

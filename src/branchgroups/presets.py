@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 Factor = tuple[str, int]
 Factors = tuple[Factor, ...]
@@ -37,30 +35,38 @@ class PresetError(ValueError):
     """Raised for malformed presets or words."""
 
 
-@dataclass(frozen=True)
 class GeneratorRecursion:
     """One generator: its root permutation and its d section words."""
 
-    name: str
-    root_perm: tuple[int, ...]
-    sections: tuple[Factors, ...]
+    def __init__(self, name: str, root_perm: tuple[int, ...], sections: tuple[Factors, ...]):
+        self.name = name
+        self.root_perm = root_perm
+        self.sections = sections
 
 
-@dataclass(frozen=True)
 class ValidationIssue:
-    code: str
-    location: str
-    message: str
+    def __init__(self, code: str, location: str, message: str):
+        self.code = code
+        self.location = location
+        self.message = message
 
 
-@dataclass(frozen=True)
 class GroupPreset:
-    degree: int
-    generators: tuple[GeneratorRecursion, ...]
-    reduction_rules: tuple[tuple[Factors, Factors], ...]
-    branching_generators: tuple[Factors, ...]
-    contracting_certified: bool = False  # recorded in the fingerprint; no budget trusts it
-    name: str = ""
+    def __init__(
+        self,
+        degree: int,
+        generators: tuple[GeneratorRecursion, ...],
+        reduction_rules: tuple[tuple[Factors, Factors], ...],
+        branching_generators: tuple[Factors, ...],
+        contracting_certified: bool = False,  # recorded in the fingerprint; no budget trusts it
+        name: str = "",
+    ):
+        self.degree = degree
+        self.generators = generators
+        self.reduction_rules = reduction_rules
+        self.branching_generators = branching_generators
+        self.contracting_certified = contracting_certified
+        self.name = name
 
     # -- derived tables ---------------------------------------------------
 
@@ -250,8 +256,10 @@ class _LetterTable(dict):
         return letter
 
 
-def _tokenize(text: str, names) -> Factors:
-    """Unreduced factors of the word syntax over a set of generator names."""
+def _tokenize(text: str, names, strict: bool = True) -> Factors:
+    """Unreduced factors of the word syntax over a set of generator names.
+    Unless strict, an unknown name is kept as a factor for
+    `validate_preset` to report."""
     factors: list[Factor] = []
     for token in str(text).replace("*", " ").split():
         name, _, exp = token.partition("^")
@@ -268,8 +276,10 @@ def _tokenize(text: str, names) -> Factors:
             factors.append((name[-1], e))
         elif name in ("1", ""):
             continue
-        else:
+        elif strict:
             raise PresetError(f"unknown generator in token {token!r}")
+        else:
+            factors.append((name, e))
     return tuple(factors)
 
 
@@ -298,14 +308,14 @@ def _preset_from_dict(data: dict) -> GroupPreset:
             GeneratorRecursion(
                 name=str(g["name"]),
                 root_perm=tuple(int(x) for x in g["root_perm"]),
-                sections=tuple(_tokenize(s, names) for s in g["sections"]),
+                sections=tuple(_tokenize(s, names, False) for s in g["sections"]),
             )
         )
     rules = tuple(
-        (_tokenize(r["lhs"], names), _tokenize(r["rhs"], names))
+        (_tokenize(r["lhs"], names, False), _tokenize(r["rhs"], names, False))
         for r in data.get("rules", [])
     )
-    branching = tuple(_tokenize(w, names) for w in data.get("branching", []))
+    branching = tuple(_tokenize(w, names, False) for w in data.get("branching", []))
     return GroupPreset(
         degree=degree,
         generators=tuple(gens),
@@ -316,12 +326,12 @@ def _preset_from_dict(data: dict) -> GroupPreset:
     )
 
 
-def load_preset(path: str | Path) -> GroupPreset:
+def load_preset(path) -> GroupPreset:
     with open(path, encoding="utf-8") as fh:
         return preset_from_dict(json.load(fh))
 
 
-def save_preset(preset: GroupPreset, path: str | Path) -> None:
+def save_preset(preset: GroupPreset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(preset.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

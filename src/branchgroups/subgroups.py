@@ -17,7 +17,6 @@ tie-breaking, so results replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .presets import GroupPreset
@@ -36,7 +35,6 @@ class NotInLevelStabilizerError(ValueError):
     """Raised when a section tuple is requested for a non-stabilizing word."""
 
 
-@dataclass
 class SubgroupHandle:
     """A finitely generated subgroup with an optional membership level.
 
@@ -46,15 +44,19 @@ class SubgroupHandle:
     checked through its generators alone.
     """
 
-    generators: tuple[Word, ...]
-    membership_level: int | None = None
-    label: str = ""
-    vertex: Vertex | None = field(default=None, compare=False)
-    _images: dict = field(default_factory=dict, repr=False, compare=False)
-    _fixed: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
+    def __init__(
+        self,
+        generators,
+        membership_level: int | None = None,
+        label: str = "",
+        vertex: Vertex | None = None,
+    ):
+        self.generators = tuple(generators)
+        self.membership_level = membership_level
+        self.label = label
+        self.vertex = vertex
+        self._images = {}
+        self._fixed = {}
 
     @property
     def preset(self) -> GroupPreset:
@@ -121,13 +123,13 @@ class SubgroupHandle:
         }
 
 
-@dataclass(frozen=True)
 class FixedTree:
     """Prefix-closed fixed vertices of a subgroup, truncated at a depth."""
 
-    depth: int
-    vertices: frozenset
-    deepest_path: Vertex
+    def __init__(self, depth: int, vertices: frozenset, deepest_path: Vertex):
+        self.depth = depth
+        self.vertices = vertices
+        self.deepest_path = deepest_path
 
     def to_dict(self) -> dict:
         return {

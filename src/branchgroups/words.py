@@ -24,7 +24,6 @@ when no budget is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .presets import Factors, GroupPreset
 from .tree import Vertex, format_vertex
@@ -268,13 +267,13 @@ def _order_rec(
     return result, lowest
 
 
-@dataclass(frozen=True)
 class Portrait:
     """Depth-n truncation of an automorphism: root permutations of all
     sections at levels < n."""
 
-    depth: int
-    decorations: dict
+    def __init__(self, depth: int, decorations: dict):
+        self.depth = depth
+        self.decorations = decorations
 
     def is_trivial(self) -> bool:
         identity = tuple(range(len(self.decorations.get((), ()))))

@@ -326,6 +326,19 @@ def test_group_validate_reports_a_malformed_preset(tmp_path, capsys, code):
     assert status == EXIT_FALSE and out.startswith(f"{code} at generator a: ")
 
 
+UNDECLARED = {"degree": 2, "generators": [{"name": "a", "root_perm": [1, 0], "sections": ["z", ""]}]}
+UNDECLARED_ISSUE = "unknown-symbol at generator a, section 0: undeclared generator 'z'"
+
+
+def test_group_validate_lists_an_undeclared_section_symbol(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(UNDECLARED))
+    assert run(capsys, "group", "validate", "--preset", str(path)) == (EXIT_FALSE, UNDECLARED_ISSUE)
+    assert run_command(["group", "show", "--preset", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: invalid preset: {UNDECLARED_ISSUE}\n"
+
+
 # G = <a> has order 2: a swaps the two subtrees rigidly and b = (b, b) is
 # trivial, so no level-1 stabilizer moves level 2 and no trap base word exists.
 FROZEN = {

@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import islice
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from branchgroups.construction import (
     _CANDIDATES_PER_VERTEX,
     CertificateBuildError,
+    CertificateStage,
     WMCertificate,
     _stage_skeleton,
     build_certificate,
@@ -238,13 +238,17 @@ def test_certificate_json_round_trip(grig_cert):
     assert validate_certificate(again, preset).passed
 
 
+def _tampered(cert, **changes) -> WMCertificate:
+    """cert with the named constructor fields replaced."""
+    return WMCertificate(**{**vars(cert), **changes})
+
+
 def test_certificate_tampered_word_fails(grig_cert):
     preset, cert = grig_cert
     s0 = cert.stages[0]
-    bad = dataclasses.replace(
+    bad = _tampered(
         cert,
-        stages=(dataclasses.replace(s0, w=Word.from_str(preset, "b")),)
-        + cert.stages[1:],
+        stages=(CertificateStage(s0.v, Word.from_str(preset, "b"), s0.u),) + cert.stages[1:],
     )
     report = validate_certificate(bad, preset)
     assert not report.passed
@@ -273,9 +277,8 @@ def test_certificate_tampered_nesting_fails(grig_cert):
     s1 = cert.stages[1]
     # move u_2 outside the Q-orbit subtree of u_1
     bad_u = parse_vertex("000", 2)
-    bad = dataclasses.replace(
-        cert,
-        stages=(cert.stages[0], dataclasses.replace(s1, u=bad_u)) + cert.stages[2:],
+    bad = _tampered(
+        cert, stages=(cert.stages[0], CertificateStage(s1.v, s1.w, bad_u)) + cert.stages[2:]
     )
     report = validate_certificate(bad, preset)
     failed = {c.name for c in report.clauses if not c.passed}
@@ -284,7 +287,7 @@ def test_certificate_tampered_nesting_fails(grig_cert):
 
 def test_certificate_wrong_fingerprint_fails(grig_cert):
     preset, cert = grig_cert
-    bad = dataclasses.replace(cert, preset_fingerprint="0" * 16)
+    bad = _tampered(cert, preset_fingerprint="0" * 16)
     report = validate_certificate(bad, preset)
     assert not report.passed
     assert report.clauses[0].name == "preset-fingerprint"
@@ -331,6 +334,18 @@ def test_default_level_is_two_under_the_deepest_stage(grig):
     assert level(Q_a(grig), [parse_vertex("0000000", 2)]) == 7
     with pytest.raises(CertificateBuildError, match="stage 0"):
         level(SubgroupHandle((Word.identity(grig),)), seeds)
+
+
+def test_default_level_is_capped(grig):
+    # g is an involution that fixes level 8 and moves level 9, so Q = <g>
+    # plans its one stage at level 9; two under it would pass the cap.
+    r = next(iter_rist_elements((0,) * 5, grig))
+    g = (r ** (r.order() // 2)).section((0,))
+    q = SubgroupHandle((g,))
+    assert [len(v) for v, _ in _stage_skeleton(finite_subgroup_elements(q), [(0,)])] == [9]
+    # Level 10, the only level above the stage within the cap, reaches the search.
+    with pytest.raises(CertificateBuildError, match="stage 1: no rigid-stabilizer .* at level 9"):
+        build_certificate(q, [(0,)], rist_budget=50)
 
 
 def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):

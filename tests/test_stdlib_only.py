@@ -1,10 +1,17 @@
-"""The library imports nothing outside the standard library."""
+"""The library imports nothing outside the standard library, and the CLI
+starts without the heavy standard modules."""
 
+import argparse
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import branchgroups
+from branchgroups.cli import build_parser
 
 SOURCES = sorted(Path(branchgroups.__file__).parent.glob("*.py"))
 
@@ -26,3 +33,41 @@ def test_library_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize; the records are
+    # plain classes so that a CLI process does not pay for them.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import branchgroups.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(branchgroups.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
+def _children(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_parser_of_the_named_group_answers_as_the_full_parser(capsys):
+    full = _children(build_parser())
+    argvs = [["--help"], [], ["nope"]]
+    for group, group_parser in full.items():
+        argvs += [[group, "--help"], [group], [group, "nope"]]
+        argvs += [[group, cmd, "--help"] for cmd in _children(group_parser)]
+    assert len(argvs) == 3 + 3 * len(full) + 24
+    for argv in argvs:
+        lazy = build_parser(argv[0] if argv else None)
+        assert _outcome(lazy, argv, capsys) == _outcome(build_parser(), argv, capsys), argv
