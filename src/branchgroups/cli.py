@@ -375,7 +375,7 @@ def run_command(argv=None) -> int:
     rep = _Reporter(preset, args)
     try:
         return _DISPATCH[args.group_cmd](args, preset, rep)
-    except BudgetExhausted as exc:
+    except (BudgetExhausted, construction.RistSearchExhausted) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except (construction.CertificateBuildError, ValueError, KeyError, OSError) as exc:

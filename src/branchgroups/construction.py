@@ -26,15 +26,11 @@ from itertools import islice
 from .presets import GroupPreset
 from .quotients import (
     LEVEL_CAP,
-    Perm,
-    StabChain,
     _check_level,
-    compose,
+    full_level_group,
     image_subgroup,
     orbit_transversal,
-    perm_inverse,
     point_stabilizer_words,
-    quotient_order,
     word_perm,
 )
 from .subgroups import (
@@ -58,6 +54,10 @@ class CertificateBuildError(RuntimeError):
         super().__init__(f"stage {stage}: {reason}")
         self.stage = stage
         self.reason = reason
+
+
+class RistSearchExhausted(CertificateBuildError):
+    """A stage's rigid-stabilizer candidates ran out: undecided, not a refutation."""
 
 
 # -- transporters ---------------------------------------------------------
@@ -335,7 +335,8 @@ def trap_subgroup(
     so the unbounded ball search below always ends.
     """
     preset = q.preset
-    if quotient_order(preset, k + 1) == quotient_order(preset, k):
+    full = full_level_group(preset, k + 1)
+    if full.order() == full.order(k):
         raise CertificateBuildError(0, f"no level-{k} stabilizer moves level {k + 1}")
     n = k + 2
     delta = SubgroupHandle(q.generators, membership_level=n, label="delta")
@@ -602,7 +603,7 @@ def build_certificate(
         candidates = islice(iter_rist_elements(v, q.preset, rist_budget), _CANDIDATES_PER_VERTEX)
         w = next((g for g in candidates if not w_avoid.contains_at_level(g)), None)
         if w is None:
-            raise CertificateBuildError(
+            raise RistSearchExhausted(
                 i, f"no rigid-stabilizer element escaping avoid subgroup {i} at level {len(v)}"
             )
         stages.append(CertificateStage(v=v, w=w, u=u))
@@ -620,22 +621,6 @@ def build_certificate(
 
 
 # -- certificate validation -----------------------------------------------
-
-
-def _normal_closure(seed: list[Perm], group_gens: list[Perm], npoints: int) -> StabChain:
-    """The normal closure of seed inside <group_gens>."""
-    ncl = StabChain(npoints, seed)
-    frontier = list(ncl.gens)
-    conjugators = [(h, perm_inverse(h)) for h in group_gens]
-    while frontier:
-        nxt = []
-        for h, h_inv in conjugators:
-            for g in frontier:
-                c = compose(h, compose(g, h_inv))
-                if ncl.add(c):
-                    nxt.append(c)
-        frontier = nxt
-    return ncl
 
 
 class ClauseResult:
@@ -671,9 +656,10 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     Clause 1 (avoidance) and the rigid-stabilizer predicates are exact.
     Clause 2 (normal-closure equality) is checked inside the level-m
     quotient, m = max(n, k1) for the verification level n, and is stamped
-    with n.  The order of H meet Stab(k1) there is |H_m| / |H_k1|, two image
-    orders; the normal closure lies inside it iff every w_i fixes level k1,
-    which is checked exactly, so equal orders mean equal groups.
+    with n.  The order of H meet Stab(k1) there is |H_m| / |H_k1|, two
+    orders of the one image H_m; the normal closure lies inside it iff
+    every w_i fixes level k1, which is checked exactly, so equal orders
+    mean equal groups.
     Clause 3 (nesting and subtree fixing) is exact to the verification depth;
     the subtree check reads one fixed-tree walk per stage.  A verification
     level past the level cap raises LevelCapExceeded before any clause.
@@ -768,9 +754,8 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
         m = max(n, k1)
         h_words = list(cert.q_generators) + [s.w for s in cert.stages]
         h_m = image_subgroup(h_words, m)
-        kernel_order = h_m.order() // image_subgroup(h_words, k1).order()
-        w_perms = [word_perm(s.w, m) for s in cert.stages]
-        ncl_group = _normal_closure(w_perms, h_m.gens, preset.degree**m)
+        kernel_order = h_m.order() // h_m.order(k1)
+        ncl_group = image_subgroup([s.w for s in cert.stages], m, conjugators=h_m.gens)
         inside = all(s.w.fixes_level(k1) for s in cert.stages)
         add(
             "normal-closure-equality",
@@ -870,7 +855,7 @@ def conjugate_count_lower_bound(
         else:
             f = Word.identity(preset)
         g = gamma.conjugate_by(f)
-        images: list[StabChain] = []
+        images: list = []
         for i in range(m):
             conj = h.conjugated(g**i)
             img = conj.image(n)

@@ -4,26 +4,24 @@ Permutations are one-line image tuples over the d^n level-n vertices in
 lexicographic order.  `word_perm` composes generator images, raising a
 letter's image to its exponent by repeated squaring; each generator's
 level-n image is built once from the wreath recursion and memoized on the
-preset, like the other memo tables.
+preset.  Every composition goes through `compose`, an `itemgetter` gather
+that runs in C; on a one-point domain it builds the tuple itself.
 
-Every composition, in word images and in the stabilizer chain alike,
-goes through `compose`, an `itemgetter` gather that runs in C; on a
-one-point domain, where the gather would return a bare item, it builds the
-tuple itself.
+Every subgroup of a level quotient is built by `image_subgroup`.  For a
+p-preset (prime degree p, every generator moving the root's children by
+x -> x + c) each quotient is a p-group whose layer St(k)/St(k+1) is an
+F_p-space with one digit per level-k vertex; the subgroup is a
+`LayeredGroup`, an echelon basis of digits per layer closed under p-th
+powers, commutators and conjugation (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 8), which also gives the order of every
+lower level image.  Any other preset gets a `StabChain`, built by
+incremental Schreier-Sims: each level keeps its orbit and the coset
+representatives with their inverses, so a sift costs one gather per
+level, and a new generator sifts only the Schreier generators of its new
+(point, generator) pairs.  Both are deterministic, and both build the
+normal closure under given conjugators.
 
-Every subgroup of a level quotient is a `StabChain`, built by incremental
-Schreier-Sims.  Every level keeps its orbit as a list, a coset
-representative for each orbit point and the representative's inverse, so a
-sift costs one gather per level.  A new generator extends the orbit in
-place, and only the Schreier generators of the new (point, generator)
-pairs are sifted into the level below: old representatives never change
-and lower levels only grow, so the old pairs stay sifted.  Base points are
-the smallest point moved by the residue that opens a level, and generators
-and pairs are processed in a fixed order, so the chain is deterministic.
-The base order follows the order in which generators arrive; orders and
-membership do not depend on it, and no output shows it.
-
-Level-transitivity is one orbit walk from the vertex 0...0, with no chain.
+Level-transitivity is one orbit walk from the vertex 0...0, with no group.
 Every quotient level, word image level and depth of a fixed-tree walk is
 checked against the fixed LEVEL_CAP before any work, so none runs past
 that level whoever calls it.
@@ -32,9 +30,11 @@ that level whoever calls it.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from bisect import insort
+from itertools import islice, repeat
+from operator import eq, floordiv, itemgetter, sub
 
-from .presets import Factors, GroupPreset
+from .presets import Factors, GroupPreset, _is_prime
 from .tree import Vertex
 from .words import Word
 
@@ -176,30 +176,28 @@ class _Orbit:
                     yield schreier
 
 
-def _min_moved(p: Perm) -> int:
-    for i, x in enumerate(p):
-        if x != i:
-            return i
-    raise ValueError("identity has no moved point")
-
-
 class StabChain:
     """A subgroup of a level quotient: a deterministic stabilizer chain
     with exact order and membership sifting.
 
     `gens` lists the generators that enlarged the group, in the order they
-    arrived.  Level i holds the orbit of its base point under its own
+    arrived; given conjugators, the group is the normal closure of `gens`
+    under them.  Level i holds the orbit of its base point under its own
     generators; the group at level i + 1 is the stabilizer of that point in
     the group at level i.
     """
 
-    def __init__(self, npoints: int, gens):
-        self.npoints = npoints
+    def __init__(self, npoints: int, gens, conjugators=(), degree: int | None = None):
+        self.npoints, self.degree = npoints, degree
         self.identity = tuple(range(npoints))
         self.gens: list[Perm] = []
         self.levels: list[_Orbit] = []
         for g in gens:
             self.add(g)
+        conjugators = [(s, perm_inverse(s)) for s in conjugators]
+        for g in self.gens:  # grows while it is walked: the normal closure
+            for s, s_inv in conjugators:
+                self.add(compose(s, compose(g, s_inv)))
 
     def add(self, g) -> bool:
         """Extend the group by g; False if g was already a member.
@@ -227,7 +225,8 @@ class StabChain:
         if p == self.identity:
             return False
         if i == len(self.levels):
-            self.levels.append(_Orbit(_min_moved(p), self.npoints))
+            beta = next(u for u, x in enumerate(p) if x != u)  # the smallest moved point
+            self.levels.append(_Orbit(beta, self.npoints))
         stack.append((i, self.levels[i].add_generator(p)))
         return True
 
@@ -242,7 +241,12 @@ class StabChain:
                 p = compose(inv, p)
         return p
 
-    def order(self) -> int:
+    def order(self, level: int | None = None) -> int:
+        """|H|, or at a level j the order of H's level-j image (needs the degree)."""
+        if level is not None and self.degree**level < self.npoints:
+            block = self.npoints // self.degree**level  # the leaves below one level-j vertex
+            images = [tuple(y // block for y in g[::block]) for g in self.gens]
+            return StabChain(self.degree**level, images).order()
         return math.prod(len(lvl.points) for lvl in self.levels)
 
     def contains(self, p: Perm) -> bool:
@@ -255,25 +259,151 @@ class StabChain:
         return self.order() == other.order() and all(self.contains(g) for g in other.gens)
 
 
-def image_subgroup(words, n: int) -> StabChain:
-    """Level-n image subgroup generated by the given words."""
+class LayeredGroup:
+    """A subgroup of G/St(n) for a p-preset, as echelon bases of layer digits.
+
+    An element of St(k) has layer-k digit c at the level-k vertex v when it
+    sends the first leaf below v into child c.  Layer k < n-1 keeps basis
+    elements [x, x^-1, ..., x^-(p-1)] by pivot, the first nonzero digit, 1;
+    layer n-1, where conjugation only permutes digits, keeps the multiples
+    of digit vectors packed a byte per vertex in an int.  A new basis
+    element queues its p-th power, its commutators within its layer and its
+    conjugates by the conjugators: the generators that enlarged the group,
+    or for a normal closure the ambient group's generators.
+    """
+
+    def __init__(self, p: int, n: int, gens, conjugators=None):
+        self.p, self.n, self.gens = p, n, []
+        self.identity = tuple(range(p**n))
+        # Per permutation layer: digit place b, block b p, digit-0 first-leaf images over b, basis.
+        self._layers = [(p ** (n - k - 1), p ** (n - k), tuple(range(0, p ** (k + 1), p)), [])
+                        for k in range(n - 1)]
+        self._vectors: dict[int, list[int]] = {}  # last layer: pivot -> multiples
+        self._width = p ** (n - 1) if n else 0
+        self._bias, self._guard = (int.from_bytes(bytes([c]) * self._width, "little")
+                                   for c in (128 - p, 128))
+        self._normal = conjugators is not None
+        self._conj = [self._conjugator(s) for s in conjugators or ()]
+        for g in gens:
+            self.add(g)
+
+    def _conjugator(self, s: Perm):
+        s_inv = perm_inverse(s)
+        return s, s_inv, tuple(y // self.p for y in s_inv[:: self.p])  # s^-1 on level n-1
+
+    def add(self, g) -> bool:
+        """Extend the group by g and close it; False if g was already a member."""
+        g = tuple(g)
+        k, x = self._sift(0, g)
+        if k == self.n:
+            return False
+        self.gens.append(g)
+        work: list = []
+        if not self._normal:  # the basis so far meets a new conjugator
+            self._conj.append(self._conjugator(g))
+            old = [(j, row[0]) for j, (*_, rows) in enumerate(self._layers) if j for _, row in rows]
+            for j, y in old + [(self.n - 1, row[1]) for row in self._vectors.values()]:
+                work += self._conjugates(j, y, self._conj[-1:])
+        self._insert(k, x, work)
+        while work:
+            k, x = self._sift(*work.pop())
+            if k < self.n:
+                self._insert(k, x, work)
+        return True
+
+    def _sift(self, k: int, x, exact: bool = False):
+        """(n, None) for a member, else the layer where x's digits stop reducing
+        and the residue; `exact` refuses a residue that is no last-layer rotation."""
+        p = self.p
+        for b, big, tops, basis in self._layers[k:]:
+            for j, powers in basis:
+                a = x[j * big] // b % p
+                if a:
+                    x = compose(powers[a], x)
+            if not all(map(eq, map(floordiv, islice(x, 0, None, big), repeat(b)), tops)):
+                return k, x
+            k += 1
+        if self.n == 0:
+            return 0, None
+        if isinstance(x, tuple):
+            if exact and not all(y == i - i % p + (i + x[i - i % p]) % p for i, y in enumerate(x)):
+                return -1, x
+            x = int.from_bytes(bytes(map(sub, x[::p], self.identity[::p])), "little")
+        while x:
+            j = ((x & -x).bit_length() - 1) >> 3
+            row = self._vectors.get(j)
+            if row is None:
+                return k, x
+            x += row[p - (x >> 8 * j & 255)]
+            x -= ((x + self._bias & self._guard) >> 7) * p  # bytes at p or above lose p
+        return self.n, None
+
+    def _conjugates(self, k: int, x, conj) -> list:
+        """(k, s x s^-1) for the conjugators s that move x; on the last layer a digit gather."""
+        if k < self.n - 1:
+            ys = [compose(s, compose(x, s_inv)) for s, s_inv, _ in conj]
+        else:
+            digits = x.to_bytes(self._width, "little")
+            ys = [int.from_bytes(bytes(compose(digits, top)), "little") for *_, top in conj]
+        return [(k, y) for y in ys if y != x]
+
+    def _insert(self, k: int, x, work: list):
+        """Make the residue x a basis element of layer k and queue its closure."""
+        p = self.p
+        if k == self.n - 1:
+            j = ((x & -x).bit_length() - 1) >> 3
+            digits = x.to_bytes(self._width, "little")
+            inv = pow(digits[j], -1, p)
+            row = [bytes(m * inv * d % p for d in digits) for m in range(p)]
+            row = self._vectors[j] = [int.from_bytes(r, "little") for r in row]
+            work += self._conjugates(k, row[1], self._conj)
+            return
+        b, big, tops, basis = self._layers[k]
+        j = next(i for i, (y, t) in enumerate(zip(x[::big], tops)) if y // b != t)
+        x = _perm_power(x, pow(x[j * big] // b % p, -1, p))
+        powers = [x, *(perm_inverse(_perm_power(x, a)) for a in range(1, p))]
+        new = [compose(compose(x, y), compose(powers[1], y_inv)) for _, (y, y_inv, *_) in basis]
+        work += [(k + 1, y) for y in [_perm_power(x, p), *new] if y != self.identity]
+        if k or self._normal:  # a subgroup normalizes itself: layer 0 needs no conjugates
+            work += self._conjugates(k, x, self._conj)
+        insort(basis, (j, powers))
+
+    def order(self, level: int | None = None) -> int:
+        """|H|, or at a level j the order of H's level-j image: p^(ranks below j)."""
+        ranks = [len(basis) for *_, basis in self._layers] + [len(self._vectors)]
+        return self.p ** sum(ranks[:level])
+
+    def contains(self, g) -> bool:
+        return self._sift(0, tuple(g), exact=True)[0] == self.n
+
+    def equals(self, other) -> bool:
+        return self.order() == other.order() and all(self.contains(g) for g in other.gens)
+
+
+def image_subgroup(words, n: int, conjugators=None):
+    """Level-n image subgroup generated by the given words, or their normal
+    closure under the conjugators (level-n permutations).  A p-preset whose
+    prime degree is below 64, so that a sum of two digits fits a byte, gets
+    a LayeredGroup, any other preset a StabChain."""
     words = list(words)
     if not words:
         raise ValueError("image_subgroup needs at least one word (may be identity)")
-    preset = words[0].preset
+    preset, p = words[0].preset, words[0].preset.degree
     _check_level(preset, n)
-    return StabChain(preset.degree ** n, [word_perm(w, n) for w in words])
+    perms = [word_perm(w, n) for w in words]
+    rotations = {tuple((x + c) % p for x in range(p)) for c in range(p)}
+    if p < 64 and _is_prime(p) and all(g.root_perm in rotations for g in preset.generators):
+        return LayeredGroup(p, n, perms, conjugators)
+    return StabChain(p**n, perms, conjugators or (), p)
 
 
-def full_level_group(preset: GroupPreset, n: int) -> StabChain:
+def full_level_group(preset: GroupPreset, n: int):
     gens = [Word.generator(preset, g) for g in preset.gen_names]
     return image_subgroup(gens, n)
 
 
 def quotient_order(preset: GroupPreset, n: int) -> int:
-    """|G / Stab_G(n)| via the stabilizer chain of the level image."""
-    if n == 0:
-        return 1
+    """|G / Stab_G(n)|: the order of the level-n image."""
     return full_level_group(preset, n).order()
 
 

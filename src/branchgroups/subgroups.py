@@ -10,7 +10,7 @@ finite level quotient: non-membership at any level is exact, membership at
 the tested level is only evidence.  A handle that knows it is a vertex
 stabilizer is decided at its own level by its predicate, w(x) = x.  Any
 other handle first refutes by a moved common fixed vertex of its
-generators, and only then sifts through a stabilizer chain of its image.
+generators, and only then sifts through its level image.
 Searches are iterative-deepening over reduced words with lexicographic
 tie-breaking, so results replay exactly.
 """
@@ -20,13 +20,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .presets import GroupPreset
-from .quotients import (
-    StabChain,
-    _check_level,
-    image_subgroup,
-    subgroup_index_in_quotient,
-    word_perm,
-)
+from .quotients import _check_level, full_level_group, image_subgroup, word_perm
 from .tree import Vertex, format_vertex, level_vertices
 from .words import DEFAULT_SEARCH_BUDGET, Word, expand_factors, is_identity_factors
 
@@ -73,7 +67,7 @@ class SubgroupHandle:
     def from_strings(cls, preset: GroupPreset, texts, **kw) -> "SubgroupHandle":
         return cls(tuple(Word.from_str(preset, t) for t in texts), **kw)
 
-    def image(self, n: int) -> StabChain:
+    def image(self, n: int):
         got = self._images.get(n)
         if got is None:
             got = self._images[n] = image_subgroup(self.words, n)
@@ -94,8 +88,8 @@ class SubgroupHandle:
 
         At the level of `vertex` the answer is w(x) = x, exact both ways.
         Otherwise w is refuted if it moves a vertex that every generator
-        fixes; failing that, its image is sifted through the chain of the
-        subgroup's level-n image.
+        fixes; failing that, its image is sifted through the subgroup's
+        level-n image.
         """
         n = self.membership_level
         if n is None:
@@ -241,11 +235,13 @@ def index_growth_profile(h: SubgroupHandle, n_max: int) -> list[int]:
     """Indices of the image subgroup in the level quotient, levels 1..n_max.
 
     A strictly increasing tail is evidence of infinite index; a constant
-    tail is evidence of finite index.  Neither is a proof.
+    tail is evidence of finite index.  Neither is a proof.  For a p-preset
+    every level is read off one run of G and one of H at n_max.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return [subgroup_index_in_quotient(h.words, n) for n in range(1, n_max + 1)]
+    full, sub = full_level_group(h.preset, n_max), h.image(n_max)
+    return [full.order(n) // sub.order(n) for n in range(1, n_max + 1)]
 
 
 def enumerate_reduced_words(preset: GroupPreset):

@@ -73,6 +73,26 @@ def test_quotient_order_decimal_string(capsys):
     assert (code, out) == (EXIT_OK, str(2**42))
 
 
+def test_quotient_order_at_the_level_cap_stays_small():
+    # Grigorchuk's level-10 quotient has order 2^642; the child reports its
+    # own peak resident set (kilobytes on Linux) on stderr.
+    src = str(Path(construction.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys\n"
+        "from branchgroups.cli import run_command\n"
+        "code = run_command(['quotient', 'order', '--level', '10'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == EXIT_OK
+    assert run.stdout.strip() == str(2**642)
+    assert int(run.stderr.split()[-1]) < 150 * 1024
+
+
 def test_quotient_transitive(capsys):
     assert run(capsys, "quotient", "transitive", "--level", "3")[0] == EXIT_OK
 
@@ -357,6 +377,23 @@ def test_wm_trap_without_a_moving_stabilizer_exits_2(tmp_path, capsys):
     argv = ["wm", "trap", "--preset", str(path), "--gens", "a", "--k", "1", "--budget", "10"]
     assert run_command(argv) == EXIT_USAGE
     assert "no level-1 stabilizer moves level 2" in capsys.readouterr().err
+
+
+def test_wm_build_whose_rist_candidates_run_out_is_undecided(capsys):
+    # Gupta-Sidki <a> against the ray through 0 builds at --budget 4000; at
+    # the default budget stage 1's candidates run out, which decides nothing.
+    argv = ["wm", "build", "--preset", "gupta-sidki", "--q-gens", "a", "--avoid-vertex", "0"]
+    assert run_command(argv) == EXIT_UNDECIDED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "undecided: stage 1: no rigid-stabilizer element escaping avoid subgroup 1 at level 2\n"
+    )
+    # A Q that never meets the level conditions is still a precondition error.
+    assert run_command(["wm", "build", "--q-gens", "1", "--avoid-vertex", "00"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: stage 0: Q is trivial or never satisfies the level-selection conditions\n"
+    )
 
 
 def test_definition_file_as_preset(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from branchgroups.quotients import (
+    LayeredGroup,
     LevelCapExceeded,
     StabChain,
     compose,
@@ -180,16 +181,23 @@ def _vertex_index(preset, v, n):
 
 
 def test_determinism_of_chain(grig):
-    g1 = full_level_group(grig, 4)
-    g2 = full_level_group(grig, 4)
-    assert g1.base() == g2.base()
+    # Grigorchuk's level images are LayeredGroups, which have no base, so
+    # the chain is built from the generator images directly.
+    gens = [word_perm(Word.generator(grig, g), 4) for g in grig.gen_names]
+    assert StabChain(16, gens).base() == StabChain(16, gens).base()
+    g1, g2 = full_level_group(grig, 4), full_level_group(grig, 4)
+    assert g1.gens == g2.gens
+    assert [g1.order(j) for j in range(5)] == [g2.order(j) for j in range(5)]
 
 
 def test_closed_form_orders_at_deeper_levels(grig, gs):
     # |G/St(n)| = 2^(5*2^(n-3)+2) for Grigorchuk, 3^(2*3^(n-2)+1) for Gupta-Sidki
     assert quotient_order(grig, 7) == 2**82
     assert quotient_order(grig, 8) == 2**162
+    assert quotient_order(grig, 9) == 2**322
+    assert quotient_order(grig, 10) == 2**642
     assert quotient_order(gs, 5) == 3**55
+    assert quotient_order(gs, 6) == 3**163
 
 
 def _rank_mod_p(rows, p):
@@ -210,10 +218,10 @@ def _rank_mod_p(rows, p):
 @pytest.mark.parametrize(
     "name, levels",
     [
-        ("gupta-sidki", (2, 3, 4, 5)),
-        ("ggs:3:1,0", (2, 3, 4, 5)),
-        ("ggs:5:1,0,0,1", (2, 3)),
-        ("ggs:5:1,2,0,0", (2, 3)),
+        ("gupta-sidki", (2, 3, 4, 5, 6)),
+        ("ggs:3:1,0", (2, 3, 4, 5, 6)),
+        ("ggs:5:1,0,0,1", (2, 3, 4)),
+        ("ggs:5:1,2,0,0", (2, 3, 4)),
     ],
 )
 def test_ggs_quotient_orders_match_closed_form(name, levels):
@@ -351,3 +359,131 @@ def test_orbit_transversal_reaches_every_orbit_vertex(grig, gs):
         assert all(w.apply(v) == u for u, w in reps.items())
         u = list(reps)[-1]
         assert orbit_transversal(preset, v, until=u)[u] == reps[u]
+
+
+def _normal_closure(seed, group_gens, npoints):
+    """The normal closure of seed inside <group_gens>, grown conjugate by
+    conjugate on a chain: the oracle for the normal closures below."""
+    ncl = StabChain(npoints, seed)
+    frontier = list(ncl.gens)
+    conjugators = [(h, perm_inverse(h)) for h in group_gens]
+    while frontier:
+        nxt = []
+        for h, h_inv in conjugators:
+            for g in frontier:
+                c = compose(h, compose(g, h_inv))
+                if ncl.add(c):
+                    nxt.append(c)
+        frontier = nxt
+    return ncl
+
+
+P_PRESETS = [
+    ("grigorchuk", 5),
+    ("gupta-sidki", 3),
+    ("ggs:3:1,0", 3),
+    ("ggs:5:1,2,0,0", 2),
+    ("ggs:5:1,0,0,1", 2),
+]
+
+
+@pytest.mark.parametrize("name, top", P_PRESETS)
+def test_layered_group_agrees_with_the_chain(name, top):
+    preset = builtin_preset(name)
+    p = preset.degree
+    rng = random.Random(17)
+    for n in range(1, top + 1):
+        npoints = p**n
+        ambient = [word_perm(Word.generator(preset, g), n) for g in preset.gen_names]
+        assert isinstance(full_level_group(preset, n), LayeredGroup)
+        for _ in range(10):
+            words = [_random_letters_word(preset, rng, 6) for _ in range(rng.randrange(1, 4))]
+            perms = [word_perm(w, n) for w in words]
+            chain, layered = StabChain(npoints, perms), image_subgroup(words, n)
+            assert isinstance(layered, LayeredGroup)
+            assert layered.order() == chain.order()
+            assert [layered.order(j) for j in range(n + 1)] == [
+                image_subgroup(words, j).order() for j in range(n + 1)
+            ]
+            for _ in range(8):
+                x = word_perm(_random_letters_word(preset, rng, 10), n)
+                assert layered.contains(x) == chain.contains(x)
+            for _ in range(4):
+                # a random permutation is no tree automorphism; the chain
+                # decides whether it lies in the image
+                x = list(range(npoints))
+                rng.shuffle(x)
+                assert layered.contains(x) == chain.contains(tuple(x))
+            ncl = image_subgroup(words, n, conjugators=ambient)
+            assert isinstance(ncl, LayeredGroup)
+            assert ncl.order() == _normal_closure(perms, ambient, npoints).order()
+
+
+@pytest.mark.parametrize(
+    "n, texts, order",
+    [
+        (3, ["b^2 a b^2", "a^2", "a"], 3**7),
+        (3, ["a^2 b^2 a^2 b^2 a b^2 a^2", "b a^2"], 3**7),
+        (4, ["b a^2 b^2", "a b"], 3**19),
+    ],
+)
+def test_layered_group_closes_layers_under_commutators(gs, n, texts, order):
+    # Each of these generates Gupta-Sidki's full level quotient, and an
+    # engine that skips the commutators within a layer comes out 3 short.
+    words = [Word.from_str(gs, t) for t in texts]
+    assert image_subgroup(words, n).order() == order
+    assert StabChain(3**n, [word_perm(w, n) for w in words]).order() == order
+
+
+def test_layered_group_refuses_non_automorphisms(grig, gs):
+    # Swapping two leaves under different parents is no tree automorphism;
+    # swapping two leaves under one Gupta-Sidki parent is one, but it does
+    # not rotate the three children, so no word's image does it.
+    for preset, n in ((grig, 4), (gs, 3)):
+        full = full_level_group(preset, n)
+        swap = list(range(preset.degree**n))
+        swap[1], swap[preset.degree] = swap[preset.degree], swap[1]
+        assert not full.contains(swap)
+        assert full.contains(range(preset.degree**n))
+    flip = list(range(27))
+    flip[0], flip[1] = flip[1], flip[0]
+    assert not full_level_group(gs, 3).contains(flip)
+
+
+# Degree 3, but b transposes two children of the root.
+TRANSPOSITION = {
+    "degree": 3,
+    "generators": [
+        {"name": "a", "root_perm": [1, 2, 0], "sections": ["", "", ""]},
+        {"name": "b", "root_perm": [1, 0, 2], "sections": ["a", "b", ""]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "preset, orders, profile",
+    [
+        (
+            builtin_preset("ggs:4:1,0,0"),  # degree 4 is not prime
+            [1, 4, 4**5, 4**17, 4**65],
+            [1, 4**4, 4**16, 4**64],
+        ),
+        (
+            preset_from_dict(TRANSPOSITION),
+            [1, 6, 648, 816293376, 1631774235698698006327984128],
+            [2, 216, 272097792, 543924745232899335442661376],
+        ),
+    ],
+)
+def test_presets_outside_the_engine_keep_the_chain(preset, orders, profile):
+    # Orders and profile as the chain gave them before the layered engine.
+    from branchgroups.subgroups import SubgroupHandle, index_growth_profile
+
+    for n in range(1, 4):
+        grp = full_level_group(preset, n)
+        assert isinstance(grp, StabChain)
+        assert grp.base() == full_level_group(preset, n).base()
+    assert [quotient_order(preset, n) for n in range(5)] == orders
+    assert index_growth_profile(SubgroupHandle.from_strings(preset, ["a"]), 4) == profile
+    words = [Word.from_str(preset, "a")]
+    assert image_subgroup(words, 4).order(2) == image_subgroup(words, 2).order()
