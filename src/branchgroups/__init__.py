@@ -1,6 +1,14 @@
 """Exact computation in finitely generated self-similar groups acting on
 d-regular rooted trees, with finite-stage certificate machinery for
-weakly-maximal-style subgroup constructions."""
+weakly-maximal-style subgroup constructions.
+
+`import branchgroups` loads the word and quotient core only: `presets`,
+`tree`, `words` and `quotients`.  The names re-exported from `subgroups`
+and `construction` resolve in those modules on first access, and `hashlib`
+and `json` load when a preset fingerprint is taken or a definition file is
+read or written."""
+
+from importlib import import_module as _import_module
 
 from .presets import (
     GroupPreset,
@@ -21,36 +29,37 @@ from .quotients import (
     quotient_order,
     subgroup_index_in_quotient,
 )
-from .subgroups import (
-    NotInLevelStabilizerError,
-    SubgroupHandle,
-    conjugate_escaping,
-    enumerate_reduced_words,
-    fixed_tree,
-    fixed_vertices,
-    in_rigid_stabilizer,
-    index_growth_profile,
-    minimal_non_fixing_level,
-    psi_sections,
-)
-from .construction import (
-    CertificateBuildError,
-    WMCertificate,
-    build_certificate,
-    conjugate_count_lower_bound,
-    fix_separation_witness,
-    iter_rist_elements,
-    level_trap_check,
-    parabolic_approximation,
-    pullback_subgroup,
-    transporter_word,
-    trap_subgroup,
-    validate_certificate,
-)
 from .tree import ROOT, InvalidDegreeError, format_vertex, level_vertices, parse_vertex, vertex_leq
 from .words import BudgetExhausted, InfiniteOrder, Portrait, Word
 
 __version__ = "0.1.0"
+
+# Looked up on every access and never stored here: a wrapper swapped into
+# the submodule is what the package hands out, and goes when it is removed.
+_LAZY = {
+    **dict.fromkeys((
+        "NotInLevelStabilizerError", "SubgroupHandle", "conjugate_escaping",
+        "enumerate_reduced_words", "fixed_tree", "fixed_vertices", "in_rigid_stabilizer",
+        "index_growth_profile", "minimal_non_fixing_level", "psi_sections",
+    ), "subgroups"),
+    **dict.fromkeys((
+        "CertificateBuildError", "WMCertificate", "build_certificate",
+        "conjugate_count_lower_bound", "fix_separation_witness", "iter_rist_elements",
+        "level_trap_check", "parabolic_approximation", "pullback_subgroup",
+        "transporter_word", "trap_subgroup", "validate_certificate",
+    ), "construction"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "BudgetExhausted",

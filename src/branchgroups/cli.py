@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from . import construction, quotients, subgroups
+from . import quotients
 from .presets import GroupPreset, _preset_from_dict, builtin_preset, load_preset, validate_preset
 from .tree import format_vertex, parse_vertex
 from .words import DEFAULT_IDENTITY_BUDGET, DEFAULT_ORDER_BUDGET, DEFAULT_SEARCH_BUDGET
@@ -38,15 +38,14 @@ DEFAULT_LEVEL = 4
 
 class _Reporter:
     def __init__(self, preset: GroupPreset, args):
-        self.meta = {"preset_fingerprint": preset.fingerprint()}
-        if hasattr(args, "budget"):
-            self.meta["budget"] = args.budget
+        self.preset = preset
+        self.meta = {"budget": args.budget} if hasattr(args, "budget") else {}
         self.format = args.format
 
     def emit(self, payload: dict, text: str) -> None:
         if self.format == "json":
             body = dict(payload)
-            body["meta"] = self.meta
+            body["meta"] = {"preset_fingerprint": self.preset.fingerprint(), **self.meta}
             print(json.dumps(body, sort_keys=True))
         else:
             print(text)
@@ -67,6 +66,7 @@ def _word(preset: GroupPreset, text: str) -> Word:
 
 
 def _handle(preset: GroupPreset, texts, level=None) -> subgroups.SubgroupHandle:
+    from . import subgroups
     if not texts:
         raise SystemExit(EXIT_USAGE)
     return subgroups.SubgroupHandle.from_strings(preset, texts, membership_level=level)
@@ -244,6 +244,7 @@ def _cmd_quotient(args, preset, rep) -> int:
 
 
 def _cmd_sub(args, preset, rep) -> int:
+    from . import subgroups
     if args.cmd == "fix":
         h = _handle(preset, args.gens)
         data = subgroups.fixed_tree(h, args.depth).to_dict()
@@ -293,66 +294,74 @@ def _cmd_sub(args, preset, rep) -> int:
 
 
 def _cmd_wm(args, preset, rep) -> int:
-    if args.cmd == "rist-search":
-        v = parse_vertex(args.vertex, preset.degree)
-        g = next(construction.iter_rist_elements(v, preset, args.budget), None)
-        if g is None:
-            rep.emit({"word": None, "undecided": True}, "not found (budget exhausted)")
-            return EXIT_UNDECIDED
-        rep.emit({"word": str(g)}, str(g))
+    from . import construction
+    try:
+        if args.cmd == "rist-search":
+            v = parse_vertex(args.vertex, preset.degree)
+            g = next(construction.iter_rist_elements(v, preset, args.budget), None)
+            if g is None:
+                rep.emit({"word": None, "undecided": True}, "not found (budget exhausted)")
+                return EXIT_UNDECIDED
+            rep.emit({"word": str(g)}, str(g))
+            return EXIT_OK
+        if args.cmd == "pullback":
+            delta_level = args.delta_level if args.delta_level is not None else args.level
+            delta = _handle(preset, args.gens, level=delta_level)
+            result = construction.pullback_subgroup(delta, args.k, args.level, budget=args.budget)
+            data = result.to_dict()
+            rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
+            return EXIT_OK
+        if args.cmd == "trap":
+            q = _handle(preset, args.gens)
+            h = construction.trap_subgroup(q, args.k, budget=args.budget)
+            report = construction.level_trap_check(h, args.k, args.l)
+            data = {"subgroup": h.to_dict(), "check": report.to_dict()}
+            rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
+            return EXIT_OK if report.passed else EXIT_FALSE
+        if args.cmd == "build":
+            q = _handle(preset, args.q_gens)
+            seeds = [parse_vertex(t, preset.degree) for t in args.avoid_vertex]
+            cert = construction.build_certificate(
+                q, seeds, rist_budget=args.budget, verification_level=args.level
+            )
+            text = cert.to_json()
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            rep.emit(cert.to_dict(), text if not args.out else f"certificate written to {args.out}")
+            return EXIT_OK
+        if args.cmd == "validate":
+            with open(args.certificate, encoding="utf-8") as fh:
+                cert = construction.WMCertificate.from_json(fh.read(), preset)
+            report = construction.validate_certificate(cert, preset)
+            lines = [
+                f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
+                for c in report.clauses
+            ]
+            lines.append("passed" if report.passed else "failed")
+            rep.emit(report.to_dict(), "\n".join(lines))
+            return EXIT_OK if report.passed else EXIT_FALSE
+        if args.cmd == "separate":
+            ha = _handle(preset, args.gens_a)
+            hb = _handle(preset, args.gens_b)
+            t = construction.fix_separation_witness(ha, hb, args.depth)
+            if t is None:
+                rep.emit({"witness": None, "undecided": True}, "inconclusive")
+                return EXIT_UNDECIDED
+            rep.emit({"witness": t}, str(t))
+            return EXIT_OK
+        h = _handle(preset, args.gens, level=args.level)
+        bound = construction.conjugate_count_lower_bound(h, args.level, budget=args.budget)
+        data = bound.to_dict()
+        data["level"] = args.level
+        rep.emit(data, str(bound.count))
         return EXIT_OK
-    if args.cmd == "pullback":
-        delta_level = args.delta_level if args.delta_level is not None else args.level
-        delta = _handle(preset, args.gens, level=delta_level)
-        result = construction.pullback_subgroup(delta, args.k, args.level, budget=args.budget)
-        data = result.to_dict()
-        rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
-        return EXIT_OK
-    if args.cmd == "trap":
-        q = _handle(preset, args.gens)
-        h = construction.trap_subgroup(q, args.k, budget=args.budget)
-        report = construction.level_trap_check(h, args.k, args.l)
-        data = {"subgroup": h.to_dict(), "check": report.to_dict()}
-        rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
-        return EXIT_OK if report.passed else EXIT_FALSE
-    if args.cmd == "build":
-        q = _handle(preset, args.q_gens)
-        seeds = [parse_vertex(t, preset.degree) for t in args.avoid_vertex]
-        cert = construction.build_certificate(
-            q, seeds, rist_budget=args.budget, verification_level=args.level
-        )
-        text = cert.to_json()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        rep.emit(cert.to_dict(), text if not args.out else f"certificate written to {args.out}")
-        return EXIT_OK
-    if args.cmd == "validate":
-        with open(args.certificate, encoding="utf-8") as fh:
-            cert = construction.WMCertificate.from_json(fh.read(), preset)
-        report = construction.validate_certificate(cert, preset)
-        lines = [
-            f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
-            for c in report.clauses
-        ]
-        lines.append("passed" if report.passed else "failed")
-        rep.emit(report.to_dict(), "\n".join(lines))
-        return EXIT_OK if report.passed else EXIT_FALSE
-    if args.cmd == "separate":
-        ha = _handle(preset, args.gens_a)
-        hb = _handle(preset, args.gens_b)
-        t = construction.fix_separation_witness(ha, hb, args.depth)
-        if t is None:
-            rep.emit({"witness": None, "undecided": True}, "inconclusive")
-            return EXIT_UNDECIDED
-        rep.emit({"witness": t}, str(t))
-        return EXIT_OK
-    h = _handle(preset, args.gens, level=args.level)
-    bound = construction.conjugate_count_lower_bound(h, args.level, budget=args.budget)
-    data = bound.to_dict()
-    data["level"] = args.level
-    rep.emit(data, str(bound.count))
-    return EXIT_OK
+    except construction.RistSearchExhausted as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except construction.CertificateBuildError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 _DISPATCH = {
@@ -375,10 +384,10 @@ def run_command(argv=None) -> int:
     rep = _Reporter(preset, args)
     try:
         return _DISPATCH[args.group_cmd](args, preset, rep)
-    except (BudgetExhausted, construction.RistSearchExhausted) as exc:
+    except BudgetExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (construction.CertificateBuildError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

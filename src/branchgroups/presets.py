@@ -21,8 +21,6 @@ shipped presets are built directly and skip the check.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from functools import cached_property
 
 Factor = tuple[str, int]
@@ -229,6 +227,8 @@ class GroupPreset:
         }
 
     def fingerprint(self) -> str:
+        import hashlib
+        import json
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -327,11 +327,13 @@ def _preset_from_dict(data: dict) -> GroupPreset:
 
 
 def load_preset(path) -> GroupPreset:
+    import json
     with open(path, encoding="utf-8") as fh:
         return preset_from_dict(json.load(fh))
 
 
 def save_preset(preset: GroupPreset, path) -> None:
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(preset.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

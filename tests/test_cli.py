@@ -93,6 +93,25 @@ def test_quotient_order_at_the_level_cap_stays_small():
     assert int(run.stderr.split()[-1]) < 150 * 1024
 
 
+def test_quotient_order_past_the_point_cap_is_refused_before_any_work():
+    # Gupta-Sidki level 8 has 3^8 = 6,561 vertices, over POINT_CAP = 5^5;
+    # computed, it ran out of memory under a 1.5 GB address-space limit.
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", "quotient", "order",
+         "--preset", "gupta-sidki", "--level", "8"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2,
+    )
+    assert run.returncode == EXIT_USAGE
+    assert (run.stdout, run.stderr) == ("", "error: level 8 has 6561 vertices, over the cap of 3125\n")
+
+
+def test_json_meta_keeps_the_preset_fingerprint(capsys):
+    code, out = run(capsys, "quotient", "order", "--level", "3", "--format", "json")
+    assert code == EXIT_OK
+    assert out == '{"level": 3, "meta": {"preset_fingerprint": "55fdcaec608954a8"}, "order": "128"}'
+
+
 def test_quotient_transitive(capsys):
     assert run(capsys, "quotient", "transitive", "--level", "3")[0] == EXIT_OK
 

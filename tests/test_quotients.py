@@ -221,7 +221,7 @@ def _rank_mod_p(rows, p):
         ("gupta-sidki", (2, 3, 4, 5, 6)),
         ("ggs:3:1,0", (2, 3, 4, 5, 6)),
         ("ggs:5:1,0,0,1", (2, 3, 4)),
-        ("ggs:5:1,2,0,0", (2, 3, 4)),
+        ("ggs:5:1,2,0,0", (2, 3, 4, 5)),  # 5^5 points: the largest level the point cap admits
     ],
 )
 def test_ggs_quotient_orders_match_closed_form(name, levels):

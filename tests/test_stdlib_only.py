@@ -35,18 +35,46 @@ def test_library_imports_only_the_standard_library():
     assert outside == []
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # dataclasses pulls in inspect, ast, dis and tokenize; the records are
-    # plain classes so that a CLI process does not pay for them.
+def _fresh_imports(statement: str, *names: str) -> list[str]:
+    """Which of the named modules a fresh interpreter loads running the statement."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import branchgroups.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        f"{statement}\n"
+        f"print(sorted(set({names!r}) & (set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(branchgroups.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize; the records are
+    # plain classes so that a CLI process does not pay for them.
+    assert _fresh_imports("import branchgroups.cli", "dataclasses", "inspect") == []
+
+
+def test_package_import_loads_only_the_word_and_quotient_core():
+    # subgroups, construction, the fingerprint's hashlib and JSON load on first use
+    lazy = ("hashlib", "branchgroups.subgroups", "branchgroups.construction")
+    assert _fresh_imports("import branchgroups", "json", *lazy) == []
+    assert _fresh_imports("import branchgroups.cli", *lazy) == []
+    first_use = "import branchgroups\nbranchgroups.fixed_tree"
+    assert _fresh_imports(first_use, "json", *lazy) == ["branchgroups.subgroups"]
+
+
+def test_every_exported_name_resolves():
+    for name in branchgroups.__all__:
+        assert getattr(branchgroups, name) is not None, name
+    assert set(branchgroups.__all__) <= set(dir(branchgroups))
+    from branchgroups import construction, subgroups
+
+    assert branchgroups.fixed_tree is subgroups.fixed_tree
+    assert branchgroups.WMCertificate is construction.WMCertificate
+    assert "fixed_tree" not in vars(branchgroups)  # looked up, never stored
+    with pytest.raises(AttributeError):
+        branchgroups.no_such_name
 
 
 def _children(parser) -> dict:
