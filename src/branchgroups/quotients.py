@@ -24,7 +24,7 @@ normal closure under given conjugators.
 Level-transitivity is one orbit walk from the vertex 0...0, with no group.
 Every quotient level, word image level and depth of a fixed-tree walk is
 checked against the fixed LEVEL_CAP before any work, so none runs past
-that level whoever calls it; a level image subgroup is refused, also
+that level whoever calls it; a whole level image is refused, also
 before any work, past POINT_CAP level vertices.
 """
 
@@ -46,7 +46,7 @@ POINT_CAP = 5**5  # admits Gupta-Sidki level 7 (2,187 points) and GGS degree 5 a
 
 
 class LevelCapExceeded(ValueError):
-    """A level past LEVEL_CAP, or a level image past POINT_CAP vertices: could exhaust memory."""
+    """A level past LEVEL_CAP, or a whole level image past POINT_CAP vertices: could exhaust memory."""
 
 
 def _check_level(preset: GroupPreset, n: int):
@@ -392,8 +392,6 @@ def image_subgroup(words, n: int, conjugators=None):
         raise ValueError("image_subgroup needs at least one word (may be identity)")
     preset, p = words[0].preset, words[0].preset.degree
     _check_level(preset, n)
-    if p**n > POINT_CAP:
-        raise LevelCapExceeded(f"level {n} has {p**n} vertices, over the cap of {POINT_CAP}")
     perms = [word_perm(w, n) for w in words]
     rotations = {tuple((x + c) % p for x in range(p)) for c in range(p)}
     if p < 64 and _is_prime(p) and all(g.root_perm in rotations for g in preset.generators):
@@ -402,6 +400,9 @@ def image_subgroup(words, n: int, conjugators=None):
 
 
 def full_level_group(preset: GroupPreset, n: int):
+    _check_level(preset, n)
+    if preset.degree**n > POINT_CAP:
+        raise LevelCapExceeded(f"level {n} has {preset.degree**n} vertices, over the cap of {POINT_CAP}")
     gens = [Word.generator(preset, g) for g in preset.gen_names]
     return image_subgroup(gens, n)
 

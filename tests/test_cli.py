@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from branchgroups import construction
+from branchgroups import construction, quotients
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
@@ -18,7 +18,7 @@ from branchgroups.cli import (
     build_parser,
     run_command,
 )
-from branchgroups.presets import grigorchuk_preset
+from branchgroups.presets import grigorchuk_preset, gupta_sidki_preset
 from branchgroups.quotients import LEVEL_CAP
 from branchgroups.subgroups import SubgroupHandle
 from branchgroups.tree import parse_vertex
@@ -93,17 +93,34 @@ def test_quotient_order_at_the_level_cap_stays_small():
     assert int(run.stderr.split()[-1]) < 150 * 1024
 
 
-def test_quotient_order_past_the_point_cap_is_refused_before_any_work():
+def test_quotient_order_past_the_point_cap_exits_2():
     # Gupta-Sidki level 8 has 3^8 = 6,561 vertices, over POINT_CAP = 5^5;
     # computed, it ran out of memory under a 1.5 GB address-space limit.
     src = str(Path(construction.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-m", "branchgroups.cli", "quotient", "order",
          "--preset", "gupta-sidki", "--level", "8"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == EXIT_USAGE
     assert (run.stdout, run.stderr) == ("", "error: level 8 has 6561 vertices, over the cap of 3125\n")
+
+
+def test_the_point_cap_refuses_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("word_perm called past the point cap")
+
+    monkeypatch.setattr(quotients, "word_perm", no_work)
+    with pytest.raises(quotients.LevelCapExceeded, match="over the cap of 3125"):
+        quotients.quotient_order(gupta_sidki_preset(), 8)
+
+
+def test_subgroup_images_past_the_point_cap_still_answer(capsys):
+    # Only the whole level image is point-capped: a small subgroup's image
+    # at Gupta-Sidki level 8 is cheap.
+    argv = ("--preset", "gupta-sidki", "--gens", "a", "--level", "8")
+    assert run(capsys, "sub", "escape", *argv, "--gamma", "b") == (EXIT_OK, "1")
+    assert run(capsys, "wm", "conjbound", *argv, "--budget", "50") == (EXIT_OK, "3")
 
 
 def test_json_meta_keeps_the_preset_fingerprint(capsys):
