@@ -9,6 +9,7 @@ and `json` load when a preset fingerprint is taken or a definition file is
 read or written."""
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .presets import (
     GroupPreset,
@@ -38,7 +39,7 @@ __version__ = "0.1.0"
 # the submodule is what the package hands out, and goes when it is removed.
 _LAZY = {
     **dict.fromkeys((
-        "NotInLevelStabilizerError", "SubgroupHandle", "conjugate_escaping",
+        "NotInLevelStabilizerError", "SubgroupHandle", "conjugate_escaping", "conjugate_images",
         "enumerate_reduced_words", "fixed_tree", "fixed_vertices", "in_rigid_stabilizer",
         "index_growth_profile", "minimal_non_fixing_level", "psi_sections",
     ), "subgroups"),
@@ -61,52 +62,8 @@ def __dir__():
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "BudgetExhausted",
-    "CertificateBuildError",
-    "GroupPreset",
-    "InfiniteOrder",
-    "InvalidDegreeError",
-    "NotInLevelStabilizerError",
-    "Portrait",
-    "ROOT",
-    "StabChain",
-    "SubgroupHandle",
-    "WMCertificate",
-    "Word",
-    "build_certificate",
-    "builtin_preset",
-    "conjugate_count_lower_bound",
-    "conjugate_escaping",
-    "enumerate_reduced_words",
-    "fix_separation_witness",
-    "fixed_tree",
-    "fixed_vertices",
-    "format_vertex",
-    "full_level_group",
-    "ggs_preset",
-    "grigorchuk_preset",
-    "gupta_sidki_preset",
-    "in_rigid_stabilizer",
-    "index_growth_profile",
-    "is_level_transitive",
-    "iter_rist_elements",
-    "level_trap_check",
-    "level_vertices",
-    "load_preset",
-    "minimal_non_fixing_level",
-    "parabolic_approximation",
-    "parse_vertex",
-    "point_stabilizer_words",
-    "psi_sections",
-    "pullback_subgroup",
-    "quotient_order",
-    "regular_branch_vector_check",
-    "save_preset",
-    "subgroup_index_in_quotient",
-    "transporter_word",
-    "trap_subgroup",
-    "validate_certificate",
-    "validate_preset",
-    "vertex_leq",
-]
+# The names imported above, less the submodules those imports bind, and the lazy ones.
+__all__ = sorted({*_LAZY, *(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)})

@@ -67,8 +67,6 @@ def _word(preset: GroupPreset, text: str) -> Word:
 
 def _handle(preset: GroupPreset, texts, level=None) -> subgroups.SubgroupHandle:
     from . import subgroups
-    if not texts:
-        raise SystemExit(EXIT_USAGE)
     return subgroups.SubgroupHandle.from_strings(preset, texts, membership_level=level)
 
 

@@ -5,7 +5,9 @@ Every search here is deterministic: candidates are generated breadth-first
 from the preset's branching generators by iterated commutators with
 generator letters, and all budgets are explicit, default to
 DEFAULT_SEARCH_BUDGET as on the command line, and are recorded in the
-results, so a certificate replays to the byte.
+results, so a certificate replays to the byte.  The conjugate-count bound
+counts the conjugates that `subgroups.conjugate_images` walks within its
+budget.
 
 A certificate is built from Q and seed vertices alone: the avoided
 subgroups are the stabilizers of the seeds' rays, every stage's level and
@@ -35,7 +37,7 @@ from .quotients import (
 )
 from .subgroups import (
     SubgroupHandle,
-    conjugate_escaping,
+    conjugate_images,
     enumerate_reduced_words,
     first_moved_vertex,
     fixed_levels,
@@ -44,7 +46,7 @@ from .subgroups import (
     rist_support,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
-from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, InfiniteOrder, Word, root_perm_of
+from .words import DEFAULT_SEARCH_BUDGET, Word, root_perm_of
 
 
 class CertificateBuildError(RuntimeError):
@@ -462,36 +464,40 @@ class WMCertificate:
 
     @classmethod
     def from_dict(cls, data: dict, preset: GroupPreset) -> "WMCertificate":
-        stages = tuple(
-            CertificateStage(
-                v=parse_vertex(s["v"], preset.degree),
-                w=Word.from_str(preset, s["w"]),
-                u=parse_vertex(s["u"], preset.degree),
-            )
-            for s in data["stages"]
-        )
-        for i, (s, stage) in enumerate(zip(data["stages"], stages), start=1):
-            if int(s["k"]) != stage.k or len(stage.u) != stage.k:
-                raise ValueError(
-                    f"stage {i}: k = {s['k']}, v = {s['v']!r} and u = {s['u']!r}"
-                    " are not all at one level"
+        """Read a certificate; a file of the wrong shape raises ValueError."""
+        try:
+            stages = tuple(
+                CertificateStage(
+                    v=parse_vertex(s["v"], preset.degree),
+                    w=Word.from_str(preset, s["w"]),
+                    u=parse_vertex(s["u"], preset.degree),
                 )
-        avoid = tuple(
-            SubgroupHandle(
-                tuple(Word.from_str(preset, t) for t in h["generators"]),
-                membership_level=h["membership_level"],
-                label=h.get("label", ""),
+                for s in data["stages"]
             )
-            for h in data["avoid"]
-        )
-        return cls(
-            preset_fingerprint=data["preset_fingerprint"],
-            q_generators=tuple(Word.from_str(preset, t) for t in data["q_generators"]),
-            stages=stages,
-            avoid=avoid,
-            verification_level=int(data["verification_level"]),
-            budgets=dict(data.get("budgets", {})),
-        )
+            for i, (s, stage) in enumerate(zip(data["stages"], stages), start=1):
+                if int(s["k"]) != stage.k or len(stage.u) != stage.k:
+                    raise ValueError(
+                        f"stage {i}: k = {s['k']}, v = {s['v']!r} and u = {s['u']!r}"
+                        " are not all at one level"
+                    )
+            avoid = tuple(
+                SubgroupHandle(
+                    tuple(Word.from_str(preset, t) for t in h["generators"]),
+                    membership_level=int(h["membership_level"]),
+                    label=h.get("label", ""),
+                )
+                for h in data["avoid"]
+            )
+            return cls(
+                preset_fingerprint=data["preset_fingerprint"],
+                q_generators=tuple(Word.from_str(preset, t) for t in data["q_generators"]),
+                stages=stages,
+                avoid=avoid,
+                verification_level=int(data["verification_level"]),
+                budgets=dict(data.get("budgets", {})),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str, preset: GroupPreset) -> "WMCertificate":
@@ -787,85 +793,20 @@ def fix_separation_witness(
 
 
 class ConjugateBound:
-    def __init__(
-        self,
-        count: int,
-        gamma: Word | None,
-        conjugator: Word | None,
-        witness_orders: list[int],
-    ):
-        self.count = count
-        self.gamma = gamma
-        self.conjugator = conjugator
-        self.witness_orders = witness_orders
+    """Distinct level-n conjugates of a subgroup: the word of each, "1" first."""
+
+    def __init__(self, conjugators: list[Word]):
+        self.conjugators = conjugators
+        self.count = len(conjugators)
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "gamma": str(self.gamma) if self.gamma else None,
-            "conjugator": str(self.conjugator) if self.conjugator is not None else None,
-            "witness_orders": [int(x) for x in self.witness_orders],
-        }
-
-
-def _prime_power(m: int) -> tuple[int, int] | None:
-    if m < 2:
-        return None
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-        p += 1
-    return (m, 1)
-
-
-_CONJBOUND_ORDER_BUDGET = 20000  # order recursion nodes per candidate gamma
+        return {"count": self.count, "conjugators": [str(c) or "1" for c in self.conjugators]}
 
 
 def conjugate_count_lower_bound(
     h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ConjugateBound:
-    """Count distinct level-n conjugates of h's image by powers of an
-    escaping prime-power element.
-
-    Searches words gamma of prime-power order whose conjugate (by an
-    escaping conjugator where necessary) lies outside h's image, then
-    compares the images of f gamma^i f^-1 . h . f gamma^-i f^-1 pairwise.
-    Budget exhaustion returns the trivial bound 1.
-    """
-    preset = h.preset
-    base_img = h.image(n)
-    gammas = (g for g in enumerate_reduced_words(preset) if g.factors)
-    for gamma in islice(gammas, budget):
-        try:
-            m = gamma.order(_CONJBOUND_ORDER_BUDGET)
-        except (BudgetExhausted, InfiniteOrder):
-            continue
-        pp = _prime_power(m)
-        if pp is None:
-            continue
-        if base_img.contains(word_perm(gamma, n)):
-            f = conjugate_escaping(h, gamma, n, budget=200)
-            if f is None:
-                continue
-        else:
-            f = Word.identity(preset)
-        g = gamma.conjugate_by(f)
-        images: list = []
-        for i in range(m):
-            conj = h.conjugated(g**i)
-            img = conj.image(n)
-            if not any(img.equals(other) for other in images):
-                images.append(img)
-        if len(images) >= 2:
-            return ConjugateBound(
-                count=len(images),
-                gamma=gamma,
-                conjugator=f,
-                witness_orders=[int(im.order()) for im in images],
-            )
-    return ConjugateBound(count=1, gamma=None, conjugator=None, witness_orders=[])
+    """The conjugates of h that `conjugate_images` yields within the budget:
+    their level-n images are pairwise distinct, so their count is a lower
+    bound on the number of conjugates of H in G."""
+    return ConjugateBound([c for c, _ in conjugate_images(h, n, budget)])

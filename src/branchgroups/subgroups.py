@@ -11,13 +11,12 @@ the tested level is only evidence.  A handle that knows it is a vertex
 stabilizer is decided at its own level by its predicate, w(x) = x.  Any
 other handle first refutes by a moved common fixed vertex of its
 generators, and only then sifts through its level image.
-Searches are iterative-deepening over reduced words with lexicographic
-tie-breaking, so results replay exactly.
+One breadth-first walk, `conjugate_images`, visits the distinct
+conjugates of a level image; escaping conjugators and the conjugate count
+read it, so results replay exactly and a budget counts conjugates visited.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .presets import GroupPreset
 from .quotients import _check_level, full_level_group, image_subgroup, word_perm
@@ -173,8 +172,7 @@ def first_moved_vertex(words, n: int, tops=((),)) -> Vertex | None:
 
 def fixed_vertices(h: SubgroupHandle, n: int) -> set[Vertex]:
     """Level-n vertices fixed by every generator, hence by the subgroup."""
-    *_, last = fixed_levels(h.words, n)
-    return set(last)
+    return set(h.fixed_points(n))
 
 
 def fixed_tree(h: SubgroupHandle, depth: int) -> FixedTree:
@@ -272,21 +270,57 @@ def enumerate_reduced_words(preset: GroupPreset):
         frontier = nxt
 
 
+def _orbit_key(img) -> tuple[int, ...]:
+    """Each point's least orbit-mate under the generators of an image built
+    without conjugators, which generate it, so equal images have equal keys."""
+    least = [-1] * len(img.identity)
+    for x in range(len(least)):
+        orbit = [x] if least[x] < 0 else []
+        for y in orbit:  # grows while it is walked
+            if least[y] < 0:
+                least[y] = x
+                for g in img.gens:
+                    orbit.append(g[y])
+    return tuple(least)
+
+
+def conjugate_images(h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUDGET):
+    """Yield (c, level-n image of c H c^-1) for at most `budget` distinct
+    level-n conjugates of h's image, breadth first from c = 1 by the
+    generators in declared order, each keeping the first c that reaches it
+    (the quotient is finite, so positive letters reach the whole orbit).
+    A candidate is new when `equals` fails against every kept image with
+    its orbit key (images with other keys are unequal): an exact level-n
+    refutation, so the images belong to pairwise distinct conjugates of H."""
+    gens = [Word.generator(h.preset, g) for g in h.preset.gen_names]
+    kept: dict = {}  # orbit key -> the images kept with it
+    queue = [Word.identity(h.preset)]
+    for c in queue:  # grows while it is walked: breadth first
+        if budget < 1:
+            return
+        img = h.conjugated(c).image(n)
+        twins = kept.setdefault(_orbit_key(img), [])
+        if not any(img.equals(other) for other in twins):
+            twins.append(img)
+            budget -= 1
+            queue += [s * c for s in gens]
+            yield c, img
+
+
 def conjugate_escaping(
     h: SubgroupHandle, gamma: Word, n: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> Word | None:
-    """A word f with the level-n image of f gamma f^-1 outside h's image.
+    """f = c^-1 for the first conjugate c H c^-1 of `conjugate_images` whose
+    level-n image misses gamma, so f gamma f^-1 is outside h's image.
 
-    Level-n non-membership is exact, so a returned conjugator certifies
-    that the conjugate is not in the subgroup.  Returns None when the
-    budget is exhausted; that is no conclusion.
+    Level-n non-membership is exact, so a returned f certifies that the
+    conjugate is not in the subgroup.  None, when no conjugate within the
+    budget misses gamma, is no conclusion.
     """
     if gamma.is_identity():
         raise ValueError("gamma must be nontrivial")
     if h.membership_level is not None and h.membership_level > n:
         raise ValueError("membership level exceeds the check level")
-    img = h.image(n)
-    for f in islice(enumerate_reduced_words(gamma.preset), budget):
-        if not img.contains(word_perm(gamma.conjugate_by(f), n)):
-            return f
-    return None
+    g = word_perm(gamma, n)
+    escaping = (c.inverse() for c, img in conjugate_images(h, n, budget) if not img.contains(g))
+    return next(escaping, None)

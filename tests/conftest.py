@@ -44,6 +44,18 @@ def adding_machine():
     )
 
 
+# A random degree-3 automaton on which `elem order b` and, before it walked
+# conjugates, `wm conjbound --gens a --level 3` ran far past their budgets.
+RANDOM_DEGREE_3 = {
+    "degree": 3,
+    "generators": [
+        {"name": "a", "root_perm": [2, 1, 0], "sections": ["c", "b", "a"]},
+        {"name": "b", "root_perm": [1, 0, 2], "sections": ["a", "b", "a"]},
+        {"name": "c", "root_perm": [1, 2, 0], "sections": ["", "", "b"]},
+    ],
+}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

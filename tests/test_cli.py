@@ -23,6 +23,8 @@ from branchgroups.quotients import LEVEL_CAP
 from branchgroups.subgroups import SubgroupHandle
 from branchgroups.tree import parse_vertex
 
+from conftest import RANDOM_DEGREE_3
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BUDGETED = {
     "elem order", "elem identity", "sub escape", "wm rist-search", "wm pullback",
@@ -120,7 +122,7 @@ def test_subgroup_images_past_the_point_cap_still_answer(capsys):
     # at Gupta-Sidki level 8 is cheap.
     argv = ("--preset", "gupta-sidki", "--gens", "a", "--level", "8")
     assert run(capsys, "sub", "escape", *argv, "--gamma", "b") == (EXIT_OK, "1")
-    assert run(capsys, "wm", "conjbound", *argv, "--budget", "50") == (EXIT_OK, "3")
+    assert run(capsys, "wm", "conjbound", *argv, "--budget", "50") == (EXIT_OK, "50")
 
 
 def test_json_meta_keeps_the_preset_fingerprint(capsys):
@@ -558,6 +560,62 @@ def test_validate_caps_the_verification_level(capsys, tmp_path, reference_certif
     path.write_text(json.dumps(dict(reference_certificate, verification_level=40)))
     assert run_command(["wm", "validate", str(path)]) == EXIT_USAGE
     assert f"level 40 exceeds cap {LEVEL_CAP}" in capsys.readouterr().err
+
+
+def _with_first_avoid_level(level):
+    def edit(data):
+        data["avoid"][0]["membership_level"] = level
+        return data
+
+    return edit
+
+
+# A certificate of the wrong shape is a usage error; a membership level
+# written as a string or a float reads as the integer it states.
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        (lambda data: [data], EXIT_USAGE),
+        (lambda data: dict(data, stages=5), EXIT_USAGE),
+        (_with_first_avoid_level(None), EXIT_USAGE),
+        (_with_first_avoid_level("6"), EXIT_OK),
+        (_with_first_avoid_level(6.0), EXIT_OK),
+    ],
+    ids=["top-level-list", "stages-int", "level-null", "level-str", "level-float"],
+)
+def test_validate_reads_the_certificate_shape(capsys, tmp_path, reference_certificate, edit, code):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(json.loads(json.dumps(reference_certificate)))))
+    assert run_command(["wm", "validate", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_USAGE:
+        assert captured.out == "" and captured.err.startswith("error: malformed certificate: ")
+    else:
+        assert captured.out.endswith("passed\n")
+
+
+# On this preset `wm conjbound` used to search the Cayley ball for elements
+# whose orders it computed at a fixed budget, and ran for minutes at any
+# --budget; both commands now walk at most --budget conjugates.
+@pytest.mark.parametrize("budget", ["1", "50"])
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["wm", "conjbound"], {"1": "1", "50": "50"}),
+        (["sub", "escape", "--gamma", "b"], {"1": "1", "50": "1"}),
+    ],
+    ids=["conjbound", "escape"],
+)
+def test_conjugate_walks_stop_at_their_budget_on_a_random_preset(tmp_path, argv, out, budget):
+    path = tmp_path / "random3.json"
+    path.write_text(json.dumps(RANDOM_DEGREE_3))
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", *argv, "--preset", str(path),
+         "--gens", "a", "--level", "3", "--budget", budget],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+    )
+    assert (run.returncode, run.stdout.strip()) == (EXIT_OK, out[budget])
 
 
 # d fixes a vertex at every level, so an uncapped walk would visit a fixed

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from branchgroups import subgroups
 from branchgroups.construction import parabolic_approximation
-from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset
+from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset, preset_from_dict
 from branchgroups.quotients import LevelCapExceeded, word_perm
 from branchgroups.subgroups import (
     NotInLevelStabilizerError,
     SubgroupHandle,
     conjugate_escaping,
+    conjugate_images,
     enumerate_reduced_words,
     fixed_levels,
     fixed_tree,
@@ -25,7 +26,7 @@ from branchgroups.subgroups import (
 from branchgroups.tree import level_vertices
 from branchgroups.words import Word
 
-from conftest import random_word
+from conftest import RANDOM_DEGREE_3, random_word
 
 
 def H(preset, texts, level=None):
@@ -164,6 +165,33 @@ def test_conjugate_escaping_parabolic(grig):
 def test_conjugate_escaping_full_group_exhausts(grig):
     h = H(grig, [g for g in "abcd"], level=2)
     assert conjugate_escaping(h, Word.from_str(grig, "a"), 2, budget=50) is None
+
+
+@pytest.mark.parametrize(
+    "make, gens, n",
+    [
+        (grigorchuk_preset, ["a"], 4),
+        (grigorchuk_preset, ["b", "a c a"], 3),
+        (gupta_sidki_preset, ["a"], 3),
+        (lambda: preset_from_dict(RANDOM_DEGREE_3), ["a"], 2),
+    ],
+)
+def test_conjugate_images_closed_under_generators(make, gens, n):
+    # A walk that stops short of its budget has met every conjugate again.
+    preset = make()
+    h = H(preset, gens)
+    walked = list(conjugate_images(h, n, budget=500))
+    assert 1 < len(walked) < 500
+    images = [img for _, img in walked]
+    for c, _ in walked:
+        for g in preset.gen_names:
+            img = h.conjugated(Word.generator(preset, g) * c).image(n)
+            assert any(img.equals(other) for other in images)
+
+
+def test_conjugate_images_stop_at_the_budget(grig):
+    walked = list(conjugate_images(H(grig, ["a"]), 4, budget=5))
+    assert [str(c) or "1" for c, _ in walked] == ["1", "b", "c", "d", "a b"]
 
 
 def _parabolic_words(preset, vstr, n):
