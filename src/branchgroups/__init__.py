@@ -46,8 +46,8 @@ _LAZY = {
     **dict.fromkeys((
         "CertificateBuildError", "WMCertificate", "build_certificate",
         "conjugate_count_lower_bound", "fix_separation_witness", "iter_rist_elements",
-        "level_trap_check", "parabolic_approximation", "pullback_subgroup",
-        "transporter_word", "trap_subgroup", "validate_certificate",
+        "level_trap_check", "parabolic_approximation", "transporter_word",
+        "trap_subgroup", "validate_certificate",
     ), "construction"),
 }
 

@@ -7,7 +7,7 @@ conflated.
 
 Every option is read by the computation it configures: `--budget` exists
 only on `elem order|identity`, `sub escape` and
-`wm rist-search|pullback|trap|build|conjbound`.  Every JSON report embeds
+`wm rist-search|trap|build|conjbound`.  Every JSON report embeds
 the preset fingerprint and, on those subcommands, the budget it ran with,
 so identical invocations reproduce byte-identical output.
 
@@ -105,16 +105,8 @@ _COMMANDS = {
     }),
     "wm": ("finite-stage constructions", {
         "rist-search": (DEFAULT_SEARCH_BUDGET, _VERTEX),
-        "pullback": (
-            DEFAULT_SEARCH_BUDGET,
-            _arg("--gens", nargs="+", required=True, help="generators of Delta"),
-            _arg("--delta-level", type=int, default=None),
-            _arg("--k", type=int, required=True),
-            _LEVEL,
-        ),
         "trap": (
             DEFAULT_SEARCH_BUDGET,
-            _arg("--gens", nargs="+", required=True, help="generators of Q"),
             _arg("--k", type=int, required=True),
             _arg("--l", type=int, default=1),
         ),
@@ -283,7 +275,13 @@ def _cmd_sub(args, preset, rep) -> int:
         return EXIT_OK
     h = _handle(preset, args.gens, level=args.level)
     gamma = _word(preset, args.gamma)
-    f = subgroups.conjugate_escaping(h, gamma, args.level, budget=args.budget)
+    f, visited = subgroups.conjugate_escaping(h, gamma, args.level, budget=args.budget)
+    if f is None and visited < args.budget:
+        rep.emit(
+            {"conjugator": None, "undecided": True, "conjugates": visited, "all_contain_gamma": True},
+            f"undecided (all {visited} level-{args.level} conjugates contain gamma)",
+        )
+        return EXIT_UNDECIDED
     if f is None:
         rep.emit({"conjugator": None, "undecided": True}, "undecided (budget exhausted)")
         return EXIT_UNDECIDED
@@ -302,16 +300,8 @@ def _cmd_wm(args, preset, rep) -> int:
                 return EXIT_UNDECIDED
             rep.emit({"word": str(g)}, str(g))
             return EXIT_OK
-        if args.cmd == "pullback":
-            delta_level = args.delta_level if args.delta_level is not None else args.level
-            delta = _handle(preset, args.gens, level=delta_level)
-            result = construction.pullback_subgroup(delta, args.k, args.level, budget=args.budget)
-            data = result.to_dict()
-            rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
-            return EXIT_OK
         if args.cmd == "trap":
-            q = _handle(preset, args.gens)
-            h = construction.trap_subgroup(q, args.k, budget=args.budget)
+            h = construction.trap_subgroup(preset, args.k, budget=args.budget)
             report = construction.level_trap_check(h, args.k, args.l)
             data = {"subgroup": h.to_dict(), "check": report.to_dict()}
             rep.emit(data, json.dumps(data, sort_keys=True, indent=2))

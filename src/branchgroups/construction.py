@@ -1,13 +1,14 @@
-"""Finite-stage constructions: rigid-stabilizer elements, pullback subgroups,
-level traps, staged certificates and conjugate-count bounds.
+"""Finite-stage constructions: rigid-stabilizer elements, level traps,
+staged certificates and conjugate-count bounds.
 
 Every search here is deterministic: candidates are generated breadth-first
 from the preset's branching generators by iterated commutators with
 generator letters, and all budgets are explicit, default to
 DEFAULT_SEARCH_BUDGET as on the command line, and are recorded in the
-results, so a certificate replays to the byte.  The conjugate-count bound
-counts the conjugates that `subgroups.conjugate_images` walks within its
-budget.
+results, so a certificate replays to the byte.  The level trap's base word
+comes from at most `budget` words of the Cayley ball, and the
+conjugate-count bound counts the conjugates that
+`subgroups.conjugate_images` walks within its budget.
 
 A certificate is built from Q and seed vertices alone: the avoided
 subgroups are the stabilizers of the seeds' rays, every stage's level and
@@ -46,7 +47,7 @@ from .subgroups import (
     rist_support,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
-from .words import DEFAULT_SEARCH_BUDGET, Word, root_perm_of
+from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, root_perm_of
 
 
 class CertificateBuildError(RuntimeError):
@@ -208,62 +209,6 @@ def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = DEFAULT_SEA
             yield g
 
 
-# -- pullback of a subgroup through the first-section projection ----------
-
-
-_PULLBACK_GENERATORS = 8  # the pullback stops after this many generators
-
-
-class PullbackResult:
-    """Finitely generated under-approximation of a first-section preimage."""
-
-    def __init__(self, handle: SubgroupHandle, level: int, words_tested: int, exhausted: bool):
-        self.handle = handle
-        self.level = level
-        self.words_tested = words_tested
-        self.exhausted = exhausted
-
-    def to_dict(self) -> dict:
-        return {
-            "handle": self.handle.to_dict(),
-            "level": self.level,
-            "words_tested": self.words_tested,
-            "exhausted": self.exhausted,
-            "under_approximation": True,
-        }
-
-
-def pullback_subgroup(
-    delta: SubgroupHandle, k: int, n: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> PullbackResult:
-    """Words of Stab(k) whose first section's image lies in delta's image.
-
-    Level-k stabilization is checked exactly; the first-section condition is
-    checked at delta's membership level.  The result under-approximates the
-    true preimage by construction.
-    """
-    if n <= k:
-        raise ValueError(f"verification level {n} must exceed k={k}")
-    if delta.membership_level is None:
-        raise ValueError("delta needs a membership level")
-    preset = delta.preset
-    first = tuple([0] * k)
-    found: list[Word] = []
-    tested = 0
-    exhausted = True
-    for tested, w in enumerate(islice(enumerate_reduced_words(preset), budget), start=1):
-        sections = w.level_sections(k)
-        if not w.factors or sections is None:
-            continue
-        if delta.contains_at_level(Word(preset, sections.get(first, ()), True)):
-            found.append(w)
-            if len(found) >= _PULLBACK_GENERATORS:
-                exhausted = False
-                break
-    handle = SubgroupHandle(tuple(found), membership_level=n, label=f"pullback-k{k}")
-    return PullbackResult(handle=handle, level=n, words_tested=tested, exhausted=exhausted)
-
-
 # -- level trap -----------------------------------------------------------
 
 
@@ -322,43 +267,44 @@ def level_trap_check(h: SubgroupHandle, k: int, l: int) -> TrapReport:
 
 
 def trap_subgroup(
-    q: SubgroupHandle, k: int, budget: int = DEFAULT_SEARCH_BUDGET
+    preset: GroupPreset, k: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> SubgroupHandle:
     """Build a Stab(k)-subgroup with no fixed vertex at level k+1.
 
-    Realization of the pullback construction at finite truncation: harvest
-    level-k stabilizing words whose first section lies in the image of a
-    subgroup containing q, then enrich with conjugates of a stabilizing
-    word that carries a child-moving section, one per level-k vertex, so
-    the fixed set at level k+1 is demonstrably empty.  Membership is
-    checked at level k + 2.
+    The base word is w^m for the first of at most `budget` reduced words w
+    whose level-(k+1) image outgrows its level-k image, of order m: w^m
+    fixes level k exactly and moves level k+1, at a vertex below some
+    level-k vertex u.  Its conjugates by the `orbit_transversal` of u, one
+    per level-k vertex, move a child of every level-k vertex, so the fixed
+    set at level k+1 is demonstrably empty.  Membership is checked at
+    level k + 2.
 
-    Such a word exists iff |G/St(k+1)| > |G/St(k)|, which is checked first,
-    so the unbounded ball search below always ends.
+    Such a word exists iff |G/St(k+1)| > |G/St(k)|, which is checked first.
+    A search that runs out of budget raises BudgetExhausted.
     """
-    preset = q.preset
     full = full_level_group(preset, k + 1)
     if full.order() == full.order(k):
         raise CertificateBuildError(0, f"no level-{k} stabilizer moves level {k + 1}")
-    n = k + 2
-    delta = SubgroupHandle(q.generators, membership_level=n, label="delta")
-    pulled = pullback_subgroup(delta, k, n, budget=budget)
-    gens = list(pulled.handle.generators)
+    for w in islice(enumerate_reduced_words(preset), budget):
+        h = image_subgroup([w], k + 1)
+        m = h.order(k)
+        if h.order() > m:
+            base = w**m
+            break
+    else:
+        raise BudgetExhausted("trap base search", budget)
 
     trivial = tuple(range(preset.degree))
-    for base in enumerate_reduced_words(preset):
-        sections = base.level_sections(k) or {}
-        moving = (u for u, f in sections.items() if root_perm_of(preset, f) != trivial)
-        base_support = next(moving, None)
-        if base_support is not None:
-            break
+    sections = base.level_sections(k)
+    base_support = next(u for u, f in sections.items() if root_perm_of(preset, f) != trivial)
     transporters = orbit_transversal(preset, base_support)
+    gens = []
     for v in level_vertices(preset.degree, k):
-        m = transporters.get(v)
-        if m is None:
+        t = transporters.get(v)
+        if t is None:
             raise CertificateBuildError(0, f"level {k} is not transitive; cannot cover {v}")
-        gens.append(base.conjugate_by(m))
-    return SubgroupHandle(tuple(gens), membership_level=n, label=f"trap-k{k}")
+        gens.append(base.conjugate_by(t))
+    return SubgroupHandle(tuple(gens), membership_level=k + 2, label=f"trap-k{k}")
 
 
 # -- finite subgroups and certificates ------------------------------------

@@ -309,18 +309,25 @@ def conjugate_images(h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUD
 
 def conjugate_escaping(
     h: SubgroupHandle, gamma: Word, n: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Word | None:
-    """f = c^-1 for the first conjugate c H c^-1 of `conjugate_images` whose
-    level-n image misses gamma, so f gamma f^-1 is outside h's image.
+) -> tuple[Word | None, int]:
+    """(f, visited): f = c^-1 for the first conjugate c H c^-1 of
+    `conjugate_images` whose level-n image misses gamma, so f gamma f^-1 is
+    outside h's image, and the number of conjugates visited.
 
     Level-n non-membership is exact, so a returned f certifies that the
-    conjugate is not in the subgroup.  None, when no conjugate within the
-    budget misses gamma, is no conclusion.
+    conjugate is not in the subgroup.  f is None when every conjugate
+    visited contains gamma, which is no conclusion; fewer visited than the
+    budget means that every level-n conjugate contains gamma.  A gamma that
+    acts trivially on level n lies in all of them and is refused.
     """
-    if gamma.is_identity():
-        raise ValueError("gamma must be nontrivial")
     if h.membership_level is not None and h.membership_level > n:
         raise ValueError("membership level exceeds the check level")
     g = word_perm(gamma, n)
-    escaping = (c.inverse() for c, img in conjugate_images(h, n, budget) if not img.contains(g))
-    return next(escaping, None)
+    if g == tuple(range(len(g))):
+        raise ValueError(f"gamma acts trivially on level {n}")
+    visited = 0
+    for c, img in conjugate_images(h, n, budget):
+        visited += 1
+        if not img.contains(g):
+            return c.inverse(), visited
+    return None, visited

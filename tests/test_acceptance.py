@@ -133,12 +133,11 @@ def test_criterion_4_regular_branch_evidence(verdict):
 
 def test_criterion_5_level_trap_desk_scale(verdict):
     preset = grigorchuk_preset()
-    q = SubgroupHandle.from_strings(preset, ["a"])
     ok = True
     detail = []
     for k in (1, 2, 3):
         start = time.monotonic()
-        h = trap_subgroup(q, k)
+        h = trap_subgroup(preset, k)
         report = level_trap_check(h, k, 1)
         elapsed = time.monotonic() - start
         ok = ok and report.passed and elapsed < 60
@@ -192,10 +191,9 @@ def test_criterion_7_fix_equivariance(verdict):
 
 def test_criterion_8_non_conjugacy_ladder(verdict):
     preset = grigorchuk_preset()
-    q = SubgroupHandle.from_strings(preset, ["a"])
     start = time.monotonic()
-    h1 = trap_subgroup(q, 1)
-    h2 = trap_subgroup(q, 2)
+    h1 = trap_subgroup(preset, 1)
+    h2 = trap_subgroup(preset, 2)
     witness = fix_separation_witness(h1, h2, 4)
     elapsed = time.monotonic() - start
     verdict(8, "trap subgroups at k=1,2 are separated by fixed-vertex profiles",
@@ -240,8 +238,7 @@ def test_criterion_11_determinism(verdict):
     traps = []
     for _ in range(2):
         preset = grigorchuk_preset()
-        q = SubgroupHandle.from_strings(preset, ["a"])
-        payload = [trap_subgroup(q, k).to_dict() for k in (1, 2, 3)]
+        payload = [trap_subgroup(preset, k).to_dict() for k in (1, 2, 3)]
         traps.append(json.dumps(payload, sort_keys=True))
     verdict(11, "reruns reproduce byte-identical certificates",
             certs_equal and traps[0] == traps[1])

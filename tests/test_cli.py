@@ -27,8 +27,8 @@ from conftest import RANDOM_DEGREE_3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BUDGETED = {
-    "elem order", "elem identity", "sub escape", "wm rist-search", "wm pullback",
-    "wm trap", "wm build", "wm conjbound",
+    "elem order", "elem identity", "sub escape", "wm rist-search", "wm trap", "wm build",
+    "wm conjbound",
 }
 
 
@@ -125,6 +125,22 @@ def test_subgroup_images_past_the_point_cap_still_answer(capsys):
     assert run(capsys, "wm", "conjbound", *argv, "--budget", "50") == (EXIT_OK, "50")
 
 
+def test_sub_escape_tells_a_finished_walk_from_a_spent_budget(capsys):
+    # The whole group has one conjugate, which contains gamma.
+    argv = ("sub", "escape", "--gens", "a", "b", "c", "d", "--gamma", "a", "--level", "2")
+    finished = "undecided (all 1 level-2 conjugates contain gamma)"
+    assert run(capsys, *argv) == (EXIT_UNDECIDED, finished)
+    code, out = run(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    assert (code, data["conjugates"], data["all_contain_gamma"]) == (EXIT_UNDECIDED, 1, True)
+    # <a, b> has more level-3 conjugates than the one the budget allows.
+    argv = ("sub", "escape", "--gens", "a", "b", "--gamma", "a", "--level", "3", "--budget")
+    assert run(capsys, *argv, "1") == (EXIT_UNDECIDED, "undecided (budget exhausted)")
+    data = json.loads(run(capsys, *argv, "1", "--format", "json")[1])
+    assert data.keys() == {"conjugator", "undecided", "meta"} and data["undecided"]
+    assert run(capsys, *argv, "2") == (EXIT_OK, "c")
+
+
 def test_json_meta_keeps_the_preset_fingerprint(capsys):
     code, out = run(capsys, "quotient", "order", "--level", "3", "--format", "json")
     assert code == EXIT_OK
@@ -203,7 +219,7 @@ def test_wm_build_default_level_covers_stage_levels(tmp_path, capsys):
 
 
 def test_wm_trap(capsys):
-    code, out = run(capsys, "wm", "trap", "--gens", "a", "--k", "1", "--format", "json")
+    code, out = run(capsys, "wm", "trap", "--k", "1", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["check"]["passed"] is True
 
@@ -251,7 +267,7 @@ def _subcommands():
 
 def test_option_surface():
     subs = _subcommands()
-    assert len(subs) == 24
+    assert len(subs) == 23
     flags = {name: {f for a in p._actions for f in a.option_strings} for name, p in subs.items()}
     assert not any("--seed" in f for f in flags.values())
     assert {name for name, f in flags.items() if "--budget" in f} == BUDGETED
@@ -259,7 +275,7 @@ def test_option_surface():
     settable = [
         a for p in subs.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
     ]
-    assert len(settable) == 100
+    assert len(settable) == 92
 
 
 def _readme_subcommands(marker):
@@ -338,6 +354,21 @@ def test_claimed_contracting_preset_gets_the_default_identity_budget():
     assert run.stdout.split() == ["50"]
 
 
+def test_sub_escape_refuses_a_gamma_trivial_on_the_level(tmp_path):
+    # RUNAWAY's a acts trivially on level 3, so it lies in every level-3
+    # conjugate; deciding whether a is the identity would not end.
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(RUNAWAY))
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", "sub", "escape", "--preset", str(path),
+         "--gens", "a", "--gamma", "a", "--level", "3", "--budget", "5"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+    )
+    assert (run.returncode, run.stdout) == (EXIT_USAGE, "")
+    assert run.stderr == "error: gamma acts trivially on level 3\n"
+
+
 def test_claimed_contracting_preset_order_is_undecided_at_the_default_budget(tmp_path):
     # The order recursion of a = (a^2, 1) outgrows the interpreter stack
     # before the node budget: undecided, not a refutation and no traceback.
@@ -412,9 +443,23 @@ FROZEN = {
 def test_wm_trap_without_a_moving_stabilizer_exits_2(tmp_path, capsys):
     path = tmp_path / "frozen.json"
     path.write_text(json.dumps(FROZEN))
-    argv = ["wm", "trap", "--preset", str(path), "--gens", "a", "--k", "1", "--budget", "10"]
+    argv = ["wm", "trap", "--preset", str(path), "--k", "1", "--budget", "10"]
     assert run_command(argv) == EXIT_USAGE
     assert "no level-1 stabilizer moves level 2" in capsys.readouterr().err
+
+
+# The base search tests at most --budget words, so a level whose base lies
+# deeper in the Cayley ball ends undecided instead of running on.
+@pytest.mark.parametrize("k, budget, code", [("5", "2000", EXIT_OK), ("8", "50", EXIT_UNDECIDED)])
+def test_wm_trap_ends_within_its_budget(k, budget, code):
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", "wm", "trap", "--k", k, "--budget", budget],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == code
+    if code == EXIT_UNDECIDED:
+        assert run.stderr == f"undecided: trap base search: budget {budget} exhausted\n"
 
 
 def test_wm_build_whose_rist_candidates_run_out_is_undecided(capsys):
@@ -792,14 +837,15 @@ def test_wm_build_default_level_follows_the_stages(capsys, tmp_path):
 @pytest.mark.parametrize(
     "preset, k, sha",
     [
-        ("grigorchuk", 1, "b283155b9b80c265faf91c827d9619f746af51b88ebbc9af6cec6a398ced000a"),
-        ("grigorchuk", 2, "8154cbc4b9a2b59dd9e3c8b7502ec6e4556a4764f2fb82659200655fe380c107"),
-        ("grigorchuk", 3, "a84b49ebc6a6e9e2a54502ff18b6012cd9e173f65d3a7795cf0f441bc62a025a"),
-        ("gupta-sidki", 2, "0fdc389c98eb69a07910b4af6af13ad0007771eebbc47ae3fe0f011c81e9247b"),
+        ("grigorchuk", 1, "1ac98bfaaaf1cea94eef34a47f870dbcbdd3ae786ab53142ae277b0802e99861"),
+        ("grigorchuk", 2, "bcebc770d6ec8a3ddb2c7ea540a8f81bbb0752471f33d233ea65d4662189293b"),
+        ("grigorchuk", 3, "00051d878b7977a5012d94bc0f06223c9afd3bb8ca4349313929cbc7e2d3773f"),
+        ("gupta-sidki", 2, "f4df5c01f59a761a4e4a91ce20a521b69854b0091ba28f000b0d835d13ae5079"),
     ],
 )
 def test_wm_trap_output_is_pinned(capsys, preset, k, sha):
-    # Pinned while each vertex still ran its own transporter BFS.
-    argv = ["wm", "trap", "--preset", preset, "--gens", "a", "--k", str(k), "--format", "json"]
+    # The base word and its conjugates are those pinned while each vertex
+    # still ran its own transporter BFS, less the pullback generators before them.
+    argv = ["wm", "trap", "--preset", preset, "--k", str(k), "--format", "json"]
     assert run_command(argv) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha

@@ -15,7 +15,6 @@ from branchgroups.construction import (
     iter_rist_elements,
     level_trap_check,
     parabolic_approximation,
-    pullback_subgroup,
     transporter_word,
     trap_subgroup,
     validate_certificate,
@@ -106,46 +105,18 @@ def test_rist_search_rejects_root(grig):
         _first_rist((), grig)
 
 
-# -- pullback --------------------------------------------------------------
-
-
-def test_pullback_full_group_is_level_stabilizer(grig):
-    delta = SubgroupHandle.from_strings(
-        grig, [g for g in "abcd"], membership_level=3
-    )
-    res = pullback_subgroup(delta, 1, 3)
-    assert res.handle.generators
-    for w in res.handle.generators:
-        assert w.fixes_level(1)
-    assert res.to_dict()["under_approximation"] is True
-
-
-def test_pullback_first_section_condition(grig):
-    delta = SubgroupHandle.from_strings(grig, ["b", "c", "d"], membership_level=2)
-    res = pullback_subgroup(delta, 1, 4)
-    for w in res.handle.generators:
-        assert w.fixes_level(1)
-        assert delta.contains_at_level(w.section((0,)))
-
-
-def test_pullback_rejects_bad_levels(grig):
-    delta = SubgroupHandle.from_strings(grig, ["b"], membership_level=2)
-    with pytest.raises(ValueError):
-        pullback_subgroup(delta, 3, 3)
-
-
 # -- level trap ------------------------------------------------------------
 
 
 def test_trap_pipeline_k1(grig):
-    h = trap_subgroup(Q_a(grig), 1)
+    h = trap_subgroup(grig, 1)
     report = level_trap_check(h, 1, 1)
     assert report.passed
     assert report.to_dict()["no_fixed_vertex_at_k_plus_l"]
 
 
 def test_trap_pipeline_k2(grig):
-    h = trap_subgroup(Q_a(grig), 2)
+    h = trap_subgroup(grig, 2)
     assert level_trap_check(h, 2, 1).passed
 
 
@@ -366,14 +337,14 @@ def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
 
 
 def test_fix_separation_witness(grig):
-    h1 = trap_subgroup(Q_a(grig), 1)
+    h1 = trap_subgroup(grig, 1)
     h2 = SubgroupHandle.from_strings(grig, ["b", "c"])
     t = fix_separation_witness(h1, h2, 4)
     assert t == 2
 
 
 def test_fix_separation_witness_at_level_three(grig):
-    trap = trap_subgroup(Q_a(grig), 2)
+    trap = trap_subgroup(grig, 2)
     assert fix_separation_witness(trap, SubgroupHandle.from_strings(grig, ["b"]), 5) == 3
 
 

@@ -95,7 +95,7 @@ def test_parser_of_the_named_group_answers_as_the_full_parser(capsys):
     for group, group_parser in full.items():
         argvs += [[group, "--help"], [group], [group, "nope"]]
         argvs += [[group, cmd, "--help"] for cmd in _children(group_parser)]
-    assert len(argvs) == 3 + 3 * len(full) + 24
+    assert len(argvs) == 3 + 3 * len(full) + 23
     for argv in argvs:
         lazy = build_parser(argv[0] if argv else None)
         assert _outcome(lazy, argv, capsys) == _outcome(build_parser(), argv, capsys), argv

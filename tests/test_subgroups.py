@@ -156,7 +156,7 @@ def test_conjugate_escaping_parabolic(grig):
     words = _parabolic_words(grig, "0", 3)
     h = SubgroupHandle(tuple(words), membership_level=3)
     gamma = Word.from_str(grig, "a")
-    f = conjugate_escaping(h, gamma, 3)
+    f, _ = conjugate_escaping(h, gamma, 3)
     assert f is not None
     conj = gamma.conjugate_by(f)
     assert not h.image(3).contains(word_perm(conj, 3))
@@ -164,7 +164,7 @@ def test_conjugate_escaping_parabolic(grig):
 
 def test_conjugate_escaping_full_group_exhausts(grig):
     h = H(grig, [g for g in "abcd"], level=2)
-    assert conjugate_escaping(h, Word.from_str(grig, "a"), 2, budget=50) is None
+    assert conjugate_escaping(h, Word.from_str(grig, "a"), 2, budget=50) == (None, 1)
 
 
 @pytest.mark.parametrize(
