@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys((
         "NotInLevelStabilizerError", "SubgroupHandle", "conjugate_escaping", "conjugate_images",
-        "enumerate_reduced_words", "fixed_tree", "fixed_vertices", "in_rigid_stabilizer",
+        "enumerate_reduced_words", "fixed_tree", "in_rigid_stabilizer",
         "index_growth_profile", "minimal_non_fixing_level", "psi_sections",
     ), "subgroups"),
     **dict.fromkeys((

@@ -41,9 +41,8 @@ from .subgroups import (
     conjugate_images,
     enumerate_reduced_words,
     first_moved_vertex,
-    fixed_levels,
-    fixed_vertices,
     in_rigid_stabilizer,
+    minimal_non_fixing_level,
     rist_support,
 )
 from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
@@ -249,20 +248,16 @@ def level_trap_check(h: SubgroupHandle, k: int, l: int) -> TrapReport:
     """Exact check: generators fix level k; no fixed vertex at level k+l."""
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    moving = None
-    for g in h.generators:
-        v = first_moved_vertex((g,), k)
-        if v is not None:
-            moving = f"{g} moves {format_vertex(v)}"
-            break
-    fixed = fixed_vertices(h, k + l)
+    g = next((g for g in h.generators if not g.fixes_level(k)), None)
+    moving = None if g is None else f"{g} moves {format_vertex(first_moved_vertex((g,), k))}"
+    fixed = h.fixed_points(k + l)
     return TrapReport(
         k=k,
         l=l,
         stabilizes_level=moving is None,
         moving_witness=moving,
         no_fixed_vertex=not fixed,
-        fixed_witness=format_vertex(min(fixed)) if fixed else None,
+        fixed_witness=format_vertex(fixed[0]) if fixed else None,
     )
 
 
@@ -612,9 +607,10 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     orders of the one image H_m; the normal closure lies inside it iff
     every w_i fixes level k1, which is checked exactly, so equal orders
     mean equal groups.
-    Clause 3 (nesting and subtree fixing) is exact to the verification depth;
-    the subtree check reads one fixed-tree walk per stage.  A verification
-    level past the level cap raises LevelCapExceeded before any clause.
+    Clause 3 (nesting and subtree fixing) is exact: g acts trivially on the
+    subtree at x iff g(x) = x and g|_x = 1, a word problem whose spent
+    budget raises BudgetExhausted.  A verification level past the level cap
+    raises LevelCapExceeded before any clause.
     """
     clauses: list[ClauseResult] = []
     n = cert.verification_level
@@ -671,7 +667,7 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
             else f"w_{i} image lies in W_{i} at level {lvl}",
         )
 
-    # Clause (3): nesting of the u_i and exact subtree fixing to depth n.
+    # Clause (3): nesting of the u_i and exact subtree fixing.
     for i, s in enumerate(cert.stages, start=1):
         if i == 1:
             add(
@@ -685,20 +681,18 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
             vertex_leq(s.u, qu) for qu in _orbit_vertices(q_elems, prev.u)
         ) and s.u not in _orbit_vertices(q_elems, s.v)
         add(f"stage-{i}-u-nested", nested, f"u_{i} = {format_vertex(s.u)}")
+    closure_gens: list[Word] = []  # the Q-conjugates of w_1..w_i
     for i, s in enumerate(cert.stages, start=1):
-        closure_gens = [
-            qe * cert.stages[j].w * qe.inverse()
-            for j in range(i)
-            for qe in q_elems
-        ]
-        depth = max(n - len(s.u), 1)
+        closure_gens += [qe * s.w * qe.inverse() for qe in q_elems]
         orbit = sorted(_orbit_vertices(q_elems, s.u))
-        moved = first_moved_vertex(closure_gens, len(s.u) + depth, orbit)
-        detail = f"Q-conjugates of w_1..w_{i} fix below Q({format_vertex(s.u)}) to depth {n}"
-        if moved is not None:
-            g = next(g for g in closure_gens if g.apply(moved) != moved)
-            detail = f"{g} moves {format_vertex(moved)}"
-        add(f"stage-{i}-subtrees-fixed", moved is None, detail)
+        failure = next((
+            f"{g} moves {format_vertex(x)}" if g.apply(x) != x
+            else f"{g} acts nontrivially below {format_vertex(x)}"
+            for x in orbit for g in closure_gens
+            if g.apply(x) != x or not g.section(x).is_identity()
+        ), None)
+        trivial = f"Q-conjugates of w_1..w_{i} act trivially on the subtrees at Q(u_{i})"
+        add(f"stage-{i}-subtrees-fixed", failure is None, failure or trivial)
 
     # Clause (2): normal-closure equality inside the level-m quotient.
     if cert.stages:
@@ -731,11 +725,8 @@ def fix_separation_witness(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    walks = zip(fixed_levels(h_i.words, depth), fixed_levels(h_j.words, depth))
-    for t, (fixed_i, fixed_j) in enumerate(walks):
-        if bool(fixed_i) != bool(fixed_j):
-            return t
-    return None
+    levels = {minimal_non_fixing_level(h, depth) for h in (h_i, h_j)}
+    return min(levels - {None}) if len(levels) == 2 else None
 
 
 class ConjugateBound:

@@ -50,6 +50,8 @@ class ValidationIssue:
 
 
 class GroupPreset:
+    unknown_keys: tuple[str, ...] = ()  # of the definition dict it was read from
+
     def __init__(
         self,
         degree: int,
@@ -294,8 +296,15 @@ def preset_from_dict(data: dict) -> GroupPreset:
     return preset
 
 
+# The keys `GroupPreset.to_dict` writes, and the fingerprint `group show` adds.
+_DEFINITION_KEYS = (
+    "branching", "contracting", "degree", "fingerprint", "generators", "name", "rules",
+)
+
+
 def _preset_from_dict(data: dict) -> GroupPreset:
-    """The preset a definition dict describes, unchecked."""
+    """The preset a definition dict describes, unchecked; any other
+    top-level key is kept for `validate_preset` to report."""
     try:
         degree = int(data["degree"])
         gen_specs = data["generators"]
@@ -316,7 +325,7 @@ def _preset_from_dict(data: dict) -> GroupPreset:
         for r in data.get("rules", [])
     )
     branching = tuple(_tokenize(w, names, False) for w in data.get("branching", []))
-    return GroupPreset(
+    preset = GroupPreset(
         degree=degree,
         generators=tuple(gens),
         reduction_rules=rules,
@@ -324,6 +333,8 @@ def _preset_from_dict(data: dict) -> GroupPreset:
         contracting_certified=bool(data.get("contracting", False)),
         name=str(data.get("name", "")),
     )
+    preset.unknown_keys = tuple(str(k) for k in data if k not in _DEFINITION_KEYS)
+    return preset
 
 
 def load_preset(path) -> GroupPreset:
@@ -454,7 +465,11 @@ def builtin_preset(name: str) -> GroupPreset:
 
 def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
     """Check all structural invariants; returns one issue per violation."""
-    issues: list[ValidationIssue] = []
+    keys = ", ".join(_DEFINITION_KEYS)
+    issues = [
+        ValidationIssue("unknown-key", "top level", f"{k!r} is not one of {keys}")
+        for k in preset.unknown_keys
+    ]
     d = preset.degree
     if d < 2:
         issues.append(ValidationIssue("invalid-degree", "degree", f"degree {d} < 2"))

@@ -1,7 +1,7 @@
 """Finitely generated subgroup diagnostics: fixed trees, sections, rigid
 stabilizers, index evidence and escaping conjugates.
 
-Which vertices a list of words fixes is answered by one walk,
+Which vertices a list of words fixes is answered by one uncached walk,
 `fixed_levels`, which descends from the root through fixed vertices only.
 One word's section tuple and rigid stabilizers read `Word.level_sections`.
 
@@ -49,7 +49,6 @@ class SubgroupHandle:
         self.label = label
         self.vertex = vertex
         self._images = {}
-        self._fixed = {}
 
     @property
     def preset(self) -> GroupPreset:
@@ -75,10 +74,7 @@ class SubgroupHandle:
     def fixed_points(self, n: int) -> list[Vertex]:
         """Level-n vertices fixed by every generator, hence by the subgroup,
         in lexicographic order."""
-        got = self._fixed.get(n)
-        if got is None:
-            *_, got = fixed_levels(self.words, n)
-            self._fixed[n] = got
+        *_, got = fixed_levels(self.words, n)
         return got
 
     def contains_at_level(self, w: Word) -> bool:
@@ -160,19 +156,12 @@ def fixed_levels(words, depth: int):
             return
 
 
-def first_moved_vertex(words, n: int, tops=((),)) -> Vertex | None:
-    """The first level-n vertex below `tops`, taken in order and then
-    lexicographically, that some word moves; None if every one is fixed."""
+def first_moved_vertex(words, n: int) -> Vertex | None:
+    """The lexicographically first level-n vertex that some word moves;
+    None if every one is fixed."""
     *_, last = fixed_levels(words, n)
     fixed = set(last)
-    d = words[0].preset.degree
-    below = (u + x for u in tops for x in level_vertices(d, n - len(u)))
-    return next((v for v in below if v not in fixed), None)
-
-
-def fixed_vertices(h: SubgroupHandle, n: int) -> set[Vertex]:
-    """Level-n vertices fixed by every generator, hence by the subgroup."""
-    return set(h.fixed_points(n))
+    return next((v for v in level_vertices(words[0].preset.degree, n) if v not in fixed), None)
 
 
 def fixed_tree(h: SubgroupHandle, depth: int) -> FixedTree:

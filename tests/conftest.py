@@ -56,6 +56,26 @@ RANDOM_DEGREE_3 = {
 }
 
 
+# The Hanoi towers group H^(3): regular branch over its commutator subgroup,
+# with elements of infinite order ("a b") and root group S3, not a p-group.
+HANOI = {
+    "name": "hanoi",
+    "degree": 3,
+    "generators": [
+        {"name": "a", "root_perm": [1, 0, 2], "sections": ["1", "1", "a"]},
+        {"name": "b", "root_perm": [2, 1, 0], "sections": ["1", "b", "1"]},
+        {"name": "c", "root_perm": [0, 2, 1], "sections": ["c", "1", "1"]},
+    ],
+    "rules": [{"lhs": f"{x}^2", "rhs": "1"} for x in "abc"],
+    "branching": ["a^-1 b^-1 a b", "b^-1 c^-1 b c", "a^-1 c^-1 a c"],
+}
+
+
+@pytest.fixture(scope="session")
+def hanoi():
+    return preset_from_dict(HANOI)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -22,8 +22,9 @@ from branchgroups.presets import grigorchuk_preset, gupta_sidki_preset
 from branchgroups.quotients import LEVEL_CAP
 from branchgroups.subgroups import SubgroupHandle
 from branchgroups.tree import parse_vertex
+from branchgroups.words import Word
 
-from conftest import RANDOM_DEGREE_3
+from conftest import HANOI, RANDOM_DEGREE_3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BUDGETED = {
@@ -428,6 +429,35 @@ def test_group_validate_lists_an_undeclared_section_symbol(tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: invalid preset: {UNDECLARED_ISSUE}\n"
 
 
+def test_group_validate_accepts_hanoi(tmp_path, capsys):
+    path = tmp_path / "hanoi.json"
+    path.write_text(json.dumps(HANOI))
+    assert run(capsys, "group", "validate", "--preset", str(path)) == (EXIT_OK, "ok")
+    # `group show` adds the fingerprint, and its output loads back.
+    shown = tmp_path / "shown.json"
+    shown.write_text(run(capsys, "group", "show", "--preset", str(path))[1])
+    assert run(capsys, "group", "validate", "--preset", str(shown)) == (EXIT_OK, "ok")
+
+
+UNKNOWN_KEY_ISSUE = (
+    "unknown-key at top level: 'relations' is not one of"
+    " branching, contracting, degree, fingerprint, generators, name, rules"
+)
+
+
+def test_unknown_top_level_key_is_an_issue(tmp_path, capsys):
+    # A misspelt "rules" used to load as a preset with no rules.
+    data = dict(HANOI)
+    data["relations"] = data.pop("rules")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "group", "validate", "--preset", str(path)) == (EXIT_FALSE, UNKNOWN_KEY_ISSUE)
+    for argv in (["group", "show"], ["elem", "order", "a"], ["quotient", "order", "--level", "2"]):
+        assert run_command([*argv, "--preset", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: invalid preset: {UNKNOWN_KEY_ISSUE}\n"
+
+
 # G = <a> has order 2: a swaps the two subtrees rigidly and b = (b, b) is
 # trivial, so no level-1 stabilizer moves level 2 and no trap base word exists.
 FROZEN = {
@@ -517,11 +547,11 @@ def _tampered(data, **stage_changes):
     "tamper, line",
     [
         (("u", 0, "00"),
-         "[FAIL] stage-1-subtrees-fixed: b a c a b a d a b a c a b a d a moves 000000"),
+         "[FAIL] stage-1-subtrees-fixed: b a c a b a d a b a c a b a d a acts nontrivially below 00"),
         (("u", 1, "010"),
          "[FAIL] stage-2-subtrees-fixed: b a b a b a b a b a b a b a c a b a b a b a b a b a b a b a c a"
-         " moves 010000"),
-        (("w", 0, "d"), "[FAIL] stage-2-subtrees-fixed: a d a moves 011100"),
+         " acts nontrivially below 010"),
+        (("w", 0, "d"), "[FAIL] stage-2-subtrees-fixed: a d a acts nontrivially below 011"),
         (("w", 1, "a"),
          "[FAIL] normal-closure-equality: verified at level 6: |ncl| = 512, |H meet Stab(2)| = 256"),
     ],
@@ -548,10 +578,26 @@ def test_validate_normal_closure_line_pinned(capsys, tmp_path, reference_certifi
     shallow = dict(reference_certificate, verification_level=1)
     code, lines = _validate_lines(capsys, tmp_path, shallow)
     assert code == EXIT_OK
-    assert "[ok] stage-3-subtrees-fixed: Q-conjugates of w_1..w_3 fix below Q(0110) to depth 1" in lines
+    assert (
+        "[ok] stage-3-subtrees-fixed: Q-conjugates of w_1..w_3 act trivially on the subtrees at Q(u_3)"
+    ) in lines
     assert lines[-2] == (
         "[ok] normal-closure-equality: verified at level 1: |ncl| = 1, |H meet Stab(2)| = 1"
     )
+
+
+def test_validate_subtree_clause_is_exact_below_the_verification_level(
+    capsys, tmp_path, reference_certificate, grig
+):
+    # b w_1 b fixes 01 and its children, all that a walk one level below
+    # Q(u_1) = {01, 11} saw, and moves the grandchildren of 01.
+    w = Word.from_str(grig, reference_certificate["stages"][0]["w"])
+    w = w.conjugate_by(Word.from_str(grig, "b"))
+    data = _tampered(reference_certificate, w=(0, str(w)))
+    data["verification_level"] = 1
+    code, lines = _validate_lines(capsys, tmp_path, data)
+    assert code == EXIT_FALSE
+    assert f"[FAIL] stage-1-subtrees-fixed: {w} acts nontrivially below 01" in lines
 
 
 def test_validate_gupta_sidki_normal_closure_pinned(capsys, tmp_path):

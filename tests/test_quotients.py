@@ -200,6 +200,15 @@ def test_closed_form_orders_at_deeper_levels(grig, gs):
     assert quotient_order(gs, 6) == 3**163
 
 
+def test_hanoi_quotient_orders_match_closed_form(hanoi):
+    # |H/St(n)| = 2^(3^(n-1)) 3^((3^n - 1)/2) for the Hanoi towers group
+    # (Grigorchuk and Sunic 2006): its root group S3 is not a p-group, so
+    # these orders come from the stabilizer chain.
+    assert isinstance(full_level_group(hanoi, 1), StabChain)
+    for n in range(1, 6):
+        assert quotient_order(hanoi, n) == 2 ** 3 ** (n - 1) * 3 ** ((3**n - 1) // 2)
+
+
 def _rank_mod_p(rows, p):
     rows, rank = [list(r) for r in rows], 0
     for col in range(len(rows[0])):
