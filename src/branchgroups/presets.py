@@ -300,6 +300,8 @@ def preset_from_dict(data: dict) -> GroupPreset:
 _DEFINITION_KEYS = (
     "branching", "contracting", "degree", "fingerprint", "generators", "name", "rules",
 )
+# The `meta` object of `group show --format json`, ignored so that its output loads back too.
+_IGNORED_KEYS = ("meta",)
 
 
 def _preset_from_dict(data: dict) -> GroupPreset:
@@ -333,7 +335,7 @@ def _preset_from_dict(data: dict) -> GroupPreset:
         contracting_certified=bool(data.get("contracting", False)),
         name=str(data.get("name", "")),
     )
-    preset.unknown_keys = tuple(str(k) for k in data if k not in _DEFINITION_KEYS)
+    preset.unknown_keys = tuple(str(k) for k in data if k not in _DEFINITION_KEYS + _IGNORED_KEYS)
     return preset
 
 

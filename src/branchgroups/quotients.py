@@ -1,11 +1,20 @@
 """Finite level quotients as permutation groups on lexicographic level vertices.
 
-Permutations are one-line image tuples over the d^n level-n vertices in
-lexicographic order.  `word_perm` composes generator images, raising a
-letter's image to its exponent by repeated squaring; each generator's
-level-n image is built once from the wreath recursion and memoized on the
-preset.  Every composition goes through `compose`, an `itemgetter` gather
-that runs in C; on a one-point domain it builds the tuple itself.
+Permutations are one-line images over the d^n level-n vertices in
+lexicographic order.  Up to BYTE_POINTS = 256 points every point index
+fits in a byte, and a permutation is `bytes`: `compose` is one
+`bytes.translate` through the left factor padded to a 256-byte table, and
+`perm_inverse` one `bytes.maketrans`.  Past 256 points an index no longer
+fits, so a permutation is a tuple and `compose` an `itemgetter` gather,
+which builds the tuple itself on a one-point domain.  On a 2-vCPU VM with
+Python 3.11, a translate on 64 points takes about 0.26 us against 1.2 us
+for the gather, on 256 points 0.63 us against 4.7 us.  The point count
+picks the representation: the generator-image memo and `LayeredGroup`
+work on it, while `word_perm`, a group's `gens` and `identity`, and
+`StabChain`, which no p-preset builds, stay on tuples.  `word_perm`
+composes generator images, raising a letter's image to its exponent by
+repeated squaring; each generator's level-n image is built once from the
+wreath recursion and memoized on the preset.
 
 Every subgroup of a level quotient is built by `image_subgroup`.  For a
 p-preset (prime degree p, every generator moving the root's children by
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from functools import cache, reduce
 from itertools import islice, repeat
 from operator import eq, floordiv, itemgetter, sub
 
@@ -39,7 +49,9 @@ from .presets import Factors, GroupPreset, _is_prime
 from .tree import Vertex
 from .words import Word
 
-Perm = tuple[int, ...]
+Perm = tuple[int, ...] | bytes  # bytes up to BYTE_POINTS points
+BYTE_POINTS = 256  # a point index fits in one byte up to here
+_IDENTITY_BYTES = bytes(range(BYTE_POINTS))
 
 LEVEL_CAP = 10
 POINT_CAP = 5**5  # admits Gupta-Sidki level 7 (2,187 points) and GGS degree 5 at level 5
@@ -56,14 +68,31 @@ def _check_level(preset: GroupPreset, n: int):
         raise LevelCapExceeded(f"level {n} exceeds cap {LEVEL_CAP} for degree {preset.degree}")
 
 
+def _perm_type(npoints: int) -> type:
+    """The working representation of a permutation on npoints points:
+    bytes while every point index fits in a byte, else a tuple."""
+    return bytes if npoints <= BYTE_POINTS else tuple
+
+
+@cache
+def _byte_table(mul: int, div: int, mod: int) -> bytes:
+    """The translate table y -> y * mul // div % mod, built on first use."""
+    return bytes(y * mul // div % mod for y in range(BYTE_POINTS))
+
+
 def compose(p: Perm, q: Perm) -> Perm:
-    """Permutation of 'apply q, then p': the gather of p at q's images."""
+    """Permutation of 'apply q, then p': the gather of p at q's images,
+    a translate through p as a byte table when q is bytes."""
+    if isinstance(q, bytes):
+        return q.translate(p.ljust(BYTE_POINTS, b"\0"))
     if len(q) == 1:
         return (p[q[0]],)  # itemgetter with one index returns an item, not a tuple
     return itemgetter(*q)(p)
 
 
 def perm_inverse(p: Perm) -> Perm:
+    if isinstance(p, bytes):
+        return bytes.maketrans(p, _IDENTITY_BYTES[: len(p)])[: len(p)]  # the table sends p[i] to i
     out = [0] * len(p)
     for i, x in enumerate(p):
         out[x] = i
@@ -89,18 +118,16 @@ def _generator_perm(preset: GroupPreset, name: str, inverse: bool, n: int) -> Pe
             for x, section in enumerate(gen.sections):
                 off = gen.root_perm[x] * block
                 out.extend([off + y for y in _factors_perm(preset, section, n - 1)])
-            got = tuple(out)
+            got = _perm_type(len(out))(out)
         cache[key] = got
     return got
 
 
 def _factors_perm(preset: GroupPreset, factors: Factors, n: int) -> Perm:
-    perm = tuple(range(preset.degree ** n))
-    if n == 0:
-        return perm  # the root is fixed; the wreath recursion ends here
-    for g, e in factors:
-        perm = compose(perm, _perm_power(_generator_perm(preset, g, e < 0, n), abs(e)))
-    return perm
+    if n == 0 or not factors:  # at n = 0 the root is fixed; the wreath recursion ends here
+        npoints = preset.degree**n
+        return _perm_type(npoints)(range(npoints))
+    return reduce(compose, [_perm_power(_generator_perm(preset, g, e < 0, n), abs(e)) for g, e in factors])
 
 
 def _perm_power(p: Perm, m: int) -> Perm:
@@ -115,10 +142,10 @@ def _perm_power(p: Perm, m: int) -> Perm:
         p = compose(p, p)
 
 
-def word_perm(w: Word, n: int) -> Perm:
+def word_perm(w: Word, n: int) -> tuple[int, ...]:
     """Image of a word on the lexicographic level-n vertices."""
     _check_level(w.preset, n)
-    return _factors_perm(w.preset, w.factors, n)
+    return tuple(_factors_perm(w.preset, w.factors, n))
 
 
 class _Orbit:
@@ -271,15 +298,23 @@ class LayeredGroup:
     of digit vectors packed a byte per vertex in an int.  A new basis
     element queues its p-th power, its commutators within its layer and its
     conjugates by the conjugators: the generators that enlarged the group,
-    or for a normal closure the ambient group's generators.
+    or for a normal closure the ambient group's generators.  On bytes, the
+    layer check, the last-layer digits and the row multiples are each one
+    translate, through tables built on first use and shared by every group.
     """
 
     def __init__(self, p: int, n: int, gens, conjugators=None):
         self.p, self.n, self.gens = p, n, []
         self.identity = tuple(range(p**n))
-        # Per permutation layer: digit place b, block b p, digit-0 first-leaf images over b, basis.
-        self._layers = [(p ** (n - k - 1), p ** (n - k), tuple(range(0, p ** (k + 1), p)), [])
+        self._perm = _perm_type(p**n)
+        self._one = self._perm(self.identity)
+        small = self._perm is bytes
+        # Per permutation layer: digit place b, block b p, digit-0 first-leaf images over b,
+        # for bytes the table y -> y // b, basis.
+        self._layers = [(p ** (n - k - 1), p ** (n - k), self._perm(range(0, p ** (k + 1), p)),
+                         _byte_table(1, p ** (n - k - 1), BYTE_POINTS) if small else None, [])
                         for k in range(n - 1)]
+        self._mod = _byte_table(1, 1, p) if small else None  # last-layer digits of a bytes permutation
         self._vectors: dict[int, list[int]] = {}  # last layer: pivot -> multiples
         self._width = p ** (n - 1) if n else 0
         self._bias, self._guard = (int.from_bytes(bytes([c]) * self._width, "little")
@@ -289,17 +324,18 @@ class LayeredGroup:
         for g in gens:
             self.add(g)
 
-    def _conjugator(self, s: Perm):
+    def _conjugator(self, s):
+        s = self._perm(s)
         s_inv = perm_inverse(s)
-        return s, s_inv, tuple(y // self.p for y in s_inv[:: self.p])  # s^-1 on level n-1
+        return s, s_inv, _perm_type(self._width)(y // self.p for y in s_inv[:: self.p])  # s^-1 on level n-1
 
     def add(self, g) -> bool:
         """Extend the group by g and close it; False if g was already a member."""
-        g = tuple(g)
+        g = self._perm(g)
         k, x = self._sift(0, g)
         if k == self.n:
             return False
-        self.gens.append(g)
+        self.gens.append(tuple(g))
         work: list = []
         if not self._normal:  # the basis so far meets a new conjugator
             self._conj.append(self._conjugator(g))
@@ -317,20 +353,24 @@ class LayeredGroup:
         """(n, None) for a member, else the layer where x's digits stop reducing
         and the residue; `exact` refuses a residue that is no last-layer rotation."""
         p = self.p
-        for b, big, tops, basis in self._layers[k:]:
+        for b, big, tops, div, basis in self._layers[k:]:
             for j, powers in basis:
                 a = x[j * big] // b % p
                 if a:
                     x = compose(powers[a], x)
-            if not all(map(eq, map(floordiv, islice(x, 0, None, big), repeat(b)), tops)):
+            if div:
+                if x[::big].translate(div) != tops:
+                    return k, x
+            elif not all(map(eq, map(floordiv, islice(x, 0, None, big), repeat(b)), tops)):
                 return k, x
             k += 1
         if self.n == 0:
             return 0, None
-        if isinstance(x, tuple):
+        if not isinstance(x, int):
             if exact and not all(y == i - i % p + (i + x[i - i % p]) % p for i, y in enumerate(x)):
                 return -1, x
-            x = int.from_bytes(bytes(map(sub, x[::p], self.identity[::p])), "little")
+            digits = x[::p].translate(self._mod) if self._mod else bytes(map(sub, x[::p], self.identity[::p]))
+            x = int.from_bytes(digits, "little")
         while x:
             j = ((x & -x).bit_length() - 1) >> 3
             row = self._vectors.get(j)
@@ -346,7 +386,7 @@ class LayeredGroup:
             ys = [compose(s, compose(x, s_inv)) for s, s_inv, _ in conj]
         else:
             digits = x.to_bytes(self._width, "little")
-            ys = [int.from_bytes(bytes(compose(digits, top)), "little") for *_, top in conj]
+            ys = [int.from_bytes(compose(digits, top), "little") for *_, top in conj]
         return [(k, y) for y in ys if y != x]
 
     def _insert(self, k: int, x, work: list):
@@ -356,16 +396,16 @@ class LayeredGroup:
             j = ((x & -x).bit_length() - 1) >> 3
             digits = x.to_bytes(self._width, "little")
             inv = pow(digits[j], -1, p)
-            row = [bytes(m * inv * d % p for d in digits) for m in range(p)]
-            row = self._vectors[j] = [int.from_bytes(r, "little") for r in row]
+            self._vectors[j] = row = [int.from_bytes(digits.translate(_byte_table(m * inv % p, 1, p)), "little")
+                                      for m in range(p)]
             work += self._conjugates(k, row[1], self._conj)
             return
-        b, big, tops, basis = self._layers[k]
+        b, big, tops, _, basis = self._layers[k]
         j = next(i for i, (y, t) in enumerate(zip(x[::big], tops)) if y // b != t)
         x = _perm_power(x, pow(x[j * big] // b % p, -1, p))
         powers = [x, *(perm_inverse(_perm_power(x, a)) for a in range(1, p))]
         new = [compose(compose(x, y), compose(powers[1], y_inv)) for _, (y, y_inv, *_) in basis]
-        work += [(k + 1, y) for y in [_perm_power(x, p), *new] if y != self.identity]
+        work += [(k + 1, y) for y in [_perm_power(x, p), *new] if y != self._one]
         if k or self._normal:  # a subgroup normalizes itself: layer 0 needs no conjugates
             work += self._conjugates(k, x, self._conj)
         insort(basis, (j, powers))
@@ -376,7 +416,7 @@ class LayeredGroup:
         return self.p ** sum(ranks[:level])
 
     def contains(self, g) -> bool:
-        return self._sift(0, tuple(g), exact=True)[0] == self.n
+        return self._sift(0, self._perm(g), exact=True)[0] == self.n
 
     def equals(self, other) -> bool:
         return self.order() == other.order() and all(self.contains(g) for g in other.gens)

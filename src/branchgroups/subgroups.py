@@ -158,10 +158,21 @@ def fixed_levels(words, depth: int):
 
 def first_moved_vertex(words, n: int) -> Vertex | None:
     """The lexicographically first level-n vertex that some word moves;
-    None if every one is fixed."""
-    *_, last = fixed_levels(words, n)
-    fixed = set(last)
-    return next((v for v in level_vertices(words[0].preset.degree, n) if v not in fixed), None)
+    None if every one is fixed.
+
+    A moved level-n vertex lies below a moved child u of a fixed vertex,
+    and the least level-n vertex below u is u 0...0; the answer is the
+    least such padded child over the levels of the fixed-tree walk.
+    """
+    d, best, parents = words[0].preset.degree, None, None
+    for t, level in enumerate(fixed_levels(words, n)):
+        if parents:
+            fixed = set(level)
+            u = next((v + (x,) for v in parents for x in range(d) if v + (x,) not in fixed), None)
+            if u is not None and (best is None or u + (0,) * (n - t) < best):
+                best = u + (0,) * (n - t)
+        parents = level
+    return best
 
 
 def fixed_tree(h: SubgroupHandle, depth: int) -> FixedTree:

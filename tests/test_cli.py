@@ -439,6 +439,17 @@ def test_group_validate_accepts_hanoi(tmp_path, capsys):
     assert run(capsys, "group", "validate", "--preset", str(shown)) == (EXIT_OK, "ok")
 
 
+@pytest.mark.parametrize(
+    "name", ["grigorchuk", "gupta-sidki", "ggs:3:1,0", "ggs:4:1,0,0", "ggs:5:1,2,0,0", "ggs:5:1,0,0,1"]
+)
+def test_group_show_json_loads_back(tmp_path, capsys, name):
+    # The JSON report's meta object is ignored when the file is read back.
+    shown = tmp_path / "shown.json"
+    shown.write_text(run(capsys, "group", "show", "--preset", name, "--format", "json")[1])
+    assert run(capsys, "group", "validate", "--preset", str(shown)) == (EXIT_OK, "ok")
+    assert run(capsys, "group", "show", "--preset", str(shown), "--format", "json")[1] == shown.read_text()
+
+
 UNKNOWN_KEY_ISSUE = (
     "unknown-key at top level: 'relations' is not one of"
     " branching, contracting, degree, fingerprint, generators, name, rules"

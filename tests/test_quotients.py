@@ -259,18 +259,25 @@ def _random_letters_word(preset, rng, max_len):
     return Word(preset, factors)
 
 
-@pytest.mark.parametrize("name", ["grig", "gs"])
-def test_word_perm_matches_vertex_action(name, request):
+# Grigorchuk level 8 and Gupta-Sidki level 5 are the last with at most 256
+# points, where the engine works on bytes; the next levels are on tuples.
+@pytest.mark.parametrize(
+    "name, levels",
+    [pytest.param("grig", (1, 2, 3, 4, 5, 6, 8, 9), id="grig"), pytest.param("gs", range(1, 7), id="gs")],
+)
+def test_word_perm_matches_vertex_action(name, levels, request):
     from branchgroups.tree import level_vertices
 
     preset = request.getfixturevalue(name)
     rng = random.Random(61)
-    for n in range(1, 7):
+    for n in levels:
         verts = level_vertices(preset.degree, n)
         index = {v: i for i, v in enumerate(verts)}
+        assert all(type(g) is tuple for g in full_level_group(preset, n).gens)
         for _ in range(6):
             w = _random_letters_word(preset, rng, 10)
-            assert word_perm(w, n) == tuple(index[w.apply(v)] for v in verts)
+            perm = word_perm(w, n)
+            assert type(perm) is tuple and perm == tuple(index[w.apply(v)] for v in verts)
 
 
 def _level_gens(preset, n, texts):
@@ -448,7 +455,7 @@ def test_layered_group_refuses_non_automorphisms(grig, gs):
     # Swapping two leaves under different parents is no tree automorphism;
     # swapping two leaves under one Gupta-Sidki parent is one, but it does
     # not rotate the three children, so no word's image does it.
-    for preset, n in ((grig, 4), (gs, 3)):
+    for preset, n in ((grig, 4), (grig, 8), (grig, 9), (gs, 3)):
         full = full_level_group(preset, n)
         swap = list(range(preset.degree**n))
         swap[1], swap[preset.degree] = swap[preset.degree], swap[1]

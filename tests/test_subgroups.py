@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -75,6 +76,31 @@ def test_psi_sections(grig):
 def test_psi_sections_deeper(grig):
     secs = psi_sections(Word.from_str(grig, "d"), 2)
     assert [str(s) for s in secs] == ["1", "1", "a", "c"]
+
+
+def test_first_moved_vertex_matches_the_definition(grig, gs, hanoi, rng, monkeypatch):
+    # Squares and commutators fix the top levels, so the first moved vertex
+    # often lies deep and to the right of an early moved one; a Hanoi
+    # transposition fixes child 0 and moves the others.
+    lists = [[Word.from_str(hanoi, "c")]]
+    for preset in (grig, gs, hanoi):
+        for _ in range(12):
+            w, s = random_word(preset, rng, 6), Word.generator(preset, rng.choice(preset.gen_names))
+            lists.append([w, w * w, w * s * w.inverse() * s.inverse()][rng.randrange(3):][:2])
+    cases = []
+    for words, n in itertools.product(lists, range(5)):
+        verts = level_vertices(words[0].preset.degree, n)
+        cases.append((words, n, next((v for v in verts if any(g.apply(v) != v for g in words)), None)))
+
+    def no_listing(*args):
+        raise AssertionError("first_moved_vertex listed a whole level")
+
+    monkeypatch.setattr(subgroups, "level_vertices", no_listing)
+    assert [subgroups.first_moved_vertex(words, n) for words, n, _ in cases] == [v for *_, v in cases]
+    assert any(v is not None and v[-1] for *_, v in cases)  # not only padded children
+    assert any(v is not None and v[0] for *_, v in cases)
+    with pytest.raises(NotInLevelStabilizerError, match="vertex 00000000"):
+        psi_sections(Word.from_str(ggs_preset(5, (1, 2, 0, 0)), "a"), 8)
 
 
 def test_in_rigid_stabilizer(grig):
