@@ -167,6 +167,7 @@ class GroupPreset:
         limit = _MAX_REDUCTION_PASSES * (len(out) + len(pending) + len(tail) + 1)
         rewrites = 0
         i, n = 0, len(tail)
+        top = out[-1] if out else None  # kept equal to out[-1] on every push and pop
         while True:
             if pending:
                 f = pending.pop()
@@ -177,21 +178,25 @@ class GroupPreset:
                 fresh = True
             else:
                 return tuple(out)
-            if out and out[-1][0] == f[0]:
-                f = letters[(f[0], out.pop()[1] + f[1])]
+            if top is not None and top[0] == f[0]:
+                f = letters[(f[0], top[1] + f[1])]
+                out.pop()
+                top = out[-1] if out else None
                 if f is None:
                     continue
                 fresh = False
-            if table and out:
-                rhs = table.get((out[-1], f))
+            if table and top is not None:
+                rhs = table.get((top, f))
                 if rhs is not None:
                     rewrites += 1
                     if rewrites > limit:
                         raise PresetError("reduction did not terminate (non-terminating rules?)")
                     out.pop()
+                    top = out[-1] if out else None
                     pending.extend(reversed(rhs))
                     continue
             out.append(f)
+            top = f
             if fresh:
                 out.extend(tail[i:])
                 return tuple(out)

@@ -7,9 +7,12 @@ by the preset.
 
 Every walk over the tree, the image of a vertex and the root permutation
 included, reads the first-level expansion of a reduced word: its root
-permutation and d reduced first-level sections, from one right-to-left
-pass over its letters through a per-letter table, cached per word.  Level
-and rigid stabilizers and level-n sections read `Word.level_sections`.
+permutation and d reduced first-level sections, cached per word.  It looks
+the word's letters up once in a per-letter table, right to left, and then
+walks each start point through those records on its own.  Rigid
+stabilizers and level-n sections read `Word.level_sections`; level
+stabilizers read `Word.fixes_level`, which walks only the distinct section
+words of each level.
 
 The word problem is solved by closing a word's set of iterated sections:
 an element is trivial iff every word in the closure has a trivial root
@@ -100,26 +103,26 @@ def expand_factors(
     preset: GroupPreset, factors: Factors
 ) -> tuple[tuple[int, ...], tuple[Factors, ...]]:
     """The first-level expansion of a reduced word: its root permutation and
-    its d reduced first-level sections, from one right-to-left pass over the
-    letters that follows all d start points at once.  Cached per word."""
+    its d reduced first-level sections.  The word's letter records are looked
+    up once, right to left; then each start point x is walked through them on
+    its own, pushing the letter's reversed section at x onto x's stack and
+    moving x to its image.  Cached per word."""
     cache = preset._section_cache
     got = cache.get(factors)
     if got is not None:
         return got
     letters = preset._letter_cache
-    starts = range(preset.degree)
-    points = list(starts)
-    stacks = [[] for _ in starts]
-    for f in reversed(factors):
-        try:
-            perm, sections = letters[f]
-        except KeyError:
-            perm, sections = _letter(preset, f)
-        for x in starts:
-            y = points[x]
-            stacks[x] += sections[y]
-            points[x] = perm[y]
-    entry = (tuple(points), tuple(preset._rewrite([], pending, ()) for pending in stacks))
+    records = [letters.get(f) or _letter(preset, f) for f in reversed(factors)]
+    rewrite = preset._rewrite
+    points, sections = [], []
+    for x in range(preset.degree):
+        stack = []
+        for perm, secs in records:
+            stack += secs[x]
+            x = perm[x]
+        points.append(x)
+        sections.append(rewrite([], stack, ()))
+    entry = (tuple(points), tuple(sections))
     cache[factors] = entry
     return entry
 
@@ -405,8 +408,25 @@ class Word:
         return level
 
     def fixes_level(self, n: int) -> bool:
-        """True iff every level-n vertex is fixed."""
-        return self.level_sections(n) is not None
+        """True iff every level-n vertex is fixed, that is, iff every section
+        above level n has a trivial root permutation.  Each level is walked
+        as the set of its distinct nonempty section words, in the order they
+        are first met, and the walk stops at the first nontrivial root
+        permutation; so a word whose sections repeat across many vertices
+        is expanded once per distinct section, not once per vertex."""
+        preset = self.preset
+        trivial = tuple(range(preset.degree))
+        level = [self.factors] if self.factors else []
+        for _ in range(n):
+            below = {}
+            for f in level:
+                perm, sections = expand_factors(preset, f)
+                if perm != trivial:
+                    return False
+                below.update(dict.fromkeys(sections))
+            below.pop((), None)
+            level = below
+        return True
 
     def portrait(self, n: int) -> Portrait:
         return portrait_factors(self.preset, self.factors, n)

@@ -30,18 +30,19 @@ def ggs5():
     return ggs_preset(5, (1, 0, 0, 1))
 
 
+# a = (1 0)(1, a): adds 1 to a vertex read as a binary number, first digit
+# least significant.  Infinite order, no rules.
+ADDING_MACHINE = {
+    "name": "adding-machine",
+    "degree": 2,
+    "generators": [{"name": "a", "root_perm": [1, 0], "sections": ["1", "a"]}],
+    "contracting": True,
+}
+
+
 @pytest.fixture(scope="session")
 def adding_machine():
-    """a = (1 0)(1, a): adds 1 to a vertex read as a binary number, first
-    digit least significant.  Infinite order, no rules."""
-    return preset_from_dict(
-        {
-            "name": "adding-machine",
-            "degree": 2,
-            "generators": [{"name": "a", "root_perm": [1, 0], "sections": ["1", "a"]}],
-            "contracting": True,
-        }
-    )
+    return preset_from_dict(ADDING_MACHINE)
 
 
 # A random degree-3 automaton on which `elem order b` and, before it walked

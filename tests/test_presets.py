@@ -18,6 +18,9 @@ from branchgroups.presets import (
     save_preset,
     validate_preset,
 )
+from branchgroups.words import expand_factors
+
+from conftest import HANOI, RANDOM_DEGREE_3
 
 
 def test_grigorchuk_shape(grig):
@@ -208,10 +211,13 @@ def multipass_reduce(preset, factors):
             return tuple(syl)
 
 
+# Hanoi has only order rules and RANDOM_DEGREE_3 no rules at all.
 ORACLE_PRESETS = {
     "grigorchuk": grigorchuk_preset(),
     "gupta-sidki": gupta_sidki_preset(),
     "ggs5": ggs_preset(5, (1, 0, 0, 1)),
+    "hanoi": preset_from_dict(HANOI),
+    "random-degree-3": preset_from_dict(RANDOM_DEGREE_3),
 }
 
 
@@ -250,6 +256,43 @@ def test_rule_right_hand_side_keeps_its_order():
     assert p.reduce([("x", 2), ("y", 1)]) == (("y", 1), ("x", 1))
     assert p.reduce([("x", 1), ("x", 1), ("y", 1)]) == (("y", 1), ("x", 1))
     assert p.product((("x", 1),), (("x", 1), ("y", 1))) == (("y", 1), ("x", 1))
+
+
+# Expansions on merging_rules_preset's rules, with sections that feed them.
+# The rules hold in no group, so the result depends on the order the
+# rewrite loop applies them in and no section oracle can check it: these
+# pin that order.
+MERGING_EXPANSIONS = [
+    ("x", "x", (0, 1), ["x", "x y"]),
+    ("y", "y", (1, 0), ["x^2", "y x"]),
+    ("x^2", "x^2", (0, 1), ["x^2", "x y x y"]),
+    ("y^2", "y^2", (0, 1), ["y", "y x^2"]),
+    ("x y", "x y", (1, 0), ["x y x^2", "x y x"]),
+    ("y x", "y x", (1, 0), ["1", "y^2 x"]),
+    ("x^2 y", "y x", (1, 0), ["1", "y^2 x"]),
+    ("y^2 x", "y^2 x", (0, 1), ["y x", "y^2"]),
+    ("x y x y", "x y x y", (0, 1), ["x y^2", "x y^2 x"]),
+    ("y x^2 y", "y^2 x", (0, 1), ["y x", "y^2"]),
+    ("x^-1 y^-1 x y", "x^2 y^2 x y", (1, 0), ["x y", "y^2 x^2"]),
+    ("x y^2 x^2 y", "x^2", (0, 1), ["x^2", "x y x y"]),
+    ("y x^2 y x^2", "y^2", (0, 1), ["y", "y x^2"]),
+    ("x^2 y x^2 y x^2 y", "x", (0, 1), ["x", "x y"]),
+    ("y^2 x y^2 x y^2 x", "y^2 x y^2 x y^2 x", (0, 1), ["y x y x y x", "1"]),
+]
+
+
+def test_expansions_under_merging_rules_are_pinned():
+    data = merging_rules_preset().to_dict()
+    data["generators"] = [
+        {"name": "x", "root_perm": [0, 1], "sections": ["x", "x y"]},
+        {"name": "y", "root_perm": [1, 0], "sections": ["x^2", "y x"]},
+    ]
+    p = preset_from_dict(data)
+    for text, reduced, perm, sections in MERGING_EXPANSIONS:
+        factors = p.parse_word(text)
+        assert p.format_factors(factors) == reduced
+        got_perm, got_sections = expand_factors(p, factors)
+        assert (got_perm, [p.format_factors(s) for s in got_sections]) == (perm, sections)
 
 
 @settings(max_examples=300, deadline=None)

@@ -35,7 +35,7 @@ from branchgroups.words import (
     section1,
 )
 
-from conftest import random_word
+from conftest import ADDING_MACHINE, HANOI, RANDOM_DEGREE_3, random_word
 
 
 def W(preset, text):
@@ -603,6 +603,53 @@ def test_expansion_matches_root_perm_action_and_sections(w):
     assert list(decorations) == list(reference)
 
 
+def oracle_expansion(preset, factors):
+    """Root permutation and reduced first-level sections of a word, from the
+    generator records alone: g^e as |e| letters g or g^-1, with
+    g^-1 = (g_{g^-1(x)})^-1 at x, then the section rule
+    (uv)_x = u_{v(x)} v_x letter by letter, and `preset.reduce`."""
+    d = preset.degree
+    units = {}
+    for gen in preset.generators:
+        inv = [0] * d
+        for x, y in enumerate(gen.root_perm):
+            inv[y] = x
+        units[gen.name, 1] = gen.root_perm, gen.sections
+        units[gen.name, -1] = inv, [_invert_factors(gen.sections[inv[x]]) for x in range(d)]
+    word = [units[g, 1 if e > 0 else -1] for g, e in factors for _ in range(abs(e))]
+    perm, sections = [], []
+    for x in range(d):
+        parts = []
+        for p, secs in reversed(word):
+            parts.append(secs[x])
+            x = p[x]
+        perm.append(x)
+        sections.append(preset.reduce([f for part in reversed(parts) for f in part]))
+    return tuple(perm), tuple(sections)
+
+
+# Confluent rule sets, so that reducing the whole section gives the one
+# reduced word expand_factors builds from the letter records.  Hanoi and
+# RANDOM_DEGREE_3 have root groups that are not rotations.
+ORACLE_EXPANSION_PRESETS = {
+    "grigorchuk": grigorchuk_preset(),
+    "gupta-sidki": gupta_sidki_preset(),
+    "ggs5": ggs_preset(5, (1, 0, 0, 1)),
+    "adding-machine": preset_from_dict(ADDING_MACHINE),
+    "hanoi": preset_from_dict(HANOI),
+    "random-degree-3": preset_from_dict(RANDOM_DEGREE_3),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_expansion_matches_section_rule_oracle(data):
+    preset = ORACLE_EXPANSION_PRESETS[data.draw(st.sampled_from(sorted(ORACLE_EXPANSION_PRESETS)))]
+    factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-4, 4))
+    w = Word(preset, data.draw(st.lists(factor, max_size=12)))
+    assert expand_factors(preset, w.factors) == oracle_expansion(preset, w.factors)
+
+
 # -- level stabilizers by section walks ------------------------------------
 
 
@@ -658,20 +705,39 @@ import branchgroups.words as words
 from branchgroups.presets import grigorchuk_preset
 
 calls = [0]
-root_perm_of = words.root_perm_of
+expand_factors = words.expand_factors
 
 def counted(*args):
     calls[0] += 1
-    return root_perm_of(*args)
+    return expand_factors(*args)
 
-words.root_perm_of = counted
+words.expand_factors = counted
 G, rng = grigorchuk_preset(), random.Random(3)
 for _ in range(300):
     w = words.Word(G, [(rng.choice("abcd"), 1) for _ in range(rng.randrange(30))])
     w.fixes_level(rng.randrange(1, 6))
-# Root permutations tested, and expansions computed: one table entry per miss.
+# Expansions read, and expansions computed: one table entry per miss.
 print(calls[0], len(G._section_cache))
 """
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_fixes_level_expands_each_distinct_section_once(adding_machine, n, monkeypatch):
+    # Every level-k section of a^(2^n) is a^(2^(n-k)) or 1: one distinct
+    # word per level, although 2^k vertices carry it.
+    calls = []
+
+    def counted(preset, factors):
+        calls.append(factors)
+        return expand_factors(preset, factors)
+
+    monkeypatch.setattr(branchgroups.words, "expand_factors", counted)
+    w = Word(adding_machine, [("a", 2**n)])
+    assert w.fixes_level(n)
+    assert len(calls) <= n + 1
+    calls.clear()
+    assert not w.fixes_level(n + 1)
+    assert len(calls) <= n + 2
 
 
 def test_fixes_level_work_does_not_depend_on_string_hashing():
@@ -687,5 +753,5 @@ def test_fixes_level_work_does_not_depend_on_string_hashing():
         )
         counts.add(tuple(map(int, run.stdout.split())))
     assert len(counts) == 1
-    (roots, expansions), = counts
-    assert roots > 0 and expansions > 0
+    (reads, expansions), = counts
+    assert reads >= expansions > 0
