@@ -5,11 +5,13 @@ came out false, 2 = usage or precondition error, 3 = undecided within
 budget.  A refutation (exit 1) and an exhausted search (exit 3) are never
 conflated.
 
-Every option is read by the computation it configures: `--budget` exists
-only on `elem order|identity`, `sub escape` and
-`wm rist-search|trap|build|conjbound`.  Every JSON report embeds
-the preset fingerprint and, on those subcommands, the budget it ran with,
-so identical invocations reproduce byte-identical output.
+Every option is read by the computation it configures, and none gives a
+depth that the computation works out: `sub fixlevel` and `wm separate`
+walk section states to an exact answer.  `--budget` exists only on
+`elem order|identity`, `sub escape` and
+`wm rist-search|trap|build|conjbound`.  Every JSON report embeds the
+preset fingerprint and, on those subcommands, the budget it ran with, so
+identical invocations reproduce byte-identical output.
 
 A malformed preset file or certificate is a usage error (exit 2); only
 `group validate` reads a preset file unchecked, to report its issues.
@@ -97,7 +99,7 @@ _COMMANDS = {
     }),
     "sub": ("subgroup diagnostics", {
         "fix": (None, _GENS, _arg("--depth", type=int, default=DEFAULT_LEVEL)),
-        "fixlevel": (None, _GENS, _arg("--max-level", type=int, default=8)),
+        "fixlevel": (None, _GENS),
         "psi": (None, _WORD, _arg("--level", type=int, default=1)),
         "rist": (None, _WORD, _VERTEX),
         "profile": (None, _GENS, _arg("--max-level", type=int, default=DEFAULT_LEVEL)),
@@ -123,7 +125,6 @@ _COMMANDS = {
             None,
             _arg("--gens-a", nargs="+", required=True),
             _arg("--gens-b", nargs="+", required=True),
-            _arg("--depth", type=int, default=DEFAULT_LEVEL),
         ),
         "conjbound": (DEFAULT_SEARCH_BUDGET, _GENS, _LEVEL),
     }),
@@ -241,15 +242,9 @@ def _cmd_sub(args, preset, rep) -> int:
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
         return EXIT_OK
     if args.cmd == "fixlevel":
-        h = _handle(preset, args.gens)
-        lvl = subgroups.minimal_non_fixing_level(h, args.max_level)
-        if lvl is None:
-            rep.emit(
-                {"minimal_non_fixing_level": None, "undecided": True},
-                f"none up to level {args.max_level}",
-            )
-            return EXIT_UNDECIDED
-        rep.emit({"minimal_non_fixing_level": lvl}, str(lvl))
+        lvl = subgroups.minimal_non_fixing_level(_handle(preset, args.gens))
+        text = "never: a ray is fixed" if lvl is None else str(lvl)
+        rep.emit({"minimal_non_fixing_level": lvl}, text)
         return EXIT_OK
     if args.cmd == "psi":
         w = _word(preset, args.word)
@@ -330,9 +325,8 @@ def _cmd_wm(args, preset, rep) -> int:
             rep.emit(report.to_dict(), "\n".join(lines))
             return EXIT_OK if report.passed else EXIT_FALSE
         if args.cmd == "separate":
-            ha = _handle(preset, args.gens_a)
-            hb = _handle(preset, args.gens_b)
-            t = construction.fix_separation_witness(ha, hb, args.depth)
+            ha, hb = _handle(preset, args.gens_a), _handle(preset, args.gens_b)
+            t = construction.fix_separation_witness(ha, hb)
             if t is None:
                 rep.emit({"witness": None, "undecided": True}, "inconclusive")
                 return EXIT_UNDECIDED

@@ -274,12 +274,9 @@ def trap_subgroup(
     set at level k+1 is demonstrably empty.  Membership is checked at
     level k + 2.
 
-    Such a word exists iff |G/St(k+1)| > |G/St(k)|, which is checked first.
-    A search that runs out of budget raises BudgetExhausted.
+    Such a word exists iff |G/St(k+1)| > |G/St(k)|, checked only once the
+    search is spent: CertificateBuildError if not, else BudgetExhausted.
     """
-    full = full_level_group(preset, k + 1)
-    if full.order() == full.order(k):
-        raise CertificateBuildError(0, f"no level-{k} stabilizer moves level {k + 1}")
     for w in islice(enumerate_reduced_words(preset), budget):
         h = image_subgroup([w], k + 1)
         m = h.order(k)
@@ -287,6 +284,9 @@ def trap_subgroup(
             base = w**m
             break
     else:
+        full = full_level_group(preset, k + 1)
+        if full.order() == full.order(k):
+            raise CertificateBuildError(0, f"no level-{k} stabilizer moves level {k + 1}")
         raise BudgetExhausted("trap base search", budget)
 
     trivial = tuple(range(preset.degree))
@@ -715,17 +715,14 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
 # -- non-conjugacy and conjugate counting ---------------------------------
 
 
-def fix_separation_witness(
-    h_i: SubgroupHandle, h_j: SubgroupHandle, depth: int
-) -> int | None:
-    """A level t <= depth where exactly one subgroup has a fixed vertex.
+def fix_separation_witness(h_i: SubgroupHandle, h_j: SubgroupHandle) -> int | None:
+    """A level t where exactly one subgroup has a fixed vertex.
 
     Conjugation maps level-t fixed sets bijectively, so such a level
-    certifies non-conjugacy.  None means inconclusive.
+    certifies non-conjugacy.  None means inconclusive: the fixed trees
+    have the same depth, or both are infinite.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    levels = {minimal_non_fixing_level(h, depth) for h in (h_i, h_j)}
+    levels = {minimal_non_fixing_level(h) for h in (h_i, h_j)}
     return min(levels - {None}) if len(levels) == 2 else None
 
 

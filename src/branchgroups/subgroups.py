@@ -3,6 +3,8 @@ stabilizers, index evidence and escaping conjugates.
 
 Which vertices a list of words fixes is answered by one uncached walk,
 `fixed_levels`, which descends from the root through fixed vertices only.
+Where the fixed tree ends, or that it never does, is answered with no depth
+given by a walk over whole levels' section sets, `minimal_non_fixing_level`.
 One word's section tuple and rigid stabilizers read `Word.level_sections`.
 
 Membership in an abstractly defined subgroup is always answered inside a
@@ -19,9 +21,9 @@ read it, so results replay exactly and a budget counts conjugates visited.
 from __future__ import annotations
 
 from .presets import GroupPreset
-from .quotients import _check_level, full_level_group, image_subgroup, word_perm
+from .quotients import LEVEL_CAP, _check_level, full_level_group, image_subgroup, word_perm
 from .tree import Vertex, format_vertex, level_vertices
-from .words import DEFAULT_SEARCH_BUDGET, Word, expand_factors, is_identity_factors
+from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, expand_factors, is_identity_factors
 
 
 class NotInLevelStabilizerError(ValueError):
@@ -128,29 +130,30 @@ class FixedTree:
         }
 
 
+def _fixed_children(preset: GroupPreset, sections):
+    """(x, the distinct nontrivial sections at x) for each child x that
+    every given section fixes at the root, read from the cached tables."""
+    records = [expand_factors(preset, f) for f in sections]
+    for x in range(preset.degree):
+        if all(perm[x] == x for perm, _ in records):
+            yield x, frozenset(secs[x] for _, secs in records) - {()}
+
+
 def fixed_levels(words, depth: int):
     """Yield the lexicographic level-t vertices that every word fixes, for
     t = 0..depth, stopping after the first empty level.
 
     The walk descends through fixed vertices only: child x of a fixed vertex
     is fixed iff every word's section there fixes x at the root.  Each vertex
-    carries the distinct nontrivial sections, read from the cached tables.
-    The depth is checked against the level cap before the first level.
+    carries the distinct nontrivial sections.  The depth is checked against
+    the level cap before the first level.
     """
     preset = words[0].preset
     _check_level(preset, depth)
-    level = [((), tuple(dict.fromkeys(w.factors for w in words if w.factors)))]
+    level = [((), frozenset(w.factors for w in words) - {()})]
     yield [()]
     for _ in range(depth):
-        nxt = []
-        for v, sections in level:
-            records = [expand_factors(preset, f) for f in sections]
-            for x in range(preset.degree):
-                if all(perm[x] == x for perm, _ in records):
-                    below = dict.fromkeys(secs[x] for _, secs in records)
-                    below.pop((), None)
-                    nxt.append((v + (x,), tuple(below)))
-        level = nxt
+        level = [(v + (x,), s) for v, secs in level for x, s in _fixed_children(preset, secs)]
         yield [v for v, _ in level]
         if not level:
             return
@@ -183,14 +186,19 @@ def fixed_tree(h: SubgroupHandle, depth: int) -> FixedTree:
     return FixedTree(depth=depth, vertices=vertices, deepest_path=levels[-1][0])
 
 
-def minimal_non_fixing_level(h: SubgroupHandle, max_level: int) -> int | None:
-    """Least level with no fixed vertex, or None up to max_level."""
-    if max_level < 1:
-        raise ValueError(f"max_level must be >= 1, got {max_level}")
-    for t, fixed in enumerate(fixed_levels(h.words, max_level)):
-        if not fixed:
-            return t
-    return None
+def minimal_non_fixing_level(h: SubgroupHandle) -> int | None:
+    """Least level with no fixed vertex, or None when the subgroup fixes a
+    ray.  A level's states, the section sets of its fixed vertices, give the
+    next level's; a level that repeats an earlier one repeats forever and is
+    never empty, so a ray is fixed (König's lemma).  Past LEVEL_CAP levels
+    with neither answer the walk raises BudgetExhausted."""
+    seen, level = [], {frozenset(w.factors for w in h.words) - {()}}
+    for t in range(LEVEL_CAP + 1):
+        if not level or level in seen:
+            return None if level else t
+        seen.append(level)
+        level = {below for state in level for _, below in _fixed_children(h.preset, state)}
+    raise BudgetExhausted("fixed-tree walk over levels", LEVEL_CAP)
 
 
 def psi_sections(g: Word, k: int) -> list[Word]:

@@ -193,7 +193,7 @@ def test_criterion_8_non_conjugacy_ladder(verdict):
     start = time.monotonic()
     h1 = trap_subgroup(preset, 1)
     h2 = trap_subgroup(preset, 2)
-    witness = fix_separation_witness(h1, h2, 4)
+    witness = fix_separation_witness(h1, h2)
     elapsed = time.monotonic() - start
     verdict(8, "trap subgroups at k=1,2 are separated by fixed-vertex profiles",
             witness is not None and elapsed < 30,
@@ -220,9 +220,7 @@ def test_criterion_10_ggs_suite(verdict):
     transitive = all(is_level_transitive(preset, n) for n in range(1, 5))
     order_b = Word.from_str(preset, "b").order()
     vector = regular_branch_vector_check(3, (1, -1))
-    mnfl = minimal_non_fixing_level(
-        SubgroupHandle.from_strings(preset, ["a"]), 5
-    )
+    mnfl = minimal_non_fixing_level(SubgroupHandle.from_strings(preset, ["a"]))
     elapsed = time.monotonic() - start
     ok = transitive and order_b == 3 and vector and mnfl == 1 and elapsed < 60
     verdict(10, "Gupta-Sidki suite",

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -66,9 +67,13 @@ def test_sub_fixlevel(capsys):
     assert (code, out) == (EXIT_OK, "1")
 
 
-def test_sub_fixlevel_undecided(capsys):
-    code, _ = run(capsys, "sub", "fixlevel", "--gens", "d", "--max-level", "4")
-    assert code == EXIT_UNDECIDED
+# d fixes the ray 1^inf: the walk over section states repeats a level's
+# states and answers "never" exactly.
+def test_sub_fixlevel_never(capsys):
+    assert run(capsys, "sub", "fixlevel", "--gens", "d") == (EXIT_OK, "never: a ray is fixed")
+    argv = ["sub", "fixlevel", "--preset", "gupta-sidki", "--gens", "b", "--format", "json"]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK and json.loads(out)["minimal_non_fixing_level"] is None
 
 
 def test_quotient_order_decimal_string(capsys):
@@ -226,9 +231,7 @@ def test_wm_trap(capsys):
 
 
 def test_wm_separate_inconclusive_exit_3(capsys):
-    code, _ = run(
-        capsys, "wm", "separate", "--gens-a", "b", "--gens-b", "b", "--depth", "3"
-    )
+    code, _ = run(capsys, "wm", "separate", "--gens-a", "b", "--gens-b", "b")
     assert code == EXIT_UNDECIDED
 
 
@@ -276,7 +279,7 @@ def test_option_surface():
     settable = [
         a for p in subs.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
     ]
-    assert len(settable) == 92
+    assert len(settable) == 90
 
 
 def _readme_subcommands(marker):
@@ -310,6 +313,26 @@ def test_readme_names_the_registered_subcommands():
     assert _readme_subcommands("Budgeted subcommands") == BUDGETED
     parser_defaults = {name: subs[name].get_default("budget") for name in BUDGETED}
     assert _readme_budget_defaults() == parser_defaults
+
+
+def _readme_cli_examples():
+    """(argv, output) for each line of the README's CLI block that ends in
+    `# <output>`."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("## CLI"):].split("```")[1]
+    return [
+        (shlex.split(line)[1:], out.strip())
+        for line, sep, out in (ln.partition(" # ") for ln in block.splitlines())
+        if sep
+    ]
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+@pytest.mark.parametrize("argv, out", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_cli_examples(capsys, argv, out):
+    assert run(capsys, *argv) == (EXIT_OK, out)
 
 
 # A preset that claims to be contracting but is not: a = (a^2, 1), whose
@@ -383,6 +406,21 @@ def test_claimed_contracting_preset_order_is_undecided_at_the_default_budget(tmp
     assert run.returncode == EXIT_UNDECIDED
     assert run.stdout.strip() == "undecided (budget exhausted)"
     assert "Traceback" not in run.stderr
+
+
+def test_claimed_contracting_preset_fixlevel_is_undecided(tmp_path):
+    # a = (a^2, 1) fixes every level, and the sections a^(2^t) make every
+    # level's states new, so the state walk stops at the level cap.
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(RUNAWAY))
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", "sub", "fixlevel", "--preset", str(path),
+         "--gens", "a"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+    )
+    assert (run.returncode, run.stdout) == (EXIT_UNDECIDED, "")
+    assert run.stderr.startswith("undecided:") and "Traceback" not in run.stderr
 
 
 # Malformed user presets: a root permutation that is not one, and a degree-2
@@ -726,8 +764,6 @@ def test_conjugate_walks_stop_at_their_budget_on_a_random_preset(tmp_path, argv,
     "argv",
     [
         ["sub", "fix", "--gens", "d", "--depth", "26"],
-        ["sub", "fixlevel", "--gens", "d", "--max-level", "26"],
-        ["wm", "separate", "--gens-a", "d", "--gens-b", "d", "--depth", "26"],
         ["sub", "psi", "a a", "--level", "26"],
         ["elem", "portrait", "a", "--depth", "26"],
     ],
@@ -748,7 +784,7 @@ def test_tree_walks_cap_the_depth(capsys, argv):
 def test_separate_witness_pinned(capsys, preset, gens_a, gens_b, witness):
     code, out = run(
         capsys, "wm", "separate", "--preset", preset,
-        "--gens-a", *gens_a, "--gens-b", *gens_b, "--depth", "4",
+        "--gens-a", *gens_a, "--gens-b", *gens_b,
     )
     assert (code, out) == (EXIT_OK, witness)
 

@@ -20,7 +20,7 @@ from branchgroups.construction import (
     validate_certificate,
 )
 from branchgroups.presets import grigorchuk_preset
-from branchgroups.subgroups import SubgroupHandle, in_rigid_stabilizer
+from branchgroups.subgroups import SubgroupHandle, in_rigid_stabilizer, minimal_non_fixing_level
 from branchgroups.tree import level_vertices, parse_vertex
 from branchgroups.words import DEFAULT_SEARCH_BUDGET, Word
 
@@ -339,13 +339,23 @@ def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
 def test_fix_separation_witness(grig):
     h1 = trap_subgroup(grig, 1)
     h2 = SubgroupHandle.from_strings(grig, ["b", "c"])
-    t = fix_separation_witness(h1, h2, 4)
+    t = fix_separation_witness(h1, h2)
     assert t == 2
 
 
 def test_fix_separation_witness_at_level_three(grig):
     trap = trap_subgroup(grig, 2)
-    assert fix_separation_witness(trap, SubgroupHandle.from_strings(grig, ["b"]), 5) == 3
+    assert fix_separation_witness(trap, SubgroupHandle.from_strings(grig, ["b"])) == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_trap_fixed_tree_ends_at_level_k_plus_1(grig, k):
+    assert minimal_non_fixing_level(trap_subgroup(grig, k)) == k + 1
+
+
+def test_fix_separation_witness_past_the_old_default_depth(grig):
+    # Both fixed trees reach level 4; the witness is the deeper level 5.
+    assert fix_separation_witness(trap_subgroup(grig, 4), trap_subgroup(grig, 5)) == 5
 
 
 def test_fix_separation_inconclusive_for_conjugates(grig, rng):
@@ -355,12 +365,12 @@ def test_fix_separation_inconclusive_for_conjugates(grig, rng):
     for _ in range(5):
         g = random_word(grig, rng, 6)
         conj = h.conjugated(g)
-        assert fix_separation_witness(h, conj, 4) is None
+        assert fix_separation_witness(h, conj) is None
 
 
 def test_fix_separation_identical_inconclusive(grig):
     h = SubgroupHandle.from_strings(grig, ["b"])
-    assert fix_separation_witness(h, h, 3) is None
+    assert fix_separation_witness(h, h) is None
 
 
 def test_conjugate_count_lower_bound_parabolic(grig):

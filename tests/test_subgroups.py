@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from branchgroups import subgroups
 from branchgroups.construction import parabolic_approximation
-from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset, preset_from_dict
-from branchgroups.quotients import LevelCapExceeded, word_perm
+from branchgroups.presets import (
+    builtin_preset, ggs_preset, grigorchuk_preset, gupta_sidki_preset, preset_from_dict,
+)
+from branchgroups.quotients import LEVEL_CAP, LevelCapExceeded, word_perm
 from branchgroups.subgroups import (
     NotInLevelStabilizerError,
     SubgroupHandle,
@@ -24,7 +26,7 @@ from branchgroups.subgroups import (
     rist_support,
 )
 from branchgroups.tree import level_vertices
-from branchgroups.words import Word
+from branchgroups.words import BudgetExhausted, Word
 
 from conftest import RANDOM_DEGREE_3, random_word
 
@@ -58,10 +60,54 @@ def test_fixed_tree_prefix_closed(grig):
     assert (1, 1, 0) in ft.vertices
 
 
-def test_minimal_non_fixing_level(grig):
-    assert minimal_non_fixing_level(H(grig, ["a"]), 5) == 1
-    assert minimal_non_fixing_level(H(grig, ["d"]), 6) is None
-    assert minimal_non_fixing_level(H(grig, ["b", "c", "d"]), 6) is None
+@pytest.mark.parametrize(
+    "name, gens, level",
+    [
+        ("grig", ["a"], 1),
+        ("grig", ["a", "c"], 1),
+        ("grig", ["a", "d"], 1),
+        ("grig", ["a b a b"], 2),
+        ("gs", ["a"], 1),
+        ("gs", ["b", "a^2 b a"], 2),
+        ("grig", ["b", "c"], None),
+        ("grig", ["d"], None),
+        ("grig", ["b", "c", "d"], None),
+        ("gs", ["b"], None),
+        ("hanoi", ["a"], None),
+    ],
+)
+def test_minimal_non_fixing_level(request, name, gens, level):
+    assert minimal_non_fixing_level(H(request.getfixturevalue(name), gens)) == level
+
+
+# The state walk against the vertex walk: each decided answer leaves the
+# fixed tree nonempty exactly below it, to the oracle depth.  Only the
+# non-contracting RANDOM_DEGREE_3 may stay undecided, and only with every
+# level to the cap nonempty: there <c^-1 a b c b a> first repeats a level's
+# states at level 12, level 6's.
+ORACLE_PRESETS = ("grigorchuk", "gupta-sidki", "ggs:3:1,0", "ggs:4:1,0,0", "ggs:5:1,0,0,1")
+
+
+def test_minimal_non_fixing_level_matches_fixed_levels(hanoi):
+    presets = [(builtin_preset(name), False) for name in ORACLE_PRESETS]
+    presets += [(hanoi, False), (preset_from_dict(RANDOM_DEGREE_3), True)]
+    rng = random.Random(20261019)
+    for preset, may_stay_undecided in presets:
+        depth = 7 if preset.degree <= 3 else 5
+        letters = [(g, e) for g in preset.gen_names for e in (1, -1)]
+        for _ in range(150):
+            gens = [
+                Word(preset, [rng.choice(letters) for _ in range(rng.randint(1, 8))])
+                for _ in range(rng.randint(1, 3))
+            ]
+            try:
+                t = minimal_non_fixing_level(SubgroupHandle(tuple(gens)))
+            except BudgetExhausted:
+                assert may_stay_undecided and all(fixed_levels(gens, LEVEL_CAP)), gens
+                continue
+            nonempty = [bool(level) for level in fixed_levels(gens, depth)]
+            nonempty += [False] * (depth + 1 - len(nonempty))
+            assert nonempty == [t is None or s < t for s in range(depth + 1)], (preset, gens)
 
 
 def test_psi_sections(grig):
