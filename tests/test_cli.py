@@ -408,7 +408,7 @@ def test_claimed_contracting_preset_order_is_undecided_at_the_default_budget(tmp
     assert "Traceback" not in run.stderr
 
 
-def test_claimed_contracting_preset_fixlevel_is_undecided(tmp_path):
+def test_sub_fixlevel_undecided(tmp_path):
     # a = (a^2, 1) fixes every level, and the sections a^(2^t) make every
     # level's states new, so the state walk stops at the level cap.
     path = tmp_path / "runaway.json"
@@ -759,11 +759,14 @@ def test_conjugate_walks_stop_at_their_budget_on_a_random_preset(tmp_path, argv,
 
 
 # d fixes a vertex at every level, so an uncapped walk would visit a fixed
-# tree that doubles per level; a section tuple and a portrait have d^n entries.
+# tree that doubles per level; a vertex stabilizer needs the vertex's level
+# image; a section tuple and a portrait have d^n entries.
 @pytest.mark.parametrize(
     "argv",
     [
         ["sub", "fix", "--gens", "d", "--depth", "26"],
+        ["sub", "profile", "--gens", "d", "--max-level", "26"],
+        ["quotient", "stab", "1" * 26],
         ["sub", "psi", "a a", "--level", "26"],
         ["elem", "portrait", "a", "--depth", "26"],
     ],

@@ -60,23 +60,26 @@ def test_fixed_tree_prefix_closed(grig):
     assert (1, 1, 0) in ft.vertices
 
 
+def test_minimal_non_fixing_level(grig):
+    assert minimal_non_fixing_level(H(grig, ["a"])) == 1
+    assert minimal_non_fixing_level(H(grig, ["d"])) is None
+    assert minimal_non_fixing_level(H(grig, ["b", "c", "d"])) is None
+
+
 @pytest.mark.parametrize(
     "name, gens, level",
     [
-        ("grig", ["a"], 1),
         ("grig", ["a", "c"], 1),
         ("grig", ["a", "d"], 1),
         ("grig", ["a b a b"], 2),
         ("gs", ["a"], 1),
         ("gs", ["b", "a^2 b a"], 2),
         ("grig", ["b", "c"], None),
-        ("grig", ["d"], None),
-        ("grig", ["b", "c", "d"], None),
         ("gs", ["b"], None),
         ("hanoi", ["a"], None),
     ],
 )
-def test_minimal_non_fixing_level(request, name, gens, level):
+def test_minimal_non_fixing_level_pinned(request, name, gens, level):
     assert minimal_non_fixing_level(H(request.getfixturevalue(name), gens)) == level
 
 
