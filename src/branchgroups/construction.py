@@ -30,6 +30,7 @@ from .presets import GroupPreset
 from .quotients import (
     LEVEL_CAP,
     _check_level,
+    _check_points,
     full_level_group,
     image_subgroup,
     orbit_transversal,
@@ -79,9 +80,7 @@ def _generator_letters(preset: GroupPreset) -> list[Word]:
     letters = []
     for name in preset.gen_names:
         order = preset.gen_order.get(name)
-        exps = range(1, order) if order else (1, -1)
-        for e in exps:
-            letters.append(Word(preset, ((name, e),)))
+        letters += [Word(preset, ((name, e),)) for e in (range(1, order) if order else (1, -1))]
     return [w for w in letters if w.factors]
 
 
@@ -274,9 +273,11 @@ def trap_subgroup(
     set at level k+1 is demonstrably empty.  Membership is checked at
     level k + 2.
 
-    Such a word exists iff |G/St(k+1)| > |G/St(k)|, checked only once the
-    search is spent: CertificateBuildError if not, else BudgetExhausted.
+    Such a word exists iff |G/St(k+1)| > |G/St(k)|.  The caps on that
+    whole level image are checked first, the orders only once the search
+    is spent: CertificateBuildError if they are equal, else BudgetExhausted.
     """
+    _check_points(preset, k + 1)
     for w in islice(enumerate_reduced_words(preset), budget):
         h = image_subgroup([w], k + 1)
         m = h.order(k)
@@ -386,12 +387,7 @@ class WMCertificate:
             "preset_fingerprint": self.preset_fingerprint,
             "q_generators": [str(w) for w in self.q_generators],
             "stages": [
-                {
-                    "k": s.k,
-                    "v": format_vertex(s.v),
-                    "w": str(s.w),
-                    "u": format_vertex(s.u),
-                }
+                {"k": s.k, "v": format_vertex(s.v), "w": str(s.w), "u": format_vertex(s.u)}
                 for s in self.stages
             ],
             "avoid": [h.to_dict() for h in self.avoid],
@@ -459,12 +455,8 @@ def parabolic_approximation(
         raise ValueError("membership level must be at least the vertex level")
     extended = v + (0,) * (membership_level - len(v))
     gens = point_stabilizer_words(preset, extended)
-    return SubgroupHandle(
-        tuple(gens),
-        membership_level=membership_level,
-        label=f"stab-{format_vertex(v)}",
-        vertex=extended,
-    )
+    label = f"stab-{format_vertex(v)}"
+    return SubgroupHandle(tuple(gens), membership_level=membership_level, label=label, vertex=extended)
 
 
 # Rist candidates tested against an avoid subgroup at a stage vertex.
@@ -560,10 +552,7 @@ def build_certificate(
         stages=tuple(stages),
         avoid=tuple(avoid),
         verification_level=verification_level,
-        budgets={
-            "rist_budget": rist_budget,
-            "candidates_per_vertex": _CANDIDATES_PER_VERTEX,
-        },
+        budgets={"rist_budget": rist_budget, "candidates_per_vertex": _CANDIDATES_PER_VERTEX},
     )
 
 
@@ -720,9 +709,18 @@ def fix_separation_witness(h_i: SubgroupHandle, h_j: SubgroupHandle) -> int | No
 
     Conjugation maps level-t fixed sets bijectively, so such a level
     certifies non-conjugacy.  None means inconclusive: the fixed trees
-    have the same depth, or both are infinite.
+    have the same depth, or both are infinite.  BudgetExhausted only when
+    a walk passes LEVEL_CAP and the other tree does not end.
     """
-    levels = {minimal_non_fixing_level(h) for h in (h_i, h_j)}
+    levels, spent = set(), None
+    for h in (h_i, h_j):
+        try:
+            levels.add(minimal_non_fixing_level(h))
+        except BudgetExhausted as e:  # every level up to LEVEL_CAP is nonempty
+            levels.add(None)
+            spent = e
+    if len(levels) < 2 and spent:
+        raise spent
     return min(levels - {None}) if len(levels) == 2 else None
 
 

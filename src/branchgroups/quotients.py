@@ -439,12 +439,15 @@ def image_subgroup(words, n: int, conjugators=None):
     return StabChain(p**n, perms, conjugators or (), p)
 
 
-def full_level_group(preset: GroupPreset, n: int):
+def _check_points(preset: GroupPreset, n: int):
     _check_level(preset, n)
     if preset.degree**n > POINT_CAP:
         raise LevelCapExceeded(f"level {n} has {preset.degree**n} vertices, over the cap of {POINT_CAP}")
-    gens = [Word.generator(preset, g) for g in preset.gen_names]
-    return image_subgroup(gens, n)
+
+
+def full_level_group(preset: GroupPreset, n: int):
+    _check_points(preset, n)
+    return image_subgroup([Word.generator(preset, g) for g in preset.gen_names], n)
 
 
 def quotient_order(preset: GroupPreset, n: int) -> int:

@@ -527,6 +527,14 @@ def test_wm_trap_without_a_moving_stabilizer_exits_2(tmp_path, capsys):
     assert "no level-1 stabilizer moves level 2" in capsys.readouterr().err
 
 
+def test_wm_trap_past_the_point_cap_exits_2_before_the_search(monkeypatch, capsys):
+    # Gupta-Sidki level 8 has 6,561 vertices, past POINT_CAP: the whole
+    # level image the order check needs is refused before any base word.
+    monkeypatch.setattr(construction, "enumerate_reduced_words", lambda _: pytest.fail("searched"))
+    assert run_command(["wm", "trap", "--preset", "gupta-sidki", "--k", "7"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: level 8 has 6561 vertices, over the cap of 3125\n"
+
+
 # The base search tests at most --budget words, so a level whose base lies
 # deeper in the Cayley ball ends undecided instead of running on.
 @pytest.mark.parametrize("k, budget, code", [("5", "2000", EXIT_OK), ("8", "50", EXIT_UNDECIDED)])

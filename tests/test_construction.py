@@ -19,10 +19,11 @@ from branchgroups.construction import (
     trap_subgroup,
     validate_certificate,
 )
-from branchgroups.presets import grigorchuk_preset
+from branchgroups.presets import grigorchuk_preset, preset_from_dict
 from branchgroups.subgroups import SubgroupHandle, in_rigid_stabilizer, minimal_non_fixing_level
 from branchgroups.tree import level_vertices, parse_vertex
-from branchgroups.words import DEFAULT_SEARCH_BUDGET, Word
+from branchgroups.words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word
+from conftest import RANDOM_DEGREE_3
 
 
 def Q_a(preset):
@@ -356,6 +357,19 @@ def test_trap_fixed_tree_ends_at_level_k_plus_1(grig, k):
 def test_fix_separation_witness_past_the_old_default_depth(grig):
     # Both fixed trees reach level 4; the witness is the deeper level 5.
     assert fix_separation_witness(trap_subgroup(grig, 4), trap_subgroup(grig, 5)) == 5
+
+
+def test_fix_separation_witness_beside_an_undecided_walk():
+    # <c^-1 a b c b a>'s walk passes LEVEL_CAP undecided, so its fixed tree
+    # is nonempty through the cap; <c> moves level 1, a witness all the same.
+    rd3 = preset_from_dict(RANDOM_DEGREE_3)
+    undecided = SubgroupHandle.from_strings(rd3, ["c^-1 a b c b a"])
+    c = SubgroupHandle.from_strings(rd3, ["c"])
+    with pytest.raises(BudgetExhausted):
+        minimal_non_fixing_level(undecided)
+    assert fix_separation_witness(undecided, c) == fix_separation_witness(c, undecided) == 1
+    with pytest.raises(BudgetExhausted):
+        fix_separation_witness(undecided, undecided)
 
 
 def test_fix_separation_inconclusive_for_conjugates(grig, rng):
