@@ -18,7 +18,6 @@ from .presets import (
     grigorchuk_preset,
     gupta_sidki_preset,
     load_preset,
-    regular_branch_vector_check,
     save_preset,
     validate_preset,
 )

@@ -7,8 +7,9 @@ conflated.
 
 Every option is read by the computation it configures, and none gives a
 depth that the computation works out: `sub fixlevel` and `wm separate`
-walk section states to an exact answer.  `--budget` exists only on
-`elem order|identity`, `sub escape` and
+walk section states to an exact answer, and `wm trap --k` checks level
+k + 1, the level its subgroup is built to leave unfixed.  `--budget`
+exists only on `elem order|identity`, `sub escape` and
 `wm rist-search|trap|build|conjbound`.  Every JSON report embeds the
 preset fingerprint and, on those subcommands, the budget it ran with, so
 identical invocations reproduce byte-identical output.
@@ -107,11 +108,7 @@ _COMMANDS = {
     }),
     "wm": ("finite-stage constructions", {
         "rist-search": (DEFAULT_SEARCH_BUDGET, _VERTEX),
-        "trap": (
-            DEFAULT_SEARCH_BUDGET,
-            _arg("--k", type=int, required=True),
-            _arg("--l", type=int, default=1),
-        ),
+        "trap": (DEFAULT_SEARCH_BUDGET, _arg("--k", type=int, required=True)),
         "build": (
             DEFAULT_SEARCH_BUDGET,
             _arg("--q-gens", nargs="+", required=True),
@@ -297,7 +294,7 @@ def _cmd_wm(args, preset, rep) -> int:
             return EXIT_OK
         if args.cmd == "trap":
             h = construction.trap_subgroup(preset, args.k, budget=args.budget)
-            report = construction.level_trap_check(h, args.k, args.l)
+            report = construction.level_trap_check(h, args.k)
             data = {"subgroup": h.to_dict(), "check": report.to_dict()}
             rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
             return EXIT_OK if report.passed else EXIT_FALSE

@@ -214,14 +214,12 @@ class TrapReport:
     def __init__(
         self,
         k: int,
-        l: int,
         stabilizes_level: bool,
         moving_witness: str | None,
         no_fixed_vertex: bool,
         fixed_witness: str | None,
     ):
         self.k = k
-        self.l = l
         self.stabilizes_level = stabilizes_level
         self.moving_witness = moving_witness
         self.no_fixed_vertex = no_fixed_vertex
@@ -234,25 +232,21 @@ class TrapReport:
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "l": self.l,
             "stabilizes_level_k": self.stabilizes_level,
             "moving_witness": self.moving_witness,
-            "no_fixed_vertex_at_k_plus_l": self.no_fixed_vertex,
+            "no_fixed_vertex_at_k_plus_1": self.no_fixed_vertex,
             "fixed_witness": self.fixed_witness,
             "passed": self.passed,
         }
 
 
-def level_trap_check(h: SubgroupHandle, k: int, l: int) -> TrapReport:
-    """Exact check: generators fix level k; no fixed vertex at level k+l."""
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+def level_trap_check(h: SubgroupHandle, k: int) -> TrapReport:
+    """Exact check: generators fix level k; no fixed vertex at level k+1."""
     g = next((g for g in h.generators if not g.fixes_level(k)), None)
     moving = None if g is None else f"{g} moves {format_vertex(first_moved_vertex((g,), k))}"
-    fixed = h.fixed_points(k + l)
+    fixed = h.fixed_points(k + 1)
     return TrapReport(
         k=k,
-        l=l,
         stabilizes_level=moving is None,
         moving_witness=moving,
         no_fixed_vertex=not fixed,

@@ -408,13 +408,12 @@ def ggs_preset(d: int, E) -> GroupPreset:
     )
     rules = (((("a", d),), ()), ((("b", d),), ()))
     commutator = (("a", -1), ("b", -1), ("a", 1), ("b", 1))
-    certified = regular_branch_vector_check(d, E)
     return GroupPreset(
         degree=d,
         generators=gens,
         reduction_rules=rules,
         branching_generators=(commutator,),
-        contracting_certified=certified,
+        contracting_certified=True,  # a bounded automaton group is contracting
         name=f"ggs-{d}-" + ",".join(str(e) for e in E),
     )
 
@@ -433,22 +432,6 @@ def _is_prime(n: int) -> bool:
             return False
         k += 1
     return True
-
-
-def regular_branch_vector_check(d: int, E) -> bool:
-    """Syntactic regular-branch criterion for a GGS defining vector.
-
-    True iff d is prime and the entries are neither all zero nor all
-    non-zero, or the vector is (1, -1).  This reads the vector as given;
-    it is a criterion, not a proof about the group.
-    """
-    E = tuple(int(e) % d for e in E)
-    if len(E) != d - 1:
-        raise PresetError(f"defining vector must have length {d - 1}, got {len(E)}")
-    if E == (1 % d, -1 % d):
-        return True
-    zeros = sum(1 for e in E if e == 0)
-    return _is_prime(d) and 0 < zeros < len(E)
 
 
 def builtin_preset(name: str) -> GroupPreset:

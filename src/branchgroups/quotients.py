@@ -13,7 +13,7 @@ picks the representation: the generator-image memo and `LayeredGroup`
 work on it, while `word_perm`, a group's `gens` and `identity`, and
 `StabChain`, which no p-preset builds, stay on tuples.  `word_perm`
 composes generator images, raising a letter's image to its exponent by
-repeated squaring; each generator's level-n image is built once from the
+`words.power`; each generator's level-n image is built once from the
 wreath recursion and memoized on the preset.
 
 Every subgroup of a level quotient is built by `image_subgroup`.  For a
@@ -47,7 +47,7 @@ from operator import eq, floordiv, itemgetter, sub
 
 from .presets import Factors, GroupPreset, _is_prime
 from .tree import Vertex
-from .words import Word
+from .words import Word, power
 
 Perm = tuple[int, ...] | bytes  # bytes up to BYTE_POINTS points
 BYTE_POINTS = 256  # a point index fits in one byte up to here
@@ -127,19 +127,7 @@ def _factors_perm(preset: GroupPreset, factors: Factors, n: int) -> Perm:
     if n == 0 or not factors:  # at n = 0 the root is fixed; the wreath recursion ends here
         npoints = preset.degree**n
         return _perm_type(npoints)(range(npoints))
-    return reduce(compose, [_perm_power(_generator_perm(preset, g, e < 0, n), abs(e)) for g, e in factors])
-
-
-def _perm_power(p: Perm, m: int) -> Perm:
-    """p^m for m >= 1 by repeated squaring; p itself when m = 1."""
-    out = None
-    while True:
-        if m & 1:
-            out = p if out is None else compose(out, p)
-        m >>= 1
-        if not m:
-            return out
-        p = compose(p, p)
+    return reduce(compose, [power(_generator_perm(preset, g, e < 0, n), abs(e), compose) for g, e in factors])
 
 
 def word_perm(w: Word, n: int) -> tuple[int, ...]:
@@ -402,10 +390,10 @@ class LayeredGroup:
             return
         b, big, tops, _, basis = self._layers[k]
         j = next(i for i, (y, t) in enumerate(zip(x[::big], tops)) if y // b != t)
-        x = _perm_power(x, pow(x[j * big] // b % p, -1, p))
-        powers = [x, *(perm_inverse(_perm_power(x, a)) for a in range(1, p))]
+        x = power(x, pow(x[j * big] // b % p, -1, p), compose)
+        powers = [x, *(perm_inverse(power(x, a, compose)) for a in range(1, p))]
         new = [compose(compose(x, y), compose(powers[1], y_inv)) for _, (y, y_inv, *_) in basis]
-        work += [(k + 1, y) for y in [_perm_power(x, p), *new] if y != self._one]
+        work += [(k + 1, y) for y in [power(x, p, compose), *new] if y != self._one]
         if k or self._normal:  # a subgroup normalizes itself: layer 0 needs no conjugates
             work += self._conjugates(k, x, self._conj)
         insort(basis, (j, powers))

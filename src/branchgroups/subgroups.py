@@ -4,7 +4,8 @@ stabilizers, index evidence and escaping conjugates.
 Which vertices a list of words fixes is answered by one uncached walk,
 `fixed_levels`, which descends from the root through fixed vertices only.
 Where the fixed tree ends, or that it never does, is answered with no depth
-given by a walk over whole levels' section sets, `minimal_non_fixing_level`.
+given by a depth-first walk over the section states of fixed vertices,
+`minimal_non_fixing_level`.
 One word's section tuple and rigid stabilizers read `Word.level_sections`.
 
 Membership in an abstractly defined subgroup is always answered inside a
@@ -188,17 +189,36 @@ def fixed_tree(h: SubgroupHandle, depth: int) -> FixedTree:
 
 def minimal_non_fixing_level(h: SubgroupHandle) -> int | None:
     """Least level with no fixed vertex, or None when the subgroup fixes a
-    ray.  A level's states, the section sets of its fixed vertices, give the
-    next level's; a level that repeats an earlier one repeats forever and is
-    never empty, so a ray is fixed (König's lemma).  Past LEVEL_CAP levels
-    with neither answer the walk raises BudgetExhausted."""
-    seen, level = [], {frozenset(w.factors for w in h.words) - {()}}
-    for t in range(LEVEL_CAP + 1):
-        if not level or level in seen:
-            return None if level else t
-        seen.append(level)
-        level = {below for state in level for _, below in _fixed_children(h.preset, state)}
-    raise BudgetExhausted("fixed-tree walk over levels", LEVEL_CAP)
+    ray.  Depth first over the states of fixed vertices, a state being the
+    set of the generators' distinct nontrivial sections there.  The fixed
+    tree below a vertex depends only on its state, so each state's end
+    level below it is memoized; a state met again on its own path repeats
+    along it forever, so a ray is fixed.  A fixed vertex at LEVEL_CAP with
+    neither answer raises BudgetExhausted, so every answer is at most
+    LEVEL_CAP."""
+    ends, path = {}, set()
+
+    def end(state, t):
+        """Levels below a level-t vertex with this state down to the first
+        with no fixed vertex, or None for a ray."""
+        if state in path:
+            return None
+        r = ends.get(state)
+        if r is None and t < LEVEL_CAP:
+            path.add(state)
+            r = 1
+            for _, below in _fixed_children(h.preset, state):
+                s = end(below, t + 1)
+                if s is None:
+                    return None
+                r = max(r, s + 1)
+            path.remove(state)
+            ends[state] = r
+        if r is None or t + r > LEVEL_CAP:
+            raise BudgetExhausted("fixed-tree walk over levels", LEVEL_CAP)
+        return r
+
+    return end(frozenset(w.factors for w in h.words) - {()}, 0)
 
 
 def psi_sections(g: Word, k: int) -> list[Word]:

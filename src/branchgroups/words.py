@@ -10,18 +10,21 @@ included, reads the first-level expansion of a reduced word: its root
 permutation and d reduced first-level sections, cached per word.  It looks
 the word's letters up once in a per-letter table, right to left, and then
 walks each start point through those records on its own.  Rigid
-stabilizers and level-n sections read `Word.level_sections`; level
-stabilizers read `Word.fixes_level`, which walks only the distinct section
-words of each level.
+stabilizers and level-n sections read `Word.level_sections`.
 
-The word problem is solved by closing a word's set of iterated sections:
-an element is trivial iff every word in the closure has a trivial root
-permutation.  A node budget applies on every preset, DEFAULT_IDENTITY_BUDGET
-when none is given: a preset's claim to be contracting is recorded, not
-trusted, and exhaustion raises BudgetExhausted.  No answer is memoized, so
-the outcome depends only on the preset, the word and the budget.  Element
-orders are bounded the same way, by DEFAULT_ORDER_BUDGET recursion nodes
-when no budget is given.
+The word problem and level stabilizers share one depth-first walk over a
+word's distinct iterated sections, `is_identity_factors`: an element is
+trivial iff every section met has a trivial root permutation, and it fixes
+level n iff every one met above level n does.  On the whole tree a node
+budget applies on every preset, DEFAULT_IDENTITY_BUDGET when none is
+given: a preset's claim to be contracting is recorded, not trusted, and
+exhaustion raises BudgetExhausted.  A walk to a level is bounded by the
+level.  No answer is memoized, so the outcome depends only on the preset,
+the word and the budget.  Element orders are bounded the same way, by
+DEFAULT_ORDER_BUDGET recursion nodes when no budget is given.
+
+Letters, word powers and level permutations are raised to a power by one
+repeated-squaring loop, `power`.
 """
 
 from __future__ import annotations
@@ -53,32 +56,40 @@ def _invert_factors(factors: Factors) -> Factors:
     return tuple((g, -e) for g, e in reversed(factors))
 
 
+def power(x, m: int, mul):
+    """x^m for m >= 1 by repeated squaring; x itself when m = 1.  The
+    power so far is multiplied by a square as mul(power, square), so mul
+    fixes the order of the factors."""
+    out = None
+    while True:
+        if m & 1:
+            out = x if out is None else mul(out, x)
+        m >>= 1
+        if not m:
+            return out
+        x = mul(x, x)
+
+
 def _letter(preset: GroupPreset, factor) -> tuple[tuple[int, ...], tuple[Factors, ...]]:
     """Fill the letter table for factor = (g, e): the root permutation of
     g^e and, at each first-level vertex, its reduced section reversed, so
-    that it goes onto a pending stack as it is.  g^e is built by repeated
-    squaring of g or g^-1 with the section rule (uv)_x = u_{v(x)} v_x."""
+    that it goes onto a pending stack as it is.  g^e is a power of g or
+    g^-1 under the section rule (uv)_x = u_{v(x)} v_x."""
     g, e = factor
     gen = preset.gen_map[g]
     d = preset.degree
     if e > 0:
-        p, secs = gen.root_perm, [preset.reduce(s) for s in gen.sections]
+        x = gen.root_perm, [preset.reduce(s) for s in gen.sections]
     else:
         p = preset.inverse_perms[g]
-        secs = [preset.reduce(_invert_factors(gen.sections[p[x]])) for x in range(d)]
+        x = p, [preset.reduce(_invert_factors(gen.sections[p[y]])) for y in range(d)]
 
-    def times(p, s, q, t):
-        return tuple(p[y] for y in q), [preset.product(s[q[x]], t[x]) for x in range(d)]
+    def times(v, u):  # u v: power's mul(out, x) puts x on the left of out
+        (p, s), (q, t) = u, v
+        return tuple(p[y] for y in q), [preset.product(s[q[y]], t[y]) for y in range(d)]
 
-    perm, sections = tuple(range(d)), [()] * d
-    m = abs(e)
-    while m:
-        if m & 1:
-            perm, sections = times(p, secs, perm, sections)
-        m >>= 1
-        if m:
-            p, secs = times(p, secs, p, secs)
-    entry = (perm, tuple(s[::-1] for s in sections))
+    perm, sections = power(x, abs(e), times) if e else (tuple(range(d)), [()] * d)
+    entry = (tuple(perm), tuple(s[::-1] for s in sections))
     preset._letter_cache[factor] = entry
     return entry
 
@@ -140,27 +151,36 @@ def section_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Factors
 
 
 def is_identity_factors(
-    preset: GroupPreset, factors: Factors, budget: int | None = None
+    preset: GroupPreset, factors: Factors, budget: int | None = None, level: int | None = None
 ) -> bool:
-    """True iff the word acts trivially on the whole tree.
+    """True iff the word acts trivially on the whole tree or, given a level
+    n, fixes level n.
 
-    Closes the word under first-level sections; triviality holds iff every
-    member of the closure has a trivial root permutation.  The budget bounds
-    the distinct sections in the closure; None means DEFAULT_IDENTITY_BUDGET.
+    Depth first over the word's distinct iterated sections, stopping at the
+    first nontrivial root permutation; a section is walked again only when
+    met with more levels to go.  On the whole tree the budget bounds the
+    distinct sections walked, None meaning DEFAULT_IDENTITY_BUDGET; a walk
+    to a level takes no budget.
     """
-    if budget is None:
-        budget = DEFAULT_IDENTITY_BUDGET
+    if level is None:
+        level = math.inf
+        if budget is None:
+            budget = DEFAULT_IDENTITY_BUDGET
+    else:
+        budget = math.inf
     trivial_perm = tuple(range(preset.degree))
-    seen = {factors}
-    stack = [factors]
+    seen = {factors: level}
+    stack = [(factors, level)] if level > 0 else []
     while stack:
-        perm, sections = expand_factors(preset, stack.pop())
+        f, togo = stack.pop()
+        perm, sections = expand_factors(preset, f)
         if perm != trivial_perm:
             return False
+        togo -= 1
         for s in sections:
-            if s and s not in seen:
-                seen.add(s)
-                stack.append(s)
+            if s and seen.get(s, 0) < togo:
+                seen[s] = togo
+                stack.append((s, togo))
                 if len(seen) > budget:
                     raise BudgetExhausted("is_identity", budget)
     return True
@@ -170,15 +190,7 @@ def _power_factors(preset: GroupPreset, factors: Factors, m: int) -> Factors:
     """The m-th power of a reduced word, reduced."""
     if m < 0:
         factors, m = preset.reduce(_invert_factors(factors)), -m
-    out: Factors = ()
-    piece = factors
-    while m:
-        if m & 1:
-            out = preset.product(out, piece)
-        m >>= 1
-        if m:
-            piece = preset.product(piece, piece)
-    return out
+    return power(factors, m, preset.product) if m else ()
 
 
 def order_factors(preset: GroupPreset, factors: Factors, budget: int | None = None) -> int:
@@ -408,25 +420,9 @@ class Word:
         return level
 
     def fixes_level(self, n: int) -> bool:
-        """True iff every level-n vertex is fixed, that is, iff every section
-        above level n has a trivial root permutation.  Each level is walked
-        as the set of its distinct nonempty section words, in the order they
-        are first met, and the walk stops at the first nontrivial root
-        permutation; so a word whose sections repeat across many vertices
-        is expanded once per distinct section, not once per vertex."""
-        preset = self.preset
-        trivial = tuple(range(preset.degree))
-        level = [self.factors] if self.factors else []
-        for _ in range(n):
-            below = {}
-            for f in level:
-                perm, sections = expand_factors(preset, f)
-                if perm != trivial:
-                    return False
-                below.update(dict.fromkeys(sections))
-            below.pop((), None)
-            level = below
-        return True
+        """True iff every level-n vertex is fixed: `is_identity_factors`
+        walked to level n."""
+        return is_identity_factors(self.preset, self.factors, level=n)
 
     def portrait(self, n: int) -> Portrait:
         return portrait_factors(self.preset, self.factors, n)

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from branchgroups.presets import grigorchuk_preset
-from branchgroups.quotients import StabChain
+from branchgroups import quotients
+from branchgroups.presets import grigorchuk_preset, gupta_sidki_preset
+from branchgroups.quotients import LayeredGroup, StabChain, image_subgroup, word_perm
 from branchgroups.subgroups import SubgroupHandle
+from branchgroups.words import Word
 
 TRACING = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "tracing.py"))
 TRACED = TRACING["TIMED"] + TRACING["GENERATORS"] + TRACING["COUNTED"]
@@ -41,3 +43,22 @@ def test_attributes_the_tracer_hooks_read_exist():
     handle = SubgroupHandle.from_strings(grigorchuk_preset(), ["a"])
     handle.image(1)
     assert 1 in handle._images
+
+
+def test_powers_go_through_the_traced_compose(monkeypatch):
+    # The tracer counts compose by swapping a wrapper into the module, so a
+    # power must look compose up when it is called, not when it is imported.
+    calls = []
+    compose = quotients.compose
+
+    def counted(p, q):
+        calls.append(1)
+        return compose(p, q)
+
+    monkeypatch.setattr(quotients, "compose", counted)
+    gs = gupta_sidki_preset()
+    word_perm(Word.from_str(gs, "a^2"), 2)  # one letter: no product, only its power
+    assert calls
+    calls.clear()
+    assert isinstance(image_subgroup([Word.from_str(gs, "b")], 3), LayeredGroup)
+    assert calls

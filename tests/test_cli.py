@@ -279,7 +279,7 @@ def test_option_surface():
     settable = [
         a for p in subs.values() for a in p._actions if not isinstance(a, argparse._HelpAction)
     ]
-    assert len(settable) == 90
+    assert len(settable) == 89
 
 
 def _readme_subcommands(marker):
@@ -941,10 +941,10 @@ def test_wm_build_default_level_follows_the_stages(capsys, tmp_path):
 @pytest.mark.parametrize(
     "preset, k, sha",
     [
-        ("grigorchuk", 1, "1ac98bfaaaf1cea94eef34a47f870dbcbdd3ae786ab53142ae277b0802e99861"),
-        ("grigorchuk", 2, "bcebc770d6ec8a3ddb2c7ea540a8f81bbb0752471f33d233ea65d4662189293b"),
-        ("grigorchuk", 3, "00051d878b7977a5012d94bc0f06223c9afd3bb8ca4349313929cbc7e2d3773f"),
-        ("gupta-sidki", 2, "f4df5c01f59a761a4e4a91ce20a521b69854b0091ba28f000b0d835d13ae5079"),
+        ("grigorchuk", 1, "8edf65dc32ec1b89d31b910a6124a98d5844460eaf2d5973d9168aeacbfee7e1"),
+        ("grigorchuk", 2, "2e2712fe936646d84eb409d916e17a7f9502667068b2d12737fff44c4be9cea3"),
+        ("grigorchuk", 3, "cb11f828338fa2997998f266eaa9e2e1c8ff604f4a5dfac71923daa91ae9ff7c"),
+        ("gupta-sidki", 2, "06ac9a878924c6b78dbac8c6f258e682ba4fb8288a1455a5020ec2f5a9531702"),
     ],
 )
 def test_wm_trap_output_is_pinned(capsys, preset, k, sha):

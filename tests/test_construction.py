@@ -111,18 +111,18 @@ def test_rist_search_rejects_root(grig):
 
 def test_trap_pipeline_k1(grig):
     h = trap_subgroup(grig, 1)
-    report = level_trap_check(h, 1, 1)
+    report = level_trap_check(h, 1)
     assert report.passed
-    assert report.to_dict()["no_fixed_vertex_at_k_plus_l"]
+    assert report.to_dict()["no_fixed_vertex_at_k_plus_1"]
 
 
 def test_trap_pipeline_k2(grig):
     h = trap_subgroup(grig, 2)
-    assert level_trap_check(h, 2, 1).passed
+    assert level_trap_check(h, 2).passed
 
 
 def test_trap_check_fails_on_moving_generator(grig):
-    report = level_trap_check(Q_a(grig), 1, 1)
+    report = level_trap_check(Q_a(grig), 1)
     assert not report.stabilizes_level
     assert report.moving_witness
 
@@ -130,24 +130,19 @@ def test_trap_check_fails_on_moving_generator(grig):
 def test_trap_check_moving_witness_pinned(grig, gs):
     # Strings taken from the per-vertex loop the fixed-tree walk replaced.
     h = SubgroupHandle.from_strings(grig, ["d", "a d a"])
-    assert level_trap_check(h, 3, 1).moving_witness == "d moves 100"
+    assert level_trap_check(h, 3).moving_witness == "d moves 100"
     h = SubgroupHandle.from_strings(grig, ["b a b a", "d"])
-    assert level_trap_check(h, 3, 1).moving_witness == "b a b a moves 000"
+    assert level_trap_check(h, 3).moving_witness == "b a b a moves 000"
     h = SubgroupHandle.from_strings(gs, ["b a b a a", "a b a a"])
-    assert level_trap_check(h, 2, 1).moving_witness == "b a b a^2 moves 00"
+    assert level_trap_check(h, 2).moving_witness == "b a b a^2 moves 00"
 
 
 def test_trap_check_fails_on_fixed_vertex(grig):
     h = SubgroupHandle.from_strings(grig, ["b", "c", "d"])
-    report = level_trap_check(h, 1, 1)
+    report = level_trap_check(h, 1)
     assert report.stabilizes_level
     assert not report.no_fixed_vertex
     assert report.fixed_witness
-
-
-def test_trap_check_requires_positive_l(grig):
-    with pytest.raises(ValueError):
-        level_trap_check(Q_a(grig), 1, 0)
 
 
 # -- finite subgroup closure ----------------------------------------------
@@ -360,10 +355,10 @@ def test_fix_separation_witness_past_the_old_default_depth(grig):
 
 
 def test_fix_separation_witness_beside_an_undecided_walk():
-    # <c^-1 a b c b a>'s walk passes LEVEL_CAP undecided, so its fixed tree
-    # is nonempty through the cap; <c> moves level 1, a witness all the same.
+    # <b^3 a b>'s walk passes LEVEL_CAP undecided, so its fixed tree is
+    # nonempty through the cap; <c> moves level 1, a witness all the same.
     rd3 = preset_from_dict(RANDOM_DEGREE_3)
-    undecided = SubgroupHandle.from_strings(rd3, ["c^-1 a b c b a"])
+    undecided = SubgroupHandle.from_strings(rd3, ["b^3 a b"])
     c = SubgroupHandle.from_strings(rd3, ["c"])
     with pytest.raises(BudgetExhausted):
         minimal_non_fixing_level(undecided)

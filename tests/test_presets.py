@@ -14,7 +14,6 @@ from branchgroups.presets import (
     gupta_sidki_preset,
     load_preset,
     preset_from_dict,
-    regular_branch_vector_check,
     save_preset,
     validate_preset,
 )
@@ -103,7 +102,8 @@ def test_ggs_structure(gs):
 
 def test_ggs_degree_five(ggs5):
     assert ggs5.degree == 5
-    assert ggs5.contracting_certified
+    # Every GGS group is a bounded automaton group, so contracting.
+    assert ggs5.contracting_certified and ggs_preset(5, (1, 2, 3, 4)).contracting_certified
     assert validate_preset(ggs5) == []
     b = ggs5.gen_map["b"]
     assert b.sections == ((("a", 1),), (), (), (("a", 1),), (("b", 1),))
@@ -114,18 +114,6 @@ def test_ggs_rejects_bad_vector():
         ggs_preset(3, (1,))
     with pytest.raises(PresetError):
         ggs_preset(1, ())
-
-
-def test_regular_branch_vector_check():
-    assert regular_branch_vector_check(3, (1, -1))
-    assert regular_branch_vector_check(5, (1, 0, 0, 1))
-    # all zero or all non-zero patterns fail (outside the (1,-1) special case)
-    assert not regular_branch_vector_check(5, (0, 0, 0, 0))
-    assert not regular_branch_vector_check(5, (1, 2, 3, 4))
-    # composite degree fails
-    assert not regular_branch_vector_check(4, (1, 0, 2))
-    # depends only on the zero pattern, not the values
-    assert regular_branch_vector_check(5, (2, 0, 0, 3))
 
 
 def test_validate_preset_reports_issues():

@@ -83,11 +83,19 @@ def test_minimal_non_fixing_level_pinned(request, name, gens, level):
     assert minimal_non_fixing_level(H(request.getfixturevalue(name), gens)) == level
 
 
+# Fixed rays past the cap: <c^-1 a b c b a>'s whole levels first repeat
+# their set of states at level 12, but vertex 11011 already has the state of
+# its ancestor 11; <a c b^3> fixes the ray 20 21 21 ...
+@pytest.mark.parametrize("gens", [["c^-1 a b c b a"], ["a c b^3"]])
+def test_minimal_non_fixing_level_finds_a_repeated_state_on_a_path(gens):
+    assert minimal_non_fixing_level(H(preset_from_dict(RANDOM_DEGREE_3), gens)) is None
+
+
 # The state walk against the vertex walk: each decided answer leaves the
 # fixed tree nonempty exactly below it, to the oracle depth.  Only the
 # non-contracting RANDOM_DEGREE_3 may stay undecided, and only with every
-# level to the cap nonempty: there <c^-1 a b c b a> first repeats a level's
-# states at level 12, level 6's.
+# level to the cap nonempty: there a path's sections can grow past the cap
+# without repeating a state.
 ORACLE_PRESETS = ("grigorchuk", "gupta-sidki", "ggs:3:1,0", "ggs:4:1,0,0", "ggs:5:1,0,0,1")
 
 

@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -20,7 +22,7 @@ from branchgroups.presets import (
     gupta_sidki_preset,
     preset_from_dict,
 )
-from branchgroups.quotients import word_perm
+from branchgroups.quotients import compose, word_perm
 from branchgroups.tree import level_vertices
 from branchgroups.words import (
     BudgetExhausted,
@@ -31,6 +33,7 @@ from branchgroups.words import (
     apply_factors,
     expand_factors,
     order_factors,
+    power,
     root_perm_of,
     section1,
 )
@@ -548,6 +551,52 @@ def test_bounded_identity_replays_whatever_ran_before(grig):
     for budget in range(1, 6):
         assert outcome(grig, budget) == outcome(grigorchuk_preset(), budget)
     assert [outcome(grig, b) for b in (1, 2, 3)] == ["undecided", "undecided", True]
+
+
+def test_bounded_identity_outcomes_are_pinned(grig, gs):
+    # True, False or undecided for seeded words and their powers that fix
+    # level 3, at every budget from 1 to 30.  The order the walk visits
+    # sections in decides where a budget runs out, so it must not change.
+    rng, out = random.Random(25), []
+    for preset in (grig, gs, preset_from_dict(RANDOM_DEGREE_3)):
+        for _ in range(100):
+            u = random_word(preset, rng, 10)
+            for w in (u, u ** _perm_order(word_perm(u, 3))):
+                for budget in range(1, 31):
+                    try:
+                        out.append("01"[w.is_identity(budget)])
+                    except BudgetExhausted:
+                        out.append("x")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "fc50a90f1b4a862e2a1bce977f7feb2d4eed02d3df7b118ac5288973112d4e8d"
+    )
+
+
+def test_fixes_level_takes_no_budget(adding_machine, monkeypatch):
+    # Every level-k section of a^16 is a^(16 / 2^k): four distinct sections
+    # above level 4, more than the whole-tree walk may visit here.
+    monkeypatch.setattr(branchgroups.words, "DEFAULT_IDENTITY_BUDGET", 1)
+    w = Word(adding_machine, [("a", 16)])
+    with pytest.raises(BudgetExhausted):
+        w.is_identity()
+    assert w.fixes_level(4) and not w.fixes_level(5)
+
+
+def test_power_matches_unit_steps(grig, gs, hanoi, rng):
+    for npoints, kinds in ((9, (bytes, tuple)), (300, (tuple,))):
+        for kind in kinds:
+            p = list(range(npoints))
+            rng.shuffle(p)
+            p = step = kind(p)
+            for m in range(1, 20):
+                assert power(p, m, compose) == step
+                step = compose(step, p)
+    for preset in (grig, gs, hanoi):
+        for _ in range(10):
+            f = step = random_word(preset, rng, 8).factors
+            for m in range(1, 12):
+                assert power(f, m, preset.product) == step
+                step = preset.product(step, f)
 
 
 def degree_one_preset():
