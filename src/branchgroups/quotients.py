@@ -16,16 +16,19 @@ composes generator images, raising a letter's image to its exponent by
 `words.power`; each generator's level-n image is built once from the
 wreath recursion and memoized on the preset.
 
-Every subgroup of a level quotient is built by `image_subgroup`.  For a
-p-preset (prime degree p, every generator moving the root's children by
-x -> x + c) each quotient is a p-group whose layer St(k)/St(k+1) is an
-F_p-space with one digit per level-k vertex; the subgroup is a
-`LayeredGroup`, an echelon basis of digits per layer closed under p-th
-powers, commutators and conjugation (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, ch. 8), which also gives the order of every
-lower level image.  Any other preset gets a `StabChain`, built by
-incremental Schreier-Sims: each level keeps its orbit and the coset
-representatives with their inverses, so a sift costs one gather per
+Every subgroup of a level quotient is built from level permutations by
+`_level_image`, fed by `image_subgroup` (the words' images),
+`full_level_group` (the memoized generator images, as they are) and
+`subgroups.conjugate_images` (a kept image's generators, conjugated).
+For a p-preset (prime degree p, every generator moving the root's
+children by x -> x + c) each quotient is a p-group whose layer
+St(k)/St(k+1) is an F_p-space with one digit per level-k vertex; the
+subgroup is a `LayeredGroup`, an echelon basis of digits per layer closed
+under p-th powers, commutators and conjugation (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 8), which also gives the
+order of every lower level image.  Any other preset gets a `StabChain`,
+built by incremental Schreier-Sims: each level keeps its orbit and the
+coset representatives with their inverses, so a sift costs one gather per
 level, and a new generator sifts only the Schreier generators of its new
 (point, generator) pairs.  Both are deterministic, and both build the
 normal closure under given conjugators.
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from functools import cache, reduce
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import eq, floordiv, itemgetter, sub
 
 from .presets import Factors, GroupPreset, _is_prime
@@ -111,6 +114,8 @@ def _generator_perm(preset: GroupPreset, name: str, inverse: bool, n: int) -> Pe
     if got is None:
         if inverse:
             got = perm_inverse(_generator_perm(preset, name, False, n))
+        elif not n:
+            got = bytes(1)  # the root, fixed
         else:
             gen = preset.gen_map[name]
             block = preset.degree ** (n - 1)
@@ -276,6 +281,24 @@ class StabChain:
         return self.order() == other.order() and all(self.contains(g) for g in other.gens)
 
 
+@cache
+def _layout(p: int, n: int) -> tuple:
+    """What every LayeredGroup on p^n points shares: the identity as a tuple
+    and as a working permutation, the working type, the level-(n-1) width;
+    per permutation layer the digit place b, block b p, digit-0 first-leaf
+    images over b and for bytes y -> y // b; y -> y // p; the rotations
+    y -> y - y % p + (y + r) % p, r = 1..p-1; for bytes y -> y % p; the bias
+    and guard of bytewise sums mod p."""
+    perm, width, points = _perm_type(p**n), p ** (n - 1) if n else 0, range(p**n)
+    small = perm is bytes
+    layers = tuple((p ** (n - k - 1), p ** (n - k), perm(range(0, p ** (k + 1), p)),
+                    _byte_table(1, p ** (n - k - 1), BYTE_POINTS) if small else None) for k in range(n - 1))
+    return (tuple(points), perm(points), perm, width, layers, perm(y // p for y in points),
+            tuple(perm(y - y % p + (y + r) % p for y in points) for r in range(1, p)),
+            _byte_table(1, 1, p) if small else None,
+            *(int.from_bytes(bytes([c]) * width, "little") for c in (128 - p, 128)))
+
+
 class LayeredGroup:
     """A subgroup of G/St(n) for a p-preset, as echelon bases of layer digits.
 
@@ -293,20 +316,10 @@ class LayeredGroup:
 
     def __init__(self, p: int, n: int, gens, conjugators=None):
         self.p, self.n, self.gens = p, n, []
-        self.identity = tuple(range(p**n))
-        self._perm = _perm_type(p**n)
-        self._one = self._perm(self.identity)
-        small = self._perm is bytes
-        # Per permutation layer: digit place b, block b p, digit-0 first-leaf images over b,
-        # for bytes the table y -> y // b, basis.
-        self._layers = [(p ** (n - k - 1), p ** (n - k), self._perm(range(0, p ** (k + 1), p)),
-                         _byte_table(1, p ** (n - k - 1), BYTE_POINTS) if small else None, [])
-                        for k in range(n - 1)]
-        self._mod = _byte_table(1, 1, p) if small else None  # last-layer digits of a bytes permutation
+        (self.identity, self._one, self._perm, self._width, layers, self._div, self._rotations, self._mod,
+         self._bias, self._guard) = _layout(p, n)
+        self._layers = [(*layer, []) for layer in layers]  # each layer's basis joins its tables
         self._vectors: dict[int, list[int]] = {}  # last layer: pivot -> multiples
-        self._width = p ** (n - 1) if n else 0
-        self._bias, self._guard = (int.from_bytes(bytes([c]) * self._width, "little")
-                                   for c in (128 - p, 128))
         self._normal = conjugators is not None
         self._conj = [self._conjugator(s) for s in conjugators or ()]
         for g in gens:
@@ -315,7 +328,7 @@ class LayeredGroup:
     def _conjugator(self, s):
         s = self._perm(s)
         s_inv = perm_inverse(s)
-        return s, s_inv, _perm_type(self._width)(y // self.p for y in s_inv[:: self.p])  # s^-1 on level n-1
+        return s, s_inv, _perm_type(self._width)(compose(self._div, s_inv[:: self.p]))  # s^-1 on level n-1
 
     def add(self, g) -> bool:
         """Extend the group by g and close it; False if g was already a member."""
@@ -355,9 +368,11 @@ class LayeredGroup:
         if self.n == 0:
             return 0, None
         if not isinstance(x, int):
-            if exact and not all(y == i - i % p + (i + x[i - i % p]) % p for i, y in enumerate(x)):
+            heads = x[::p]  # each last-layer block must turn in itself
+            if exact and (compose(self._div, heads) != self._one[: self._width]
+                          or any(x[r::p] != compose(rot, heads) for r, rot in enumerate(self._rotations, 1))):
                 return -1, x
-            digits = x[::p].translate(self._mod) if self._mod else bytes(map(sub, x[::p], self.identity[::p]))
+            digits = heads.translate(self._mod) if self._mod else bytes(map(sub, heads, self.identity[::p]))
             x = int.from_bytes(digits, "little")
         while x:
             j = ((x & -x).bit_length() - 1) >> 3
@@ -391,7 +406,7 @@ class LayeredGroup:
         b, big, tops, _, basis = self._layers[k]
         j = next(i for i, (y, t) in enumerate(zip(x[::big], tops)) if y // b != t)
         x = power(x, pow(x[j * big] // b % p, -1, p), compose)
-        powers = [x, *(perm_inverse(power(x, a, compose)) for a in range(1, p))]
+        powers = [x, *accumulate(repeat(perm_inverse(x), p - 1), compose)]
         new = [compose(compose(x, y), compose(powers[1], y_inv)) for _, (y, y_inv, *_) in basis]
         work += [(k + 1, y) for y in [power(x, p, compose), *new] if y != self._one]
         if k or self._normal:  # a subgroup normalizes itself: layer 0 needs no conjugates
@@ -410,21 +425,26 @@ class LayeredGroup:
         return self.order() == other.order() and all(self.contains(g) for g in other.gens)
 
 
-def image_subgroup(words, n: int, conjugators=None):
-    """Level-n image subgroup generated by the given words, or their normal
-    closure under the conjugators (level-n permutations).  A p-preset whose
-    prime degree is below 64, so that a sum of two digits fits a byte, gets
-    a LayeredGroup, any other preset a StabChain."""
-    words = list(words)
-    if not words:
-        raise ValueError("image_subgroup needs at least one word (may be identity)")
-    preset, p = words[0].preset, words[0].preset.degree
-    _check_level(preset, n)
-    perms = [word_perm(w, n) for w in words]
+def _level_image(preset: GroupPreset, n: int, perms, conjugators=None):
+    """The level-n subgroup generated by the permutations, or their normal
+    closure under the conjugators.  A p-preset whose prime degree is below
+    64, so that a sum of two digits fits a byte, gets a LayeredGroup, any
+    other preset a StabChain."""
+    p = preset.degree
     rotations = {tuple((x + c) % p for x in range(p)) for c in range(p)}
     if p < 64 and _is_prime(p) and all(g.root_perm in rotations for g in preset.generators):
         return LayeredGroup(p, n, perms, conjugators)
     return StabChain(p**n, perms, conjugators or (), p)
+
+
+def image_subgroup(words, n: int, conjugators=None):
+    """Level-n image subgroup generated by the given words, or their normal
+    closure under the conjugators (level-n permutations)."""
+    words = list(words)
+    if not words:
+        raise ValueError("image_subgroup needs at least one word (may be identity)")
+    _check_level(words[0].preset, n)
+    return _level_image(words[0].preset, n, [word_perm(w, n) for w in words], conjugators)
 
 
 def _check_points(preset: GroupPreset, n: int):
@@ -435,7 +455,7 @@ def _check_points(preset: GroupPreset, n: int):
 
 def full_level_group(preset: GroupPreset, n: int):
     _check_points(preset, n)
-    return image_subgroup([Word.generator(preset, g) for g in preset.gen_names], n)
+    return _level_image(preset, n, [_generator_perm(preset, g, False, n) for g in preset.gen_names])
 
 
 def quotient_order(preset: GroupPreset, n: int) -> int:

@@ -15,14 +15,16 @@ stabilizer is decided at its own level by its predicate, w(x) = x.  Any
 other handle first refutes by a moved common fixed vertex of its
 generators, and only then sifts through its level image.
 One breadth-first walk, `conjugate_images`, visits the distinct
-conjugates of a level image; escaping conjugators and the conjugate count
-read it, so results replay exactly and a budget counts conjugates visited.
+conjugates of a level image, conjugated by permutations, not words;
+escaping conjugators and the conjugate count read it, so results replay
+exactly and a budget counts conjugates visited.
 """
 
 from __future__ import annotations
 
 from .presets import GroupPreset
-from .quotients import LEVEL_CAP, _check_level, full_level_group, image_subgroup, word_perm
+from .quotients import LEVEL_CAP, _check_level, _generator_perm, _level_image, _perm_type, compose
+from .quotients import full_level_group, image_subgroup, word_perm
 from .tree import Vertex, format_vertex, level_vertices
 from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, expand_factors, is_identity_factors
 
@@ -192,22 +194,25 @@ def minimal_non_fixing_level(h: SubgroupHandle) -> int | None:
     ray.  Depth first over the states of fixed vertices, a state being the
     set of the generators' distinct nontrivial sections there.  The fixed
     tree below a vertex depends only on its state, so each state's end
-    level below it is memoized; a state met again on its own path repeats
-    along it forever, so a ray is fixed.  A fixed vertex at LEVEL_CAP with
-    neither answer raises BudgetExhausted, so every answer is at most
+    level below it is memoized.  A vertex's fixed children are all looked
+    at before the walk descends into any: an empty state fixes its whole
+    subtree, and a state met again on its own path repeats along it
+    forever, so either way a ray is fixed.  A fixed vertex at LEVEL_CAP
+    with neither answer raises BudgetExhausted, so every answer is at most
     LEVEL_CAP."""
     ends, path = {}, set()
 
     def end(state, t):
         """Levels below a level-t vertex with this state down to the first
         with no fixed vertex, or None for a ray."""
-        if state in path:
-            return None
         r = ends.get(state)
         if r is None and t < LEVEL_CAP:
             path.add(state)
+            children = [below for _, below in _fixed_children(h.preset, state)]
+            if any(not below or below in path for below in children):
+                return None
             r = 1
-            for _, below in _fixed_children(h.preset, state):
+            for below in children:
                 s = end(below, t + 1)
                 if s is None:
                     return None
@@ -317,21 +322,35 @@ def conjugate_images(h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUD
     level-n conjugates of h's image, breadth first from c = 1 by the
     generators in declared order, each keeping the first c that reaches it
     (the quotient is finite, so positive letters reach the whole orbit).
-    A candidate is new when `equals` fails against every kept image with
-    its orbit key (images with other keys are unequal): an exact level-n
-    refutation, so the images belong to pairwise distinct conjugates of H."""
-    gens = [Word.generator(h.preset, g) for g in h.preset.gen_names]
+
+    Each conjugator's level permutation s travels with its word; the
+    candidate's generators are h's image's conjugated by s, and its orbit
+    key is h's mapped through s.  A candidate is new when it equals no kept
+    image with its key (images with other keys are unequal): an exact
+    level-n refutation, so the images belong to pairwise distinct conjugates
+    of H.  Conjugates have one order, so a kept image equals the candidate
+    iff it holds the candidate's generators; only a new one is built."""
+    preset, base = h.preset, h.image(n)
+    perm = _perm_type(len(base.identity))
+    one, base_gens, base_key = perm(base.identity), [perm(g) for g in base.gens], perm(_orbit_key(base))
+    gens = [(Word.generator(preset, g), _generator_perm(preset, g, False, n), _generator_perm(preset, g, True, n))
+            for g in preset.gen_names]
     kept: dict = {}  # orbit key -> the images kept with it
-    queue = [Word.identity(h.preset)]
-    for c in queue:  # grows while it is walked: breadth first
+    start = (Word.identity(preset), one, one)
+    queue = [(start, start)]  # (generator, conjugator it extends), multiplied when reached
+    for (w, t, t_inv), (c, s, s_inv) in queue:  # grows while it is walked: breadth first
         if budget < 1:
             return
-        img = h.conjugated(c).image(n)
-        twins = kept.setdefault(_orbit_key(img), [])
-        if not any(img.equals(other) for other in twins):
+        c, s, s_inv = w * c, compose(t, s), compose(s_inv, t_inv)
+        labels = compose(base_key, s_inv)  # each point's base orbit, by its least point
+        least = dict(zip(reversed(labels), reversed(range(len(labels)))))
+        twins = kept.setdefault(tuple(map(least.__getitem__, labels)), [])
+        conj = [compose(s, compose(g, s_inv)) for g in base_gens]
+        if not any(all(map(other.contains, conj)) for other in twins):
+            img = _level_image(preset, n, conj)
             twins.append(img)
             budget -= 1
-            queue += [s * c for s in gens]
+            queue += [(g, (c, s, s_inv)) for g in gens]
             yield c, img
 
 

@@ -45,6 +45,18 @@ def adding_machine():
     return preset_from_dict(ADDING_MACHINE)
 
 
+# a = (a a, a a) fixes every vertex, but its sections a^(2^t) are new at
+# every level, so no state repeats along any path and the fixed-tree walk
+# stops at the level cap; c swaps the root's children.
+DOUBLING = {
+    "degree": 2,
+    "generators": [
+        {"name": "a", "root_perm": [0, 1], "sections": ["a a", "a a"]},
+        {"name": "c", "root_perm": [1, 0], "sections": ["", ""]},
+    ],
+}
+
+
 # A random degree-3 automaton on which `elem order b` and, before it walked
 # conjugates, `wm conjbound --gens a --level 3` ran far past their budgets.
 RANDOM_DEGREE_3 = {

@@ -25,7 +25,7 @@ from branchgroups.subgroups import SubgroupHandle
 from branchgroups.tree import parse_vertex
 from branchgroups.words import Word
 
-from conftest import HANOI, RANDOM_DEGREE_3
+from conftest import DOUBLING, HANOI, RANDOM_DEGREE_3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BUDGETED = {
@@ -408,19 +408,30 @@ def test_claimed_contracting_preset_order_is_undecided_at_the_default_budget(tmp
     assert "Traceback" not in run.stderr
 
 
-def test_sub_fixlevel_undecided(tmp_path):
-    # a = (a^2, 1) fixes every level, and the sections a^(2^t) make every
-    # level's states new, so the state walk stops at the level cap.
-    path = tmp_path / "runaway.json"
-    path.write_text(json.dumps(RUNAWAY))
+def _fixlevel_a(tmp_path, preset):
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(preset))
     src = str(Path(construction.__file__).resolve().parents[1])
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "branchgroups.cli", "sub", "fixlevel", "--preset", str(path),
          "--gens", "a"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
     )
+
+
+def test_sub_fixlevel_undecided(tmp_path):
+    # a = (a^2, a^2) fixes every level, and the sections a^(2^t) make every
+    # state new, so the state walk stops at the level cap.
+    run = _fixlevel_a(tmp_path, DOUBLING)
     assert (run.returncode, run.stdout) == (EXIT_UNDECIDED, "")
     assert run.stderr.startswith("undecided:") and "Traceback" not in run.stderr
+
+
+def test_sub_fixlevel_sees_an_empty_child_before_descending(tmp_path):
+    # a = (a^2, 1): child 1's state is empty, so its whole subtree is fixed,
+    # although child 0's states a^(2^t) are new down to the level cap.
+    run = _fixlevel_a(tmp_path, RUNAWAY)
+    assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, "never: a ray is fixed\n", "")
 
 
 # Malformed user presets: a root permutation that is not one, and a degree-2
@@ -860,7 +871,9 @@ PORTRAIT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("preset, word, depth, text_sha, json_sha", PORTRAIT_DIGESTS)
+@pytest.mark.parametrize(
+    "preset, word, depth, text_sha, json_sha", PORTRAIT_DIGESTS, ids=[f"{p}-{w}" for p, w, *_ in PORTRAIT_DIGESTS]
+)
 def test_elem_portrait_output_is_pinned(capsys, preset, word, depth, text_sha, json_sha):
     for fmt, want in (("text", text_sha), ("json", json_sha)):
         argv = ["elem", "portrait", "--preset", preset, "--format", fmt, "--depth", str(depth), word]
@@ -893,7 +906,11 @@ def _build_to_file(capsys, tmp_path, preset, q_gens, seeds, extra):
     return code, path
 
 
-@pytest.mark.parametrize("preset, q_gens, seeds, extra, sha", CERTIFICATE_DIGESTS)
+@pytest.mark.parametrize(
+    "preset, q_gens, seeds, extra, sha",
+    CERTIFICATE_DIGESTS,
+    ids=[f"{p}-{' '.join(q)}-{' '.join(s)}" for p, q, s, *_ in CERTIFICATE_DIGESTS],
+)
 def test_wm_build_certificate_is_pinned(capsys, tmp_path, preset, q_gens, seeds, extra, sha):
     code, path = _build_to_file(capsys, tmp_path, preset, q_gens, seeds, extra)
     assert code == EXIT_OK
@@ -938,18 +955,44 @@ def test_wm_build_default_level_follows_the_stages(capsys, tmp_path):
     assert code == EXIT_OK and out.endswith("passed")
 
 
-@pytest.mark.parametrize(
-    "preset, k, sha",
-    [
-        ("grigorchuk", 1, "8edf65dc32ec1b89d31b910a6124a98d5844460eaf2d5973d9168aeacbfee7e1"),
-        ("grigorchuk", 2, "2e2712fe936646d84eb409d916e17a7f9502667068b2d12737fff44c4be9cea3"),
-        ("grigorchuk", 3, "cb11f828338fa2997998f266eaa9e2e1c8ff604f4a5dfac71923daa91ae9ff7c"),
-        ("gupta-sidki", 2, "06ac9a878924c6b78dbac8c6f258e682ba4fb8288a1455a5020ec2f5a9531702"),
-    ],
-)
+TRAP_DIGESTS = [
+    ("grigorchuk", 1, "8edf65dc32ec1b89d31b910a6124a98d5844460eaf2d5973d9168aeacbfee7e1"),
+    ("grigorchuk", 2, "2e2712fe936646d84eb409d916e17a7f9502667068b2d12737fff44c4be9cea3"),
+    ("grigorchuk", 3, "cb11f828338fa2997998f266eaa9e2e1c8ff604f4a5dfac71923daa91ae9ff7c"),
+    ("gupta-sidki", 2, "06ac9a878924c6b78dbac8c6f258e682ba4fb8288a1455a5020ec2f5a9531702"),
+]
+
+
+@pytest.mark.parametrize("preset, k, sha", TRAP_DIGESTS, ids=[f"{p}-{k}" for p, k, _ in TRAP_DIGESTS])
 def test_wm_trap_output_is_pinned(capsys, preset, k, sha):
     # The base word and its conjugates are those pinned while each vertex
     # still ran its own transporter BFS, less the pullback generators before them.
     argv = ["wm", "trap", "--preset", preset, "--k", str(k), "--format", "json"]
     assert run_command(argv) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+# SHA-256 of `--format json` stdout of the conjugate walks, pinned while each
+# candidate image was still built from conjugated words.  Both conjbound runs
+# spend the whole budget of 2,000 conjugates; the escape run finds its
+# conjugator at the third conjugate it visits.
+CONJUGATE_WALK_DIGESTS = [
+    (["wm", "conjbound", "--preset", "gupta-sidki", "--gens", "a", "--level", "5"],
+     "f08e41183b65bf87dfa7e63f5beaa80c54c5713b6f175b547859a68f53a16075"),
+    (["wm", "conjbound", "--preset", "grigorchuk", "--gens", "a", "--level", "5"],
+     "3c47b1b1608611c3f92bc488e13203465b40942b09755955d12ddd7359e5e418"),
+    (["sub", "escape", "--preset", "grigorchuk", "--gens", "b", "a", "--gamma", "b", "--level", "4"],
+     "32c5fbbbf94a6c67bdfc41be58da7ab0a6b5400ee647eb3dee05a1177ad89229"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, sha",
+    CONJUGATE_WALK_DIGESTS,
+    ids=["conjbound-gupta-sidki-a-5", "conjbound-grigorchuk-a-5", "escape-grigorchuk-b a-b-4"],
+)
+def test_conjugate_walk_output_is_pinned(capsys, argv, sha):
+    assert run_command([*argv, "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    assert argv[0] == "sub" or json.loads(out)["count"] == 2000

@@ -23,7 +23,7 @@ from branchgroups.presets import grigorchuk_preset, preset_from_dict
 from branchgroups.subgroups import SubgroupHandle, in_rigid_stabilizer, minimal_non_fixing_level
 from branchgroups.tree import level_vertices, parse_vertex
 from branchgroups.words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word
-from conftest import RANDOM_DEGREE_3
+from conftest import DOUBLING, RANDOM_DEGREE_3
 
 
 def Q_a(preset):
@@ -355,11 +355,11 @@ def test_fix_separation_witness_past_the_old_default_depth(grig):
 
 
 def test_fix_separation_witness_beside_an_undecided_walk():
-    # <b^3 a b>'s walk passes LEVEL_CAP undecided, so its fixed tree is
-    # nonempty through the cap; <c> moves level 1, a witness all the same.
-    rd3 = preset_from_dict(RANDOM_DEGREE_3)
-    undecided = SubgroupHandle.from_strings(rd3, ["b^3 a b"])
-    c = SubgroupHandle.from_strings(rd3, ["c"])
+    # <a>'s walk passes LEVEL_CAP undecided, so its fixed tree is nonempty
+    # through the cap; <c> moves level 1, a witness all the same.
+    doubling = preset_from_dict(DOUBLING)
+    undecided = SubgroupHandle.from_strings(doubling, ["a"])
+    c = SubgroupHandle.from_strings(doubling, ["c"])
     with pytest.raises(BudgetExhausted):
         minimal_non_fixing_level(undecided)
     assert fix_separation_witness(undecided, c) == fix_separation_witness(c, undecided) == 1

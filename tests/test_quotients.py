@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from branchgroups import quotients
 from branchgroups.quotients import (
     LayeredGroup,
     LevelCapExceeded,
@@ -21,7 +22,7 @@ from branchgroups.presets import builtin_preset, preset_from_dict
 from branchgroups.tree import level_vertices
 from branchgroups.words import Word
 
-from conftest import random_word
+from conftest import HANOI, random_word
 
 # [DERIVED] closure oracle over generator images, frozen before the build
 GRIG_ORDERS = {1: 2, 2: 8, 3: 128, 4: 4096, 5: 2**22, 6: 2**42}
@@ -503,3 +504,74 @@ def test_presets_outside_the_engine_keep_the_chain(preset, orders, profile):
     assert index_growth_profile(SubgroupHandle.from_strings(preset, ["a"]), 4) == profile
     words = [Word.from_str(preset, "a")]
     assert image_subgroup(words, 4).order(2) == image_subgroup(words, 2).order()
+
+
+def test_quotient_order_takes_the_generator_images_as_they_are(monkeypatch):
+    # The level-n generator images are permutations already: a quotient
+    # order builds no word and no word image, on the layered engine and on
+    # the stabilizer chain (Hanoi).
+    cases = [(builtin_preset(name), n, orders.get(n, 1))
+             for name, orders in (("grigorchuk", GRIG_ORDERS), ("gupta-sidki", GS_ORDERS)) for n in (0, 2, 4)]
+    cases.append((preset_from_dict(HANOI), 2, 2**3 * 3**4))
+    calls = {"Word": 0, "word_perm": 0}
+    word_init = Word.__init__
+
+    def counted_init(self, *args, **kw):
+        calls["Word"] += 1
+        word_init(self, *args, **kw)
+
+    def counted_word_perm(*args):
+        calls["word_perm"] += 1
+        return word_perm(*args)
+
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    monkeypatch.setattr(quotients, "word_perm", counted_word_perm)
+    assert [quotient_order(preset, n) for preset, n, _ in cases] == [order for *_, order in cases]
+    assert calls == {"Word": 0, "word_perm": 0}
+
+
+def _last_layer_candidates(members, p, rng, count):
+    """Members of St(n-1) changed in at most one place: a last-layer block's
+    second and third leaves swapped (its first leaf, which gives its digit,
+    stays), two sibling blocks traded, or a block turned."""
+    out = []
+    for _ in range(count):
+        x = list(rng.choice(members))
+        i = rng.randrange(len(x) // p**2) * p**2  # the first leaf below a level-(n-2) vertex
+        j, k = rng.sample(range(i, i + p * p, p), 2)  # two of its blocks
+        kind = rng.randrange(4)
+        if kind == 1:
+            x[j + 1], x[j + 2] = x[j + 2], x[j + 1]
+        elif kind == 2:
+            x[j : j + p], x[k : k + p] = x[k : k + p], x[j : j + p]
+        elif kind == 3:
+            x[j : j + p] = x[j + 1 : j + p] + x[j : j + 1]
+        out.append(tuple(x))
+    return out
+
+
+def test_layered_membership_of_last_layer_residues_matches_closure(gs):
+    # `contains` refuses a residue that no last-layer rotation gives; the
+    # closure of the generator images is the oracle.
+    rng = random.Random(26)
+    for n in (2, 3):
+        group = full_level_group(gs, n)
+        closure = brute_closure([tuple(g) for g in group.gens], 3**n)
+        fixing = [x for x in closure if all(y // 3 == i // 3 for i, y in enumerate(x))]
+        candidates = _last_layer_candidates(fixing, 3, rng, 300)
+        assert any(x in closure for x in candidates) and not all(x in closure for x in candidates)
+        assert [group.contains(x) for x in candidates] == [x in closure for x in candidates]
+
+
+def test_layered_membership_refuses_non_rotations_on_tuples(gs):
+    # Past 256 points: two leaves of one last-layer block swapped, or two
+    # blocks traded, is no element of G.
+    rng = random.Random(27)
+    group = full_level_group(gs, 6)
+    identity = tuple(range(3**6))
+    for x in _last_layer_candidates([identity], 3, rng, 60):
+        moved = [i for i in range(len(x)) if x[i] != i]
+        if not moved:
+            assert group.contains(x)
+        elif len(moved) == 2 or any(x[i] // 3 != i // 3 for i in moved):
+            assert not group.contains(x)

@@ -85,8 +85,9 @@ def test_minimal_non_fixing_level_pinned(request, name, gens, level):
 
 # Fixed rays past the cap: <c^-1 a b c b a>'s whole levels first repeat
 # their set of states at level 12, but vertex 11011 already has the state of
-# its ancestor 11; <a c b^3> fixes the ray 20 21 21 ...
-@pytest.mark.parametrize("gens", [["c^-1 a b c b a"], ["a c b^3"]])
+# its ancestor 11; <a c b^3> fixes the ray 20 21 21 ...; <b^3 a b> has a
+# child that repeats a state on its path, seen before the walk descends.
+@pytest.mark.parametrize("gens", [["c^-1 a b c b a"], ["a c b^3"], ["b^3 a b"]])
 def test_minimal_non_fixing_level_finds_a_repeated_state_on_a_path(gens):
     assert minimal_non_fixing_level(H(preset_from_dict(RANDOM_DEGREE_3), gens)) is None
 
@@ -404,3 +405,14 @@ def test_fixed_levels_match_vertex_action(h):
     # The walk stops right after its first empty level.
     assert all(levels[:-1]) and (len(levels) == 5 or not levels[-1])
     assert h.fixed_points(4) == (levels[4] if len(levels) == 5 else [])
+
+
+def test_conjugate_images_conjugate_permutations_not_words(grig, gs, monkeypatch):
+    # Each candidate is h's level image conjugated by the conjugator's
+    # permutation; no handle of conjugated words is built.
+    calls = []
+    monkeypatch.setattr(SubgroupHandle, "conjugated", lambda *args: calls.append(args))
+    for preset, gens, n in ((grig, ["a"], 4), (gs, ["a"], 3), (preset_from_dict(RANDOM_DEGREE_3), ["a"], 2)):
+        assert sum(1 for _ in conjugate_images(H(preset, gens), n, budget=20)) > 1
+    assert conjugate_escaping(H(grig, ["b", "a"]), Word.from_str(grig, "b"), 4)[1] == 3
+    assert calls == []
