@@ -13,7 +13,9 @@ conjugate-count bound counts the conjugates that
 A certificate is built from Q and seed vertices alone: the avoided
 subgroups are the stabilizers of the seeds' rays, every stage's level and
 vertices follow from Q and those rays before any search, and each stage
-searches the one vertex its avoided ray forces.  A stage's level is the
+searches the one vertex its avoided ray forces.  An avoid subgroup's label
+names its seed, and building and validating decide it by one predicate,
+whether w moves the seed padded with zeros.  A stage's level is the
 length of its vertex; reading a file refuses a stage whose k or u disagrees.
 
 Certificate soundness discipline: non-membership demonstrated in a level
@@ -441,16 +443,26 @@ def parabolic_approximation(
     """Vertex-stabilizer approximation of the parabolic subgroup along the
     leftmost ray through v: the stabilizer of v extended by zeros.
 
-    The handle records that vertex, so membership at its level is decided
-    by the predicate w(x) = x; its generators are the Schreier words of
-    `point_stabilizer_words`, which generate exactly that stabilizer there.
+    The label `stab-<v>` names v, which `_avoided_vertex` reads back; the
+    generators are the Schreier words of `point_stabilizer_words`, which
+    generate exactly that stabilizer at the membership level.
     """
     if membership_level < len(v):
         raise ValueError("membership level must be at least the vertex level")
-    extended = v + (0,) * (membership_level - len(v))
-    gens = point_stabilizer_words(preset, extended)
+    gens = point_stabilizer_words(preset, v + (0,) * (membership_level - len(v)))
     label = f"stab-{format_vertex(v)}"
-    return SubgroupHandle(tuple(gens), membership_level=membership_level, label=label, vertex=extended)
+    return SubgroupHandle(tuple(gens), membership_level=membership_level, label=label)
+
+
+def _avoided_vertex(h: SubgroupHandle, degree: int) -> Vertex:
+    """x: the vertex that an avoid subgroup's label `stab-<seed>` names,
+    padded with zeros to its membership level.  W is the stabilizer of x,
+    so w lies outside W iff w(x) != x.  ValueError for any other label."""
+    seed = h.label.removeprefix("stab-")
+    n = h.membership_level
+    if seed == h.label or len(seed) > n:
+        raise ValueError(f"avoid subgroup label {h.label!r} names no vertex of level <= {n}")
+    return parse_vertex(seed, degree) + (0,) * (n - len(seed))
 
 
 # Rist candidates tested against an avoid subgroup at a stage vertex.
@@ -533,8 +545,9 @@ def build_certificate(
             raise CertificateBuildError(
                 i, f"avoid subgroup {i} membership level must exceed stage level {len(v)}"
             )
+        x = _avoided_vertex(w_avoid, q.preset.degree)
         candidates = islice(iter_rist_elements(v, q.preset, rist_budget), _CANDIDATES_PER_VERTEX)
-        w = next((g for g in candidates if not w_avoid.contains_at_level(g)), None)
+        w = next((g for g in candidates if g.apply(x) != x), None)
         if w is None:
             raise RistSearchExhausted(
                 i, f"no rigid-stabilizer element escaping avoid subgroup {i} at level {len(v)}"
@@ -584,6 +597,8 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     """Independent replay of every certificate clause.
 
     Clause 1 (avoidance) and the rigid-stabilizer predicates are exact.
+    W_i is the stabilizer of the vertex x_i its label names: the listed
+    generators must fix x_i and w_i must move it.
     Clause 2 (normal-closure equality) is checked inside the level-m
     quotient, m = max(n, k1) for the verification level n, and is stamped
     with n.  The order of H meet Stab(k1) there is |H_m| / |H_k1|, two
@@ -640,13 +655,14 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
         )
 
     for i, (s, w_avoid) in enumerate(zip(cert.stages, cert.avoid), start=1):
-        lvl = w_avoid.membership_level
-        escaped = not w_avoid.contains_at_level(s.w)
+        lvl, x = w_avoid.membership_level, _avoided_vertex(w_avoid, preset.degree)
+        mover = next((g for g in w_avoid.generators if g.apply(x) != x), None)
+        escaped = mover is None and s.w.apply(x) != x
         add(
             f"stage-{i}-avoidance",
             escaped,
-            f"w_{i} image not in W_{i} at level {lvl} (exact refutation)"
-            if escaped
+            f"W_{i} generator {mover} moves {format_vertex(x)}" if mover is not None
+            else f"w_{i} image not in W_{i} at level {lvl} (exact refutation)" if escaped
             else f"w_{i} image lies in W_{i} at level {lvl}",
         )
 

@@ -10,10 +10,9 @@ One word's section tuple and rigid stabilizers read `Word.level_sections`.
 
 Membership in an abstractly defined subgroup is always answered inside a
 finite level quotient: non-membership at any level is exact, membership at
-the tested level is only evidence.  A handle that knows it is a vertex
-stabilizer is decided at its own level by its predicate, w(x) = x.  Any
-other handle first refutes by a moved common fixed vertex of its
-generators, and only then sifts through its level image.
+the tested level is only evidence.  A handle first refutes by a moved
+common fixed vertex of its generators, and only then sifts through its
+level image.
 One breadth-first walk, `conjugate_images`, visits the distinct
 conjugates of a level image, conjugated by permutations, not words;
 escaping conjugators and the conjugate count read it, so results replay
@@ -34,25 +33,12 @@ class NotInLevelStabilizerError(ValueError):
 
 
 class SubgroupHandle:
-    """A finitely generated subgroup with an optional membership level.
+    """A finitely generated subgroup with an optional membership level."""
 
-    `vertex`, when set, is a vertex x whose level-|x| stabilizer the
-    generators generate exactly at level |x|, as `parabolic_approximation`
-    builds them.  It is not serialized: a handle read from a file is
-    checked through its generators alone.
-    """
-
-    def __init__(
-        self,
-        generators,
-        membership_level: int | None = None,
-        label: str = "",
-        vertex: Vertex | None = None,
-    ):
+    def __init__(self, generators, membership_level: int | None = None, label: str = ""):
         self.generators = tuple(generators)
         self.membership_level = membership_level
         self.label = label
-        self.vertex = vertex
         self._images = {}
 
     @property
@@ -86,17 +72,13 @@ class SubgroupHandle:
         """Membership in the image at the membership level n: exact as a
         refutation, evidence as a yes.
 
-        At the level of `vertex` the answer is w(x) = x, exact both ways.
-        Otherwise w is refuted if it moves a vertex that every generator
-        fixes; failing that, its image is sifted through the subgroup's
-        level-n image.
+        w is refuted if it moves a vertex that every generator fixes;
+        failing that, its image is sifted through the subgroup's level-n
+        image.
         """
         n = self.membership_level
         if n is None:
             raise ValueError("handle has no membership level")
-        x = self.vertex
-        if x is not None and len(x) == n:
-            return w.apply(x) == x
         if any(w.apply(v) != v for v in self.fixed_points(n)):
             return False
         return self.image(n).contains(word_perm(w, n))
@@ -106,7 +88,6 @@ class SubgroupHandle:
             tuple(w.conjugate_by(g) for w in self.generators),
             membership_level=self.membership_level,
             label=f"({self.label})^conj" if self.label else "",
-            vertex=None if self.vertex is None else g.apply(self.vertex),
         )
 
     def to_dict(self) -> dict:

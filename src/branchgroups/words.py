@@ -21,7 +21,7 @@ given: a preset's claim to be contracting is recorded, not trusted, and
 exhaustion raises BudgetExhausted.  A walk to a level is bounded by the
 level.  No answer is memoized, so the outcome depends only on the preset,
 the word and the budget.  Element orders are bounded the same way, by
-DEFAULT_ORDER_BUDGET recursion nodes when no budget is given.
+DEFAULT_ORDER_BUDGET nodes by default, and an order memo hit charges its cost.
 
 Letters, word powers and level permutations are raised to a power by one
 repeated-squaring loop, `power`.
@@ -237,16 +237,18 @@ def _order_rec(
     back-edge depth).  path maps each word on the current recursion path to
     its (depth, multiplier); nodes counts the nodes visited.  A value whose
     subtree reached back to a strict ancestor is exact only as a
-    contribution to that ancestor's lcm and is not memoized."""
+    contribution to that ancestor's lcm and is not memoized.  A memoized
+    value keeps the nodes its subtree was charged, and a hit charges them
+    again, so the outcome does not depend on what the memo holds."""
     if not f:
         return 1, _NO_BACKEDGE
-    cache = preset._order_cache
-    got = cache.get(f)
-    if got is not None:
-        return got, _NO_BACKEDGE
-    nodes[0] += 1
+    cache, start = preset._order_cache, nodes[0]
+    got, cost = cache.get(f, (None, 1))
+    nodes[0] += cost
     if nodes[0] > budget:
         raise BudgetExhausted("element_order", budget)
+    if got is not None:
+        return got, _NO_BACKEDGE
     hit = path.get(f)
     if hit is not None:
         depth, entry_mult = hit
@@ -277,7 +279,7 @@ def _order_rec(
         del path[f]
     if lowest >= my_depth:
         # No dependence on a strict ancestor: the fixpoint is exact here.
-        cache[f] = result
+        cache[f] = result, nodes[0] - start
         return result, _NO_BACKEDGE
     return result, lowest
 

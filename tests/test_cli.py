@@ -753,6 +753,55 @@ def test_validate_reads_the_certificate_shape(capsys, tmp_path, reference_certif
         assert captured.out.endswith("passed\n")
 
 
+# -- avoidance is decided by the vertex each avoid label names -------------
+
+
+def test_validate_refutes_a_stage_word_that_fixes_the_named_vertex(
+    capsys, tmp_path, reference_certificate, grig
+):
+    # W_1's list cut down to d, and w_1 replaced by its commutator with
+    # b a b a b: a word in Rist(00) that fixes x_1 = 000000, so it lies in
+    # the stabilizer that W_1's label names, though not in <d>.
+    data = json.loads(json.dumps(reference_certificate))
+    w = Word.from_str(grig, data["stages"][0]["w"])
+    g = Word.from_str(grig, "b a b a b")
+    data["stages"][0]["w"] = str(w * g * w.inverse() * g.inverse())
+    data["avoid"][0]["generators"] = ["d"]
+    code, lines = _validate_lines(capsys, tmp_path, data)
+    assert code == EXIT_FALSE
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] stage-1-avoidance: w_1 image lies in W_1 at level 6"
+    ]
+
+
+def test_validate_refuses_a_listed_generator_that_moves_the_named_vertex(
+    capsys, tmp_path, reference_certificate
+):
+    data = json.loads(json.dumps(reference_certificate))
+    data["avoid"][0]["generators"].append("a")
+    code, lines = _validate_lines(capsys, tmp_path, data)
+    assert code == EXIT_FALSE
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] stage-1-avoidance: W_1 generator a moves 000000"
+    ]
+
+
+@pytest.mark.parametrize(
+    "label", ["", "trap-k1", "stab-0x", "stab-02", "stab-0000000"],
+    ids=["empty", "other-kind", "not-digits", "letter-past-degree", "past-the-level"],
+)
+def test_validate_refuses_an_avoid_label_that_names_no_vertex(
+    capsys, tmp_path, reference_certificate, label
+):
+    data = json.loads(json.dumps(reference_certificate))
+    data["avoid"][1]["label"] = label
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(data))
+    assert run_command(["wm", "validate", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 # On this preset `wm conjbound` used to search the Cayley ball for elements
 # whose orders it computed at a fixed budget, and ran for minutes at any
 # --budget; both commands now walk at most --budget conjugates.
@@ -953,6 +1002,32 @@ def test_wm_build_default_level_follows_the_stages(capsys, tmp_path):
     assert code == EXIT_OK and out.endswith("passed")
 
 
+def test_wm_build_hanoi_certificate_is_pinned_and_validates(capsys, tmp_path):
+    # One stage at level 4 with a 10-letter word; its normal-closure clause
+    # runs on the stabilizer chain, since Hanoi is not a p-preset.
+    preset = tmp_path / "hanoi.json"
+    preset.write_text(json.dumps(HANOI))
+    code, path = _build_to_file(capsys, tmp_path, str(preset), ["a"], ["2"], [])
+    assert code == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "fedf178038f4f4624f3d0d82c828f3424e703f292bf3b0b0f8bfdb9ac4e8be47"
+    )
+    data = json.loads(path.read_text())
+    assert (data["verification_level"], len(data["stages"][0]["w"].split())) == (4, 10)
+    src = str(Path(construction.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", "wm", "validate", "--preset", str(preset),
+         str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    assert run.stdout.splitlines()[-2:] == [
+        "[ok] normal-closure-equality: verified at level 4: |ncl| = 408146688, "
+        "|H meet Stab(1)| = 408146688",
+        "passed",
+    ]
+
+
 TRAP_DIGESTS = [
     ("grigorchuk", 1, "8edf65dc32ec1b89d31b910a6124a98d5844460eaf2d5973d9168aeacbfee7e1"),
     ("grigorchuk", 2, "2e2712fe936646d84eb409d916e17a7f9502667068b2d12737fff44c4be9cea3"),
@@ -994,3 +1069,50 @@ def test_conjugate_walk_output_is_pinned(capsys, argv, sha):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha
     assert argv[0] == "sub" or json.loads(out)["count"] == 2000
+
+
+# -- command paths no other test runs in process ------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, text, payload",
+    [
+        (["quotient", "stab", "01"],
+         "d\nb a b a b\nb a c a b\nb a d a b\na b a\na c a\na d a",
+         {"vertex": "01",
+          "generators": ["d", "b a b a b", "b a c a b", "b a d a b", "a b a", "a c a", "a d a"]}),
+        (["sub", "psi", "b", "--level", "1"], "a | c", {"level": 1, "sections": ["a", "c"]}),
+        (["sub", "profile", "--gens", "a", "b", "--max-level", "4"], "1 1 8 256",
+         {"indices": ["1", "1", "8", "256"]}),
+    ],
+    ids=["quotient-stab", "sub-psi", "sub-profile"],
+)
+def test_command_output_is_pinned(capsys, argv, text, payload):
+    assert run(capsys, *argv) == (EXIT_OK, text)
+    code, out = run(capsys, *argv, "--format", "json")
+    meta = {"preset_fingerprint": grigorchuk_preset().fingerprint()}
+    assert (code, json.loads(out)) == (EXIT_OK, {**payload, "meta": meta})
+
+
+def test_exhausted_trap_search_exits_through_the_budget_handler(capsys):
+    assert run_command(["wm", "trap", "--k", "8", "--budget", "5"]) == EXIT_UNDECIDED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "undecided: trap base search: budget 5 exhausted\n"
+
+
+def test_exhausted_rist_search_is_undecided(capsys):
+    argv = ["wm", "rist-search", "--preset", "gupta-sidki", "000", "--budget", "50"]
+    assert run(capsys, *argv) == (EXIT_UNDECIDED, "not found (budget exhausted)")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_UNDECIDED
+    assert (json.loads(out)["word"], json.loads(out)["undecided"]) == (None, True)
+
+
+def test_runaway_order_recursion_is_undecided_in_process(capsys, tmp_path):
+    # The recursion of a = (a^2, 1) outgrows the interpreter stack first:
+    # the RecursionError is caught as an exhausted budget.
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(RUNAWAY))
+    argv = ["elem", "order", "--preset", str(path), "a"]
+    assert run(capsys, *argv) == (EXIT_UNDECIDED, "undecided (budget exhausted)")

@@ -7,6 +7,7 @@ from branchgroups.construction import (
     CertificateBuildError,
     CertificateStage,
     WMCertificate,
+    _avoided_vertex,
     _stage_skeleton,
     build_certificate,
     conjugate_count_lower_bound,
@@ -183,7 +184,10 @@ def grig_cert():
 def test_certificate_stages(grig_cert):
     _, cert = grig_cert
     assert cert.verification_level == 6
-    assert [h.vertex for h in cert.avoid] == [s + (0,) * (6 - len(s)) for s in REFERENCE_SEEDS]
+    assert [h.label for h in cert.avoid] == ["stab-00", "stab-01", "stab-10"]
+    assert [_avoided_vertex(h, 2) for h in cert.avoid] == [
+        s + (0,) * (6 - len(s)) for s in REFERENCE_SEEDS
+    ]
     assert [s.k for s in cert.stages] == [2, 3, 4]
     assert ["".join(map(str, s.v)) for s in cert.stages] == ["00", "010", "1000"]
     assert ["".join(map(str, s.u)) for s in cert.stages] == ["01", "011", "0110"]
@@ -196,6 +200,17 @@ def test_certificate_validates(grig_cert):
     names = [c.name for c in report.clauses]
     assert "normal-closure-equality" in names
     assert report.verification_level >= 4
+
+
+def test_certificate_validation_asks_no_handle_for_membership(grig_cert, monkeypatch):
+    # Avoidance reads the vertex each label names; no handle sifts, builds a
+    # level image or walks a fixed tree.
+    preset, cert = grig_cert
+    calls = []
+    for name in ("contains_at_level", "image", "fixed_points"):
+        monkeypatch.setattr(SubgroupHandle, name, lambda *args, _name=name: calls.append(_name))
+    assert validate_certificate(cert, preset).passed
+    assert calls == []
 
 
 def test_certificate_json_round_trip(grig_cert):
@@ -224,19 +239,17 @@ def test_certificate_tampered_word_fails(grig_cert):
 
 
 def test_certificate_stage_word_inside_avoid_fails_through_chain(grig_cert):
-    # A handle read from a file carries no vertex: a stage word inside W_1
-    # fixes every common fixed point of W_1's generators, so only the
-    # stabilizer chain of W_1's image can decide it.
+    # A product of W_1's generators fixes x_1 = 000000, the vertex that
+    # W_1's label names; the predicate refutes it and builds no level image.
     preset, cert = grig_cert
     data = cert.to_dict()
     gens = data["avoid"][0]["generators"]
     data["stages"][0]["w"] = str(Word.from_str(preset, gens[0]) * Word.from_str(preset, gens[1]))
     bad = WMCertificate.from_dict(data, preset)
-    assert bad.avoid[0].vertex is None
     report = validate_certificate(bad, preset)
-    failed = {c.name for c in report.clauses if not c.passed}
-    assert "stage-1-avoidance" in failed
-    assert 6 in bad.avoid[0]._images
+    failed = {c.name: c.detail for c in report.clauses if not c.passed}
+    assert failed["stage-1-avoidance"] == "w_1 image lies in W_1 at level 6"
+    assert not bad.avoid[0]._images
 
 
 def test_certificate_tampered_nesting_fails(grig_cert):
@@ -287,7 +300,8 @@ def test_stage_skeleton_needs_only_q_and_seeds(grig):
     assert [(len(v), "".join(map(str, v)), "".join(map(str, u))) for v, u in skeleton] == [
         (2, "00", "01"), (3, "010", "011"), (4, "1000", "0110"),
     ]
-    assert _stage_skeleton(q_elems, [h.vertex for h in _reference_avoid(grig)]) == skeleton
+    padded = [_avoided_vertex(h, 2) for h in _reference_avoid(grig)]
+    assert _stage_skeleton(q_elems, padded) == skeleton
 
 
 def test_default_level_is_two_under_the_deepest_stage(grig):
@@ -316,17 +330,17 @@ def test_default_level_is_capped(grig):
 
 
 def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
-    # An element of Rist(x) fixes every vertex outside the subtree at x, so at
-    # every level-k_i vertex but v_i the candidates cannot escape W_i.
-    avoid = _reference_avoid(grig)
-    skeleton = _stage_skeleton(finite_subgroup_elements(Q_a(grig)), [h.vertex for h in avoid])
-    for (v, _), w_avoid in zip(skeleton, avoid):
-        for x in level_vertices(2, len(v)):
-            if x == v:
+    # An element of Rist(y) fixes every vertex outside the subtree at y, so at
+    # every level-k_i vertex but v_i the candidates fix x_i: none escapes W_i.
+    padded = [_avoided_vertex(h, 2) for h in _reference_avoid(grig)]
+    skeleton = _stage_skeleton(finite_subgroup_elements(Q_a(grig)), padded)
+    for (v, _), x in zip(skeleton, padded):
+        for y in level_vertices(2, len(v)):
+            if y == v:
                 continue
-            candidates = list(islice(iter_rist_elements(x, grig), _CANDIDATES_PER_VERTEX))
+            candidates = list(islice(iter_rist_elements(y, grig), _CANDIDATES_PER_VERTEX))
             assert len(candidates) == _CANDIDATES_PER_VERTEX
-            assert all(w_avoid.contains_at_level(g) for g in candidates)
+            assert all(g.apply(x) == x for g in candidates)
 
 
 # -- non-conjugacy tools ---------------------------------------------------

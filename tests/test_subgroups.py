@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchgroups import subgroups
-from branchgroups.construction import parabolic_approximation
+from branchgroups.construction import _avoided_vertex, parabolic_approximation
 from branchgroups.presets import (
     builtin_preset, ggs_preset, grigorchuk_preset, gupta_sidki_preset, preset_from_dict,
 )
@@ -315,23 +315,27 @@ def handle_and_word(draw, handles):
 @settings(max_examples=200, deadline=None)
 @given(handle_and_word(PARABOLIC_HANDLES))
 def test_vertex_predicate_matches_chain(case):
+    # The predicate w(x) = x agrees with the generic sift: the Schreier
+    # listing generates the whole level-n stabilizer of x.
     h, w = case
     n = h.membership_level
-    assert h.vertex is not None and len(h.vertex) == n
+    x = _avoided_vertex(h, h.preset.degree)
+    assert len(x) == n
     expected = h.image(n).contains(word_perm(w, n))
     assert h.contains_at_level(w) == expected
-    assert (w.apply(h.vertex) == h.vertex) == expected
+    assert (w.apply(x) == x) == expected
 
 
 def test_conjugated_handle_maps_its_vertex(grig, rng):
+    # The conjugate by g of the stabilizer of x is the stabilizer of g(x).
     h = parabolic_approximation(grig, (0, 1), 3)
+    x = _avoided_vertex(h, 2)
     for _ in range(5):
         g = random_word(grig, rng, 6)
-        conj = h.conjugated(g)
-        assert conj.vertex == g.apply(h.vertex)
+        conj, gx = h.conjugated(g), g.apply(x)
         for _ in range(10):
             w = random_word(grig, rng, 10)
-            assert conj.contains_at_level(w) == conj.image(3).contains(word_perm(w, 3))
+            assert conj.contains_at_level(w) == (w.apply(gx) == gx)
 
 
 def _random_generated_handles():

@@ -553,6 +553,22 @@ def test_bounded_identity_replays_whatever_ran_before(grig):
     assert [outcome(grig, b) for b in (1, 2, 3)] == ["undecided", "undecided", True]
 
 
+def test_bounded_order_replays_whatever_ran_before():
+    # A memo hit charges the nodes its entry cost, so "c a d a" is decided
+    # at the same budgets on a fresh preset and on one whose memo holds it.
+    def outcome(preset, budget):
+        try:
+            return W(preset, "c a d a").order(budget)
+        except BudgetExhausted:
+            return "undecided"
+
+    warm = grigorchuk_preset()
+    assert W(warm, "c a d a").order() == 16
+    fresh = [outcome(grigorchuk_preset(), b) for b in range(1, 51)]
+    assert [outcome(warm, b) for b in range(1, 51)] == fresh
+    assert fresh.index(16) == 16 and set(fresh[16:]) == {16}
+
+
 def test_bounded_identity_outcomes_are_pinned(grig, gs):
     # True, False or undecided for seeded words and their powers that fix
     # level 3, at every budget from 1 to 30.  The order the walk visits
