@@ -2,11 +2,11 @@
 d-regular rooted trees, with finite-stage certificate machinery for
 weakly-maximal-style subgroup constructions.
 
-`import branchgroups` loads the word and quotient core only: `presets`,
-`tree`, `words` and `quotients`.  The names re-exported from `subgroups`
-and `construction` resolve in those modules on first access, and `hashlib`
-and `json` load when a preset fingerprint is taken or a definition file is
-read or written."""
+`import branchgroups` loads the word core only: `presets`, `tree` and
+`words`.  The names re-exported from `quotients`, `subgroups` and
+`construction` resolve in those modules on first access, and `hashlib` and
+`json` load when a preset fingerprint is taken or a definition file is read
+or written."""
 
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
@@ -21,14 +21,6 @@ from .presets import (
     save_preset,
     validate_preset,
 )
-from .quotients import (
-    StabChain,
-    full_level_group,
-    is_level_transitive,
-    point_stabilizer_words,
-    quotient_order,
-    subgroup_index_in_quotient,
-)
 from .tree import ROOT, InvalidDegreeError, format_vertex, level_vertices, parse_vertex, vertex_leq
 from .words import BudgetExhausted, InfiniteOrder, Portrait, Word
 
@@ -37,6 +29,10 @@ __version__ = "0.1.0"
 # Looked up on every access and never stored here: a wrapper swapped into
 # the submodule is what the package hands out, and goes when it is removed.
 _LAZY = {
+    **dict.fromkeys((
+        "StabChain", "full_level_group", "is_level_transitive", "point_stabilizer_words",
+        "quotient_order", "subgroup_index_in_quotient",
+    ), "quotients"),
     **dict.fromkeys((
         "NotInLevelStabilizerError", "SubgroupHandle", "conjugate_escaping", "conjugate_images",
         "enumerate_reduced_words", "fixed_tree", "in_rigid_stabilizer",

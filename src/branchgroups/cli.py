@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success (or a check that came out true), 1 = a check that
 came out false, 2 = usage or precondition error, 3 = undecided within
-budget.  A refutation (exit 1) and an exhausted search (exit 3) are never
-conflated.
+budget or memory.  A refutation (exit 1) and an exhausted search or
+process (exit 3) are never conflated.
 
 Every option is read by the computation it configures, and none gives a
 depth that the computation works out: `sub fixlevel` and `wm separate`
@@ -21,11 +21,9 @@ A malformed preset file or certificate is a usage error (exit 2); only
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import quotients
 from .presets import GroupPreset, _preset_from_dict, builtin_preset, load_preset, validate_preset
 from .tree import format_vertex, parse_vertex
 from .words import DEFAULT_IDENTITY_BUDGET, DEFAULT_ORDER_BUDGET, DEFAULT_SEARCH_BUDGET
@@ -47,6 +45,7 @@ class _Reporter:
 
     def emit(self, payload: dict, text: str) -> None:
         if self.format == "json":
+            import json
             body = dict(payload)
             body["meta"] = {"preset_fingerprint": self.preset.fingerprint(), **self.meta}
             print(json.dumps(body, sort_keys=True))
@@ -59,6 +58,7 @@ def _resolve_preset(args) -> GroupPreset:
         return builtin_preset(args.preset)
     if (args.group_cmd, args.cmd) == ("group", "validate"):
         # reports a malformed file's issues, which every other command refuses
+        import json
         with open(args.preset, encoding="utf-8") as fh:
             return _preset_from_dict(json.load(fh))
     return load_preset(args.preset)
@@ -154,6 +154,7 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
 
 def _cmd_group(args, preset, rep) -> int:
     if args.cmd == "show":
+        import json
         data = preset.to_dict()
         data["fingerprint"] = preset.fingerprint()
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
@@ -195,6 +196,8 @@ def _cmd_elem(args, preset, rep) -> int:
         rep.emit({"order": str(m)}, str(m))
         return EXIT_OK
     if args.cmd == "portrait":
+        import json
+        from . import quotients
         w = _word(preset, args.word)
         quotients._check_level(preset, args.depth)
         data = w.portrait(args.depth).to_dict()
@@ -211,6 +214,7 @@ def _cmd_elem(args, preset, rep) -> int:
 
 
 def _cmd_quotient(args, preset, rep) -> int:
+    from . import quotients
     if args.cmd == "order":
         m = quotients.quotient_order(preset, args.level)
         rep.emit({"level": args.level, "order": str(m)}, str(m))
@@ -234,6 +238,7 @@ def _cmd_quotient(args, preset, rep) -> int:
 def _cmd_sub(args, preset, rep) -> int:
     from . import subgroups
     if args.cmd == "fix":
+        import json
         h = _handle(preset, args.gens)
         data = subgroups.fixed_tree(h, args.depth).to_dict()
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
@@ -293,6 +298,7 @@ def _cmd_wm(args, preset, rep) -> int:
             rep.emit({"word": str(g)}, str(g))
             return EXIT_OK
         if args.cmd == "trap":
+            import json
             h = construction.trap_subgroup(preset, args.k, budget=args.budget)
             report = construction.level_trap_check(h, args.k)
             data = {"subgroup": h.to_dict(), "check": report.to_dict()}
@@ -365,6 +371,9 @@ def run_command(argv=None) -> int:
         return _DISPATCH[args.group_cmd](args, preset, rep)
     except BudgetExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except MemoryError:
+        print("undecided: out of memory", file=sys.stderr)
         return EXIT_UNDECIDED
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

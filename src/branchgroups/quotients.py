@@ -321,14 +321,9 @@ class LayeredGroup:
         self._layers = [(*layer, []) for layer in layers]  # each layer's basis joins its tables
         self._vectors: dict[int, list[int]] = {}  # last layer: pivot -> multiples
         self._normal = conjugators is not None
-        self._conj = [self._conjugator(s) for s in conjugators or ()]
+        self._conj = [[self._perm(s)] for s in conjugators or ()]
         for g in gens:
             self.add(g)
-
-    def _conjugator(self, s):
-        s = self._perm(s)
-        s_inv = perm_inverse(s)
-        return s, s_inv, _perm_type(self._width)(compose(self._div, s_inv[:: self.p]))  # s^-1 on level n-1
 
     def add(self, g) -> bool:
         """Extend the group by g and close it; False if g was already a member."""
@@ -339,7 +334,7 @@ class LayeredGroup:
         self.gens.append(tuple(g))
         work: list = []
         if not self._normal:  # the basis so far meets a new conjugator
-            self._conj.append(self._conjugator(g))
+            self._conj.append([g])
             old = [(j, row[0]) for j, (*_, rows) in enumerate(self._layers) if j for _, row in rows]
             for j, y in old + [(self.n - 1, row[1]) for row in self._vectors.values()]:
                 work += self._conjugates(j, y, self._conj[-1:])
@@ -384,7 +379,12 @@ class LayeredGroup:
         return self.n, None
 
     def _conjugates(self, k: int, x, conj) -> list:
-        """(k, s x s^-1) for the conjugators s that move x; on the last layer a digit gather."""
+        """(k, s x s^-1) for the conjugators s that move x; on the last layer a digit gather.
+        A conjugator [s] gains s^-1 and s^-1 on level n-1 when first read here."""
+        for c in conj:
+            if len(c) == 1:
+                s_inv = perm_inverse(c[0])
+                c += s_inv, _perm_type(self._width)(compose(self._div, s_inv[:: self.p]))
         if k < self.n - 1:
             ys = [compose(s, compose(x, s_inv)) for s, s_inv, _ in conj]
         else:

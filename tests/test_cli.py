@@ -1116,3 +1116,17 @@ def test_runaway_order_recursion_is_undecided_in_process(capsys, tmp_path):
     path.write_text(json.dumps(RUNAWAY))
     argv = ["elem", "order", "--preset", str(path), "a"]
     assert run(capsys, *argv) == (EXIT_UNDECIDED, "undecided (budget exhausted)")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, owner, name", [
+    (["quotient", "order", "--level", "6"], quotients, "quotient_order"),
+    (["elem", "order", "a c"], Word, "order"),
+], ids=["quotient-order", "elem-order"])
+def test_an_exhausted_process_is_undecided_not_refuted(monkeypatch, capsys, fmt, argv, owner, name):
+    def out_of_memory(*_args, **_kwargs):
+        raise MemoryError
+    monkeypatch.setattr(owner, name, out_of_memory)
+    code = run_command([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_UNDECIDED, "", "undecided: out of memory\n")

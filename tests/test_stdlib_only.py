@@ -14,6 +14,7 @@ import branchgroups
 from branchgroups.cli import build_parser
 
 SOURCES = sorted(Path(branchgroups.__file__).parent.glob("*.py"))
+ENV = dict(os.environ, PYTHONPATH=str(Path(branchgroups.__file__).parents[1]))
 
 
 def test_library_imports_only_the_standard_library():
@@ -43,8 +44,7 @@ def _fresh_imports(statement: str, *names: str) -> list[str]:
         f"{statement}\n"
         f"print(sorted(set({names!r}) & (set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(branchgroups.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return ast.literal_eval(out.stdout)
 
@@ -55,24 +55,45 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert _fresh_imports("import branchgroups.cli", "dataclasses", "inspect") == []
 
 
+def _cli_imports(*argv: str) -> tuple[str, set[str]]:
+    """A fresh `python -m branchgroups.cli` process's stdout and the modules it
+    imported, by name, from its `-X importtime` report."""
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "branchgroups.cli", *argv],
+                         env=ENV, capture_output=True, text=True)
+    rows = [line.split("|") for line in out.stderr.splitlines() if line.startswith("import time:")]
+    return out.stdout, {row[-1].strip() for row in rows[1:]}  # the first row is the header
+
+
 def test_package_import_loads_only_the_word_and_quotient_core():
-    # subgroups, construction, the fingerprint's hashlib and JSON load on first use
-    lazy = ("hashlib", "branchgroups.subgroups", "branchgroups.construction")
+    # the word core only; quotients, subgroups, construction, the
+    # fingerprint's hashlib and JSON load on first use
+    lazy = ("hashlib", "branchgroups.quotients", "branchgroups.subgroups", "branchgroups.construction")
     assert _fresh_imports("import branchgroups", "json", *lazy) == []
-    assert _fresh_imports("import branchgroups.cli", *lazy) == []
+    assert _fresh_imports("import branchgroups.cli", "json", *lazy) == []
     first_use = "import branchgroups\nbranchgroups.fixed_tree"
-    assert _fresh_imports(first_use, "json", *lazy) == ["branchgroups.subgroups"]
+    assert _fresh_imports(first_use, "json", *lazy) == ["branchgroups.quotients", "branchgroups.subgroups"]
+    first_use = "import branchgroups\nbranchgroups.quotient_order"
+    assert _fresh_imports(first_use, "json", *lazy) == ["branchgroups.quotients"]
+    # a text-format word command loads neither the quotient engine nor JSON
+    for cmd in ("apply", "section", "order", "identity"):
+        out, loaded = _cli_imports("elem", cmd, "a b", *(["0"] if cmd in ("apply", "section") else []))
+        assert out and "branchgroups.words" in loaded, cmd
+        assert loaded.isdisjoint({"json", *lazy}), cmd
+    out, loaded = _cli_imports("elem", "identity", "--format", "json", "a")
+    assert {"json", "branchgroups.quotients"} & loaded == {"json"}
 
 
 def test_every_exported_name_resolves():
     for name in branchgroups.__all__:
         assert getattr(branchgroups, name) is not None, name
     assert set(branchgroups.__all__) <= set(dir(branchgroups))
-    from branchgroups import construction, subgroups
+    from branchgroups import construction, quotients, subgroups
 
+    assert branchgroups.quotient_order is quotients.quotient_order
     assert branchgroups.fixed_tree is subgroups.fixed_tree
     assert branchgroups.WMCertificate is construction.WMCertificate
     assert "fixed_tree" not in vars(branchgroups)  # looked up, never stored
+    assert "quotient_order" not in vars(branchgroups)
     with pytest.raises(AttributeError):
         branchgroups.no_such_name
 
