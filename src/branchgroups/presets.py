@@ -309,37 +309,39 @@ _DEFINITION_KEYS = (
 _IGNORED_KEYS = ("meta",)
 
 
+# Each definition field's JSON type, and a list's item type.
+_FIELD_TYPES = {"degree": (int, None), "name": (str, None), "lhs": (str, None), "rhs": (str, None),
+                "contracting": (bool, None), "generators": (list, dict), "rules": (list, dict),
+                "root_perm": (list, int), "sections": (list, str), "branching": (list, str)}
+
+
+def _field(obj: dict, key: str, *default):
+    """obj[key], or the default when the key is absent; PresetError unless it has the field's JSON type."""
+    value = obj.get(key, *default) if default else obj[key]
+    kind, item = _FIELD_TYPES[key]
+    if type(value) is not kind or item and any(type(x) is not item for x in value):
+        raise PresetError(f"malformed group definition: {key!r} is not a {kind.__name__}"
+                          + (f" of {item.__name__}" if item else ""))
+    return value
+
+
 def _preset_from_dict(data: dict) -> GroupPreset:
     """The preset a definition dict describes, unchecked; any other
-    top-level key is kept for `validate_preset` to report."""
+    top-level key is kept for `validate_preset` to report.  A missing
+    field, or one of the wrong JSON type, raises PresetError."""
     try:
-        degree = int(data["degree"])
-        gen_specs = data["generators"]
+        degree, specs = _field(data, "degree"), _field(data, "generators")
+        names = {_field(g, "name") for g in specs}
+        gens = tuple(GeneratorRecursion(g["name"], tuple(_field(g, "root_perm")),
+                                        tuple(_tokenize(s, names, False) for s in _field(g, "sections")))
+                     for g in specs)
+        rules = tuple((_tokenize(_field(r, "lhs"), names, False), _tokenize(_field(r, "rhs"), names, False))
+                      for r in _field(data, "rules", []))
+        branching = tuple(_tokenize(w, names, False) for w in _field(data, "branching", []))
+        contracting, name = _field(data, "contracting", False), _field(data, "name", "")
     except (KeyError, TypeError) as exc:
         raise PresetError(f"malformed group definition: {exc}") from exc
-    names = {str(g["name"]) for g in gen_specs}
-    gens = []
-    for g in gen_specs:
-        gens.append(
-            GeneratorRecursion(
-                name=str(g["name"]),
-                root_perm=tuple(int(x) for x in g["root_perm"]),
-                sections=tuple(_tokenize(s, names, False) for s in g["sections"]),
-            )
-        )
-    rules = tuple(
-        (_tokenize(r["lhs"], names, False), _tokenize(r["rhs"], names, False))
-        for r in data.get("rules", [])
-    )
-    branching = tuple(_tokenize(w, names, False) for w in data.get("branching", []))
-    preset = GroupPreset(
-        degree=degree,
-        generators=tuple(gens),
-        reduction_rules=rules,
-        branching_generators=branching,
-        contracting_certified=bool(data.get("contracting", False)),
-        name=str(data.get("name", "")),
-    )
+    preset = GroupPreset(degree, gens, rules, branching, contracting, name)
     preset.unknown_keys = tuple(str(k) for k in data if k not in _DEFINITION_KEYS + _IGNORED_KEYS)
     return preset
 

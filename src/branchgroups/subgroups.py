@@ -21,8 +21,10 @@ exactly and a budget counts conjugates visited.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .presets import GroupPreset
-from .quotients import LEVEL_CAP, _check_level, _generator_perm, _level_image, _perm_type, compose
+from .quotients import LEVEL_CAP, _check_level, _letters, _level_image, _perm_type, compose
 from .quotients import full_level_group, image_subgroup, word_perm
 from .tree import Vertex, format_vertex, level_vertices
 from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, expand_factors, is_identity_factors
@@ -314,12 +316,13 @@ def conjugate_images(h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUD
     preset, base = h.preset, h.image(n)
     perm = _perm_type(len(base.identity))
     one, base_gens, base_key = perm(base.identity), [perm(g) for g in base.gens], perm(_orbit_key(base))
-    gens = [(Word.generator(preset, g), _generator_perm(preset, g, False, n), _generator_perm(preset, g, True, n))
-            for g in preset.gen_names]
+    letters = _letters(preset, n)
+    gens = [(Word.generator(preset, g), letters[g, 1], letters[g, -1]) for g in preset.gen_names]
     kept: dict = {}  # orbit key -> the images kept with it
     start = (Word.identity(preset), one, one)
-    queue = [(start, start)]  # (generator, conjugator it extends), multiplied when reached
-    for (w, t, t_inv), (c, s, s_inv) in queue:  # grows while it is walked: breadth first
+    queue = deque([(start, start)])  # (generator, conjugator it extends), multiplied when reached
+    while queue:  # breadth first; a walked entry is dropped with its permutations
+        (w, t, t_inv), (c, s, s_inv) = queue.popleft()
         if budget < 1:
             return
         c, s, s_inv = w * c, compose(t, s), compose(s_inv, t_inv)

@@ -465,6 +465,23 @@ def test_group_validate_reports_a_malformed_preset(tmp_path, capsys, code):
     assert status == EXIT_FALSE and out.startswith(f"{code} at generator a: ")
 
 
+# Preset files with a field of the wrong JSON type.
+MISTYPED = {
+    "generators-object": {"degree": 2, "generators": {"a": {"root_perm": [1, 0], "sections": ["", ""]}}},
+    "sections-number": {"degree": 2, "generators": [{"name": "a", "root_perm": [1, 0], "sections": 5}]},
+}
+
+
+@pytest.mark.parametrize("code", sorted(MISTYPED))
+@pytest.mark.parametrize("argv", [["group", "validate"], ["group", "show"], ["elem", "identity", "a"]])
+def test_mistyped_preset_exits_with_usage(tmp_path, capsys, code, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MISTYPED[code]))
+    assert run_command([*argv, "--preset", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: malformed group definition: ")
+
+
 UNDECLARED = {"degree": 2, "generators": [{"name": "a", "root_perm": [1, 0], "sections": ["z", ""]}]}
 UNDECLARED_ISSUE = "unknown-symbol at generator a, section 0: undeclared generator 'z'"
 

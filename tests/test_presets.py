@@ -139,6 +139,23 @@ def test_preset_from_dict_rejects_garbage():
         preset_from_dict({"generators": []})
 
 
+@pytest.mark.parametrize("path, value", [
+    (("degree",), "2"), (("degree",), True), (("name",), 5), (("contracting",), 1), (("rules",), {}),
+    (("branching",), [1]), (("generators",), {}), (("generators", 0), "a"), (("generators", 0, "name"), 1),
+    (("generators", 0, "root_perm"), ["1", "0"]), (("generators", 0, "sections"), 5),
+    (("generators", 0, "sections"), "ab"), (("rules", 0), ["a^2", "1"]), (("rules", 0, "lhs"), 2),
+])
+def test_preset_from_dict_refuses_a_field_of_the_wrong_json_type(grig, path, value):
+    data = grig.to_dict()
+    *outer, key = path
+    target = data
+    for k in outer:
+        target = target[k]
+    target[key] = value
+    with pytest.raises(PresetError, match="^malformed group definition: "):
+        preset_from_dict(data)
+
+
 def test_preset_from_dict_lists_every_issue(grig):
     data = grig.to_dict()
     data["generators"][0]["root_perm"] = [0, 0]

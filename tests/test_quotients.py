@@ -22,7 +22,7 @@ from branchgroups.presets import builtin_preset, preset_from_dict
 from branchgroups.tree import level_vertices
 from branchgroups.words import Word
 
-from conftest import HANOI, random_word
+from conftest import ADDING_MACHINE, HANOI, RANDOM_DEGREE_3, random_word
 
 # [DERIVED] closure oracle over generator images, frozen before the build
 GRIG_ORDERS = {1: 2, 2: 8, 3: 128, 4: 4096, 5: 2**22, 6: 2**42}
@@ -575,3 +575,76 @@ def test_layered_membership_refuses_non_rotations_on_tuples(gs):
             assert group.contains(x)
         elif len(moved) == 2 or any(x[i] // 3 != i // 3 for i in moved):
             assert not group.contains(x)
+
+
+# Fresh presets, so that every letter table is built here.  Grigorchuk
+# level 9 and Gupta-Sidki level 6 are past 256 points, on tuples.
+LETTER_TABLE_CASES = [
+    ("grigorchuk", 9), ("gupta-sidki", 6), ("ggs:5:1,0,0,1", 3),
+    (HANOI, 4), (RANDOM_DEGREE_3, 4), (ADDING_MACHINE, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, top", LETTER_TABLE_CASES,
+    ids=["grig", "gs", "ggs5", "hanoi", "random-degree-3", "adding-machine"],
+)
+def test_letter_tables_match_the_vertex_action(spec, top):
+    preset = builtin_preset(spec) if isinstance(spec, str) else preset_from_dict(spec)
+    for n in range(top + 1):
+        verts = level_vertices(preset.degree, n)
+        index = {v: i for i, v in enumerate(verts)}
+        letters = quotients._letters(preset, n)
+        for g in preset.gen_names:
+            for e in (1, -1):
+                img, w = letters[g, e], Word(preset, ((g, e),))
+                assert type(img) is (bytes if len(verts) <= 256 else tuple)
+                assert list(img) == [index[w.apply(v)] for v in verts]
+
+
+@pytest.mark.parametrize("spec, text", [("grigorchuk", "a b a c a d"), ("gupta-sidki", "a b^2 a^2 b")])
+def test_letter_tables_build_each_entry_once(monkeypatch, spec, text):
+    # A level's generator images are built when it is first read, an inverse
+    # when it is; every later read returns the same object.
+    preset = builtin_preset(spec)
+    quotient_order(preset, 6)
+    first = {n: dict(quotients._letters(preset, n)) for n in range(7)}
+    assert all(set(first[n]) == {(g, 1) for g in preset.gen_names} for n in range(7))
+    assert set(preset._perm_cache) == set(range(7))
+    inverses = []
+    perm_inverse = quotients.perm_inverse
+    monkeypatch.setattr(quotients, "perm_inverse", lambda p: inverses.append(p) or perm_inverse(p))
+    w = Word.from_str(preset, text)
+    for n in range(7):
+        word_perm(w, n)
+        table = quotients._letters(preset, n)
+        assert all(table[k] is img for k, img in first[n].items())
+        for g in preset.gen_names * 2:
+            assert list(compose(table[g, -1], table[g, 1])) == list(range(preset.degree**n))
+    assert len(inverses) == 7 * len(preset.gen_names)  # one per letter and level
+
+
+def _naive_stabilizer_words(preset, v):
+    # Every Schreier word in full: each inverse from rep.inverse(), tree edges included.
+    gens = [Word.generator(preset, g) for g in preset.gen_names]
+    reps = orbit_transversal(preset, v)
+    invs = {u: rep.inverse() for u, rep in reps.items()}
+    out, seen = [], set()
+    for u in sorted(reps):
+        for g in gens:
+            word = invs[g.apply(u)] * g * reps[u]
+            if word.factors and word.factors not in seen:
+                seen.add(word.factors)
+                out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("spec, v", [
+    ("grigorchuk", (0, 1, 1, 0, 1, 1)), ("gupta-sidki", (2, 0, 1, 1)), ("ggs:5:1,0,0,1", (3, 1)),
+    (HANOI, (1, 2, 0)), (RANDOM_DEGREE_3, (2, 1, 1)),
+], ids=["grig", "gs", "ggs5", "hanoi", "random-degree-3"])
+def test_point_stabilizer_words_match_the_full_products(spec, v):
+    preset = builtin_preset(spec) if isinstance(spec, str) else preset_from_dict(spec)
+    assert [w.factors for w in point_stabilizer_words(preset, v)] == [
+        w.factors for w in _naive_stabilizer_words(preset, v)
+    ]
