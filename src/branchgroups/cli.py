@@ -10,9 +10,10 @@ depth that the computation works out: `sub fixlevel` and `wm separate`
 walk section states to an exact answer, and `wm trap --k` checks level
 k + 1, the level its subgroup is built to leave unfixed.  `--budget`
 exists only on `elem order|identity`, `sub escape` and
-`wm rist-search|trap|build|conjbound`.  Every JSON report embeds the
-preset fingerprint and, on those subcommands, the budget it ran with, so
-identical invocations reproduce byte-identical output.
+`wm rist-search|trap|build|conjbound`, and takes any int >= 0.  Every
+JSON report embeds the preset fingerprint and, on those subcommands, the
+budget it ran with, so identical invocations reproduce byte-identical
+output.
 
 A malformed preset file or certificate is a usage error (exit 2); only
 `group validate` reads a preset file unchecked, to report its issues.
@@ -64,10 +65,6 @@ def _resolve_preset(args) -> GroupPreset:
     return load_preset(args.preset)
 
 
-def _word(preset: GroupPreset, text: str) -> Word:
-    return Word.from_str(preset, text)
-
-
 def _handle(preset: GroupPreset, texts, level=None) -> subgroups.SubgroupHandle:
     from . import subgroups
     return subgroups.SubgroupHandle.from_strings(preset, texts, membership_level=level)
@@ -75,6 +72,14 @@ def _handle(preset: GroupPreset, texts, level=None) -> subgroups.SubgroupHandle:
 
 def _arg(*flags, **kwargs):
     return flags, kwargs
+
+
+def _budget(text: str) -> int:
+    """A budget: any int >= 0, so a negative one is a usage error before any work."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 _WORD = _arg("word")
@@ -146,7 +151,7 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--preset", default="grigorchuk", help="built-in name or definition file")
             p.add_argument("--format", choices=["text", "json"], default="text")
             if budget is not None:
-                p.add_argument("--budget", type=int, default=budget)
+                p.add_argument("--budget", type=_budget, default=budget)
             for flags, kwargs in arguments:
                 p.add_argument(*flags, **kwargs)
     return parser
@@ -172,20 +177,18 @@ def _cmd_group(args, preset, rep) -> int:
 
 
 def _cmd_elem(args, preset, rep) -> int:
+    w = Word.from_str(preset, args.word)
     if args.cmd == "apply":
-        w = _word(preset, args.word)
         v = parse_vertex(args.vertex, preset.degree)
         out = format_vertex(w.apply(v))
         rep.emit({"image": out}, out)
         return EXIT_OK
     if args.cmd == "section":
-        w = _word(preset, args.word)
         v = parse_vertex(args.vertex, preset.degree)
         out = str(w.section(v)) or "1"
         rep.emit({"section": out}, out)
         return EXIT_OK
     if args.cmd == "order":
-        w = _word(preset, args.word)
         try:
             m = w.order(args.budget)
         except BudgetExhausted:
@@ -198,12 +201,10 @@ def _cmd_elem(args, preset, rep) -> int:
     if args.cmd == "portrait":
         import json
         from . import quotients
-        w = _word(preset, args.word)
         quotients._check_level(preset, args.depth)
         data = w.portrait(args.depth).to_dict()
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
         return EXIT_OK
-    w = _word(preset, args.word)
     try:
         ans = w.is_identity(args.budget)
     except BudgetExhausted:
@@ -224,7 +225,7 @@ def _cmd_quotient(args, preset, rep) -> int:
         rep.emit({"level": args.level, "transitive": ans}, "true" if ans else "false")
         return EXIT_OK if ans else EXIT_FALSE
     if args.cmd == "index":
-        words = [_word(preset, t) for t in args.gens]
+        words = [Word.from_str(preset, t) for t in args.gens]
         m = quotients.subgroup_index_in_quotient(words, args.level)
         rep.emit({"level": args.level, "index": str(m)}, str(m))
         return EXIT_OK
@@ -249,7 +250,7 @@ def _cmd_sub(args, preset, rep) -> int:
         rep.emit({"minimal_non_fixing_level": lvl}, text)
         return EXIT_OK
     if args.cmd == "psi":
-        w = _word(preset, args.word)
+        w = Word.from_str(preset, args.word)
         try:
             secs = subgroups.psi_sections(w, args.level)
         except subgroups.NotInLevelStabilizerError as exc:
@@ -259,7 +260,7 @@ def _cmd_sub(args, preset, rep) -> int:
         rep.emit({"level": args.level, "sections": texts}, " | ".join(texts))
         return EXIT_OK
     if args.cmd == "rist":
-        w = _word(preset, args.word)
+        w = Word.from_str(preset, args.word)
         v = parse_vertex(args.vertex, preset.degree)
         ans = subgroups.in_rigid_stabilizer(w, v)
         rep.emit({"in_rigid_stabilizer": ans}, "true" if ans else "false")
@@ -271,7 +272,7 @@ def _cmd_sub(args, preset, rep) -> int:
         rep.emit(payload, " ".join(str(x) for x in prof))
         return EXIT_OK
     h = _handle(preset, args.gens, level=args.level)
-    gamma = _word(preset, args.gamma)
+    gamma = Word.from_str(preset, args.gamma)
     f, visited = subgroups.conjugate_escaping(h, gamma, args.level, budget=args.budget)
     if f is None and visited < args.budget:
         rep.emit(

@@ -273,6 +273,8 @@ def trap_subgroup(
     whole level image are checked first, the orders only once the search
     is spent: CertificateBuildError if they are equal, else BudgetExhausted.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     _check_points(preset, k + 1)
     for w in islice(enumerate_reduced_words(preset), budget):
         h = image_subgroup([w], k + 1)

@@ -22,6 +22,7 @@ shipped presets are built directly and skip the check.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isqrt
 
 Factor = tuple[str, int]
 Factors = tuple[Factor, ...]
@@ -113,6 +114,13 @@ class GroupPreset:
                 p[x] = i
             inv[g.name] = tuple(p)
         return inv
+
+    @cached_property
+    def is_p_preset(self) -> bool:
+        """Prime degree p and every root permutation x -> x + c: each level quotient is a p-group."""
+        p = self.degree
+        return p > 1 and all(p % k for k in range(2, isqrt(p) + 1)) and all(
+            g.root_perm == tuple((x + g.root_perm[0]) % p for x in range(p)) for g in self.generators)
 
     # Mutable memo tables, shared by the element engine.  Keys are canonical
     # factor tuples, so concurrent repopulation is idempotent.
@@ -423,17 +431,6 @@ def ggs_preset(d: int, E) -> GroupPreset:
 def gupta_sidki_preset() -> GroupPreset:
     """The Gupta-Sidki 3-group: GGS with d=3, E=(1,-1)."""
     return ggs_preset(3, (1, -1))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def builtin_preset(name: str) -> GroupPreset:

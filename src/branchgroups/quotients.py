@@ -1,36 +1,37 @@
 """Finite level quotients as permutation groups on lexicographic level vertices.
 
 Permutations are one-line images over the d^n level-n vertices in
-lexicographic order.  Up to BYTE_POINTS = 256 points every point index
-fits in a byte, and a permutation is `bytes`: `compose` is one
-`bytes.translate` through the left factor padded to a 256-byte table, and
-`perm_inverse` one `bytes.maketrans`.  Past 256 points an index no longer
-fits, so a permutation is a tuple and `compose` an `itemgetter` gather,
-which builds the tuple itself on a one-point domain.  On a 2-vCPU VM with
-Python 3.11, a translate on 64 points takes about 0.26 us against 1.2 us
-for the gather, on 256 points 0.63 us against 4.7 us.  The point count
-picks the representation: the letter tables and `LayeredGroup` work on
-it, while `word_perm`, a group's `gens` and `identity`, and `StabChain`,
-which no p-preset builds, stay on tuples.  A preset keeps one table per
-level of the images of g and g^-1, and `word_perm` folds a word's entries
-by `compose`, raising each to its exponent by `words.power`.
+lexicographic order, and the point count picks their representation.  Up
+to BYTE_POINTS = 256 points every point index fits in a byte, and a
+permutation is `bytes`: `compose` is one `bytes.translate` through the
+left factor padded to a 256-byte table, and `perm_inverse` one
+`bytes.maketrans`.  Past 256 points a permutation is a tuple and `compose`
+an `itemgetter` gather, which builds the tuple itself on a one-point
+domain.  On a 2-vCPU VM with Python 3.11, a translate on 64 points takes
+about 0.26 us against 1.2 us for the gather, on 256 points 0.63 us
+against 4.7 us.  The letter tables and both engines work in that
+representation; `word_perm` and a group's `gens` and `identity` are
+tuples, converted where they enter an engine.  A preset keeps one table
+per level of the images of g and g^-1, and a word's image folds its
+entries by `compose`, raising each to its exponent by `words.power`.
 
 Every subgroup of a level quotient is built from level permutations by
-`_level_image`, fed by `image_subgroup` (the words' images),
-`full_level_group` (the letter table's generator images, as they are) and
-`subgroups.conjugate_images` (a kept image's generators, conjugated).
-For a p-preset (prime degree p, every generator moving the root's
-children by x -> x + c) each quotient is a p-group whose layer
-St(k)/St(k+1) is an F_p-space with one digit per level-k vertex; the
-subgroup is a `LayeredGroup`, an echelon basis of digits per layer closed
-under p-th powers, commutators and conjugation (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, ch. 8), which also gives the
-order of every lower level image.  Any other preset gets a `StabChain`,
-built by incremental Schreier-Sims: each level keeps its orbit and the
-coset representatives with their inverses, so a sift costs one gather per
-level, and a new generator sifts only the Schreier generators of its new
-(point, generator) pairs.  Both are deterministic, and both build the
-normal closure under given conjugators.
+`_level_image`, fed by `image_subgroup` (each word folded on the letter
+table), `full_level_group` (the table's generator images, as they are)
+and `subgroups.conjugate_images` (a kept image's generators, conjugated).
+The engine is chosen once per preset, by `GroupPreset.is_p_preset`.  For
+a p-preset (prime degree p, every generator moving the root's children by
+x -> x + c) each quotient is a p-group whose layer St(k)/St(k+1) is an
+F_p-space with one digit per level-k vertex; the subgroup is a
+`LayeredGroup`, an echelon basis of digits per layer closed under p-th
+powers, commutators and conjugation (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 8), which also gives the order of every
+lower level image.  Any other preset gets a `StabChain`, built by
+incremental Schreier-Sims (ibid., ch. 4): each level keeps its orbit and
+the coset representatives with their inverses, so a sift costs one
+product per level, and a new generator sifts only the Schreier generators
+of its new (point, generator) pairs.  Both are deterministic, and both
+build the normal closure under given conjugators.
 
 Level-transitivity is one orbit walk from the vertex 0...0, with no group.
 Every quotient level, word image level and depth of a fixed-tree walk is
@@ -47,7 +48,7 @@ from functools import cache, reduce
 from itertools import accumulate, islice, product, repeat
 from operator import eq, floordiv, itemgetter, sub
 
-from .presets import Factors, GroupPreset, _is_prime
+from .presets import Factors, GroupPreset
 from .tree import Vertex
 from .words import Word, power
 
@@ -118,7 +119,7 @@ def _letters(preset: GroupPreset, n: int) -> "_Letters":
         for gen in preset.generators:
             blocks = [(gen.root_perm[x] * block, below[s[0]] if len(s) == 1 and abs(s[0][1]) == 1
                        else _factors_perm(below, s, block)) for x, s in enumerate(gen.sections)]
-            if block * preset.degree <= BYTE_POINTS:
+            if _perm_type(block * preset.degree) is bytes:
                 img = b"".join([q.translate(_byte_table(1, 1, BYTE_POINTS, off)) for off, q in blocks])
             else:
                 img = tuple([off + y for off, q in blocks for y in q])
@@ -138,7 +139,7 @@ class _Letters(dict):
 def _factors_perm(letters: dict, factors: Factors, npoints: int) -> Perm:
     """Image of factors on a level's npoints points: its letter entries, raised and folded."""
     if not factors:
-        return _IDENTITY_BYTES[:npoints] if npoints <= BYTE_POINTS else tuple(range(npoints))
+        return _perm_type(npoints)(range(npoints))
     return reduce(compose, [power(letters[g, 1 if e > 0 else -1], abs(e), compose) for g, e in factors])
 
 
@@ -157,15 +158,14 @@ class _Orbit:
 
     __slots__ = ("beta", "gens", "gen_invs", "points", "reps", "invs")
 
-    def __init__(self, beta: int, npoints: int):
-        identity = tuple(range(npoints))
+    def __init__(self, beta: int, one: Perm):
         self.beta = beta
         self.gens: list[Perm] = []
         self.gen_invs: list[Perm] = []
         self.points = [beta]
-        self.reps: list[Perm | None] = [None] * npoints
-        self.invs: list[Perm | None] = [None] * npoints
-        self.reps[beta] = self.invs[beta] = identity
+        self.reps: list[Perm | None] = [None] * len(one)
+        self.invs: list[Perm | None] = [None] * len(one)
+        self.reps[beta] = self.invs[beta] = one
 
     def add_generator(self, g: Perm):
         """Add g and extend the orbit; returns an iterator over the
@@ -209,22 +209,23 @@ class StabChain:
     """A subgroup of a level quotient: a deterministic stabilizer chain
     with exact order and membership sifting.
 
-    `gens` lists the generators that enlarged the group, in the order they
-    arrived; given conjugators, the group is the normal closure of `gens`
-    under them.  Level i holds the orbit of its base point under its own
-    generators; the group at level i + 1 is the stabilizer of that point in
-    the group at level i.
+    `gens` lists, as tuples, the generators that enlarged the group, in the
+    order they arrived; given conjugators, the group is the normal closure
+    of `gens` under them.  Level i holds the orbit of its base point under
+    its own generators; the group at level i + 1 is the stabilizer of that
+    point in the group at level i.
     """
 
     def __init__(self, npoints: int, gens, conjugators=(), degree: int | None = None):
         self.npoints, self.degree = npoints, degree
-        self.identity = tuple(range(npoints))
-        self.gens: list[Perm] = []
+        self.identity, self._perm = tuple(range(npoints)), _perm_type(npoints)
+        self._one = self._perm(self.identity)
+        self.gens: list[tuple[int, ...]] = []
         self.levels: list[_Orbit] = []
         for g in gens:
             self.add(g)
-        conjugators = [(s, perm_inverse(s)) for s in conjugators]
-        for g in self.gens:  # grows while it is walked: the normal closure
+        conjugators = [(s, perm_inverse(s)) for s in map(self._perm, conjugators)]
+        for g in map(self._perm, self.gens):  # grows while it is walked: the normal closure
             for s, s_inv in conjugators:
                 self.add(compose(s, compose(g, s_inv)))
 
@@ -234,11 +235,11 @@ class StabChain:
         New Schreier generators are worked off depth first on an explicit
         stack, so each is sifted only through levels that are complete.
         """
-        g = tuple(g)
+        g = self._perm(g)
         stack: list = []
         if not self._absorb(g, 0, stack):
             return False
-        self.gens.append(g)
+        self.gens.append(tuple(g))
         while stack:
             i, pending = stack[-1]
             s = next(pending, None)
@@ -251,11 +252,11 @@ class StabChain:
     def _absorb(self, p: Perm, i: int, stack: list) -> bool:
         """Sift p from level i; a nontrivial residue becomes a generator there."""
         p = self._sift(p, i)
-        if p == self.identity:
+        if p == self._one:
             return False
         if i == len(self.levels):
             beta = next(u for u, x in enumerate(p) if x != u)  # the smallest moved point
-            self.levels.append(_Orbit(beta, self.npoints))
+            self.levels.append(_Orbit(beta, self._one))
         stack.append((i, self.levels[i].add_generator(p)))
         return True
 
@@ -278,8 +279,8 @@ class StabChain:
             return StabChain(self.degree**level, images).order()
         return math.prod(len(lvl.points) for lvl in self.levels)
 
-    def contains(self, p: Perm) -> bool:
-        return self._sift(tuple(p), 0) == self.identity
+    def contains(self, p) -> bool:
+        return self._sift(self._perm(p), 0) == self._one
 
     def base(self) -> list[int]:
         return [lvl.beta for lvl in self.levels]
@@ -438,8 +439,7 @@ def _level_image(preset: GroupPreset, n: int, perms, conjugators=None):
     64, so that a sum of two digits fits a byte, gets a LayeredGroup, any
     other preset a StabChain."""
     p = preset.degree
-    rotations = {tuple((x + c) % p for x in range(p)) for c in range(p)}
-    if p < 64 and _is_prime(p) and all(g.root_perm in rotations for g in preset.generators):
+    if p < 64 and preset.is_p_preset:
         return LayeredGroup(p, n, perms, conjugators)
     return StabChain(p**n, perms, conjugators or (), p)
 
@@ -450,8 +450,10 @@ def image_subgroup(words, n: int, conjugators=None):
     words = list(words)
     if not words:
         raise ValueError("image_subgroup needs at least one word (may be identity)")
-    _check_level(words[0].preset, n)
-    return _level_image(words[0].preset, n, [word_perm(w, n) for w in words], conjugators)
+    preset = words[0].preset
+    _check_level(preset, n)
+    letters, npoints = _letters(preset, n), preset.degree**n
+    return _level_image(preset, n, [_factors_perm(letters, w.factors, npoints) for w in words], conjugators)
 
 
 def _check_points(preset: GroupPreset, n: int):
@@ -481,10 +483,7 @@ def subgroup_index_in_quotient(words, n: int) -> int:
     words = list(words)
     if not words:
         raise ValueError("need a preset context; pass the identity word for the trivial subgroup")
-    preset = words[0].preset
-    full = quotient_order(preset, n)
-    sub = image_subgroup(words, n).order()
-    q, r = divmod(full, sub)
+    q, r = divmod(quotient_order(words[0].preset, n), image_subgroup(words, n).order())
     if r:
         raise AssertionError("subgroup order does not divide group order")
     return q

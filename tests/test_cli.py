@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from branchgroups import construction, quotients
+from branchgroups import cli, construction, quotients
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
@@ -575,6 +575,31 @@ def test_wm_trap_ends_within_its_budget(k, budget, code):
     assert run.returncode == code
     if code == EXIT_UNDECIDED:
         assert run.stderr == f"undecided: trap base search: budget {budget} exhausted\n"
+
+
+def test_wm_trap_refuses_a_negative_k_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr(construction, "enumerate_reduced_words", lambda _: pytest.fail("searched"))
+    assert run_command(["wm", "trap", "--k", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: k must be >= 0, got -1\n"
+
+
+# The arguments each budgeted subcommand needs besides --budget.
+BUDGETED_ARGV = {
+    "elem order": ["a"], "elem identity": ["a"], "sub escape": ["--gens", "a", "--gamma", "b"],
+    "wm rist-search": ["0"], "wm trap": ["--k", "1"], "wm build": ["--q-gens", "a", "--avoid-vertex", "00"],
+    "wm conjbound": ["--gens", "a"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(BUDGETED))
+def test_a_negative_budget_is_refused_when_parsed(monkeypatch, capsys, cmd):
+    argv = [*cmd.split(), *BUDGETED_ARGV[cmd]]
+    assert build_parser().parse_args([*argv, "--budget", "0"]).budget == 0
+    monkeypatch.setattr(cli, "_resolve_preset", lambda args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        run_command([*argv, "--budget", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: argument --budget: must be >= 0, got -1\n")
 
 
 def test_wm_build_whose_rist_candidates_run_out_is_undecided(capsys):

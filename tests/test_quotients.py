@@ -506,6 +506,80 @@ def test_presets_outside_the_engine_keep_the_chain(preset, orders, profile):
     assert image_subgroup(words, 4).order(2) == image_subgroup(words, 2).order()
 
 
+def test_stab_chain_on_tuples_agrees_with_the_layered_engine(grig):
+    # Grigorchuk level 9 has 512 points, past BYTE_POINTS: the chain works on
+    # tuples.  Each subgroup is generated by two or three random conjugates
+    # of b, c or d.
+    rng = random.Random(40)
+    n, npoints = 9, 2**9
+
+    def conjugate():
+        u = random_word(grig, rng, 8)
+        return u * Word.from_str(grig, rng.choice("bcd")) * u.inverse()
+
+    for words in [[conjugate() for _ in range(k)] for k in (2, 2, 3, 3)]:
+        chain, layered = StabChain(npoints, [word_perm(w, n) for w in words]), image_subgroup(words, n)
+        assert type(chain._one) is tuple
+        assert chain.order() == layered.order()
+        for _ in range(6):
+            member = Word(grig, sum((rng.choice(words).factors for _ in range(5)), ()))
+            assert chain.contains(word_perm(member, n)) and layered.contains(word_perm(member, n))
+            x = word_perm(random_word(grig, rng, 12), n)
+            assert chain.contains(x) == layered.contains(x)
+        x = list(range(npoints))
+        rng.shuffle(x)
+        assert not chain.contains(x) and not layered.contains(x)
+
+
+@pytest.mark.parametrize("spec", [HANOI, RANDOM_DEGREE_3], ids=["hanoi", "random-degree-3"])
+def test_stab_chain_on_bytes_matches_closure(spec):
+    # Level 2 has 9 points: the chain works on bytes, and the closure of the
+    # generator images is the oracle, for the whole quotient and for
+    # subgroups of two random words.
+    preset = preset_from_dict(spec)
+    rng = random.Random(41)
+    n, npoints = 2, 9
+    groups = [(full_level_group(preset, n), [word_perm(Word.generator(preset, g), n) for g in preset.gen_names])]
+    for _ in range(4):
+        words = [_random_letters_word(preset, rng, 5) for _ in range(2)]
+        groups.append((image_subgroup(words, n), [word_perm(w, n) for w in words]))
+    for chain, gens in groups:
+        assert isinstance(chain, StabChain) and type(chain._one) is bytes
+        closure = brute_closure(gens, npoints)
+        assert chain.order() == len(closure)
+        assert all(chain.contains(x) for x in closure)
+        for _ in range(100):
+            x = list(range(npoints))
+            rng.shuffle(x)
+            assert chain.contains(x) == (tuple(x) in closure)
+
+
+@pytest.mark.parametrize("spec", ["grigorchuk", "gupta-sidki", "ggs:4:1,0,0", HANOI],
+                         ids=["grig", "gs", "ggs4", "hanoi"])
+def test_the_engine_is_chosen_once_per_preset(monkeypatch, spec):
+    # The engine fact lives on the preset: computed on the first image, read
+    # by every later one, and dropped with the preset.
+    import gc
+    import weakref
+
+    from branchgroups import presets
+
+    checked = []
+    fact = vars(presets.GroupPreset)["is_p_preset"]
+    monkeypatch.setattr(fact, "func", lambda preset, func=fact.func: checked.append(preset.degree) or func(preset))
+    preset = builtin_preset(spec) if isinstance(spec, str) else preset_from_dict(spec)
+    rng = random.Random(42)
+    for _ in range(30):
+        words = [_random_letters_word(preset, rng, 6) for _ in range(rng.randrange(1, 3))]
+        image_subgroup(words, rng.randrange(4))
+    assert checked == [preset.degree]
+    assert all(isinstance(key, int) for key in preset._perm_cache)
+    dropped = weakref.ref(preset)
+    del preset, words
+    gc.collect()
+    assert dropped() is None
+
+
 def test_quotient_order_takes_the_generator_images_as_they_are(monkeypatch):
     # The level-n generator images are permutations already: a quotient
     # order builds no word and no word image, on the layered engine and on

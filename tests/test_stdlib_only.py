@@ -4,6 +4,7 @@ starts without the heavy standard modules."""
 import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,14 @@ def test_library_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml's requires-python; a newer construct would break that interpreter.
+    pyproject = Path(branchgroups.__file__).parents[2] / "pyproject.toml"
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject.read_text()).groups()
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(int(major), int(minor)))
 
 
 def _fresh_imports(statement: str, *names: str) -> list[str]:
