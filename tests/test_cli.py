@@ -962,7 +962,11 @@ PORTRAIT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("preset, word, depth, text_sha, json_sha", PORTRAIT_DIGESTS)
+@pytest.mark.parametrize(
+    "preset, word, depth, text_sha, json_sha",
+    PORTRAIT_DIGESTS,
+    ids=[f"{p}-{w}-{d}" for p, w, d, *_ in PORTRAIT_DIGESTS],
+)
 def test_elem_portrait_output_is_pinned(capsys, preset, word, depth, text_sha, json_sha):
     for fmt, want in (("text", text_sha), ("json", json_sha)):
         argv = ["elem", "portrait", "--preset", preset, "--format", fmt, "--depth", str(depth), word]
