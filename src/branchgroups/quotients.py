@@ -30,8 +30,7 @@ lower level image.  Any other preset gets a `StabChain`, built by
 incremental Schreier-Sims (ibid., ch. 4): each level keeps its orbit and
 the coset representatives with their inverses, so a sift costs one
 product per level, and a new generator sifts only the Schreier generators
-of its new (point, generator) pairs.  Both are deterministic, and both
-build the normal closure under given conjugators.
+of its new (point, generator) pairs.  Both are deterministic.
 
 Level-transitivity is one orbit walk from the vertex 0...0, with no group.
 Every quotient level, word image level and depth of a fixed-tree walk is
@@ -210,13 +209,12 @@ class StabChain:
     with exact order and membership sifting.
 
     `gens` lists, as tuples, the generators that enlarged the group, in the
-    order they arrived; given conjugators, the group is the normal closure
-    of `gens` under them.  Level i holds the orbit of its base point under
+    order they arrived.  Level i holds the orbit of its base point under
     its own generators; the group at level i + 1 is the stabilizer of that
     point in the group at level i.
     """
 
-    def __init__(self, npoints: int, gens, conjugators=(), degree: int | None = None):
+    def __init__(self, npoints: int, gens, degree: int | None = None):
         self.npoints, self.degree = npoints, degree
         self.identity, self._perm = tuple(range(npoints)), _perm_type(npoints)
         self._one = self._perm(self.identity)
@@ -224,10 +222,6 @@ class StabChain:
         self.levels: list[_Orbit] = []
         for g in gens:
             self.add(g)
-        conjugators = [(s, perm_inverse(s)) for s in map(self._perm, conjugators)]
-        for g in map(self._perm, self.gens):  # grows while it is walked: the normal closure
-            for s, s_inv in conjugators:
-                self.add(compose(s, compose(g, s_inv)))
 
     def add(self, g) -> bool:
         """Extend the group by g; False if g was already a member.
@@ -316,20 +310,18 @@ class LayeredGroup:
     layer n-1, where conjugation only permutes digits, keeps the multiples
     of digit vectors packed a byte per vertex in an int.  A new basis
     element queues its p-th power, its commutators within its layer and its
-    conjugates by the conjugators: the generators that enlarged the group,
-    or for a normal closure the ambient group's generators.  On bytes, the
+    conjugates by the generators that enlarged the group.  On bytes, the
     layer check, the last-layer digits and the row multiples are each one
     translate, through tables built on first use and shared by every group.
     """
 
-    def __init__(self, p: int, n: int, gens, conjugators=None):
+    def __init__(self, p: int, n: int, gens):
         self.p, self.n, self.gens = p, n, []
         (self.identity, self._one, self._perm, self._width, layers, self._div, self._rotations, self._mod,
          self._bias, self._guard) = _layout(p, n)
         self._layers = [(*layer, []) for layer in layers]  # each layer's basis joins its tables
         self._vectors: dict[int, list[int]] = {}  # last layer: pivot -> multiples
-        self._normal = conjugators is not None
-        self._conj = [[self._perm(s)] for s in conjugators or ()]
+        self._conj: list[list] = []  # the generators that enlarged the group, as conjugators
         for g in gens:
             self.add(g)
 
@@ -341,11 +333,10 @@ class LayeredGroup:
             return False
         self.gens.append(tuple(g))
         work: list = []
-        if not self._normal:  # the basis so far meets a new conjugator
-            self._conj.append([g])
-            old = [(j, row[0]) for j, (*_, rows) in enumerate(self._layers) if j for _, row in rows]
-            for j, y in old + [(self.n - 1, row[1]) for row in self._vectors.values()]:
-                work += self._conjugates(j, y, self._conj[-1:])
+        self._conj.append([g])  # the basis so far meets a new conjugator
+        old = [(j, row[0]) for j, (*_, rows) in enumerate(self._layers) if j for _, row in rows]
+        for j, y in old + [(self.n - 1, row[1]) for row in self._vectors.values()]:
+            work += self._conjugates(j, y, self._conj[-1:])
         self._insert(k, x, work)
         while work:
             k, x = self._sift(*work.pop())
@@ -417,7 +408,7 @@ class LayeredGroup:
         powers = [x, *accumulate(repeat(perm_inverse(x), p - 1), compose)]
         new = [compose(compose(x, y), compose(powers[1], y_inv)) for _, (y, y_inv, *_) in basis]
         work += [(k + 1, y) for y in [power(x, p, compose), *new] if y != self._one]
-        if k or self._normal:  # a subgroup normalizes itself: layer 0 needs no conjugates
+        if k:  # a subgroup normalizes itself: layer 0 needs no conjugates
             work += self._conjugates(k, x, self._conj)
         insort(basis, (j, powers))
 
@@ -433,27 +424,25 @@ class LayeredGroup:
         return self.order() == other.order() and all(self.contains(g) for g in other.gens)
 
 
-def _level_image(preset: GroupPreset, n: int, perms, conjugators=None):
-    """The level-n subgroup generated by the permutations, or their normal
-    closure under the conjugators.  A p-preset whose prime degree is below
-    64, so that a sum of two digits fits a byte, gets a LayeredGroup, any
-    other preset a StabChain."""
+def _level_image(preset: GroupPreset, n: int, perms):
+    """The level-n subgroup generated by the permutations.  A p-preset whose
+    prime degree is below 64, so that a sum of two digits fits a byte, gets
+    a LayeredGroup, any other preset a StabChain."""
     p = preset.degree
     if p < 64 and preset.is_p_preset:
-        return LayeredGroup(p, n, perms, conjugators)
-    return StabChain(p**n, perms, conjugators or (), p)
+        return LayeredGroup(p, n, perms)
+    return StabChain(p**n, perms, p)
 
 
-def image_subgroup(words, n: int, conjugators=None):
-    """Level-n image subgroup generated by the given words, or their normal
-    closure under the conjugators (level-n permutations)."""
+def image_subgroup(words, n: int):
+    """Level-n image subgroup generated by the given words."""
     words = list(words)
     if not words:
         raise ValueError("image_subgroup needs at least one word (may be identity)")
     preset = words[0].preset
     _check_level(preset, n)
     letters, npoints = _letters(preset, n), preset.degree**n
-    return _level_image(preset, n, [_factors_perm(letters, w.factors, npoints) for w in words], conjugators)
+    return _level_image(preset, n, [_factors_perm(letters, w.factors, npoints) for w in words])
 
 
 def _check_points(preset: GroupPreset, n: int):

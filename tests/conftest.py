@@ -9,6 +9,7 @@ from branchgroups.presets import (
     gupta_sidki_preset,
     preset_from_dict,
 )
+from branchgroups.quotients import StabChain, compose, perm_inverse
 
 # Property tests replay the same examples on every run.
 settings.register_profile("replay", derandomize=True, deadline=None)
@@ -101,3 +102,21 @@ def random_word(preset, rng, max_len=20):
     letters = [(g, 1) for g in names]
     factors = tuple(rng.choice(letters) for _ in range(rng.randrange(max_len + 1)))
     return Word(preset, factors)
+
+
+def normal_closure(seed, group_gens, npoints):
+    """The normal closure of the permutations seed inside <group_gens>, grown
+    conjugate by conjugate on a stabilizer chain: an oracle independent of
+    the engines' own closure."""
+    ncl = StabChain(npoints, seed)
+    frontier = list(ncl.gens)
+    conjugators = [(h, perm_inverse(h)) for h in group_gens]
+    while frontier:
+        nxt = []
+        for h, h_inv in conjugators:
+            for g in frontier:
+                c = compose(h, compose(g, h_inv))
+                if ncl.add(c):
+                    nxt.append(c)
+        frontier = nxt
+    return ncl

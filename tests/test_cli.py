@@ -662,8 +662,7 @@ def _tampered(data, **stage_changes):
          "[FAIL] stage-2-subtrees-fixed: b a b a b a b a b a b a b a c a b a b a b a b a b a b a b a c a"
          " acts nontrivially below 010"),
         (("w", 0, "d"), "[FAIL] stage-2-subtrees-fixed: a d a acts nontrivially below 011"),
-        (("w", 1, "a"),
-         "[FAIL] normal-closure-equality: verified at level 6: |ncl| = 512, |H meet Stab(2)| = 256"),
+        (("w", 1, "a"), "[FAIL] normal-closure-equality: w_2 moves level 2, so ncl is not inside Stab(2)"),
     ],
 )
 def test_validate_tampered_details_pinned(capsys, tmp_path, reference_certificate, tamper, line):
@@ -673,9 +672,24 @@ def test_validate_tampered_details_pinned(capsys, tmp_path, reference_certificat
     assert line in lines
 
 
+def test_validate_q_meeting_the_stabilizer_fails_normal_closure(capsys, tmp_path, reference_certificate):
+    # Every w_i still fixes level 2, but Q = <a, d> meets Stab(2): H meet
+    # Stab(2) = ncl (Q meet Stab(2)) is then larger than ncl.
+    data = dict(reference_certificate, q_generators=["a", "d"])
+    code, lines = _validate_lines(capsys, tmp_path, data)
+    assert code == EXIT_FALSE
+    assert "[FAIL] q-meets-stabilizer-trivially: checked at k1 = 2" in lines
+    assert lines[-2:] == [
+        "[FAIL] normal-closure-equality: Q meets Stab(2) in a d a, "
+        "so H meet Stab(2) = ncl (Q meet Stab(2)) may exceed ncl",
+        "failed",
+    ]
+
+
 def test_validate_normal_closure_line_pinned(capsys, tmp_path, reference_certificate):
     assert _validate_lines(capsys, tmp_path, reference_certificate)[1][-2] == (
-        "[ok] normal-closure-equality: verified at level 6: |ncl| = 4096, |H meet Stab(2)| = 4096"
+        "[ok] normal-closure-equality: w_1..w_3 fix level 2 and Q meets Stab(2) trivially, "
+        "so H meet Stab(2) = ncl (Q meet Stab(2)) = ncl by Dedekind's law"
     )
     first = dict(reference_certificate)
     first["stages"] = first["stages"][:1]
@@ -683,7 +697,8 @@ def test_validate_normal_closure_line_pinned(capsys, tmp_path, reference_certifi
     code, lines = _validate_lines(capsys, tmp_path, first)
     assert code == EXIT_OK
     assert lines[-2] == (
-        "[ok] normal-closure-equality: verified at level 6: |ncl| = 16, |H meet Stab(2)| = 16"
+        "[ok] normal-closure-equality: w_1..w_1 fix level 2 and Q meets Stab(2) trivially, "
+        "so H meet Stab(2) = ncl (Q meet Stab(2)) = ncl by Dedekind's law"
     )
     shallow = dict(reference_certificate, verification_level=1)
     code, lines = _validate_lines(capsys, tmp_path, shallow)
@@ -692,7 +707,8 @@ def test_validate_normal_closure_line_pinned(capsys, tmp_path, reference_certifi
         "[ok] stage-3-subtrees-fixed: Q-conjugates of w_1..w_3 act trivially on the subtrees at Q(u_3)"
     ) in lines
     assert lines[-2] == (
-        "[ok] normal-closure-equality: verified at level 1: |ncl| = 1, |H meet Stab(2)| = 1"
+        "[ok] normal-closure-equality: w_1..w_3 fix level 2 and Q meets Stab(2) trivially, "
+        "so H meet Stab(2) = ncl (Q meet Stab(2)) = ncl by Dedekind's law"
     )
 
 
@@ -718,7 +734,8 @@ def test_validate_gupta_sidki_normal_closure_pinned(capsys, tmp_path):
     code, lines = _validate_lines(capsys, tmp_path, json.loads(path.read_text()), "gupta-sidki")
     assert code == EXIT_OK
     assert lines[-2] == (
-        "[ok] normal-closure-equality: verified at level 4: |ncl| = 27, |H meet Stab(2)| = 27"
+        "[ok] normal-closure-equality: w_1..w_1 fix level 2 and Q meets Stab(2) trivially, "
+        "so H meet Stab(2) = ncl (Q meet Stab(2)) = ncl by Dedekind's law"
     )
 
 
@@ -1049,8 +1066,8 @@ def test_wm_build_default_level_follows_the_stages(capsys, tmp_path):
 
 
 def test_wm_build_hanoi_certificate_is_pinned_and_validates(capsys, tmp_path):
-    # One stage at level 4 with a 10-letter word; its normal-closure clause
-    # runs on the stabilizer chain, since Hanoi is not a p-preset.
+    # One stage at level 4 with a 10-letter word, validated in a new process;
+    # no clause builds a level image, so Hanoi, no p-preset, needs no StabChain.
     preset = tmp_path / "hanoi.json"
     preset.write_text(json.dumps(HANOI))
     code, path = _build_to_file(capsys, tmp_path, str(preset), ["a"], ["2"], [])
@@ -1068,8 +1085,8 @@ def test_wm_build_hanoi_certificate_is_pinned_and_validates(capsys, tmp_path):
     )
     assert (run.returncode, run.stderr) == (EXIT_OK, "")
     assert run.stdout.splitlines()[-2:] == [
-        "[ok] normal-closure-equality: verified at level 4: |ncl| = 408146688, "
-        "|H meet Stab(1)| = 408146688",
+        "[ok] normal-closure-equality: w_1..w_1 fix level 1 and Q meets Stab(1) trivially, "
+        "so H meet Stab(1) = ncl (Q meet Stab(1)) = ncl by Dedekind's law",
         "passed",
     ]
 

@@ -20,11 +20,12 @@ from branchgroups.construction import (
     trap_subgroup,
     validate_certificate,
 )
-from branchgroups.presets import grigorchuk_preset, preset_from_dict
+from branchgroups.presets import builtin_preset, grigorchuk_preset, preset_from_dict
+from branchgroups.quotients import LayeredGroup, StabChain, image_subgroup, word_perm
 from branchgroups.subgroups import SubgroupHandle, in_rigid_stabilizer, minimal_non_fixing_level
 from branchgroups.tree import level_vertices, parse_vertex
 from branchgroups.words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word
-from conftest import DOUBLING, RANDOM_DEGREE_3
+from conftest import DOUBLING, HANOI, RANDOM_DEGREE_3, normal_closure
 
 
 def Q_a(preset):
@@ -202,15 +203,68 @@ def test_certificate_validates(grig_cert):
     assert report.verification_level >= 4
 
 
-def test_certificate_validation_asks_no_handle_for_membership(grig_cert, monkeypatch):
-    # Avoidance reads the vertex each label names; no handle sifts, builds a
-    # level image or walks a fixed tree.
-    preset, cert = grig_cert
+@pytest.fixture(scope="module")
+def hanoi_cert():
+    preset = preset_from_dict(HANOI)
+    return preset, build_certificate(Q_a(preset), [(2,)])
+
+
+def test_certificate_validation_asks_no_handle_for_membership(grig_cert, hanoi_cert, monkeypatch):
+    # Avoidance reads the vertex each label names, and normal-closure
+    # equality follows from exact clauses: no handle sifts, builds a level
+    # image or walks a fixed tree, and no level image is built at all, past
+    # the word_perm buckets of finite_subgroup_elements.  Hanoi is no
+    # p-preset, so a level image of it would be a StabChain.
     calls = []
     for name in ("contains_at_level", "image", "fixed_points"):
         monkeypatch.setattr(SubgroupHandle, name, lambda *args, _name=name: calls.append(_name))
-    assert validate_certificate(cert, preset).passed
+    for cls in (StabChain, LayeredGroup):
+        def recording(self, *args, _name=cls.__name__, _init=cls.__init__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    for preset, cert in (grig_cert, hanoi_cert):
+        assert validate_certificate(cert, preset).passed
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def gs_cert():
+    preset = builtin_preset("gupta-sidki")
+    return preset, build_certificate(Q_a(preset), [(0,)], rist_budget=4000)
+
+
+# name -> (certificate fixture, change to the certificate, |ncl|, whether it is |H_m meet Stab(k1)|)
+NORMAL_CLOSURE_CASES = {
+    "reference": ("grig_cert", lambda G, c: c, 4096, True),
+    "first-stage": ("grig_cert", lambda G, c: _tampered(c, stages=c.stages[:1], avoid=c.avoid[:1]), 16, True),
+    "gupta-sidki": ("gs_cert", lambda G, c: c, 27, True),
+    "hanoi": ("hanoi_cert", lambda G, c: c, 408146688, True),
+    "q-a-d": ("grig_cert", lambda G, c: _tampered(c, q_generators=(*c.q_generators, Word.from_str(G, "d"))),
+              65536, False),
+}
+
+
+@pytest.mark.parametrize("name", NORMAL_CLOSURE_CASES)
+def test_normal_closure_equality_holds_in_the_level_quotient(name, request):
+    # The identity normal-closure-equality takes from Dedekind's law, seen in
+    # the level-m quotient, m = max(n, k1): the normal closure of the w_i
+    # under H_m's generators, grown by the oracle, has the order of
+    # H_m meet Stab(k1), |H_m| / |H_k1|.  The reference stages under
+    # Q = <a, d>, which meets Stab(2) in (a d)^2 = (b, b), fall short, and
+    # the clause fails with q-meets-stabilizer-trivially.
+    which, change, ncl_order, equal = NORMAL_CLOSURE_CASES[name]
+    preset, cert = request.getfixturevalue(which)
+    cert = change(preset, cert)
+    k1 = cert.stages[0].k
+    m = max(cert.verification_level, k1)
+    h_m = image_subgroup(list(cert.q_generators) + [s.w for s in cert.stages], m)
+    ncl = normal_closure([word_perm(s.w, m) for s in cert.stages], h_m.gens, preset.degree**m)
+    assert ncl.order() == ncl_order
+    assert (ncl.order() == h_m.order() // h_m.order(k1)) is equal
+    clauses = {c.name: c.passed for c in validate_certificate(cert, preset).clauses}
+    assert clauses["normal-closure-equality"] is clauses["q-meets-stabilizer-trivially"] is equal
 
 
 def test_certificate_json_round_trip(grig_cert):

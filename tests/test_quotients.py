@@ -378,23 +378,6 @@ def test_orbit_transversal_reaches_every_orbit_vertex(grig, gs):
         assert orbit_transversal(preset, v, until=u)[u] == reps[u]
 
 
-def _normal_closure(seed, group_gens, npoints):
-    """The normal closure of seed inside <group_gens>, grown conjugate by
-    conjugate on a chain: the oracle for the normal closures below."""
-    ncl = StabChain(npoints, seed)
-    frontier = list(ncl.gens)
-    conjugators = [(h, perm_inverse(h)) for h in group_gens]
-    while frontier:
-        nxt = []
-        for h, h_inv in conjugators:
-            for g in frontier:
-                c = compose(h, compose(g, h_inv))
-                if ncl.add(c):
-                    nxt.append(c)
-        frontier = nxt
-    return ncl
-
-
 P_PRESETS = [
     ("grigorchuk", 5),
     ("gupta-sidki", 3),
@@ -411,7 +394,6 @@ def test_layered_group_agrees_with_the_chain(name, top):
     rng = random.Random(17)
     for n in range(1, top + 1):
         npoints = p**n
-        ambient = [word_perm(Word.generator(preset, g), n) for g in preset.gen_names]
         assert isinstance(full_level_group(preset, n), LayeredGroup)
         for _ in range(10):
             words = [_random_letters_word(preset, rng, 6) for _ in range(rng.randrange(1, 4))]
@@ -431,9 +413,6 @@ def test_layered_group_agrees_with_the_chain(name, top):
                 x = list(range(npoints))
                 rng.shuffle(x)
                 assert layered.contains(x) == chain.contains(tuple(x))
-            ncl = image_subgroup(words, n, conjugators=ambient)
-            assert isinstance(ncl, LayeredGroup)
-            assert ncl.order() == _normal_closure(perms, ambient, npoints).order()
 
 
 @pytest.mark.parametrize(
