@@ -122,8 +122,8 @@ class GroupPreset:
         return p > 1 and all(p % k for k in range(2, isqrt(p) + 1)) and all(
             g.root_perm == tuple((x + g.root_perm[0]) % p for x in range(p)) for g in self.generators)
 
-    # Mutable memo tables, shared by the element engine.  Keys are canonical
-    # factor tuples, so concurrent repopulation is idempotent.
+    # Mutable memo tables, shared by the element engine.  The section cache
+    # is the node table (`words.Node`); the order memo is keyed by its nodes.
     @cached_property
     def _section_cache(self) -> dict:
         return {}

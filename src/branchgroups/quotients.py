@@ -104,9 +104,9 @@ def perm_inverse(p: Perm) -> Perm:
 def _letters(preset: GroupPreset, n: int) -> "_Letters":
     """The level-n letter table, kept on the preset; its generator images are
     built on first read by the wreath recursion: the vertex x v goes to
-    root(x) g|_x(v), so the block of x is the section's level-(n-1) image (a
-    one-letter section's is that letter's entry) moved to block root(x), by
-    a translate through a shift table, past BYTE_POINTS points by offsets."""
+    root(x) g|_x(v), so the block of x is the reduced section's level-(n-1)
+    image (a one-letter section's is its letter's entry) moved to block
+    root(x), by a shift-table translate, past BYTE_POINTS points by offsets."""
     tables = preset._perm_cache
     if n in tables:
         return tables[n]
@@ -117,7 +117,8 @@ def _letters(preset: GroupPreset, n: int) -> "_Letters":
         below, block = _letters(preset, n - 1), preset.degree ** (n - 1)
         for gen in preset.generators:
             blocks = [(gen.root_perm[x] * block, below[s[0]] if len(s) == 1 and abs(s[0][1]) == 1
-                       else _factors_perm(below, s, block)) for x, s in enumerate(gen.sections)]
+                       else _factors_perm(below, s and preset.reduce(s), block))
+                      for x, s in enumerate(gen.sections)]
             if _perm_type(block * preset.degree) is bytes:
                 img = b"".join([q.translate(_byte_table(1, 1, BYTE_POINTS, off)) for off, q in blocks])
             else:

@@ -27,7 +27,7 @@ from .presets import GroupPreset
 from .quotients import LEVEL_CAP, _check_level, _letters, _level_image, _perm_type, compose
 from .quotients import full_level_group, image_subgroup, word_perm
 from .tree import Vertex, format_vertex, level_vertices
-from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, expand_factors, is_identity_factors
+from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, is_identity_factors, node_of
 
 
 class NotInLevelStabilizerError(ValueError):
@@ -118,11 +118,11 @@ class FixedTree:
 
 def _fixed_children(preset: GroupPreset, sections):
     """(x, the distinct nontrivial sections at x) for each child x that
-    every given section fixes at the root, read from the cached tables."""
-    records = [expand_factors(preset, f) for f in sections]
+    every given section fixes at the root, read from the node table."""
+    nodes = [node_of(preset, f) for f in sections]
     for x in range(preset.degree):
-        if all(perm[x] == x for perm, _ in records):
-            yield x, frozenset(secs[x] for _, secs in records) - {()}
+        if all(node.perm[x] == x for node in nodes):
+            yield x, frozenset(node.sections[x] for node in nodes) - {()}
 
 
 def fixed_levels(words, depth: int):

@@ -5,12 +5,12 @@ section rule (gh)_v = g_{h(v)} h_v.  Under this convention the Grigorchuk
 recursion reads b = (a, c), c = (a, d), d = (1, b) exactly as constructed
 by the preset.
 
-Every walk over the tree, the image of a vertex and the root permutation
-included, reads the first-level expansion of a reduced word: its root
-permutation and d reduced first-level sections, cached per word.  It looks
-the word's letters up once in a per-letter table, right to left, and then
-walks each start point through those records on its own.  Rigid
-stabilizers and level-n sections read `Word.level_sections`.
+The sections of a word form a graph, held by the preset's node table: one
+`Node` per expanded reduced word, with its root permutation, d reduced
+section words and child nodes.  Expanding a word looks its letters up once
+in a per-letter table, right to left, then walks each start point through
+those records on its own.  Walks step from node to child by reference and
+key their dicts by node.  Level-n sections are read by `Word.level_sections`.
 
 The word problem and level stabilizers share one depth-first walk over a
 word's distinct iterated sections, `is_identity_factors`: an element is
@@ -60,6 +60,8 @@ def power(x, m: int, mul):
     """x^m for m >= 1 by repeated squaring; x itself when m = 1.  The
     power so far is multiplied by a square as mul(power, square), so mul
     fixes the order of the factors."""
+    if m < 1:
+        raise ValueError(f"power needs an exponent >= 1, got {m}")
     out = None
     while True:
         if m & 1:
@@ -94,34 +96,53 @@ def _letter(preset: GroupPreset, factor) -> tuple[tuple[int, ...], tuple[Factors
     return entry
 
 
+class Node:
+    """One entry of the node table: an expanded reduced word, its root
+    permutation, its d reduced first-level section words, and its child
+    nodes, each None until a walk first steps there.  Hashed by identity."""
+
+    __slots__ = ("word", "perm", "sections", "children")
+
+    def __init__(self, word: Factors, perm: tuple[int, ...], sections: tuple[Factors, ...]):
+        self.word, self.perm, self.sections, self.children = word, perm, sections, [None] * len(perm)
+
+
+def node_of(preset: GroupPreset, factors: Factors) -> Node:
+    """The node of a reduced word: a table hit, or else its expansion."""
+    return preset._section_cache.get(factors) or expand_factors(preset, factors)
+
+
+def _child(preset: GroupPreset, node: Node, x: int) -> Node:
+    """Fill node's child slot x from the table; walks read the slot first."""
+    child = node.children[x] = node_of(preset, node.sections[x])
+    return child
+
+
 def root_perm_of(preset: GroupPreset, factors: Factors) -> tuple[int, ...]:
     """The permutation induced on the first level (leftmost factor last)."""
-    return expand_factors(preset, factors)[0]
+    return node_of(preset, factors).perm
 
 
 def apply_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Vertex:
     """Image of vertex v under the word: for each letter x of v, the image
-    of x under the word's root permutation, then on to its section at x."""
-    out = []
-    for x in v:
-        perm, sections = expand_factors(preset, factors)
-        out.append(perm[x])
-        factors = sections[x]
+    of x under the node's root permutation, then on to its child at x."""
+    if not v:
+        return ()
+    node = node_of(preset, factors)
+    out = [node.perm[v[0]]]
+    for x, y in zip(v, v[1:]):
+        node = node.children[x] or _child(preset, node, x)
+        out.append(node.perm[y])
     return tuple(out)
 
 
-def expand_factors(
-    preset: GroupPreset, factors: Factors
-) -> tuple[tuple[int, ...], tuple[Factors, ...]]:
-    """The first-level expansion of a reduced word: its root permutation and
-    its d reduced first-level sections.  The word's letter records are looked
-    up once, right to left; then each start point x is walked through them on
+def expand_factors(preset: GroupPreset, factors: Factors) -> Node:
+    """Expand a reduced word into its node: its root permutation and its d
+    reduced first-level sections.  The word's letter records are looked up
+    once, right to left; then each start point x is walked through them on
     its own, pushing the letter's reversed section at x onto x's stack and
-    moving x to its image.  Cached per word."""
-    cache = preset._section_cache
-    got = cache.get(factors)
-    if got is not None:
-        return got
+    moving x to its image.  Returns the table's node for the word, adding
+    this one if it has none; walks call it only on a table miss."""
     letters = preset._letter_cache
     records = [letters.get(f) or _letter(preset, f) for f in reversed(factors)]
     rewrite = preset._rewrite
@@ -133,21 +154,22 @@ def expand_factors(
             x = perm[x]
         points.append(x)
         sections.append(rewrite([], stack, ()))
-    entry = (tuple(points), tuple(sections))
-    cache[factors] = entry
-    return entry
+    return preset._section_cache.setdefault(factors, Node(factors, tuple(points), tuple(sections)))
 
 
 def section1(preset: GroupPreset, factors: Factors, x: int) -> Factors:
     """Section of a reduced word at first-level child x, reduced."""
-    return expand_factors(preset, factors)[1][x]
+    return node_of(preset, factors).sections[x]
 
 
 def section_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Factors:
-    """Section at an arbitrary vertex: iterated first-level sections."""
-    for x in v:
-        factors = section1(preset, factors, x)
-    return factors
+    """Section at an arbitrary vertex, stepping from node to child along v."""
+    if not v:
+        return factors
+    node = node_of(preset, factors)
+    for x in v[:-1]:
+        node = node.children[x] or _child(preset, node, x)
+    return node.sections[v[-1]]
 
 
 def is_identity_factors(
@@ -160,7 +182,7 @@ def is_identity_factors(
     first nontrivial root permutation; a section is walked again only when
     met with more levels to go.  On the whole tree the budget bounds the
     distinct sections walked, None meaning DEFAULT_IDENTITY_BUDGET; a walk
-    to a level takes no budget.
+    to a level takes no budget, and looks no section at level n up.
     """
     if level is None:
         level = math.inf
@@ -169,20 +191,21 @@ def is_identity_factors(
     else:
         budget = math.inf
     trivial_perm = tuple(range(preset.degree))
-    seen = {factors: level}
-    stack = [(factors, level)] if level > 0 else []
+    stack = [(node_of(preset, factors), level)] if level > 0 else []
+    seen = dict(stack)
     while stack:
-        f, togo = stack.pop()
-        perm, sections = expand_factors(preset, f)
-        if perm != trivial_perm:
+        node, togo = stack.pop()
+        if node.perm != trivial_perm:
             return False
         togo -= 1
-        for s in sections:
-            if s and seen.get(s, 0) < togo:
-                seen[s] = togo
-                stack.append((s, togo))
-                if len(seen) > budget:
-                    raise BudgetExhausted("is_identity", budget)
+        for x, s in enumerate(node.sections):
+            if s and togo:
+                child = node.children[x] or _child(preset, node, x)
+                if seen.get(child, 0) < togo:
+                    seen[child] = togo
+                    stack.append((child, togo))
+                    if len(seen) > budget:
+                        raise BudgetExhausted("is_identity", budget)
     return True
 
 
@@ -217,7 +240,7 @@ def order_factors(preset: GroupPreset, factors: Factors, budget: int | None = No
     if budget is None:
         budget = DEFAULT_ORDER_BUDGET
     try:
-        return _order_rec(preset, factors, 1, {}, budget, [0])[0]
+        return _order_rec(preset, node_of(preset, factors), 1, {}, budget, [0])[0]
     except RecursionError:
         raise BudgetExhausted("element_order", budget) from None
 
@@ -227,37 +250,37 @@ _NO_BACKEDGE = 1 << 60
 
 def _order_rec(
     preset: GroupPreset,
-    f: Factors,
+    node: Node,
     mult: int,
-    path: dict[Factors, tuple[int, int]],
+    path: dict[Node, tuple[int, int]],
     budget: int,
     nodes: list[int],
 ) -> tuple[int, int]:
     """One node of order_factors: returns (order contribution, shallowest
-    back-edge depth).  path maps each word on the current recursion path to
+    back-edge depth).  path maps each node on the current recursion path to
     its (depth, multiplier); nodes counts the nodes visited.  A value whose
     subtree reached back to a strict ancestor is exact only as a
     contribution to that ancestor's lcm and is not memoized.  A memoized
     value keeps the nodes its subtree was charged, and a hit charges them
     again, so the outcome does not depend on what the memo holds."""
-    if not f:
+    if not node.word:
         return 1, _NO_BACKEDGE
     cache, start = preset._order_cache, nodes[0]
-    got, cost = cache.get(f, (None, 1))
+    got, cost = cache.get(node, (None, 1))
     nodes[0] += cost
     if nodes[0] > budget:
         raise BudgetExhausted("element_order", budget)
     if got is not None:
         return got, _NO_BACKEDGE
-    hit = path.get(f)
+    hit = path.get(node)
     if hit is not None:
         depth, entry_mult = hit
         if mult == entry_mult:
             return 1, depth
-        raise InfiniteOrder(f"{preset.format_factors(f)} re-enters its order recursion")
+        raise InfiniteOrder(f"{preset.format_factors(node.word)} re-enters its order recursion")
     my_depth = len(path)
-    path[f] = (my_depth, mult)
-    perm, sections = expand_factors(preset, f)
+    path[node] = (my_depth, mult)
+    perm, sections, children = node.perm, node.sections, node.children
     result, lowest = 1, _NO_BACKEDGE
     seen = [False] * len(perm)
     try:
@@ -272,14 +295,16 @@ def _order_rec(
                 h = preset.product(sections[y], h)
                 c += 1
                 y = perm[y]
-            val, low = _order_rec(preset, h, mult * c, path, budget, nodes)
+            # A cycle of length 1 steps straight to the child node.
+            child = (children[x] or _child(preset, node, x)) if c == 1 else node_of(preset, h)
+            val, low = _order_rec(preset, child, mult * c, path, budget, nodes)
             result = math.lcm(result, c * val)
             lowest = min(lowest, low)
     finally:
-        del path[f]
+        del path[node]
     if lowest >= my_depth:
         # No dependence on a strict ancestor: the fixpoint is exact here.
-        cache[f] = result, nodes[0] - start
+        cache[node] = result, nodes[0] - start
         return result, _NO_BACKEDGE
     return result, lowest
 
@@ -324,11 +349,11 @@ def portrait_factors(preset: GroupPreset, factors: Factors, n: int) -> Portrait:
     decorations = {}
     vertices, words = [()], [factors]
     for _ in range(n):
-        # A hit skips the call: a depth-12 portrait reads 4,095 records.
-        records = [cached(f) or expand_factors(preset, f) for f in words]
-        decorations.update(zip(vertices, [perm for perm, _ in records]))
+        # A hit skips the call: a depth-12 portrait reads 4,095 nodes.
+        nodes = [cached(f) or expand_factors(preset, f) for f in words]
+        decorations.update(zip(vertices, [node.perm for node in nodes]))
         vertices = [v + (x,) for v in vertices for x in children]
-        words = [s for _, sections in records for s in sections]
+        words = [s for node in nodes for s in node.sections]
     return Portrait(depth=n, decorations=decorations)
 
 
@@ -410,15 +435,18 @@ class Word:
         preset = self.preset
         trivial = tuple(range(preset.degree))
         level = {(): self.factors} if self.factors else {}
-        for _ in range(n):
-            below = {}
-            for v, f in level.items():
-                if root_perm_of(preset, f) != trivial:
+        nodes = {(): node_of(preset, self.factors)} if level and n else {}
+        for k in range(1, n + 1):
+            level, below = {}, {}
+            for v, node in nodes.items():
+                if node.perm != trivial:
                     return None
-                for x, s in enumerate(expand_factors(preset, f)[1]):
+                for x, s in enumerate(node.sections):
                     if s:
-                        below[v + (x,)] = s
-            level = below
+                        level[v + (x,)] = s
+                        if k < n:
+                            below[v + (x,)] = node.children[x] or _child(preset, node, x)
+            nodes = below
         return level
 
     def fixes_level(self, n: int) -> bool:

@@ -495,6 +495,22 @@ def test_group_validate_lists_an_undeclared_section_symbol(tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: invalid preset: {UNDECLARED_ISSUE}\n"
 
 
+def test_zero_exponent_in_a_section_gives_the_same_quotient(tmp_path, capsys):
+    # Hanoi with a's last section written "a^0 a": level images fold the
+    # reduced section, so the order is the one of the section written "a".
+    orders = []
+    for section in ("a", "a^0 a"):
+        data = json.loads(json.dumps(HANOI))
+        data["generators"][0]["sections"][2] = section
+        path = tmp_path / "hanoi.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "group", "validate", "--preset", str(path)) == (EXIT_OK, "ok")
+        code, out = run(capsys, "quotient", "order", "--level", "3", "--preset", str(path))
+        assert code == EXIT_OK
+        orders.append(out)
+    assert orders[0] == orders[1]
+
+
 def test_group_validate_accepts_hanoi(tmp_path, capsys):
     path = tmp_path / "hanoi.json"
     path.write_text(json.dumps(HANOI))
@@ -653,17 +669,21 @@ def _tampered(data, **stage_changes):
     return data
 
 
+TAMPERED_DETAILS = [
+    (("u", 0, "00"),
+     "[FAIL] stage-1-subtrees-fixed: b a c a b a d a b a c a b a d a acts nontrivially below 00"),
+    (("u", 1, "010"),
+     "[FAIL] stage-2-subtrees-fixed: b a b a b a b a b a b a b a c a b a b a b a b a b a b a b a c a"
+     " acts nontrivially below 010"),
+    (("w", 0, "d"), "[FAIL] stage-2-subtrees-fixed: a d a acts nontrivially below 011"),
+    (("w", 1, "a"), "[FAIL] normal-closure-equality: w_2 moves level 2, so ncl is not inside Stab(2)"),
+]
+
+
+# Ids name the tampered key, stage and value, so that re-pinning a detail
+# line does not rename the test.
 @pytest.mark.parametrize(
-    "tamper, line",
-    [
-        (("u", 0, "00"),
-         "[FAIL] stage-1-subtrees-fixed: b a c a b a d a b a c a b a d a acts nontrivially below 00"),
-        (("u", 1, "010"),
-         "[FAIL] stage-2-subtrees-fixed: b a b a b a b a b a b a b a c a b a b a b a b a b a b a b a c a"
-         " acts nontrivially below 010"),
-        (("w", 0, "d"), "[FAIL] stage-2-subtrees-fixed: a d a acts nontrivially below 011"),
-        (("w", 1, "a"), "[FAIL] normal-closure-equality: w_2 moves level 2, so ncl is not inside Stab(2)"),
-    ],
+    "tamper, line", TAMPERED_DETAILS, ids=[f"{k}-{i + 1}-{v}" for (k, i, v), _ in TAMPERED_DETAILS]
 )
 def test_validate_tampered_details_pinned(capsys, tmp_path, reference_certificate, tamper, line):
     key, i, value = tamper

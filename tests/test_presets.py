@@ -296,8 +296,8 @@ def test_expansions_under_merging_rules_are_pinned():
     for text, reduced, perm, sections in MERGING_EXPANSIONS:
         factors = p.parse_word(text)
         assert p.format_factors(factors) == reduced
-        got_perm, got_sections = expand_factors(p, factors)
-        assert (got_perm, [p.format_factors(s) for s in got_sections]) == (perm, sections)
+        node = expand_factors(p, factors)
+        assert (node.perm, [p.format_factors(s) for s in node.sections]) == (perm, sections)
 
 
 @settings(max_examples=300, deadline=None)

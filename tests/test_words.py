@@ -526,14 +526,13 @@ def test_memo_tables_hold_canonical_letters(name, rng):
             w.order(budget=2000)
         except (BudgetExhausted, InfiniteOrder):
             pass
-    # An expansion record is (root permutation, first-level sections).
-    sections = [s for _, secs in preset._section_cache.values() for s in secs]
-    words = [
-        *sections,
-        *preset._section_cache,
-        *preset._order_cache,
-    ]
+    # The node table maps each expanded word to its node; the order memo
+    # is keyed by nodes of that table.
+    nodes = list(preset._section_cache.values())
+    sections = [s for node in nodes for s in node.sections]
+    words = [*sections, *preset._section_cache, *(node.word for node in nodes)]
     assert len(sections) > 30
+    assert preset._order_cache.keys() <= set(nodes)
     assert all(preset.letters[f] is f for word in words for f in word)
 
 
@@ -615,6 +614,12 @@ def test_power_matches_unit_steps(grig, gs, hanoi, rng):
                 step = preset.product(step, f)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_power_refuses_exponents_below_one(m):
+    with pytest.raises(ValueError):
+        power((1, 0), m, compose)
+
+
 def degree_one_preset():
     return GroupPreset(
         degree=1,
@@ -652,7 +657,8 @@ def expansion_words(draw):
 @given(expansion_words())
 def test_expansion_matches_root_perm_action_and_sections(w):
     preset, d = w.preset, w.preset.degree
-    perm, sections = expand_factors(preset, w.factors)
+    node = expand_factors(preset, w.factors)
+    perm, sections = node.perm, node.sections
     assert perm == root_perm_of(preset, w.factors)
     assert len(sections) == d
     for x, y in itertools.product(range(d), repeat=2):
@@ -712,7 +718,8 @@ def test_expansion_matches_section_rule_oracle(data):
     preset = ORACLE_EXPANSION_PRESETS[data.draw(st.sampled_from(sorted(ORACLE_EXPANSION_PRESETS)))]
     factor = st.tuples(st.sampled_from(preset.gen_names), st.integers(-4, 4))
     w = Word(preset, data.draw(st.lists(factor, max_size=12)))
-    assert expand_factors(preset, w.factors) == oracle_expansion(preset, w.factors)
+    node = expand_factors(preset, w.factors)
+    assert (node.perm, node.sections) == oracle_expansion(preset, w.factors)
 
 
 # -- level stabilizers by section walks ------------------------------------
@@ -820,3 +827,75 @@ def test_fixes_level_work_does_not_depend_on_string_hashing():
     assert len(counts) == 1
     (reads, expansions), = counts
     assert reads >= expansions > 0
+
+
+# is_identity, then order, on seeded random words and relator conjugates:
+# the answers, the expansions computed and the table sizes.
+WALK_WORK = """
+import random
+import branchgroups.words as words
+from branchgroups.presets import grigorchuk_preset, gupta_sidki_preset
+
+calls = [0]
+expand_factors = words.expand_factors
+
+def counted(*args):
+    calls[0] += 1
+    return expand_factors(*args)
+
+words.expand_factors = counted
+rng = random.Random(7)
+for preset, relator in ((grigorchuk_preset(), [("a", 1), ("d", 1)] * 4),
+                        (gupta_sidki_preset(), [("a", 1), ("b", 1)] * 9)):
+    r = words.Word(preset, relator)
+    answers = []
+    for _ in range(60):
+        u = words.Word(preset, [(rng.choice(preset.gen_names), rng.choice((1, -1)))
+                                for _ in range(rng.randrange(80))])
+        for w in (u, u * r * u.inverse()):
+            answer = [w.is_identity()]
+            try:
+                answer.append(w.order(budget=5000))
+            except (words.BudgetExhausted, words.InfiniteOrder) as exc:
+                answer.append(type(exc).__name__)
+            answers.append(answer)
+    print(answers, calls[0], len(preset._section_cache), len(preset._order_cache))
+"""
+
+
+def test_walk_work_does_not_depend_on_hashing():
+    # Walks key their dicts by node, hashed by identity; only insertion
+    # order and vertex order may decide what they expand, and in what order.
+    src = os.path.dirname(os.path.dirname(branchgroups.__file__))
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", WALK_WORK],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    (out,) = outputs
+    assert "True" in out and "False" in out
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "gupta-sidki", "ggs:5:1,0,0,1"])
+def test_identity_then_order_expands_each_word_once(name, rng, monkeypatch):
+    preset = builtin_preset(name)
+    calls = []
+
+    def counted(preset, factors):
+        calls.append(factors)
+        return expand_factors(preset, factors)
+
+    monkeypatch.setattr(branchgroups.words, "expand_factors", counted)
+    for _ in range(30):
+        w = Word(preset, random_factors(preset, rng, rng.randrange(60)))
+        w.is_identity()
+        try:
+            w.order(budget=2000)
+        except (BudgetExhausted, InfiniteOrder):
+            pass
+    assert len(calls) > 30
+    assert len(set(calls)) == len(calls)
