@@ -26,7 +26,7 @@ import os
 import sys
 
 from .presets import GroupPreset, _preset_from_dict, builtin_preset, load_preset, validate_preset
-from .tree import format_vertex, parse_vertex
+from .tree import _check_level, format_vertex, parse_vertex
 from .words import DEFAULT_IDENTITY_BUDGET, DEFAULT_ORDER_BUDGET, DEFAULT_SEARCH_BUDGET
 from .words import BudgetExhausted, InfiniteOrder, Word
 
@@ -200,8 +200,7 @@ def _cmd_elem(args, preset, rep) -> int:
         return EXIT_OK
     if args.cmd == "portrait":
         import json
-        from . import quotients
-        quotients._check_level(preset, args.depth)
+        _check_level(preset, args.depth)
         data = w.portrait(args.depth).to_dict()
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
         return EXIT_OK

@@ -30,8 +30,6 @@ from itertools import islice
 
 from .presets import GroupPreset
 from .quotients import (
-    LEVEL_CAP,
-    _check_level,
     _check_points,
     full_level_group,
     image_subgroup,
@@ -48,7 +46,8 @@ from .subgroups import (
     minimal_non_fixing_level,
     rist_support,
 )
-from .tree import Vertex, format_vertex, level_vertices, parse_vertex, vertex_leq
+from .tree import LEVEL_CAP, Vertex, _check_level, format_vertex, level_vertices
+from .tree import parse_vertex, vertex_leq
 from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, root_perm_of
 
 

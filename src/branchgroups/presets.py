@@ -24,6 +24,8 @@ from __future__ import annotations
 from functools import cached_property
 from math import isqrt
 
+from .tree import MAX_DEGREE
+
 Factor = tuple[str, int]
 Factors = tuple[Factor, ...]
 
@@ -403,8 +405,8 @@ def grigorchuk_preset() -> GroupPreset:
 
 def ggs_preset(d: int, E) -> GroupPreset:
     """The GGS group on the d-regular tree with defining vector E."""
-    if d < 2:
-        raise PresetError(f"GGS degree must be >= 2, got {d}")
+    if not 2 <= d <= MAX_DEGREE:
+        raise PresetError(f"GGS degree must be in 2..{MAX_DEGREE}, got {d}")
     E = tuple(int(e) % d for e in E)
     if len(E) != d - 1:
         raise PresetError(f"defining vector must have length {d - 1}, got {len(E)}")
@@ -463,6 +465,9 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
     if d < 2:
         issues.append(ValidationIssue("invalid-degree", "degree", f"degree {d} < 2"))
         return issues
+    if d > MAX_DEGREE:
+        why = f"degree {d} > {MAX_DEGREE}: vertices are one digit per letter"
+        issues.append(ValidationIssue("unsupported-degree", "degree", why))
     names = [g.name for g in preset.generators]
     if len(set(names)) != len(names):
         issues.append(

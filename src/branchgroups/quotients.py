@@ -34,7 +34,7 @@ of its new (point, generator) pairs.  Both are deterministic.
 
 Level-transitivity is one orbit walk from the vertex 0...0, with no group.
 Every quotient level, word image level and depth of a fixed-tree walk is
-checked against the fixed LEVEL_CAP before any work, so none runs past
+checked against the fixed `tree.LEVEL_CAP` before any work, so none runs past
 that level whoever calls it; a whole level image is refused, also
 before any work, past POINT_CAP level vertices.
 """
@@ -48,26 +48,14 @@ from itertools import accumulate, islice, product, repeat
 from operator import eq, floordiv, itemgetter, sub
 
 from .presets import Factors, GroupPreset
-from .tree import Vertex
+from .tree import LEVEL_CAP, LevelCapExceeded, Vertex, _check_level  # noqa: F401
 from .words import Word, power
 
 Perm = tuple[int, ...] | bytes  # bytes up to BYTE_POINTS points
 BYTE_POINTS = 256  # a point index fits in one byte up to here
 _IDENTITY_BYTES = bytes(range(BYTE_POINTS))
 
-LEVEL_CAP = 10
 POINT_CAP = 5**5  # admits Gupta-Sidki level 7 (2,187 points) and GGS degree 5 at level 5
-
-
-class LevelCapExceeded(ValueError):
-    """A level past LEVEL_CAP, or a whole level image past POINT_CAP vertices: could exhaust memory."""
-
-
-def _check_level(preset: GroupPreset, n: int):
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    if n > LEVEL_CAP and preset.degree > 1:
-        raise LevelCapExceeded(f"level {n} exceeds cap {LEVEL_CAP} for degree {preset.degree}")
 
 
 def _perm_type(npoints: int) -> type:

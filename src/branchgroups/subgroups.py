@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections import deque
 
 from .presets import GroupPreset
-from .quotients import LEVEL_CAP, _check_level, _letters, _level_image, _perm_type, compose
+from .quotients import _letters, _level_image, _perm_type, compose
 from .quotients import full_level_group, image_subgroup, word_perm
-from .tree import Vertex, format_vertex, level_vertices
+from .tree import LEVEL_CAP, Vertex, _check_level, format_vertex, level_vertices
 from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, is_identity_factors, node_of
 
 

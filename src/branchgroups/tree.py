@@ -2,7 +2,9 @@
 
 A vertex is a tuple of letters in {0, ..., d-1}; the empty tuple is the
 root.  Vertices serialize as digit strings ("" for the root, "010", ...),
-which is the form used in files, CLI arguments and JSON reports.
+which is the form used in files, CLI arguments and JSON reports, so a
+degree above MAX_DEGREE is refused.  Every tree walk, quotient level and
+portrait depth is checked against the one LEVEL_CAP before any work.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from itertools import product
 Vertex = tuple[int, ...]
 
 ROOT: Vertex = ()
+MAX_DEGREE = 10  # one digit per letter
+LEVEL_CAP = 10
 
 
 class InvalidDegreeError(ValueError):
@@ -21,6 +25,17 @@ class InvalidDegreeError(ValueError):
 def check_degree(d: int) -> None:
     if d < 2:
         raise InvalidDegreeError(f"tree degree must be >= 2, got {d}")
+
+
+class LevelCapExceeded(ValueError):
+    """A level past LEVEL_CAP, or a whole level image past quotients.POINT_CAP vertices."""
+
+
+def _check_level(preset, n: int):
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
+    if n > LEVEL_CAP and preset.degree > 1:
+        raise LevelCapExceeded(f"level {n} exceeds cap {LEVEL_CAP} for degree {preset.degree}")
 
 
 def parse_vertex(s: str, d: int | None = None) -> Vertex:
@@ -36,8 +51,8 @@ def parse_vertex(s: str, d: int | None = None) -> Vertex:
 
 
 def format_vertex(v: Vertex) -> str:
-    if any(x > 9 for x in v):
-        raise ValueError("vertex serialization requires degree <= 10")
+    if any(x >= MAX_DEGREE for x in v):
+        raise ValueError(f"vertex serialization requires degree <= {MAX_DEGREE}")
     return "".join(str(x) for x in v)
 
 

@@ -340,20 +340,20 @@ class Portrait:
 
 
 def portrait_factors(preset: GroupPreset, factors: Factors, n: int) -> Portrait:
-    """Depth-n portrait, one level at a time from the expansions of the
-    level's section words; vertices come in lexicographic order."""
+    """Depth-n portrait, one level at a time: level k + 1's nodes are read
+    from level k's child slots, starting from the word's node, and the
+    deepest level's children are never fetched; vertices come in
+    lexicographic order."""
     if n < 0:
         raise ValueError(f"portrait depth must be >= 0, got {n}")
     children = range(preset.degree)
-    cached = preset._section_cache.get
     decorations = {}
-    vertices, words = [()], [factors]
-    for _ in range(n):
-        # A hit skips the call: a depth-12 portrait reads 4,095 nodes.
-        nodes = [cached(f) or expand_factors(preset, f) for f in words]
+    vertices, nodes = [()], [node_of(preset, factors)] if n else []
+    for togo in range(n, 0, -1):
         decorations.update(zip(vertices, [node.perm for node in nodes]))
-        vertices = [v + (x,) for v in vertices for x in children]
-        words = [s for node in nodes for s in node.sections]
+        if togo > 1:
+            vertices = [v + (x,) for v in vertices for x in children]
+            nodes = [node.children[x] or _child(preset, node, x) for node in nodes for x in children]
     return Portrait(depth=n, decorations=decorations)
 
 

@@ -511,6 +511,25 @@ def test_zero_exponent_in_a_section_gives_the_same_quotient(tmp_path, capsys):
     assert orders[0] == orders[1]
 
 
+DEGREE_11 = {"degree": 11, "generators": [
+    {"name": "a", "root_perm": [(x + 1) % 11 for x in range(11)], "sections": [""] * 11},
+]}
+DEGREE_11_ISSUE = "unsupported-degree at degree: degree 11 > 10: vertices are one digit per letter"
+
+
+def test_degree_above_ten_is_refused(tmp_path, capsys):
+    # "10" would name the level-2 vertex (1, 0), not the letter 10
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(DEGREE_11))
+    assert run(capsys, "group", "validate", "--preset", str(path)) == (EXIT_FALSE, DEGREE_11_ISSUE)
+    assert run_command(["quotient", "stab", "10", "--preset", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: invalid preset: {DEGREE_11_ISSUE}\n"
+    ggs11 = "ggs:11:1" + ",0" * 9
+    for argv in (["group", "validate"], ["elem", "apply", "a", "9"]):
+        assert run_command([*argv, "--preset", ggs11]) == EXIT_USAGE
+        assert "GGS degree must be in 2..10, got 11" in capsys.readouterr().err
+
+
 def test_group_validate_accepts_hanoi(tmp_path, capsys):
     path = tmp_path / "hanoi.json"
     path.write_text(json.dumps(HANOI))

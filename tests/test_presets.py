@@ -116,6 +116,16 @@ def test_ggs_rejects_bad_vector():
         ggs_preset(1, ())
 
 
+def test_degree_above_ten_is_refused():
+    # vertices are written one digit per letter, so letter 10 has no name
+    with pytest.raises(PresetError, match=r"GGS degree must be in 2\.\.10, got 11"):
+        ggs_preset(11, (1,) + (0,) * 9)
+    assert validate_preset(ggs_preset(10, (1,) + (0,) * 8)) == []
+    cycle = tuple((x + 1) % 11 for x in range(11))
+    wide = GroupPreset(11, (GeneratorRecursion("a", cycle, ((),) * 11),), (), ())
+    assert [i.code for i in validate_preset(wide)] == ["unsupported-degree"]
+
+
 def test_validate_preset_reports_issues():
     bad = GroupPreset(
         degree=2,

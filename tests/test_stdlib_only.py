@@ -92,6 +92,13 @@ def test_package_import_loads_only_the_word_and_quotient_core():
     assert {"json", "branchgroups.quotients"} & loaded == {"json"}
 
 
+def test_elem_portrait_loads_no_quotients():
+    # its depth is checked against tree.LEVEL_CAP
+    out, loaded = _cli_imports("elem", "portrait", "a b", "--depth", "3")
+    assert '"depth": 3' in out and "branchgroups.words" in loaded
+    assert "branchgroups.quotients" not in loaded
+
+
 def test_every_exported_name_resolves():
     for name in branchgroups.__all__:
         assert getattr(branchgroups, name) is not None, name

@@ -329,6 +329,40 @@ def test_portrait_matches_action(grig, rng):
             assert port.walk(v) == g.apply(v)
 
 
+@pytest.mark.parametrize("fixture", ["grig", "gs", "ggs5", "hanoi"])
+def test_portrait_decorations_are_the_section_root_perms(fixture, request, rng):
+    # level by level, each level's vertices in lexicographic order
+    preset = request.getfixturevalue(fixture)
+    for n in range(6):
+        vertices = [v for t in range(n) for v in level_vertices(preset.degree, t)]
+        for _ in range(3):
+            w = Word(preset, random_factors(preset, rng, rng.randrange(12)))
+            decorations = w.portrait(n).decorations
+            assert list(decorations) == vertices
+            assert all(decorations[v] == w.section(v).root_perm() for v in vertices)
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "gupta-sidki", "ggs:5:1,0,0,1"])
+def test_portrait_expands_each_section_word_above_its_depth_once(name, rng, monkeypatch):
+    calls = []
+
+    def counted(preset, factors):
+        calls.append(factors)
+        return expand_factors(preset, factors)
+
+    monkeypatch.setattr(branchgroups.words, "expand_factors", counted)
+    for n in range(5):
+        preset = builtin_preset(name)
+        w = Word(preset, random_factors(preset, rng, rng.randrange(1, 30)))
+        calls.clear()
+        w.portrait(n)
+        expanded, held = list(calls), set(preset._section_cache)
+        above = {w.section(v).factors for t in range(n) for v in level_vertices(preset.degree, t)}
+        # each distinct word above level n once, none at depth 0, and the
+        # node table holds just those words
+        assert len(expanded) == len(above) and set(expanded) == above == held
+
+
 def test_portrait_trivial_iff_identity(grig, gs):
     assert Word.identity(grig).portrait(4).is_trivial()
     assert W(grig, "b c d").portrait(6).is_trivial()
