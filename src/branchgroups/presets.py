@@ -142,6 +142,13 @@ class GroupPreset:
     def _perm_cache(self) -> dict:
         return {}
 
+    # Level k's vertices in lexicographic order at index k, grown by
+    # `words.portrait_factors` to the deepest portrait asked; every portrait
+    # shares these tuples as its decoration keys.
+    @cached_property
+    def _level_vertices(self) -> list:
+        return []
+
     # -- word handling ----------------------------------------------------
 
     def reduce(self, factors) -> Factors:

@@ -322,7 +322,13 @@ class Portrait:
         return all(p == identity for p in self.decorations.values())
 
     def walk(self, v: Vertex) -> Vertex:
-        """Image of a vertex of level <= depth read off the decorations."""
+        """Image of a vertex of level <= depth read off the decorations;
+        ValueError for a deeper vertex or a letter outside the tree."""
+        if len(v) > self.depth:
+            raise ValueError(f"vertex of level {len(v)} is below the portrait's depth {self.depth}")
+        d = len(self.decorations.get((), ()))
+        if any(not 0 <= x < d for x in v):
+            raise ValueError(f"vertex {v} has a letter outside 0..{d - 1} (degree {d})")
         out = []
         prefix: Vertex = ()
         for x in v:
@@ -342,17 +348,20 @@ class Portrait:
 def portrait_factors(preset: GroupPreset, factors: Factors, n: int) -> Portrait:
     """Depth-n portrait, one level at a time: level k + 1's nodes are read
     from level k's child slots, starting from the word's node, and the
-    deepest level's children are never fetched; vertices come in
-    lexicographic order."""
+    deepest level's children are never fetched.  Each level's root
+    permutations go onto the preset's shared vertex tuples of that level,
+    which come in lexicographic order and are built once per preset."""
     if n < 0:
         raise ValueError(f"portrait depth must be >= 0, got {n}")
     children = range(preset.degree)
+    levels = preset._level_vertices
+    while len(levels) < n:
+        levels.append([v + (x,) for v in levels[-1] for x in children] if levels else [()])
     decorations = {}
-    vertices, nodes = [()], [node_of(preset, factors)] if n else []
-    for togo in range(n, 0, -1):
-        decorations.update(zip(vertices, [node.perm for node in nodes]))
-        if togo > 1:
-            vertices = [v + (x,) for v in vertices for x in children]
+    nodes = [node_of(preset, factors)] if n else []
+    for k in range(n):
+        decorations.update(zip(levels[k], [node.perm for node in nodes]))
+        if k < n - 1:
             nodes = [node.children[x] or _child(preset, node, x) for node in nodes for x in children]
     return Portrait(depth=n, decorations=decorations)
 

@@ -329,6 +329,32 @@ def test_portrait_matches_action(grig, rng):
             assert port.walk(v) == g.apply(v)
 
 
+@pytest.mark.parametrize("v, what", [((0, 1, 1), "depth 2"), ((0, 2), "degree 2"), ((-1,), "degree 2")])
+def test_portrait_walk_refuses_a_vertex_past_its_depth_or_degree(grig, v, what):
+    with pytest.raises(ValueError, match=what):
+        W(grig, "a b").portrait(2).walk(v)
+
+
+@pytest.mark.parametrize("name", ["gupta-sidki", "ggs:5:1,0,0,1"])
+def test_portraits_share_the_presets_level_vertices(name, rng):
+    preset = builtin_preset(name)
+    table = preset._level_vertices
+    assert table == []
+    u, w = (Word(preset, random_factors(preset, rng, rng.randrange(1, 12))) for _ in range(2))
+    u.portrait(0)
+    assert table == []
+    portraits = [u.portrait(3), w.portrait(2)]
+    assert table == [level_vertices(preset.degree, k) for k in range(3)]
+    for port in portraits:
+        # the same tuple objects, level by level, as the table's
+        shared = [v for level in table[: port.depth] for v in level]
+        assert len(port.decorations) == len(shared)
+        assert all(a is b for a, b in zip(port.decorations, shared))
+    w.portrait(4)
+    assert table == [level_vertices(preset.degree, k) for k in range(4)]
+    assert builtin_preset(name)._level_vertices == []
+
+
 @pytest.mark.parametrize("fixture", ["grig", "gs", "ggs5", "hanoi"])
 def test_portrait_decorations_are_the_section_root_perms(fixture, request, rng):
     # level by level, each level's vertices in lexicographic order
@@ -359,8 +385,9 @@ def test_portrait_expands_each_section_word_above_its_depth_once(name, rng, monk
         expanded, held = list(calls), set(preset._section_cache)
         above = {w.section(v).factors for t in range(n) for v in level_vertices(preset.degree, t)}
         # each distinct word above level n once, none at depth 0, and the
-        # node table holds just those words
+        # node table holds just those words: the level vertices stay apart
         assert len(expanded) == len(above) and set(expanded) == above == held
+        assert len(preset._level_vertices) == n
 
 
 def test_portrait_trivial_iff_identity(grig, gs):
