@@ -30,17 +30,17 @@ __version__ = "0.1.0"
 # the submodule is what the package hands out, and goes when it is removed.
 _LAZY = {
     **dict.fromkeys((
-        "StabChain", "full_level_group", "is_level_transitive", "point_stabilizer_words",
-        "quotient_order", "subgroup_index_in_quotient",
+        "StabChain", "conjugate_images", "full_level_group", "is_level_transitive",
+        "point_stabilizer_words", "quotient_order", "subgroup_index_in_quotient",
     ), "quotients"),
     **dict.fromkeys((
-        "NotInLevelStabilizerError", "SubgroupHandle", "conjugate_escaping", "conjugate_images",
+        "NotInLevelStabilizerError", "SubgroupHandle", "conjugate_escaping",
         "enumerate_reduced_words", "fixed_tree", "in_rigid_stabilizer",
         "index_growth_profile", "minimal_non_fixing_level", "psi_sections",
     ), "subgroups"),
     **dict.fromkeys((
         "CertificateBuildError", "WMCertificate", "build_certificate",
-        "conjugate_count_lower_bound", "fix_separation_witness", "iter_rist_elements",
+        "fix_separation_witness", "iter_rist_elements",
         "level_trap_check", "parabolic_approximation", "transporter_word",
         "trap_subgroup", "validate_certificate",
     ), "construction"),

@@ -65,9 +65,9 @@ def _resolve_preset(args) -> GroupPreset:
     return load_preset(args.preset)
 
 
-def _handle(preset: GroupPreset, texts, level=None) -> subgroups.SubgroupHandle:
+def _handle(preset: GroupPreset, texts) -> subgroups.SubgroupHandle:
     from . import subgroups
-    return subgroups.SubgroupHandle.from_strings(preset, texts, membership_level=level)
+    return subgroups.SubgroupHandle.from_strings(preset, texts)
 
 
 def _arg(*flags, **kwargs):
@@ -270,7 +270,7 @@ def _cmd_sub(args, preset, rep) -> int:
         payload = {"indices": [str(x) for x in prof]}
         rep.emit(payload, " ".join(str(x) for x in prof))
         return EXIT_OK
-    h = _handle(preset, args.gens, level=args.level)
+    h = _handle(preset, args.gens)
     gamma = Word.from_str(preset, args.gamma)
     f, visited = subgroups.conjugate_escaping(h, gamma, args.level, budget=args.budget)
     if f is None and visited < args.budget:
@@ -335,11 +335,11 @@ def _cmd_wm(args, preset, rep) -> int:
                 return EXIT_UNDECIDED
             rep.emit({"witness": t}, str(t))
             return EXIT_OK
-        h = _handle(preset, args.gens, level=args.level)
-        bound = construction.conjugate_count_lower_bound(h, args.level, budget=args.budget)
-        data = bound.to_dict()
-        data["level"] = args.level
-        rep.emit(data, str(bound.count))
+        from .quotients import conjugate_images
+        words = [Word.from_str(preset, t) for t in args.gens]
+        conjugators = [str(c) or "1" for c, _ in conjugate_images(words, args.level, args.budget)]
+        data = {"count": len(conjugators), "conjugators": conjugators, "level": args.level}
+        rep.emit(data, str(len(conjugators)))
         return EXIT_OK
     except construction.RistSearchExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)

@@ -1,14 +1,12 @@
 """Finite-stage constructions: rigid-stabilizer elements, level traps,
-staged certificates and conjugate-count bounds.
+staged certificates and fixed-tree separation.
 
 Every search here is deterministic: candidates are generated breadth-first
 from the preset's branching generators by iterated commutators with
 generator letters, and all budgets are explicit, default to
 DEFAULT_SEARCH_BUDGET as on the command line, and are recorded in the
 results, so a certificate replays to the byte.  The level trap's base word
-comes from at most `budget` words of the Cayley ball, and the
-conjugate-count bound counts the conjugates that
-`subgroups.conjugate_images` walks within its budget.
+comes from at most `budget` words of the Cayley ball.
 
 A certificate is built from Q and seed vertices alone: the avoided
 subgroups are the stabilizers of the seeds' rays, every stage's level and
@@ -39,7 +37,6 @@ from .quotients import (
 )
 from .subgroups import (
     SubgroupHandle,
-    conjugate_images,
     enumerate_reduced_words,
     first_moved_vertex,
     in_rigid_stabilizer,
@@ -56,8 +53,6 @@ class CertificateBuildError(RuntimeError):
 
     def __init__(self, stage: int, reason: str):
         super().__init__(f"stage {stage}: {reason}")
-        self.stage = stage
-        self.reason = reason
 
 
 class RistSearchExhausted(CertificateBuildError):
@@ -212,19 +207,15 @@ def iter_rist_elements(v: Vertex, preset: GroupPreset, budget: int = DEFAULT_SEA
 
 
 class TrapReport:
-    def __init__(
-        self,
-        k: int,
-        stabilizes_level: bool,
-        moving_witness: str | None,
-        no_fixed_vertex: bool,
-        fixed_witness: str | None,
-    ):
+    """A level trap check, decided by its witnesses: a generator that moves
+    level k, and a fixed vertex at level k + 1, each None when there is none."""
+
+    def __init__(self, k: int, moving_witness: str | None, fixed_witness: str | None):
         self.k = k
-        self.stabilizes_level = stabilizes_level
         self.moving_witness = moving_witness
-        self.no_fixed_vertex = no_fixed_vertex
         self.fixed_witness = fixed_witness
+        self.stabilizes_level = moving_witness is None
+        self.no_fixed_vertex = fixed_witness is None
 
     @property
     def passed(self) -> bool:
@@ -246,13 +237,7 @@ def level_trap_check(h: SubgroupHandle, k: int) -> TrapReport:
     g = next((g for g in h.generators if not g.fixes_level(k)), None)
     moving = None if g is None else f"{g} moves {format_vertex(first_moved_vertex((g,), k))}"
     fixed = h.fixed_points(k + 1)
-    return TrapReport(
-        k=k,
-        stabilizes_level=moving is None,
-        moving_witness=moving,
-        no_fixed_vertex=not fixed,
-        fixed_witness=format_vertex(fixed[0]) if fixed else None,
-    )
+    return TrapReport(k, moving, format_vertex(fixed[0]) if fixed else None)
 
 
 def trap_subgroup(
@@ -304,18 +289,20 @@ def trap_subgroup(
 
 
 # Elements are bucketed by their image at this level before the word
-# problem decides equality within a bucket.
+# problem decides equality within a bucket; a closure past the cap is
+# taken for an infinite subgroup.
 _CLOSURE_LEVEL = 4
+_CLOSURE_CAP = 256
 
 
-def finite_subgroup_elements(q: SubgroupHandle, cap: int = 256) -> list[Word]:
+def finite_subgroup_elements(q: SubgroupHandle) -> list[Word]:
     """All elements of a finite subgroup, one word each, sorted by factors.
 
     Closes the generating set under multiplication breadth first.  Reduced
     words are not a normal form, so a product is new only if the word
     problem separates it from every known element with the same level
-    image; the first word found for an element is kept.  Raises if the
-    closure exceeds the cap (infinite subgroup).
+    image; the first word found for an element is kept.  Raises ValueError
+    if the closure exceeds `_CLOSURE_CAP` elements (infinite subgroup).
     """
     preset = q.preset
     identity = Word.identity(preset)
@@ -331,8 +318,8 @@ def finite_subgroup_elements(q: SubgroupHandle, cap: int = 256) -> list[Word]:
                 bucket = buckets.setdefault(word_perm(p, _CLOSURE_LEVEL), [])
                 if any((u.inverse() * p).is_identity() for u in bucket):
                     continue
-                if len(elems) >= cap:
-                    raise ValueError(f"subgroup closure exceeds cap {cap}; not finite?")
+                if len(elems) >= _CLOSURE_CAP:
+                    raise ValueError(f"subgroup closure exceeds cap {_CLOSURE_CAP}; not finite?")
                 bucket.append(p)
                 elems.append(p)
                 nxt.append(p)
@@ -534,7 +521,10 @@ def build_certificate(
     at v, so only v_i, the level-k_i prefix of x_i, can carry an element
     escaping W_i: stage i tries the first `_CANDIDATES_PER_VERTEX` elements
     of Rist(v_i) and keeps the first that moves x_i (an exact refutation).
+    A certificate needs a stage, so no seed is a ValueError.
     """
+    if not seeds:
+        raise ValueError("a certificate needs at least one seed vertex")
     skeleton = _stage_skeleton(finite_subgroup_elements(q), seeds)
     if verification_level is None:
         stage_levels = [min(len(v) + 2, LEVEL_CAP) for v, _ in skeleton]
@@ -610,7 +600,8 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     Clause 3 (nesting and subtree fixing) is exact: g acts trivially on the
     subtree at x iff g(x) = x and g|_x = 1, a word problem whose spent
     budget raises BudgetExhausted.  A verification level past the level cap
-    raises LevelCapExceeded before any clause.
+    raises LevelCapExceeded before any clause.  Levels must increase
+    strictly from a first stage: a certificate with no stage fails.
     """
     clauses: list[ClauseResult] = []
     n = cert.verification_level
@@ -625,7 +616,7 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     add("preset-fingerprint", True, preset.fingerprint())
 
     ks = [s.k for s in cert.stages]
-    add("levels-increase", ks == sorted(ks) and len(set(ks)) == len(ks), f"k = {ks}")
+    add("levels-increase", ks != [] and ks == sorted(set(ks)), f"k = {ks}")
     add(
         "one-avoid-per-stage",
         len(cert.avoid) == len(cert.stages),
@@ -664,20 +655,13 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
             else f"w_{i} image lies in W_{i} at level {lvl}",
         )
 
-    # Clause (3): nesting of the u_i and exact subtree fixing.
+    # Clause (3): nesting of the u_i, each outside Q(v_i) and below Q(u_{i-1})
+    # (the root for u_1), and exact subtree fixing.
     for i, s in enumerate(cert.stages, start=1):
-        if i == 1:
-            add(
-                "stage-1-u-outside-Qv",
-                s.u not in _orbit_vertices(q_elems, s.v),
-                f"u_1 = {format_vertex(s.u)}",
-            )
-            continue
-        prev = cert.stages[i - 2]
-        nested = any(
-            vertex_leq(s.u, qu) for qu in _orbit_vertices(q_elems, prev.u)
-        ) and s.u not in _orbit_vertices(q_elems, s.v)
-        add(f"stage-{i}-u-nested", nested, f"u_{i} = {format_vertex(s.u)}")
+        tops = [()] if i == 1 else _orbit_vertices(q_elems, cert.stages[i - 2].u)
+        nested = s.u not in _orbit_vertices(q_elems, s.v) and any(vertex_leq(s.u, t) for t in tops)
+        name = "stage-1-u-outside-Qv" if i == 1 else f"stage-{i}-u-nested"
+        add(name, nested, f"u_{i} = {format_vertex(s.u)}")
     closure_gens: list[Word] = []  # the Q-conjugates of w_1..w_i
     for i, s in enumerate(cert.stages, start=1):
         closure_gens += [qe * s.w * qe.inverse() for qe in q_elems]
@@ -706,7 +690,7 @@ def validate_certificate(cert: WMCertificate, preset: GroupPreset) -> Certificat
     return CertificateReport(clauses=clauses, verification_level=n)
 
 
-# -- non-conjugacy and conjugate counting ---------------------------------
+# -- non-conjugacy --------------------------------------------------------
 
 
 def fix_separation_witness(h_i: SubgroupHandle, h_j: SubgroupHandle) -> int | None:
@@ -727,23 +711,3 @@ def fix_separation_witness(h_i: SubgroupHandle, h_j: SubgroupHandle) -> int | No
     if len(levels) < 2 and spent:
         raise spent
     return min(levels - {None}) if len(levels) == 2 else None
-
-
-class ConjugateBound:
-    """Distinct level-n conjugates of a subgroup: the word of each, "1" first."""
-
-    def __init__(self, conjugators: list[Word]):
-        self.conjugators = conjugators
-        self.count = len(conjugators)
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "conjugators": [str(c) or "1" for c in self.conjugators]}
-
-
-def conjugate_count_lower_bound(
-    h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> ConjugateBound:
-    """The conjugates of h that `conjugate_images` yields within the budget:
-    their level-n images are pairwise distinct, so their count is a lower
-    bound on the number of conjugates of H in G."""
-    return ConjugateBound([c for c, _ in conjugate_images(h, n, budget)])

@@ -70,6 +70,16 @@ class GroupPreset:
         self.branching_generators = branching_generators
         self.contracting_certified = contracting_certified
         self.name = name
+        # Mutable memo tables, shared by the element engine.  The section cache
+        # is the node table (`words.Node`); the order memo is keyed by its nodes.
+        self._section_cache: dict = {}
+        self._order_cache: dict = {}
+        self._letter_cache: dict = {}
+        self._perm_cache: dict = {}
+        # Level k's vertices in lexicographic order at index k, grown by
+        # `words.portrait_factors` to the deepest portrait asked; every portrait
+        # shares these tuples as its decoration keys.
+        self._level_vertices: list = []
 
     # -- derived tables ---------------------------------------------------
 
@@ -84,11 +94,7 @@ class GroupPreset:
     @cached_property
     def gen_order(self) -> dict[str, int]:
         """Orders declared by rules of the form x^k -> 1."""
-        orders: dict[str, int] = {}
-        for lhs, rhs in self.reduction_rules:
-            if rhs == () and len(lhs) == 1 and lhs[0][1] > 1:
-                orders[lhs[0][0]] = lhs[0][1]
-        return orders
+        return {lhs[0][0]: lhs[0][1] for lhs, rhs in self.reduction_rules if _power_rule(lhs, rhs)}
 
     @cached_property
     def letters(self) -> "_LetterTable":
@@ -108,46 +114,11 @@ class GroupPreset:
         return table
 
     @cached_property
-    def inverse_perms(self) -> dict[str, tuple[int, ...]]:
-        inv = {}
-        for g in self.generators:
-            p = [0] * self.degree
-            for i, x in enumerate(g.root_perm):
-                p[x] = i
-            inv[g.name] = tuple(p)
-        return inv
-
-    @cached_property
     def is_p_preset(self) -> bool:
         """Prime degree p and every root permutation x -> x + c: each level quotient is a p-group."""
         p = self.degree
         return p > 1 and all(p % k for k in range(2, isqrt(p) + 1)) and all(
             g.root_perm == tuple((x + g.root_perm[0]) % p for x in range(p)) for g in self.generators)
-
-    # Mutable memo tables, shared by the element engine.  The section cache
-    # is the node table (`words.Node`); the order memo is keyed by its nodes.
-    @cached_property
-    def _section_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _order_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _letter_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _perm_cache(self) -> dict:
-        return {}
-
-    # Level k's vertices in lexicographic order at index k, grown by
-    # `words.portrait_factors` to the deepest portrait asked; every portrait
-    # shares these tuples as its decoration keys.
-    @cached_property
-    def _level_vertices(self) -> list:
-        return []
 
     # -- word handling ----------------------------------------------------
 
@@ -255,6 +226,11 @@ class GroupPreset:
         import json
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _power_rule(lhs: Factors, rhs: Factors) -> bool:
+    """Whether a rule reads g^k -> 1 with k >= 2, the one-factor form `reduce` applies."""
+    return rhs == () and len(lhs) == 1 and lhs[0][1] > 1
 
 
 class _LetterTable(dict):
@@ -461,6 +437,27 @@ def builtin_preset(name: str) -> GroupPreset:
 # -- validation -----------------------------------------------------------
 
 
+def _never_applied(preset: GroupPreset, i: int, lhs: Factors, rhs: Factors, kept: dict) -> str | None:
+    """Why `reduce` never applies rule i, lhs -> rhs, or None if it can.
+    kept maps each generator to its last power rule, the one `gen_order`
+    keeps; pair rules are matched on canonical letters only."""
+    if not (len(lhs) == 1 or len(lhs) == 2):
+        return "rule lhs must have 1 or 2 factors"
+    (g, _), *rest = lhs
+    if not rest:
+        if not _power_rule(lhs, rhs):
+            return "a one-factor rule must read g^k -> 1 with k >= 2"
+        return None if kept[g] == i else f"rule {kept[g]} also gives the order of {g}; only the last is kept"
+    if rest[0][0] == g:
+        return f"both factors are powers of {g}, which merge before pair rules are read"
+    for g, e in lhs:
+        if g in preset.gen_map and preset.letters[g, e] != (g, e):
+            o = preset.gen_order.get(g)
+            return f"{g}^{e} is no letter of a reduced word: its exponent must be " + (
+                f"in 1..{o - 1}, as {g} has order {o}" if o else "nonzero")
+    return None
+
+
 def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
     """Check all structural invariants; returns one issue per violation."""
     keys = ", ".join(_DEFINITION_KEYS)
@@ -508,7 +505,9 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
             )
         for i, s in enumerate(g.sections):
             check_word(s, f"generator {g.name}, section {i}")
-    for i, (lhs, rhs) in enumerate(preset.reduction_rules):
+    rules = preset.reduction_rules
+    kept = {lhs[0][0]: i for i, (lhs, rhs) in enumerate(rules) if _power_rule(lhs, rhs)}  # the last wins
+    for i, (lhs, rhs) in enumerate(rules):
         check_word(lhs, f"rule {i} lhs")
         check_word(rhs, f"rule {i} rhs")
         llen = sum(abs(e) for _, e in lhs)
@@ -519,12 +518,9 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
                     "length-increasing-rule", f"rule {i}", f"|rhs|={rlen} > |lhs|={llen}"
                 )
             )
-        if not (len(lhs) == 1 or len(lhs) == 2):
-            issues.append(
-                ValidationIssue(
-                    "unsupported-rule", f"rule {i}", "rule lhs must have 1 or 2 factors"
-                )
-            )
+        why = _never_applied(preset, i, lhs, rhs, kept)
+        if why:
+            issues.append(ValidationIssue("unsupported-rule", f"rule {i}", why))
     for i, wrd in enumerate(preset.branching_generators):
         check_word(wrd, f"branching generator {i}")
     return issues

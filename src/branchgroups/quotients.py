@@ -18,7 +18,7 @@ entries by `compose`, raising each to its exponent by `words.power`.
 Every subgroup of a level quotient is built from level permutations by
 `_level_image`, fed by `image_subgroup` (each word folded on the letter
 table), `full_level_group` (the table's generator images, as they are)
-and `subgroups.conjugate_images` (a kept image's generators, conjugated).
+and `conjugate_images` (a kept image's generators, conjugated).
 The engine is chosen once per preset, by `GroupPreset.is_p_preset`.  For
 a p-preset (prime degree p, every generator moving the root's children by
 x -> x + c) each quotient is a p-group whose layer St(k)/St(k+1) is an
@@ -32,6 +32,11 @@ the coset representatives with their inverses, so a sift costs one
 product per level, and a new generator sifts only the Schreier generators
 of its new (point, generator) pairs.  Both are deterministic.
 
+One breadth-first walk, `conjugate_images`, visits the distinct
+conjugates of a level image, conjugated by permutations, not words;
+escaping conjugators and the conjugate count read it, so results replay
+exactly and a budget counts conjugates visited.
+
 Level-transitivity is one orbit walk from the vertex 0...0, with no group.
 Every quotient level, word image level and depth of a fixed-tree walk is
 checked against the fixed `tree.LEVEL_CAP` before any work, so none runs past
@@ -43,13 +48,14 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import deque
 from functools import cache, reduce
 from itertools import accumulate, islice, product, repeat
 from operator import eq, floordiv, itemgetter, sub
 
 from .presets import Factors, GroupPreset
 from .tree import LEVEL_CAP, LevelCapExceeded, Vertex, _check_level  # noqa: F401
-from .words import Word, power
+from .words import DEFAULT_SEARCH_BUDGET, Word, power
 
 Perm = tuple[int, ...] | bytes  # bytes up to BYTE_POINTS points
 BYTE_POINTS = 256  # a point index fits in one byte up to here
@@ -432,6 +438,61 @@ def image_subgroup(words, n: int):
     _check_level(preset, n)
     letters, npoints = _letters(preset, n), preset.degree**n
     return _level_image(preset, n, [_factors_perm(letters, w.factors, npoints) for w in words])
+
+
+def _orbit_key(img) -> tuple[int, ...]:
+    """Each point's least orbit-mate under the generators of an image built
+    without conjugators, which generate it, so equal images have equal keys."""
+    least = [-1] * len(img.identity)
+    for x in range(len(least)):
+        orbit = [x] if least[x] < 0 else []
+        for y in orbit:  # grows while it is walked
+            if least[y] < 0:
+                least[y] = x
+                for g in img.gens:
+                    orbit.append(g[y])
+    return tuple(least)
+
+
+def conjugate_images(words, n: int, budget: int = DEFAULT_SEARCH_BUDGET):
+    """Yield (c, level-n image of c H c^-1) for at most `budget` distinct
+    level-n conjugates of the image of H, the subgroup the words generate,
+    breadth first from c = 1 by the generators in declared order, each
+    keeping the first c that reaches it (the quotient is finite, so
+    positive letters reach the whole orbit).  The count of conjugators
+    yielded is a lower bound on the number of conjugates of H in G.
+
+    Each conjugator's level permutation s travels with its word; the
+    candidate's generators are H's image's conjugated by s, and its orbit
+    key is H's mapped through s.  A candidate is new when it equals no kept
+    image with its key (images with other keys are unequal): an exact
+    level-n refutation, so the images belong to pairwise distinct conjugates
+    of H.  Conjugates have one order, so a kept image equals the candidate
+    iff it holds the candidate's generators; only a new one is built."""
+    base = image_subgroup(words, n)
+    preset = words[0].preset
+    perm = _perm_type(len(base.identity))
+    one, base_gens, base_key = perm(base.identity), [perm(g) for g in base.gens], perm(_orbit_key(base))
+    letters = _letters(preset, n)
+    gens = [(Word.generator(preset, g), letters[g, 1], letters[g, -1]) for g in preset.gen_names]
+    kept: dict = {}  # orbit key -> the images kept with it
+    start = (Word.identity(preset), one, one)
+    queue = deque([(start, start)])  # (generator, conjugator it extends), multiplied when reached
+    while queue:  # breadth first; a walked entry is dropped with its permutations
+        (w, t, t_inv), (c, s, s_inv) = queue.popleft()
+        if budget < 1:
+            return
+        c, s, s_inv = w * c, compose(t, s), compose(s_inv, t_inv)
+        labels = compose(base_key, s_inv)  # each point's base orbit, by its least point
+        least = dict(zip(reversed(labels), reversed(range(len(labels)))))
+        twins = kept.setdefault(tuple(map(least.__getitem__, labels)), [])
+        conj = [compose(s, compose(g, s_inv)) for g in base_gens]
+        if not any(all(map(other.contains, conj)) for other in twins):
+            img = _level_image(preset, n, conj)
+            twins.append(img)
+            budget -= 1
+            queue += [(g, (c, s, s_inv)) for g in gens]
+            yield c, img
 
 
 def _check_points(preset: GroupPreset, n: int):

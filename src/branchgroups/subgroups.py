@@ -13,19 +13,13 @@ finite level quotient: non-membership at any level is exact, membership at
 the tested level is only evidence.  A handle first refutes by a moved
 common fixed vertex of its generators, and only then sifts through its
 level image.
-One breadth-first walk, `conjugate_images`, visits the distinct
-conjugates of a level image, conjugated by permutations, not words;
-escaping conjugators and the conjugate count read it, so results replay
-exactly and a budget counts conjugates visited.
+Escaping conjugators read the conjugate walk `quotients.conjugate_images`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .presets import GroupPreset
-from .quotients import _letters, _level_image, _perm_type, compose
-from .quotients import full_level_group, image_subgroup, word_perm
+from .quotients import conjugate_images, full_level_group, image_subgroup, word_perm
 from .tree import LEVEL_CAP, Vertex, _check_level, format_vertex, level_vertices
 from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, is_identity_factors, node_of
 
@@ -286,63 +280,11 @@ def enumerate_reduced_words(preset: GroupPreset):
         frontier = nxt
 
 
-def _orbit_key(img) -> tuple[int, ...]:
-    """Each point's least orbit-mate under the generators of an image built
-    without conjugators, which generate it, so equal images have equal keys."""
-    least = [-1] * len(img.identity)
-    for x in range(len(least)):
-        orbit = [x] if least[x] < 0 else []
-        for y in orbit:  # grows while it is walked
-            if least[y] < 0:
-                least[y] = x
-                for g in img.gens:
-                    orbit.append(g[y])
-    return tuple(least)
-
-
-def conjugate_images(h: SubgroupHandle, n: int, budget: int = DEFAULT_SEARCH_BUDGET):
-    """Yield (c, level-n image of c H c^-1) for at most `budget` distinct
-    level-n conjugates of h's image, breadth first from c = 1 by the
-    generators in declared order, each keeping the first c that reaches it
-    (the quotient is finite, so positive letters reach the whole orbit).
-
-    Each conjugator's level permutation s travels with its word; the
-    candidate's generators are h's image's conjugated by s, and its orbit
-    key is h's mapped through s.  A candidate is new when it equals no kept
-    image with its key (images with other keys are unequal): an exact
-    level-n refutation, so the images belong to pairwise distinct conjugates
-    of H.  Conjugates have one order, so a kept image equals the candidate
-    iff it holds the candidate's generators; only a new one is built."""
-    preset, base = h.preset, h.image(n)
-    perm = _perm_type(len(base.identity))
-    one, base_gens, base_key = perm(base.identity), [perm(g) for g in base.gens], perm(_orbit_key(base))
-    letters = _letters(preset, n)
-    gens = [(Word.generator(preset, g), letters[g, 1], letters[g, -1]) for g in preset.gen_names]
-    kept: dict = {}  # orbit key -> the images kept with it
-    start = (Word.identity(preset), one, one)
-    queue = deque([(start, start)])  # (generator, conjugator it extends), multiplied when reached
-    while queue:  # breadth first; a walked entry is dropped with its permutations
-        (w, t, t_inv), (c, s, s_inv) = queue.popleft()
-        if budget < 1:
-            return
-        c, s, s_inv = w * c, compose(t, s), compose(s_inv, t_inv)
-        labels = compose(base_key, s_inv)  # each point's base orbit, by its least point
-        least = dict(zip(reversed(labels), reversed(range(len(labels)))))
-        twins = kept.setdefault(tuple(map(least.__getitem__, labels)), [])
-        conj = [compose(s, compose(g, s_inv)) for g in base_gens]
-        if not any(all(map(other.contains, conj)) for other in twins):
-            img = _level_image(preset, n, conj)
-            twins.append(img)
-            budget -= 1
-            queue += [(g, (c, s, s_inv)) for g in gens]
-            yield c, img
-
-
 def conjugate_escaping(
     h: SubgroupHandle, gamma: Word, n: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[Word | None, int]:
     """(f, visited): f = c^-1 for the first conjugate c H c^-1 of
-    `conjugate_images` whose level-n image misses gamma, so f gamma f^-1 is
+    `quotients.conjugate_images` whose level-n image misses gamma, so f gamma f^-1 is
     outside h's image, and the number of conjugates visited.
 
     Level-n non-membership is exact, so a returned f certifies that the
@@ -357,7 +299,7 @@ def conjugate_escaping(
     if g == tuple(range(len(g))):
         raise ValueError(f"gamma acts trivially on level {n}")
     visited = 0
-    for c, img in conjugate_images(h, n, budget):
+    for c, img in conjugate_images(h.words, n, budget):
         visited += 1
         if not img.contains(g):
             return c.inverse(), visited

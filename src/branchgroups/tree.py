@@ -38,15 +38,14 @@ def _check_level(preset, n: int):
         raise LevelCapExceeded(f"level {n} exceeds cap {LEVEL_CAP} for degree {preset.degree}")
 
 
-def parse_vertex(s: str, d: int | None = None) -> Vertex:
-    """Parse a digit string into a vertex.  "" denotes the root."""
+def parse_vertex(s: str, d: int) -> Vertex:
+    """Parse a digit string into a vertex of the degree-d tree.  "" denotes the root."""
     if not all(c.isdigit() for c in s):
         raise ValueError(f"invalid vertex string {s!r}")
     v = tuple(int(c) for c in s)
-    if d is not None:
-        for x in v:
-            if x >= d:
-                raise ValueError(f"letter {x} out of range for degree {d}")
+    for x in v:
+        if x >= d:
+            raise ValueError(f"letter {x} out of range for degree {d}")
     return v
 
 

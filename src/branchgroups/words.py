@@ -44,7 +44,6 @@ class BudgetExhausted(Exception):
 
     def __init__(self, what: str, budget: int):
         super().__init__(f"{what}: budget {budget} exhausted")
-        self.what = what
         self.budget = budget
 
 
@@ -83,7 +82,7 @@ def _letter(preset: GroupPreset, factor) -> tuple[tuple[int, ...], tuple[Factors
     if e > 0:
         x = gen.root_perm, [preset.reduce(s) for s in gen.sections]
     else:
-        p = preset.inverse_perms[g]
+        p = sorted(range(d), key=gen.root_perm.__getitem__)  # the inverse of g's root permutation
         x = p, [preset.reduce(_invert_factors(gen.sections[p[y]])) for y in range(d)]
 
     def times(v, u):  # u v: power's mul(out, x) puts x on the left of out

@@ -578,7 +578,7 @@ FROZEN = {
         {"name": "a", "root_perm": [1, 0], "sections": ["", ""]},
         {"name": "b", "root_perm": [0, 1], "sections": ["b", "b"]},
     ],
-    "rules": [{"lhs": "a a", "rhs": ""}],
+    "rules": [{"lhs": "a^2", "rhs": ""}],
 }
 
 

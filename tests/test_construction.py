@@ -10,7 +10,6 @@ from branchgroups.construction import (
     _avoided_vertex,
     _stage_skeleton,
     build_certificate,
-    conjugate_count_lower_bound,
     finite_subgroup_elements,
     fix_separation_witness,
     iter_rist_elements,
@@ -21,7 +20,7 @@ from branchgroups.construction import (
     validate_certificate,
 )
 from branchgroups.presets import builtin_preset, grigorchuk_preset, preset_from_dict
-from branchgroups.quotients import LayeredGroup, StabChain, image_subgroup, word_perm
+from branchgroups.quotients import LayeredGroup, StabChain, conjugate_images, image_subgroup, word_perm
 from branchgroups.subgroups import SubgroupHandle, in_rigid_stabilizer, minimal_non_fixing_level
 from branchgroups.tree import level_vertices, parse_vertex
 from branchgroups.words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word
@@ -167,10 +166,9 @@ def test_finite_subgroup_elements_dedup_by_word_problem(grig):
 
 
 def test_finite_subgroup_cap(grig):
-    with pytest.raises(ValueError):
-        finite_subgroup_elements(
-            SubgroupHandle.from_strings(grig, ["a", "b"]), cap=16
-        )
+    # <a, b, c> is infinite: its closure passes the cap of 256 elements.
+    with pytest.raises(ValueError, match="subgroup closure exceeds cap 256; not finite?"):
+        finite_subgroup_elements(SubgroupHandle.from_strings(grig, ["a", "b", "c"]))
 
 
 # -- certificates ----------------------------------------------------------
@@ -330,13 +328,26 @@ def test_certificate_wrong_fingerprint_fails(grig_cert):
 def test_trivial_q_rejected(grig):
     q = SubgroupHandle((Word.identity(grig),))
     with pytest.raises(CertificateBuildError):
-        build_certificate(q, [])
+        build_certificate(q, [parse_vertex("00", 2)])
 
 
-def test_empty_avoid_list_gives_stageless_certificate(grig):
-    cert = build_certificate(Q_a(grig), [])
-    assert cert.stages == ()
-    assert validate_certificate(cert, grig).passed
+def test_empty_avoid_list_is_refused_and_a_stageless_certificate_fails(grig_cert):
+    preset, cert = grig_cert
+    with pytest.raises(ValueError, match="at least one seed vertex"):
+        build_certificate(Q_a(preset), [])
+    report = validate_certificate(_tampered(cert, stages=(), avoid=()), preset)
+    failed = [c.to_dict() for c in report.clauses if not c.passed]
+    assert failed == [{"name": "levels-increase", "passed": False, "detail": "k = []"}]
+    assert not report.passed
+
+
+def test_an_infinite_q_fails_q_finite(grig_cert):
+    preset, cert = grig_cert
+    q = tuple(Word.from_str(preset, g) for g in "abc")
+    report = validate_certificate(_tampered(cert, q_generators=q), preset)
+    assert [(c.name, c.passed) for c in report.clauses][-1] == ("q-finite", False)
+    assert report.clauses[-1].detail == "subgroup closure exceeds cap 256; not finite?"
+    assert not report.passed
 
 
 def test_avoid_level_must_exceed_stage_level(grig):
@@ -451,20 +462,15 @@ def test_fix_separation_identical_inconclusive(grig):
 
 
 def test_conjugate_count_lower_bound_parabolic(grig):
-    h = SubgroupHandle(
-        tuple(_parabolic_words(grig, "0", 3)), membership_level=3
-    )
-    bound = conjugate_count_lower_bound(h, 3)
-    assert bound.count == len(bound.conjugators) >= 2
-    assert bound.conjugators[0] == Word.identity(grig)
-    assert bound.to_dict()["conjugators"][0] == "1"
+    # The conjugate count is the number of conjugators the walk yields.
+    conjugators = [c for c, _ in conjugate_images(_parabolic_words(grig, "0", 3), 3)]
+    assert len(conjugators) >= 2
+    assert conjugators[0] == Word.identity(grig)
 
 
 def test_conjugate_count_full_group_trivial(grig):
-    h = SubgroupHandle.from_strings(grig, [g for g in "abcd"], membership_level=3)
-    bound = conjugate_count_lower_bound(h, 3, budget=40)
-    assert bound.count == 1
-    assert bound.conjugators == [Word.identity(grig)]
+    conjugators = [c for c, _ in conjugate_images([Word.from_str(grig, g) for g in "abcd"], 3, budget=40)]
+    assert conjugators == [Word.identity(grig)]
 
 
 def _parabolic_words(preset, vstr, n):

@@ -8,6 +8,7 @@ from branchgroups.presets import (
     GeneratorRecursion,
     GroupPreset,
     PresetError,
+    _preset_from_dict,
     builtin_preset,
     ggs_preset,
     grigorchuk_preset,
@@ -124,6 +125,48 @@ def test_degree_above_ten_is_refused():
     cycle = tuple((x + 1) % 11 for x in range(11))
     wide = GroupPreset(11, (GeneratorRecursion("a", cycle, ((),) * 11),), (), ())
     assert [i.code for i in validate_preset(wide)] == ["unsupported-degree"]
+
+
+def test_degree_below_two_is_the_only_issue():
+    # Nothing else is checked on a tree with no branching.
+    line = GroupPreset(1, (GeneratorRecursion("a", (1,), ((),)),), (), ())
+    assert [(i.code, i.location, i.message) for i in validate_preset(line)] == [
+        ("invalid-degree", "degree", "degree 1 < 2")
+    ]
+
+
+# A degree-2 definition with a of order 2 and a generator b of no declared
+# order, then rules whose first `reduce` never applies.
+POWER = "a one-factor rule must read g^k -> 1 with k >= 2"
+NEVER_APPLIED_RULES = {
+    "not-a-power": ([("b^3", "b")], POWER),
+    "unit-power": ([("b", "1")], POWER),
+    "negative-power": ([("b^-2", "1")], POWER),
+    "second-power": ([("b^3", "1"), ("b^2", "1")], "rule 2 also gives the order of b; only the last is kept"),
+    "one-generator-pair": ([("b b", "1")], "both factors are powers of b, which merge before pair rules are read"),
+    "pair-exponent": ([("a^3 b", "b")], "a^3 is no letter of a reduced word: its exponent must be in 1..1,"
+                                        " as a has order 2"),
+    "pair-inverse": ([("b a^-1", "b")], "a^-1 is no letter of a reduced word: its exponent must be in 1..1,"
+                                        " as a has order 2"),
+    "pair-zero": ([("b^0 a", "a")], "b^0 is no letter of a reduced word: its exponent must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("name", NEVER_APPLIED_RULES)
+def test_rules_that_reduce_never_applies_are_unsupported(name):
+    rules, why = NEVER_APPLIED_RULES[name]
+    data = {
+        "degree": 2,
+        "generators": [{"name": "a", "root_perm": [1, 0], "sections": ["", ""]},
+                       {"name": "b", "root_perm": [0, 1], "sections": ["a", "b"]}],
+        "rules": [{"lhs": "a^2", "rhs": ""}] + [{"lhs": lhs, "rhs": rhs} for lhs, rhs in rules],
+    }
+    issues = validate_preset(_preset_from_dict(data))
+    assert [(i.code, i.location, i.message) for i in issues] == [("unsupported-rule", "rule 1", why)]
+    with pytest.raises(PresetError, match="unsupported-rule"):
+        preset_from_dict(data)
+    data["rules"][1:] = []  # the order rule of a applies
+    assert validate_preset(preset_from_dict(data)) == []
 
 
 def test_validate_preset_reports_issues():

@@ -37,6 +37,23 @@ def test_library_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_only_quotients_knows_how_level_permutations_are_stored():
+    # The letter tables, the engine choice and the bytes-or-tuple
+    # representation stay private to quotients: no other module imports
+    # them or reads them off the module.
+    private = {"_letters", "_level_image", "_perm_type", "_byte_table"}
+    leaks = []
+    for path in SOURCES:
+        if path.name == "quotients.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                leaks += [f"{path.name}: imports {a.name}" for a in node.names if a.name in private]
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                leaks.append(f"{path.name}: reads {node.attr}")
+    assert leaks == []
+
+
 def test_sources_parse_at_the_declared_python_floor():
     # pyproject.toml's requires-python; a newer construct would break that interpreter.
     pyproject = Path(branchgroups.__file__).parents[2] / "pyproject.toml"

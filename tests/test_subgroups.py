@@ -10,12 +10,11 @@ from branchgroups.construction import _avoided_vertex, parabolic_approximation
 from branchgroups.presets import (
     builtin_preset, ggs_preset, grigorchuk_preset, gupta_sidki_preset, preset_from_dict,
 )
-from branchgroups.quotients import LEVEL_CAP, LevelCapExceeded, word_perm
+from branchgroups.quotients import LEVEL_CAP, LevelCapExceeded, conjugate_images, word_perm
 from branchgroups.subgroups import (
     NotInLevelStabilizerError,
     SubgroupHandle,
     conjugate_escaping,
-    conjugate_images,
     enumerate_reduced_words,
     fixed_levels,
     fixed_tree,
@@ -250,6 +249,17 @@ def test_conjugate_escaping_full_group_exhausts(grig):
     assert conjugate_escaping(h, Word.from_str(grig, "a"), 2, budget=50) == (None, 1)
 
 
+def test_conjugate_escaping_refuses_before_the_walk(grig, monkeypatch):
+    # A membership level above the check level, and a gamma in every
+    # level-n conjugate: d = (1, b) fixes level 2, as b fixes level 1.
+    monkeypatch.setattr(subgroups, "conjugate_images", lambda *args: pytest.fail("walked"))
+    deep = SubgroupHandle.from_strings(grig, ["a"], membership_level=4)
+    with pytest.raises(ValueError, match="membership level exceeds the check level"):
+        conjugate_escaping(deep, Word.from_str(grig, "b"), 3)
+    with pytest.raises(ValueError, match="gamma acts trivially on level 2"):
+        conjugate_escaping(H(grig, ["a"]), Word.from_str(grig, "d"), 2)
+
+
 @pytest.mark.parametrize(
     "make, gens, n",
     [
@@ -263,7 +273,7 @@ def test_conjugate_images_closed_under_generators(make, gens, n):
     # A walk that stops short of its budget has met every conjugate again.
     preset = make()
     h = H(preset, gens)
-    walked = list(conjugate_images(h, n, budget=500))
+    walked = list(conjugate_images(h.words, n, budget=500))
     assert 1 < len(walked) < 500
     images = [img for _, img in walked]
     for c, _ in walked:
@@ -273,7 +283,7 @@ def test_conjugate_images_closed_under_generators(make, gens, n):
 
 
 def test_conjugate_images_stop_at_the_budget(grig):
-    walked = list(conjugate_images(H(grig, ["a"]), 4, budget=5))
+    walked = list(conjugate_images(H(grig, ["a"]).words, 4, budget=5))
     assert [str(c) or "1" for c, _ in walked] == ["1", "b", "c", "d", "a b"]
 
 
@@ -417,6 +427,6 @@ def test_conjugate_images_conjugate_permutations_not_words(grig, gs, monkeypatch
     calls = []
     monkeypatch.setattr(SubgroupHandle, "conjugated", lambda *args: calls.append(args))
     for preset, gens, n in ((grig, ["a"], 4), (gs, ["a"], 3), (preset_from_dict(RANDOM_DEGREE_3), ["a"], 2)):
-        assert sum(1 for _ in conjugate_images(H(preset, gens), n, budget=20)) > 1
+        assert sum(1 for _ in conjugate_images(H(preset, gens).words, n, budget=20)) > 1
     assert conjugate_escaping(H(grig, ["b", "a"]), Word.from_str(grig, "b"), 4)[1] == 3
     assert calls == []

@@ -519,7 +519,7 @@ def _unit_apply(preset, units, v):
             sec = _units(gen.sections[v[0]])
             v = (gen.root_perm[v[0]],) + _unit_apply(preset, sec, v[1:])
         else:
-            y = preset.inverse_perms[g][v[0]]
+            y = gen.root_perm.index(v[0])
             sec = _units(_invert_factors(gen.sections[y]))
             v = (y,) + _unit_apply(preset, sec, v[1:])
     return v
@@ -534,7 +534,7 @@ def _unit_section(preset, units, x):
             parts.append(gen.sections[x])
             x = gen.root_perm[x]
         else:
-            x = preset.inverse_perms[g][x]
+            x = gen.root_perm.index(x)
             parts.append(_invert_factors(gen.sections[x]))
     return tuple(f for part in reversed(parts) for f in part)
 
