@@ -324,7 +324,7 @@ def finite_subgroup_elements(q: SubgroupHandle) -> list[Word]:
                 elems.append(p)
                 nxt.append(p)
         frontier = nxt
-    return sorted(elems, key=lambda w: w.factors)
+    return sorted(elems, key=lambda w: preset.decode(w.factors))
 
 
 def _orbit_vertices(q_elems: list[Word], v: Vertex) -> set[Vertex]:

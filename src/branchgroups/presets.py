@@ -7,12 +7,17 @@ set for the designated branching subgroup.  Reduction applies the rules in
 one stack pass; the reduced word is canonical when the rules are confluent,
 as every shipped preset's are.
 
-Words are stored as tuples of (generator name, exponent) factors; a reduced
-word holds the preset's canonical letter objects, so memo tables share them
-instead of copying one tuple per factor.  The text
-syntax is whitespace-separated factors with optional ^-exponents
-("a b a^-1"); a single run of one-letter generator names may also be written
-without spaces ("abab").
+A reduced word is a sequence of letter codes, one per canonical letter
+g^e (e mod the declared order of g): `bytes` numbered 1..L in (name,
+exponent) order when every generator has a declared order and L < 256,
+else a tuple of ints coded as letters are first met.  An action table
+indexed by top * width + incoming (a list, or a dict filled on first read
+for tuples) says whether a letter is pushed or, with the top letter,
+replaced by others.  Definitions and text hold (name, exponent) factors:
+`reduce` encodes them, `decode` gives them back.  The text syntax is
+whitespace-separated factors with optional ^-exponents ("a b a^-1"); a
+single run of one-letter generator names may also be written without
+spaces ("abab").
 
 A preset read from a definition dict or file is checked by
 `validate_preset` as it loads and refused with every issue listed; the
@@ -28,8 +33,10 @@ from .tree import MAX_DEGREE
 
 Factor = tuple[str, int]
 Factors = tuple[Factor, ...]
+Codes = bytes | tuple[int, ...]  # a word of letter codes
 
 _MAX_REDUCTION_PASSES = 1000
+RULE_BUDGET = 500  # sections the word problem may walk to check one rule
 
 
 class PresetError(ValueError):
@@ -96,21 +103,38 @@ class GroupPreset:
         """Orders declared by rules of the form x^k -> 1."""
         return {lhs[0][0]: lhs[0][1] for lhs, rhs in self.reduction_rules if _power_rule(lhs, rhs)}
 
+    # The letter codes (see the module docstring), built on first use.
     @cached_property
-    def letters(self) -> "_LetterTable":
-        """Canonical letters: letters[(g, e)] is the one object every reduced
-        word holds for g^(e mod the declared order of g), None when that
-        power is trivial."""
-        return _LetterTable({name: self.gen_order.get(name, 0) for name in self.gen_names})
+    def _word_type(self) -> type:
+        orders = self.gen_order
+        closed = all(g in orders for g in self.gen_names) and sum(orders[g] - 1 for g in self.gen_names) < 256
+        return bytes if closed else tuple
 
     @cached_property
-    def pair_table(self) -> dict[tuple[Factor, Factor], Factors]:
-        """Rules whose left side is a product of two factors; right-hand
-        sides in canonical letters."""
-        table: dict[tuple[Factor, Factor], Factors] = {}
+    def _letter_of(self) -> list:  # code -> (g, e), code 0 being none
+        orders = self.gen_order if self._word_type is bytes else {}
+        return [None] + sorted((g, e) for g in self.gen_names for e in range(1, orders.get(g, 1)))
+
+    @cached_property
+    def _code_of(self) -> dict:  # (g, e), canonical or as met -> code
+        return {f: c for c, f in enumerate(self._letter_of) if c}
+
+    @cached_property
+    def _action_width(self) -> int:
+        return len(self._letter_of) if self._word_type is bytes else 1 << 32
+
+    @cached_property
+    def _action(self) -> list | dict:
+        """Entry top * width + incoming: None to push the incoming letter, else
+        the letters that replace both, reversed; top 0 is the empty stack.  A
+        full list for `bytes` words, else a dict that `_rewrite` fills."""
+        n = self._action_width
+        table = {} if self._word_type is tuple else [self._merge(t, f) for t in range(n) for f in range(n)]
         for lhs, rhs in self.reduction_rules:
-            if len(lhs) == 2:
-                table[(lhs[0], lhs[1])] = tuple(f for f in map(self.letters.__getitem__, rhs) if f)
+            if len(lhs) == 2 and lhs[0][0] != lhs[1][0] and all(g in self.gen_map for g, _ in lhs):
+                t, f = map(self._encode, lhs)
+                if (self._letter_of[t], self._letter_of[f]) == lhs:  # else no reduced word holds it
+                    table[t * n + f] = tuple(c for c in map(self._encode, reversed(rhs)) if c)
         return table
 
     @cached_property
@@ -122,75 +146,86 @@ class GroupPreset:
 
     # -- word handling ----------------------------------------------------
 
-    def reduce(self, factors) -> Factors:
-        """Reduced form of a factor sequence under the preset's rules."""
-        pending = [f for f in map(self.letters.__getitem__, factors) if f]
-        pending.reverse()
-        return self._rewrite([], pending, ())
+    def _encode(self, factor: Factor) -> int:
+        """The code of g^e's canonical letter for factor = (g, e), 0 when it is trivial."""
+        code = self._code_of.get(factor)
+        if code is None:
+            g, e = factor
+            if e and g not in self.gen_map:
+                raise PresetError(f"unknown generator {g!r}")
+            e = e % o if (o := self.gen_order.get(g)) else e
+            code = self._code_of.setdefault((g, e), len(self._letter_of)) if e else 0
+            if code == len(self._letter_of):  # a letter of undeclared order, first met
+                self._letter_of.append((g, e))
+            self._code_of[factor] = self._code_of[g, e] = code
+        return code
 
-    def product(self, u: Factors, v: Factors) -> Factors:
-        """Reduced form of u·v for reduced u and v.
+    def _merge(self, top: int, f: int) -> tuple[int, ...] | None:
+        """The action of letter f on top letter top without pair rules:
+        powers of one generator merge into one letter or none."""
+        if top and f:
+            (g, e), (h, k) = self._letter_of[top], self._letter_of[f]
+            if g == h:
+                c = self._encode((g, e + k))
+                return (c,) if c else ()
+        return None
 
-        Only the junction is rewritten: once a factor of v is pushed
-        unchanged, the rest of v follows as it is.
-        """
-        return self._rewrite(list(u), [], v)
+    def decode(self, word: Codes) -> Factors:
+        """The (name, exponent) factors of a code word."""
+        return tuple(map(self._letter_of.__getitem__, word))
 
-    def _rewrite(self, out: list, pending: list, tail: Factors) -> Factors:
-        """One stack pass of the rules over pending, then tail, onto out.
+    def reduce(self, factors) -> Codes:
+        """Reduced form of a sequence of (name, exponent) factors or of letter codes."""
+        if factors and type(factors[0]) is not int:
+            try:
+                factors = [c for c in map(self._code_of.__getitem__, factors) if c]
+            except KeyError:
+                factors = [c for c in map(self._encode, factors) if c]
+        return self._word_type(self._rewrite([], factors))
 
-        out is a reduced stack and pending a stack of letters still to push
-        (next one last); tail is a reduced word that follows them.  All hold
-        canonical letters, so an incoming letter is pushed as the object it
-        is unless it merges with the top of out: a shared generator's
-        exponents add up, and their canonical letter (taken mod the declared
-        order) replaces both.  The letter is then tried against the pair
-        table with the top; a rule's right-hand side goes back on pending.
-        out is irreducible after every step, so on a confluent rule set the
-        result is the canonical form.  Once a factor of tail is pushed
-        unchanged with nothing pending, the rest of tail is appended as it is.
-        """
-        letters = self.letters
-        table = self.pair_table
-        limit = _MAX_REDUCTION_PASSES * (len(out) + len(pending) + len(tail) + 1)
-        rewrites = 0
-        i, n = 0, len(tail)
-        top = out[-1] if out else None  # kept equal to out[-1] on every push and pop
-        while True:
-            if pending:
-                f = pending.pop()
-                fresh = False
-            elif i < n:
-                f = tail[i]
-                i += 1
-                fresh = True
-            else:
-                return tuple(out)
-            if top is not None and top[0] == f[0]:
-                f = letters[(f[0], top[1] + f[1])]
-                out.pop()
-                top = out[-1] if out else None
-                if f is None:
-                    continue
-                fresh = False
-            if table and top is not None:
-                rhs = table.get((top, f))
-                if rhs is not None:
-                    rewrites += 1
-                    if rewrites > limit:
+    def product(self, u: Codes, v: Codes) -> Codes:
+        """Reduced form of u·v for reduced u and v.  Only the junction is
+        rewritten: once a letter of v lies on top, the rest of v follows."""
+        out = list(u)
+        for i, f in enumerate(v):
+            self._rewrite(out, (f,))
+            if out and out[-1] == f:
+                return self._word_type(out) + v[i + 1:]
+        return self._word_type(out)
+
+    def _rewrite(self, out: list, word) -> list:
+        """One stack pass of the rules over word onto out, a reduced stack;
+        returns out.  An incoming letter meets the top letter in the action
+        table: it is pushed, or the top is popped and the letters replacing
+        both come in next.  out stays irreducible, so on a confluent rule
+        set the result is the canonical form."""
+        action, width = self._action, self._action_width
+        limit = _MAX_REDUCTION_PASSES * (len(out) + len(word) + 1)
+        top = out[-1] if out else 0
+        pending = []
+        for f in word:
+            while True:
+                try:
+                    act = action[top * width + f]
+                except KeyError:
+                    act = action[top * width + f] = self._merge(top, f)
+                if act is None:
+                    out.append(f)
+                    top = f
+                else:
+                    limit -= 1
+                    if limit < 0:
                         raise PresetError("reduction did not terminate (non-terminating rules?)")
                     out.pop()
-                    top = out[-1] if out else None
-                    pending.extend(reversed(rhs))
-                    continue
-            out.append(f)
-            top = f
-            if fresh:
-                out.extend(tail[i:])
-                return tuple(out)
+                    top = out[-1] if out else 0
+                    pending += act
+                if not pending:
+                    break
+                f = pending.pop()
+        return out
 
-    def parse_word(self, text: str) -> Factors:
-        """Parse the word syntax into reduced factors."""
+    def parse_word(self, text: str) -> Codes:
+        """Parse the word syntax into a reduced code word."""
         return self.reduce(_tokenize(text, self.gen_map))
 
     @staticmethod
@@ -231,29 +266,6 @@ class GroupPreset:
 def _power_rule(lhs: Factors, rhs: Factors) -> bool:
     """Whether a rule reads g^k -> 1 with k >= 2, the one-factor form `reduce` applies."""
     return rhs == () and len(lhs) == 1 and lhs[0][1] > 1
-
-
-class _LetterTable(dict):
-    """(g, e) -> the one (g, e mod o) object, o the declared order of g (0
-    for none), or None when that power is trivial.  A miss checks that g is
-    a generator and fills the entry."""
-
-    def __init__(self, mods: dict[str, int]):
-        super().__init__()
-        self.mods = mods
-
-    def __missing__(self, factor: Factor) -> Factor | None:
-        g, e = factor
-        if e:
-            try:
-                o = self.mods[g]
-            except KeyError:
-                raise PresetError(f"unknown generator {g!r}") from None
-            if o:
-                e %= o
-        letter = self.setdefault((g, e), (g, e)) if e else None
-        self[factor] = letter
-        return letter
 
 
 def _tokenize(text: str, names, strict: bool = True) -> Factors:
@@ -451,7 +463,7 @@ def _never_applied(preset: GroupPreset, i: int, lhs: Factors, rhs: Factors, kept
     if rest[0][0] == g:
         return f"both factors are powers of {g}, which merge before pair rules are read"
     for g, e in lhs:
-        if g in preset.gen_map and preset.letters[g, e] != (g, e):
+        if g in preset.gen_map and preset._letter_of[preset._encode((g, e))] != (g, e):
             o = preset.gen_order.get(g)
             return f"{g}^{e} is no letter of a reduced word: its exponent must be " + (
                 f"in 1..{o - 1}, as {g} has order {o}" if o else "nonzero")
@@ -474,37 +486,23 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
         issues.append(ValidationIssue("unsupported-degree", "degree", why))
     names = [g.name for g in preset.generators]
     if len(set(names)) != len(names):
-        issues.append(
-            ValidationIssue("duplicate-name", "generators", "generator names not distinct")
-        )
+        issues.append(ValidationIssue("duplicate-name", "generators", "generator names not distinct"))
     known = set(names)
 
     def check_word(factors, where):
-        for g, _ in factors:
-            if g not in known:
-                issues.append(
-                    ValidationIssue("unknown-symbol", where, f"undeclared generator {g!r}")
-                )
+        issues.extend(ValidationIssue("unknown-symbol", where, f"undeclared generator {g!r}")
+                      for g, _ in factors if g not in known)
 
     for g in preset.generators:
+        where = f"generator {g.name}"
         if sorted(g.root_perm) != list(range(d)):
-            issues.append(
-                ValidationIssue(
-                    "not-a-permutation",
-                    f"generator {g.name}",
-                    f"root_perm {g.root_perm} is not a bijection of 0..{d - 1}",
-                )
-            )
+            why = f"root_perm {g.root_perm} is not a bijection of 0..{d - 1}"
+            issues.append(ValidationIssue("not-a-permutation", where, why))
         if len(g.sections) != d:
-            issues.append(
-                ValidationIssue(
-                    "wrong-section-count",
-                    f"generator {g.name}",
-                    f"expected {d} sections, got {len(g.sections)}",
-                )
-            )
+            why = f"expected {d} sections, got {len(g.sections)}"
+            issues.append(ValidationIssue("wrong-section-count", where, why))
         for i, s in enumerate(g.sections):
-            check_word(s, f"generator {g.name}, section {i}")
+            check_word(s, f"{where}, section {i}")
     rules = preset.reduction_rules
     kept = {lhs[0][0]: i for i, (lhs, rhs) in enumerate(rules) if _power_rule(lhs, rhs)}  # the last wins
     for i, (lhs, rhs) in enumerate(rules):
@@ -513,14 +511,36 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
         llen = sum(abs(e) for _, e in lhs)
         rlen = sum(abs(e) for _, e in rhs)
         if rlen > llen:
-            issues.append(
-                ValidationIssue(
-                    "length-increasing-rule", f"rule {i}", f"|rhs|={rlen} > |lhs|={llen}"
-                )
-            )
+            why = f"|rhs|={rlen} > |lhs|={llen}"
+            issues.append(ValidationIssue("length-increasing-rule", f"rule {i}", why))
         why = _never_applied(preset, i, lhs, rhs, kept)
         if why:
             issues.append(ValidationIssue("unsupported-rule", f"rule {i}", why))
     for i, wrd in enumerate(preset.branching_generators):
         check_word(wrd, f"branching generator {i}")
+    return issues or _false_rules(preset)
+
+
+def _false_rules(preset: GroupPreset) -> list[ValidationIssue]:
+    """Each rule lhs -> rhs as a claim: lhs rhs^-1 is trivial in the shadow
+    preset, the definition without rules or branching, decided by the word
+    problem within RULE_BUDGET sections."""
+    from .subgroups import first_moved_vertex  # subgroups imports this module
+    from .tree import LEVEL_CAP, format_vertex
+    from .words import BudgetExhausted, Word
+    data = preset.to_dict()
+    del data["rules"], data["branching"]
+    shadow, issues = _preset_from_dict(data), []
+    for i, (lhs, rhs) in enumerate(preset.reduction_rules):
+        w = Word(shadow, lhs + tuple((g, -e) for g, e in reversed(rhs)))
+        try:
+            if w.is_identity(RULE_BUDGET):
+                continue
+        except BudgetExhausted:
+            why = f"lhs rhs^-1 not decided within {RULE_BUDGET} sections"
+            issues.append(ValidationIssue("unchecked-rule", f"rule {i}", why))
+            continue
+        n = next((n for n in range(1, LEVEL_CAP + 1) if not w.fixes_level(n)), None)
+        moved = format_vertex(first_moved_vertex((w,), n)) if n else f"one below level {LEVEL_CAP}"
+        issues.append(ValidationIssue("false-rule", f"rule {i}", f"lhs rhs^-1 = {w} moves vertex {moved}"))
     return issues

@@ -98,8 +98,8 @@ def perm_inverse(p: Perm) -> Perm:
 def _letters(preset: GroupPreset, n: int) -> "_Letters":
     """The level-n letter table, kept on the preset; its generator images are
     built on first read by the wreath recursion: the vertex x v goes to
-    root(x) g|_x(v), so the block of x is the reduced section's level-(n-1)
-    image (a one-letter section's is its letter's entry) moved to block
+    root(x) g|_x(v), so the block of x is the section's level-(n-1) image
+    (a one-letter section's is its letter's entry) moved to block
     root(x), by a shift-table translate, past BYTE_POINTS points by offsets."""
     tables = preset._perm_cache
     if n in tables:
@@ -111,8 +111,7 @@ def _letters(preset: GroupPreset, n: int) -> "_Letters":
         below, block = _letters(preset, n - 1), preset.degree ** (n - 1)
         for gen in preset.generators:
             blocks = [(gen.root_perm[x] * block, below[s[0]] if len(s) == 1 and abs(s[0][1]) == 1
-                       else _factors_perm(below, s and preset.reduce(s), block))
-                      for x, s in enumerate(gen.sections)]
+                       else _factors_perm(below, s, block)) for x, s in enumerate(gen.sections)]
             if _perm_type(block * preset.degree) is bytes:
                 img = b"".join([q.translate(_byte_table(1, 1, BYTE_POINTS, off)) for off, q in blocks])
             else:
@@ -131,16 +130,16 @@ class _Letters(dict):
 
 
 def _factors_perm(letters: dict, factors: Factors, npoints: int) -> Perm:
-    """Image of factors on a level's npoints points: its letter entries, raised and folded."""
-    if not factors:
-        return _perm_type(npoints)(range(npoints))
-    return reduce(compose, [power(letters[g, 1 if e > 0 else -1], abs(e), compose) for g, e in factors])
+    """Image of (name, exponent) factors on a level's npoints points: its
+    letter entries, raised and folded."""
+    perms = [power(letters[g, 1 if e > 0 else -1], abs(e), compose) for g, e in factors if e]
+    return reduce(compose, perms) if perms else _perm_type(npoints)(range(npoints))
 
 
 def word_perm(w: Word, n: int) -> tuple[int, ...]:
     """Image of a word on the lexicographic level-n vertices."""
     _check_level(w.preset, n)
-    return tuple(_factors_perm(_letters(w.preset, n), w.factors, w.preset.degree**n))
+    return tuple(_factors_perm(_letters(w.preset, n), w.preset.decode(w.factors), w.preset.degree**n))
 
 
 class _Orbit:
@@ -437,7 +436,7 @@ def image_subgroup(words, n: int):
     preset = words[0].preset
     _check_level(preset, n)
     letters, npoints = _letters(preset, n), preset.degree**n
-    return _level_image(preset, n, [_factors_perm(letters, w.factors, npoints) for w in words])
+    return _level_image(preset, n, [_factors_perm(letters, preset.decode(w.factors), npoints) for w in words])
 
 
 def _orbit_key(img) -> tuple[int, ...]:
@@ -514,7 +513,7 @@ def quotient_order(preset: GroupPreset, n: int) -> int:
 def is_level_transitive(preset: GroupPreset, n: int) -> bool:
     """True iff the level-n vertices form one orbit: one orbit walk."""
     _check_level(preset, n)
-    return len(orbit_transversal(preset, (0,) * n)) == preset.degree ** n
+    return len(_orbit_walk(preset, (0,) * n)) == preset.degree ** n
 
 
 def subgroup_index_in_quotient(words, n: int) -> int:
@@ -538,25 +537,29 @@ def orbit_transversal(
     discovery order.  The walk stops once `until` is reached, whose word is
     then the same as in the full walk.
     """
-    return _orbit_walk(preset, v, until)[0]
+    gens = [Word.generator(preset, g) for g in preset.gen_names]
+    reps: dict[Vertex, Word] = {}
+    for w, edge in _orbit_walk(preset, v, until).items():
+        reps[w] = gens[edge[1]] * reps[edge[0]] if edge else Word.identity(preset)
+    return reps
 
 
 def _orbit_walk(preset: GroupPreset, v: Vertex, until: Vertex | None = None):
-    """`orbit_transversal`'s reps, and the edge (u, j) by which generator j first reached each w != v."""
+    """The breadth-first tree of `orbit_transversal`'s walk: each orbit
+    vertex in discovery order, with the edge (u, j) by which generator j
+    first reached it, None for v.  No word is built."""
     gens = [Word.generator(preset, g) for g in preset.gen_names]
-    reps: dict[Vertex, Word] = {v: Word.identity(preset)}
-    tree: dict[Vertex, tuple[Vertex, int]] = {}
+    tree: dict[Vertex, tuple[Vertex, int] | None] = {v: None}
     queue = [v]
     for u in queue:  # grows while it is walked: breadth first
         if u == until:
             break
         for j, g in enumerate(gens):
             w = g.apply(u)
-            if w not in reps:
-                reps[w] = g * reps[u]
+            if w not in tree:
                 tree[w] = u, j
                 queue.append(w)
-    return reps, tree
+    return tree
 
 
 def point_stabilizer_words(preset: GroupPreset, v: Vertex) -> list[Word]:
@@ -572,10 +575,14 @@ def point_stabilizer_words(preset: GroupPreset, v: Vertex) -> list[Word]:
     gens = [Word.generator(preset, g) for g in preset.gen_names]
     if not v:
         return gens
-    reps, tree = _orbit_walk(preset, v)
-    invs = {v: reps[v]}
-    for w, (u, j) in tree.items():  # discovery order: u's inverse is built first
-        invs[w] = invs[u] * gens[j].inverse()
+    tree = _orbit_walk(preset, v)
+    reps, invs = {}, {}
+    for w, edge in tree.items():  # discovery order: u's words are built first
+        if edge:
+            u, j = edge
+            reps[w], invs[w] = gens[j] * reps[u], invs[u] * gens[j].inverse()
+        else:
+            reps[w] = invs[w] = Word.identity(preset)
     out: list[Word] = []
     seen = set()
     for u, j in sorted(set(product(reps, range(len(gens)))) - set(tree.values())):  # tree edges give 1

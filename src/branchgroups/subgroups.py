@@ -116,7 +116,7 @@ def _fixed_children(preset: GroupPreset, sections):
     nodes = [node_of(preset, f) for f in sections]
     for x in range(preset.degree):
         if all(node.perm[x] == x for node in nodes):
-            yield x, frozenset(node.sections[x] for node in nodes) - {()}
+            yield x, frozenset(node.sections[x] for node in nodes if node.sections[x])
 
 
 def fixed_levels(words, depth: int):
@@ -130,7 +130,7 @@ def fixed_levels(words, depth: int):
     """
     preset = words[0].preset
     _check_level(preset, depth)
-    level = [((), frozenset(w.factors for w in words) - {()})]
+    level = [((), frozenset(w.factors for w in words if w.factors))]
     yield [()]
     for _ in range(depth):
         level = [(v + (x,), s) for v, secs in level for x, s in _fixed_children(preset, secs)]
@@ -200,7 +200,7 @@ def minimal_non_fixing_level(h: SubgroupHandle) -> int | None:
             raise BudgetExhausted("fixed-tree walk over levels", LEVEL_CAP)
         return r
 
-    return end(frozenset(w.factors for w in h.words) - {()}, 0)
+    return end(frozenset(w.factors for w in h.words if w.factors), 0)
 
 
 def psi_sections(g: Word, k: int) -> list[Word]:
@@ -217,7 +217,8 @@ def psi_sections(g: Word, k: int) -> list[Word]:
             f"word moves level-{k} vertex {format_vertex(moved)}"
         )
     verts = level_vertices(g.preset.degree, k)
-    return [Word(g.preset, sections.get(v, ()), True) for v in verts]
+    one = g.factors[:0]  # the empty word
+    return [Word(g.preset, sections.get(v, one), True) for v in verts]
 
 
 def in_rigid_stabilizer(g: Word, v: Vertex) -> bool:
@@ -260,19 +261,17 @@ def enumerate_reduced_words(preset: GroupPreset):
     without a declared finite order (otherwise inverses are powers and
     already enumerated).  Deterministic and unbounded: callers stop it.
     """
-    letters = []
-    for name in preset.gen_names:
-        letters.append((name, 1))
-        if name not in preset.gen_order:
-            letters.append((name, -1))
-    seen = {()}
-    frontier = [()]
-    yield Word.identity(preset)
+    letters = [preset.reduce([(name, e)]) for name in preset.gen_names
+               for e in ((1,) if name in preset.gen_order else (1, -1))]
+    one = Word.identity(preset)
+    seen = {one.factors}
+    frontier = [one.factors]
+    yield one
     while frontier:
         nxt = []
         for f in frontier:
             for let in letters:
-                g = preset.reduce(f + (let,))
+                g = preset.reduce(f + let)
                 if g not in seen:
                     seen.add(g)
                     nxt.append(g)

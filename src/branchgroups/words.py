@@ -5,12 +5,15 @@ section rule (gh)_v = g_{h(v)} h_v.  Under this convention the Grigorchuk
 recursion reads b = (a, c), c = (a, d), d = (1, b) exactly as constructed
 by the preset.
 
-The sections of a word form a graph, held by the preset's node table: one
-`Node` per expanded reduced word, with its root permutation, d reduced
-section words and child nodes.  Expanding a word looks its letters up once
-in a per-letter table, right to left, then walks each start point through
-those records on its own.  Walks step from node to child by reference and
-key their dicts by node.  Level-n sections are read by `Word.level_sections`.
+Words are the preset's reduced code words (`bytes` or tuples of ints,
+see `presets`).  The sections of a word form a graph, held by the
+preset's node table: one `Node` per expanded reduced word, with its root
+permutation, d reduced section words and child nodes.  Expanding a word
+reads its letters' records by code once, right to left, each record giving
+a point's image and the letter's section there, reversed as a tuple of
+ints, then walks each start point through those records on its own.  Walks
+step from node to child by reference and key their dicts by node.  Level-n
+sections are read by `Word.level_sections`.
 
 The word problem and level stabilizers share one depth-first walk over a
 word's distinct iterated sections, `is_identity_factors`: an element is
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from .presets import Factors, GroupPreset
+from .presets import Codes, GroupPreset
 from .tree import Vertex, format_vertex
 
 DEFAULT_IDENTITY_BUDGET = 200_000
@@ -51,10 +54,6 @@ class InfiniteOrder(ArithmeticError):
     """The element was proved to have infinite order."""
 
 
-def _invert_factors(factors: Factors) -> Factors:
-    return tuple((g, -e) for g, e in reversed(factors))
-
-
 def power(x, m: int, mul):
     """x^m for m >= 1 by repeated squaring; x itself when m = 1.  The
     power so far is multiplied by a square as mul(power, square), so mul
@@ -71,27 +70,27 @@ def power(x, m: int, mul):
         x = mul(x, x)
 
 
-def _letter(preset: GroupPreset, factor) -> tuple[tuple[int, ...], tuple[Factors, ...]]:
-    """Fill the letter table for factor = (g, e): the root permutation of
-    g^e and, at each first-level vertex, its reduced section reversed, so
-    that it goes onto a pending stack as it is.  g^e is a power of g or
-    g^-1 under the section rule (uv)_x = u_{v(x)} v_x."""
-    g, e = factor
+def _letter(preset: GroupPreset, code: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Fill the record of a letter code, g^e: at each first-level vertex x,
+    g^e's reduced section at x reversed as a tuple of codes, so that it goes
+    onto a stack as it is, and the image of x.  g^e is a power of g or g^-1
+    under the section rule (uv)_x = u_{v(x)} v_x."""
+    g, e = preset._letter_of[code]
     gen = preset.gen_map[g]
     d = preset.degree
     if e > 0:
         x = gen.root_perm, [preset.reduce(s) for s in gen.sections]
     else:
         p = sorted(range(d), key=gen.root_perm.__getitem__)  # the inverse of g's root permutation
-        x = p, [preset.reduce(_invert_factors(gen.sections[p[y]])) for y in range(d)]
+        x = p, [preset.reduce([(h, -k) for h, k in reversed(gen.sections[p[y]])]) for y in range(d)]
 
     def times(v, u):  # u v: power's mul(out, x) puts x on the left of out
         (p, s), (q, t) = u, v
         return tuple(p[y] for y in q), [preset.product(s[q[y]], t[y]) for y in range(d)]
 
-    perm, sections = power(x, abs(e), times) if e else (tuple(range(d)), [()] * d)
-    entry = (tuple(perm), tuple(s[::-1] for s in sections))
-    preset._letter_cache[factor] = entry
+    perm, sections = power(x, abs(e), times)
+    entry = tuple((tuple(sections[x][::-1]), perm[x]) for x in range(d))
+    preset._letter_cache[code] = entry
     return entry
 
 
@@ -102,11 +101,11 @@ class Node:
 
     __slots__ = ("word", "perm", "sections", "children")
 
-    def __init__(self, word: Factors, perm: tuple[int, ...], sections: tuple[Factors, ...]):
+    def __init__(self, word: Codes, perm: tuple[int, ...], sections: tuple[Codes, ...]):
         self.word, self.perm, self.sections, self.children = word, perm, sections, [None] * len(perm)
 
 
-def node_of(preset: GroupPreset, factors: Factors) -> Node:
+def node_of(preset: GroupPreset, factors: Codes) -> Node:
     """The node of a reduced word: a table hit, or else its expansion."""
     return preset._section_cache.get(factors) or expand_factors(preset, factors)
 
@@ -117,12 +116,12 @@ def _child(preset: GroupPreset, node: Node, x: int) -> Node:
     return child
 
 
-def root_perm_of(preset: GroupPreset, factors: Factors) -> tuple[int, ...]:
+def root_perm_of(preset: GroupPreset, factors: Codes) -> tuple[int, ...]:
     """The permutation induced on the first level (leftmost factor last)."""
     return node_of(preset, factors).perm
 
 
-def apply_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Vertex:
+def apply_factors(preset: GroupPreset, factors: Codes, v: Vertex) -> Vertex:
     """Image of vertex v under the word: for each letter x of v, the image
     of x under the node's root permutation, then on to its child at x."""
     if not v:
@@ -135,33 +134,35 @@ def apply_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Vertex:
     return tuple(out)
 
 
-def expand_factors(preset: GroupPreset, factors: Factors) -> Node:
+def expand_factors(preset: GroupPreset, factors: Codes) -> Node:
     """Expand a reduced word into its node: its root permutation and its d
     reduced first-level sections.  The word's letter records are looked up
-    once, right to left; then each start point x is walked through them on
-    its own, pushing the letter's reversed section at x onto x's stack and
-    moving x to its image.  Returns the table's node for the word, adding
-    this one if it has none; walks call it only on a table miss."""
+    by code once, right to left; then each start point x is walked through
+    them on its own, pushing the letter's reversed section at x onto x's
+    stack and moving x to its image, and the stack is rewritten from its
+    far end.  Returns the table's node for the word, adding this one if it
+    has none; walks call it only on a table miss."""
     letters = preset._letter_cache
-    records = [letters.get(f) or _letter(preset, f) for f in reversed(factors)]
-    rewrite = preset._rewrite
+    records = [letters.get(c) or _letter(preset, c) for c in factors[::-1]]
+    rewrite, word_type = preset._rewrite, preset._word_type
     points, sections = [], []
     for x in range(preset.degree):
         stack = []
-        for perm, secs in records:
-            stack += secs[x]
-            x = perm[x]
+        for record in records:
+            section, x = record[x]
+            stack += section
         points.append(x)
-        sections.append(rewrite([], stack, ()))
+        stack.reverse()
+        sections.append(word_type(rewrite([], stack)))
     return preset._section_cache.setdefault(factors, Node(factors, tuple(points), tuple(sections)))
 
 
-def section1(preset: GroupPreset, factors: Factors, x: int) -> Factors:
+def section1(preset: GroupPreset, factors: Codes, x: int) -> Codes:
     """Section of a reduced word at first-level child x, reduced."""
     return node_of(preset, factors).sections[x]
 
 
-def section_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Factors:
+def section_factors(preset: GroupPreset, factors: Codes, v: Vertex) -> Codes:
     """Section at an arbitrary vertex, stepping from node to child along v."""
     if not v:
         return factors
@@ -172,7 +173,7 @@ def section_factors(preset: GroupPreset, factors: Factors, v: Vertex) -> Factors
 
 
 def is_identity_factors(
-    preset: GroupPreset, factors: Factors, budget: int | None = None, level: int | None = None
+    preset: GroupPreset, factors: Codes, budget: int | None = None, level: int | None = None
 ) -> bool:
     """True iff the word acts trivially on the whole tree or, given a level
     n, fixes level n.
@@ -208,14 +209,14 @@ def is_identity_factors(
     return True
 
 
-def _power_factors(preset: GroupPreset, factors: Factors, m: int) -> Factors:
+def _power_factors(preset: GroupPreset, factors: Codes, m: int) -> Codes:
     """The m-th power of a reduced word, reduced."""
     if m < 0:
-        factors, m = preset.reduce(_invert_factors(factors)), -m
-    return power(factors, m, preset.product) if m else ()
+        factors, m = preset.reduce([(g, -e) for g, e in reversed(preset.decode(factors))]), -m
+    return power(factors, m, preset.product) if m else factors[:0]
 
 
-def order_factors(preset: GroupPreset, factors: Factors, budget: int | None = None) -> int:
+def order_factors(preset: GroupPreset, factors: Codes, budget: int | None = None) -> int:
     """Order of a reduced word: least m >= 1 with the m-th power trivial;
     arbitrary precision.
 
@@ -276,7 +277,7 @@ def _order_rec(
         depth, entry_mult = hit
         if mult == entry_mult:
             return 1, depth
-        raise InfiniteOrder(f"{preset.format_factors(node.word)} re-enters its order recursion")
+        raise InfiniteOrder(f"{Word(preset, node.word, True)} re-enters its order recursion")
     my_depth = len(path)
     path[node] = (my_depth, mult)
     perm, sections, children = node.perm, node.sections, node.children
@@ -294,6 +295,8 @@ def _order_rec(
                 h = preset.product(sections[y], h)
                 c += 1
                 y = perm[y]
+            if h and nodes[0] >= budget:  # visiting h charges at least 1: refuse before expanding it
+                raise BudgetExhausted("element_order", budget)
             # A cycle of length 1 steps straight to the child node.
             child = (children[x] or _child(preset, node, x)) if c == 1 else node_of(preset, h)
             val, low = _order_rec(preset, child, mult * c, path, budget, nodes)
@@ -344,7 +347,7 @@ class Portrait:
         }
 
 
-def portrait_factors(preset: GroupPreset, factors: Factors, n: int) -> Portrait:
+def portrait_factors(preset: GroupPreset, factors: Codes, n: int) -> Portrait:
     """Depth-n portrait, one level at a time: level k + 1's nodes are read
     from level k's child slots, starting from the word's node, and the
     deepest level's children are never fetched.  Each level's root
@@ -372,11 +375,11 @@ class Word:
 
     def __init__(self, preset: GroupPreset, factors=(), reduced: bool = False):
         self.preset = preset
-        self.factors = tuple(factors) if reduced else preset.reduce(factors)
+        self.factors = factors if reduced else preset.reduce(factors)
 
     @classmethod
     def identity(cls, preset: GroupPreset) -> "Word":
-        return cls(preset, (), reduced=True)
+        return cls(preset, ())
 
     @classmethod
     def from_str(cls, preset: GroupPreset, text: str) -> "Word":
@@ -392,7 +395,7 @@ class Word:
         return Word(self.preset, self.preset.product(self.factors, other.factors), True)
 
     def inverse(self) -> "Word":
-        return Word(self.preset, _invert_factors(self.factors))
+        return Word(self.preset, [(g, -e) for g, e in reversed(self.preset.decode(self.factors))])
 
     def __pow__(self, m: int) -> "Word":
         return Word(self.preset, _power_factors(self.preset, self.factors, m), True)
@@ -412,13 +415,13 @@ class Word:
         return hash(self.factors)
 
     def __repr__(self) -> str:
-        return f"Word({self.preset.format_factors(self.factors)!r})"
+        return f"Word({str(self)!r})"
 
     def __str__(self) -> str:
-        return self.preset.format_factors(self.factors)
+        return self.preset.format_factors(self.preset.decode(self.factors))
 
     def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.factors)
+        return sum(abs(e) for _, e in self.preset.decode(self.factors))
 
     # -- group action ------------------------------------------------------
 
@@ -434,7 +437,7 @@ class Word:
     def is_identity(self, budget: int | None = None) -> bool:
         return is_identity_factors(self.preset, self.factors, budget)
 
-    def level_sections(self, n: int) -> dict[Vertex, Factors] | None:
+    def level_sections(self, n: int) -> dict[Vertex, Codes] | None:
         """The nonempty reduced sections at level n, keyed by vertex in
         lexicographic order, or None if the word moves a vertex of level
         <= n, that is, if some section above level n has a nontrivial root

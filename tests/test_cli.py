@@ -25,7 +25,7 @@ from branchgroups.subgroups import SubgroupHandle
 from branchgroups.tree import parse_vertex
 from branchgroups.words import Word
 
-from conftest import DOUBLING, HANOI, RANDOM_DEGREE_3
+from conftest import ADDING_MACHINE, DOUBLING, HANOI, RANDOM_DEGREE_3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BUDGETED = {
@@ -528,6 +528,26 @@ def test_degree_above_ten_is_refused(tmp_path, capsys):
     for argv in (["group", "validate"], ["elem", "apply", "a", "9"]):
         assert run_command([*argv, "--preset", ggs11]) == EXIT_USAGE
         assert "GGS degree must be in 2..10, got 11" in capsys.readouterr().err
+
+
+# A rule is a claim about the group: Hanoi with a b -> c and the adding
+# machine with a^2 -> 1 gave wrong exact answers while rules were trusted.
+FALSE_RULES = {
+    "hanoi": ({**HANOI, "rules": HANOI["rules"] + [{"lhs": "a b", "rhs": "c"}]}, "a b c",
+              "false-rule at rule 3: lhs rhs^-1 = a b c^-1 moves vertex 0"),
+    "adding-machine": ({**ADDING_MACHINE, "rules": [{"lhs": "a^2", "rhs": "1"}]}, "a a",
+                       "false-rule at rule 0: lhs rhs^-1 = a^2 moves vertex 00"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_RULES))
+def test_a_false_rule_is_refused_naming_a_moved_vertex(tmp_path, capsys, name):
+    data, word, issue = FALSE_RULES[name]
+    path = tmp_path / "false.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "group", "validate", "--preset", str(path)) == (EXIT_FALSE, issue)
+    assert run_command(["elem", "identity", word, "--preset", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: invalid preset: {issue}\n"
 
 
 def test_group_validate_accepts_hanoi(tmp_path, capsys):

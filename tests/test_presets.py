@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchgroups import presets
 from branchgroups.presets import (
     GeneratorRecursion,
     GroupPreset,
@@ -18,9 +20,10 @@ from branchgroups.presets import (
     save_preset,
     validate_preset,
 )
+from branchgroups.subgroups import enumerate_reduced_words
 from branchgroups.words import expand_factors
 
-from conftest import HANOI, RANDOM_DEGREE_3
+from conftest import DOUBLING, HANOI, RANDOM_DEGREE_3
 
 
 def test_grigorchuk_shape(grig):
@@ -31,29 +34,37 @@ def test_grigorchuk_shape(grig):
     assert validate_preset(grig) == []
 
 
+def reduced_letters(preset, factors):
+    """The (name, exponent) letters of the reduced form of factors."""
+    return preset.decode(preset.reduce(factors))
+
+
 def test_reduction_involutions(grig):
-    assert grig.reduce([("a", 1), ("a", 1)]) == ()
-    assert grig.reduce([("a", 3)]) == (("a", 1),)
-    assert grig.reduce([("b", -1)]) == (("b", 1),)
+    assert reduced_letters(grig, [("a", 1), ("a", 1)]) == ()
+    assert reduced_letters(grig, [("a", 3)]) == (("a", 1),)
+    assert reduced_letters(grig, [("b", -1)]) == (("b", 1),)
 
 
 def test_reduction_klein_table(grig):
     # bc = cb = d, bd = db = c, cd = dc = b
-    assert grig.reduce([("b", 1), ("c", 1)]) == (("d", 1),)
-    assert grig.reduce([("c", 1), ("b", 1)]) == (("d", 1),)
-    assert grig.reduce([("b", 1), ("d", 1)]) == (("c", 1),)
-    assert grig.reduce([("c", 1), ("d", 1)]) == (("b", 1),)
+    assert reduced_letters(grig, [("b", 1), ("c", 1)]) == (("d", 1),)
+    assert reduced_letters(grig, [("c", 1), ("b", 1)]) == (("d", 1),)
+    assert reduced_letters(grig, [("b", 1), ("d", 1)]) == (("c", 1),)
+    assert reduced_letters(grig, [("c", 1), ("d", 1)]) == (("b", 1),)
     # cascades: b c d -> d d -> 1
-    assert grig.reduce([("b", 1), ("c", 1), ("d", 1)]) == ()
+    assert reduced_letters(grig, [("b", 1), ("c", 1), ("d", 1)]) == ()
 
 
 def test_parse_word_forms(grig):
-    assert grig.parse_word("a b a") == (("a", 1), ("b", 1), ("a", 1))
-    assert grig.parse_word("abab") == (("a", 1), ("b", 1), ("a", 1), ("b", 1))
-    assert grig.parse_word("a^2") == ()
-    assert grig.parse_word("a^-1") == (("a", 1),)
-    assert grig.parse_word("1") == ()
-    assert grig.parse_word("") == ()
+    def parsed(text):
+        return grig.decode(grig.parse_word(text))
+
+    assert parsed("a b a") == (("a", 1), ("b", 1), ("a", 1))
+    assert parsed("abab") == (("a", 1), ("b", 1), ("a", 1), ("b", 1))
+    assert parsed("a^2") == ()
+    assert parsed("a^-1") == (("a", 1),)
+    assert parsed("1") == ()
+    assert parsed("") == ()
     with pytest.raises(PresetError):
         grig.parse_word("x")
     with pytest.raises(PresetError):
@@ -239,7 +250,9 @@ def multipass_reduce(preset, factors):
     factors mod the declared orders, then rewrite non-overlapping pairs left
     to right, and repeat until a pass changes nothing."""
     syl = [(g, e) for g, e in factors if e != 0]
-    orders, table = preset.gen_order, preset.pair_table
+    orders = preset.gen_order
+    table = {tuple(lhs): tuple(x for f in rhs for x in reduced_letters(preset, [f]))  # canonical letters
+             for lhs, rhs in preset.reduction_rules if len(lhs) == 2}
     while True:
         changed = False
         merged = []
@@ -311,9 +324,10 @@ def preset_and_factors(draw, presets, count=1):
 
 def test_rule_right_hand_side_keeps_its_order():
     p = merging_rules_preset()
-    assert p.reduce([("x", 2), ("y", 1)]) == (("y", 1), ("x", 1))
-    assert p.reduce([("x", 1), ("x", 1), ("y", 1)]) == (("y", 1), ("x", 1))
-    assert p.product((("x", 1),), (("x", 1), ("y", 1))) == (("y", 1), ("x", 1))
+    assert reduced_letters(p, [("x", 2), ("y", 1)]) == (("y", 1), ("x", 1))
+    assert reduced_letters(p, [("x", 1), ("x", 1), ("y", 1)]) == (("y", 1), ("x", 1))
+    uv = p.product(p.parse_word("x"), p.parse_word("x y"))
+    assert p.decode(uv) == (("y", 1), ("x", 1))
 
 
 # Expansions on merging_rules_preset's rules, with sections that feed them.
@@ -345,12 +359,12 @@ def test_expansions_under_merging_rules_are_pinned():
         {"name": "x", "root_perm": [0, 1], "sections": ["x", "x y"]},
         {"name": "y", "root_perm": [1, 0], "sections": ["x^2", "y x"]},
     ]
-    p = preset_from_dict(data)
+    p = _preset_from_dict(data)  # unchecked: its rules are false in this group
     for text, reduced, perm, sections in MERGING_EXPANSIONS:
         factors = p.parse_word(text)
-        assert p.format_factors(factors) == reduced
+        assert p.format_factors(p.decode(factors)) == reduced
         node = expand_factors(p, factors)
-        assert (node.perm, [p.format_factors(s) for s in node.sections]) == (perm, sections)
+        assert (node.perm, [p.format_factors(p.decode(s)) for s in node.sections]) == (perm, sections)
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,8 +372,8 @@ def test_expansions_under_merging_rules_are_pinned():
 def test_reduce_matches_multipass_oracle(case):
     preset, factors = case
     reduced = preset.reduce(factors)
-    assert reduced == multipass_reduce(preset, factors)
-    assert all(preset.letters[f] is f for f in reduced)
+    assert preset.decode(reduced) == multipass_reduce(preset, factors)
+    assert preset.reduce(preset.decode(reduced)) == reduced  # codes of canonical letters
 
 
 @settings(max_examples=300, deadline=None)
@@ -371,16 +385,17 @@ def test_product_matches_reduce_of_concatenation(case):
     u, v = preset.reduce(f), preset.reduce(g)
     uv = preset.product(u, v)
     assert uv == preset.reduce(u + v)
-    assert all(preset.letters[x] is x for x in uv)
-    assert preset.product(u, ()) == u and preset.product((), v) == v
+    assert preset.reduce(preset.decode(uv)) == uv  # codes of canonical letters
+    one = preset.reduce(())
+    assert preset.product(u, one) == u and preset.product(one, v) == v
     if preset.name:
         # a shipped group: u·u⁻¹ cancels completely
-        u_inv = preset.reduce(tuple((x, -e) for x, e in reversed(u)))
-        assert preset.product(u, u_inv) == ()
+        u_inv = preset.reduce(tuple((x, -e) for x, e in reversed(preset.decode(u))))
+        assert preset.product(u, u_inv) == one
 
 
 def test_reduce_rejects_unknown_generator_only_when_it_acts(grig):
-    assert grig.reduce([("a", 1), ("z", 0)]) == (("a", 1),)
+    assert reduced_letters(grig, [("a", 1), ("z", 0)]) == (("a", 1),)
     with pytest.raises(PresetError, match="unknown generator"):
         grig.reduce([("a", 1), ("z", 2)])
 
@@ -403,7 +418,7 @@ def test_cycling_rules_raise_instead_of_hanging():
     with pytest.raises(PresetError, match="did not terminate"):
         p.reduce([("x", 1), ("y", 1)])
     with pytest.raises(PresetError, match="did not terminate"):
-        p.product((("y", 1),), (("x", 1),))
+        p.product(p.reduce([("y", 1)]), p.reduce([("x", 1)]))
     with pytest.raises(PresetError, match="did not terminate"):
         p.parse_word("x y")
 
@@ -416,3 +431,55 @@ def test_bad_exponent_raises_preset_error_in_both_parsers(grig):
     with pytest.raises(PresetError, match="bad exponent"):
         preset_from_dict(data)
 
+
+
+# -- rules are claims --------------------------------------------------------
+
+SHIPPED = ["grigorchuk", "gupta-sidki", "ggs:3:1,0", "ggs:5:1,0,0,1", "ggs:5:1,2,0,0", "ggs:7:1,2,3,4,5,6",
+           "ggs:10:1,0,0,0,0,0,0,0,1"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_rules_hold_without_rules(name):
+    # Shipped presets skip the check as they are built; every rule holds.
+    assert validate_preset(builtin_preset(name)) == []
+
+
+def test_a_rule_the_budget_cannot_decide_is_unchecked(monkeypatch):
+    # a = (a a, a a) fixes every vertex, so a^2 -> 1 holds, but no section
+    # of a^2 repeats: the word problem runs out of budget.
+    monkeypatch.setattr(presets, "RULE_BUDGET", 50)
+    data = {**DOUBLING, "rules": [{"lhs": "a^2", "rhs": "1"}]}
+    issues = validate_preset(_preset_from_dict(data))
+    assert [(i.code, i.location, i.message) for i in issues] == [
+        ("unchecked-rule", "rule 0", "lhs rhs^-1 not decided within 50 sections")]
+    with pytest.raises(PresetError, match="unchecked-rule at rule 0"):
+        preset_from_dict(data)
+
+
+def test_a_false_pair_rule_names_the_vertex_it_moves():
+    data = {**HANOI, "rules": HANOI["rules"] + [{"lhs": "b c", "rhs": "a"}]}
+    issues = validate_preset(_preset_from_dict(data))
+    assert [(i.code, i.location, i.message) for i in issues] == [
+        ("false-rule", "rule 3", "lhs rhs^-1 = b c a^-1 moves vertex 1")]
+
+
+# -- the letter codes --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [*SHIPPED, "hanoi"])
+def test_code_words_sort_as_their_letters(name, rng):
+    # Certificates list a finite subgroup's elements in word order.
+    preset = preset_from_dict(HANOI) if name == "hanoi" else builtin_preset(name)
+    words = [w.factors for w in itertools.islice(enumerate_reduced_words(preset), 400)]
+    names = preset.gen_names
+    words += [preset.reduce([(rng.choice(names), rng.randrange(-5, 6)) for _ in range(rng.randrange(12))])
+              for _ in range(400)]
+    assert [preset.decode(w) for w in sorted(words)] == sorted(preset.decode(w) for w in words)
+
+
+def test_a_code_word_reads_the_same_on_another_instance(grig):
+    # Codes are a pure function of the definition.
+    word = grig.parse_word("a b a c a d")
+    other = grigorchuk_preset()
+    assert other.reduce(word) == word and other.decode(word) == grig.decode(word)

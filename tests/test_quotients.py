@@ -501,7 +501,7 @@ def test_stab_chain_on_tuples_agrees_with_the_layered_engine(grig):
         assert type(chain._one) is tuple
         assert chain.order() == layered.order()
         for _ in range(6):
-            member = Word(grig, sum((rng.choice(words).factors for _ in range(5)), ()))
+            member = Word(grig, [f for _ in range(5) for f in grig.decode(rng.choice(words).factors)])
             assert chain.contains(word_perm(member, n)) and layered.contains(word_perm(member, n))
             x = word_perm(random_word(grig, rng, 12), n)
             assert chain.contains(x) == layered.contains(x)

@@ -54,6 +54,22 @@ def test_only_quotients_knows_how_level_permutations_are_stored():
     assert leaks == []
 
 
+def test_only_presets_and_words_know_how_words_are_coded():
+    # The letter codes, the action table and the bytes-or-tuple container
+    # stay private to presets and the word engine: every other module reads
+    # words through `decode`, `reduce` and `Word`.
+    private = {"_letter_of", "_code_of", "_encode", "_merge", "_action", "_action_width", "_word_type",
+               "_rewrite", "_letter_cache"}
+    leaks = []
+    for path in SOURCES:
+        if path.name in ("presets.py", "words.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                leaks.append(f"{path.name}: reads {node.attr}")
+    assert leaks == []
+
+
 def test_sources_parse_at_the_declared_python_floor():
     # pyproject.toml's requires-python; a newer construct would break that interpreter.
     pyproject = Path(branchgroups.__file__).parents[2] / "pyproject.toml"

@@ -1,7 +1,9 @@
+import functools
 import gc
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -28,7 +30,6 @@ from branchgroups.words import (
     BudgetExhausted,
     InfiniteOrder,
     Word,
-    _invert_factors,
     _power_factors,
     apply_factors,
     expand_factors,
@@ -43,6 +44,22 @@ from conftest import ADDING_MACHINE, HANOI, RANDOM_DEGREE_3, random_word
 
 def W(preset, text):
     return Word.from_str(preset, text)
+
+
+def _invert_factors(factors):
+    return tuple((g, -e) for g, e in reversed(factors))
+
+
+def is_code_word(preset, word):
+    """Whether word is a reduced word in the preset's container whose codes
+    decode to canonical letters: decoding and encoding again gives it back."""
+    return preset.reduce(preset.decode(word)) == word
+
+
+def unreduced(preset, factors):
+    """The code word of each factor's canonical letter, concatenated without
+    reduction (a trivial factor gives no letter)."""
+    return functools.reduce(operator.add, (preset.reduce([f]) for f in factors), preset.reduce(()))
 
 
 # -- actions on vertices ---------------------------------------------------
@@ -192,7 +209,7 @@ def test_order_leaves_no_reference_cycle():
 def test_order_factors_of_reduced_words(grig):
     # a b c d reduces to a, since b c d = 1.
     w = W(grig, "a b c d")
-    assert w.factors == (("a", 1),)
+    assert grig.decode(w.factors) == (("a", 1),)
     assert order_factors(grig, w.factors) == 2
     assert order_factors(grig, W(grig, "a b").factors) == 16
 
@@ -215,7 +232,7 @@ def power_then_sections_order(preset, factors, budget):
             depth, entry_mult = path[f]
             if mult == entry_mult:
                 return 1, depth
-            raise InfiniteOrder(preset.format_factors(f))
+            raise InfiniteOrder(preset.format_factors(preset.decode(f)))
         my_depth = len(path)
         path[f] = (my_depth, mult)
         try:
@@ -488,7 +505,7 @@ def test_root_perm_agrees_with_level_one_action(fixture, request, rng):
         w = Word(preset, factors)
         expected = tuple(w.apply((x,))[0] for x in range(preset.degree))
         assert root_perm_of(preset, w.factors) == expected
-        assert root_perm_of(preset, factors) == expected
+        assert root_perm_of(preset, unreduced(preset, factors)) == expected
 
 
 @pytest.mark.parametrize("fixture", ["grig", "gs", "ggs5"])
@@ -548,14 +565,14 @@ def test_letter_powers_match_unit_steps(fixture, depth, request):
     vertices = level_vertices(preset.degree, depth)
     for g in preset.gen_names:
         for e in range(-7, 8):
-            letter, units = ((g, e),), [(g, 1 if e > 0 else -1)] * abs(e)
+            letter, units = preset.reduce([(g, e)]), [(g, 1 if e > 0 else -1)] * abs(e)
             assert root_perm_of(preset, letter) == tuple(
                 _unit_apply(preset, units, (x,))[0] for x in range(preset.degree)
             )
             for x in range(preset.degree):
                 s = section1(preset, letter, x)
                 assert s == preset.reduce(_unit_section(preset, units, x))
-                assert all(preset.letters[f] is f for f in s)
+                assert is_code_word(preset, s)
             for v in vertices:
                 assert apply_factors(preset, letter, v) == _unit_apply(preset, units, v)
 
@@ -573,7 +590,7 @@ def test_adding_machine_huge_power(adding_machine, n):
     m = n
     for x in (0, 1, 1):
         m = (x + m) // 2
-    assert w.section((0, 1, 1)).factors == (("a", m),)
+    assert adding_machine.decode(w.section((0, 1, 1)).factors) == (("a", m),)
 
 
 @pytest.mark.parametrize("name", ["grigorchuk", "gupta-sidki", "ggs:5:1,0,0,1"])
@@ -594,7 +611,7 @@ def test_memo_tables_hold_canonical_letters(name, rng):
     words = [*sections, *preset._section_cache, *(node.word for node in nodes)]
     assert len(sections) > 30
     assert preset._order_cache.keys() <= set(nodes)
-    assert all(preset.letters[f] is f for word in words for f in word)
+    assert all(type(word) is bytes and is_code_word(preset, word) for word in words)
 
 
 def test_bounded_identity_replays_whatever_ran_before(grig):
@@ -691,7 +708,8 @@ def degree_one_preset():
 
 
 def test_root_perm_on_degree_one():
-    assert root_perm_of(degree_one_preset(), (("x", 2), ("x", -1))) == (0,)
+    preset = degree_one_preset()
+    assert root_perm_of(preset, preset.reduce([("x", 2), ("x", -1)])) == (0,)
 
 
 # -- first-level expansion -------------------------------------------------
@@ -748,7 +766,7 @@ def oracle_expansion(preset, factors):
             inv[y] = x
         units[gen.name, 1] = gen.root_perm, gen.sections
         units[gen.name, -1] = inv, [_invert_factors(gen.sections[inv[x]]) for x in range(d)]
-    word = [units[g, 1 if e > 0 else -1] for g, e in factors for _ in range(abs(e))]
+    word = [units[g, 1 if e > 0 else -1] for g, e in preset.decode(factors) for _ in range(abs(e))]
     perm, sections = [], []
     for x in range(d):
         parts = []
@@ -960,3 +978,40 @@ def test_identity_then_order_expands_each_word_once(name, rng, monkeypatch):
             pass
     assert len(calls) > 30
     assert len(set(calls)) == len(calls)
+
+
+def test_order_budget_is_charged_before_a_child_is_expanded():
+    # On RANDOM_DEGREE_3 the words of b's order walk grow about twentyfold
+    # per node; once the budget is spent the walk refuses the next nonempty
+    # child instead of expanding it first.
+    preset = preset_from_dict(RANDOM_DEGREE_3)
+    with pytest.raises(BudgetExhausted):
+        W(preset, "b").order(budget=20)
+    nodes = preset._section_cache.values()
+    assert (len(nodes), sum(len(node.word) for node in nodes)) == (20, 77_518)
+
+
+# g1 = (1 0)(1, g2), ..., g8 = (1 0)(1, g9), g9 = (1 0): g1 adds 1 to the
+# first nine digits read as a binary number, first digit least significant,
+# so g1 has order 512, and the letters of the nine generators number 1,013.
+CHAIN = {
+    "degree": 2,
+    "generators": [{"name": f"g{i}", "root_perm": [1, 0], "sections": ["", f"g{i + 1}" if i < 9 else ""]}
+                   for i in range(1, 10)],
+    "rules": [{"lhs": f"g{i}^{2 ** (10 - i)}", "rhs": "1"} for i in range(1, 10)],
+}
+
+
+def test_more_than_255_letters_reduce_expand_and_answer():
+    preset = preset_from_dict(CHAIN)
+    v = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1)
+    value = sum(x << i for i, x in enumerate(v[:9]))
+    words = {k: Word(preset, [("g1", k)]) for k in range(-600, 601)}
+    assert len({w.factors for w in words.values()}) == 512
+    for k, w in words.items():
+        image = (value + k) % 512
+        assert w.apply(v) == tuple(image >> i & 1 for i in range(9)) + v[9:]
+        assert str(w) == ("1" if k % 512 == 0 else "g1" if k % 512 == 1 else f"g1^{k % 512}")
+    assert [words[k].order() for k in (1, 2, 96, 256, 512)] == [512, 256, 16, 2, 1]
+    assert (words[300] * words[-300]).is_identity() and not (words[300] * words[-299]).is_identity()
+    assert preset.decode(words[300].section((1,)).factors) == (("g2", 150),)
