@@ -10,14 +10,16 @@ as every shipped preset's are.
 A reduced word is a sequence of letter codes, one per canonical letter
 g^e (e mod the declared order of g): `bytes` numbered 1..L in (name,
 exponent) order when every generator has a declared order and L < 256,
-else a tuple of ints coded as letters are first met.  An action table
-indexed by top * width + incoming (a list, or a dict filled on first read
-for tuples) says whether a letter is pushed or, with the top letter,
-replaced by others.  Definitions and text hold (name, exponent) factors:
-`reduce` encodes them, `decode` gives them back.  The text syntax is
-whitespace-separated factors with optional ^-exponents ("a b a^-1"); a
-single run of one-letter generator names may also be written without
-spaces ("abab").
+else a tuple of ints coded from g's index and a zigzag of e (`_Letters`).
+Either way a code is a function of the definition alone, so a code word
+means the same on every instance of a preset.  An action table indexed
+by top * width + incoming (a list, or for tuples a dict filled on first
+read and rebuilt wider when a larger code comes) says whether a letter
+is pushed or, with the top letter, replaced by others.  Definitions and
+text hold (name, exponent) factors: `reduce` encodes them, `decode`
+gives them back.  The text syntax is whitespace-separated factors with
+optional ^-exponents ("a b a^-1"); a single run of one-letter generator
+names may also be written without spaces ("abab").
 
 A preset read from a definition dict or file is checked by
 `validate_preset` as it loads and refused with every issue listed; the
@@ -37,6 +39,7 @@ Codes = bytes | tuple[int, ...]  # a word of letter codes
 
 _MAX_REDUCTION_PASSES = 1000
 RULE_BUDGET = 500  # sections the word problem may walk to check one rule
+RULE_LETTERS = 50_000  # and their letters in all
 
 
 class PresetError(ValueError):
@@ -111,16 +114,17 @@ class GroupPreset:
         return bytes if closed else tuple
 
     @cached_property
-    def _letter_of(self) -> list:  # code -> (g, e), code 0 being none
-        orders = self.gen_order if self._word_type is bytes else {}
-        return [None] + sorted((g, e) for g in self.gen_names for e in range(1, orders.get(g, 1)))
+    def _letter_of(self) -> list | _Letters:  # code -> (g, e), code 0 being none
+        if self._word_type is tuple:
+            return _Letters(self.gen_names)
+        return [None] + sorted((g, e) for g in self.gen_names for e in range(1, self.gen_order[g]))
 
     @cached_property
-    def _code_of(self) -> dict:  # (g, e), canonical or as met -> code
-        return {f: c for c, f in enumerate(self._letter_of) if c}
+    def _code_of(self) -> dict:  # (g, e) -> code, filled for every factor met
+        return {f: c for c, f in enumerate(self._letter_of) if c} if self._word_type is bytes else {}
 
     @cached_property
-    def _action_width(self) -> int:
+    def _action_width(self) -> int:  # above every code; `_encode` widens it on tuple presets
         return len(self._letter_of) if self._word_type is bytes else 1 << 32
 
     @cached_property
@@ -128,13 +132,16 @@ class GroupPreset:
         """Entry top * width + incoming: None to push the incoming letter, else
         the letters that replace both, reversed; top 0 is the empty stack.  A
         full list for `bytes` words, else a dict that `_rewrite` fills."""
-        n = self._action_width
-        table = {} if self._word_type is tuple else [self._merge(t, f) for t in range(n) for f in range(n)]
+        pairs = {}
         for lhs, rhs in self.reduction_rules:
             if len(lhs) == 2 and lhs[0][0] != lhs[1][0] and all(g in self.gen_map for g, _ in lhs):
                 t, f = map(self._encode, lhs)
                 if (self._letter_of[t], self._letter_of[f]) == lhs:  # else no reduced word holds it
-                    table[t * n + f] = tuple(c for c in map(self._encode, reversed(rhs)) if c)
+                    pairs[t, f] = tuple(c for c in map(self._encode, reversed(rhs)) if c)
+        n = self._action_width
+        table = {} if self._word_type is tuple else [self._merge(t, f) for t in range(n) for f in range(n)]
+        for (t, f), act in pairs.items():
+            table[t * n + f] = act
         return table
 
     @cached_property
@@ -154,10 +161,16 @@ class GroupPreset:
             if e and g not in self.gen_map:
                 raise PresetError(f"unknown generator {g!r}")
             e = e % o if (o := self.gen_order.get(g)) else e
-            code = self._code_of.setdefault((g, e), len(self._letter_of)) if e else 0
-            if code == len(self._letter_of):  # a letter of undeclared order, first met
-                self._letter_of.append((g, e))
-            self._code_of[factor] = self._code_of[g, e] = code
+            if not e:
+                code = 0
+            elif self._word_type is bytes:
+                code = self._code_of[g, e]
+            else:  # see `_Letters`
+                code = 1 + self.gen_names.index(g) + len(self.gen_names) * (2 * e - 2 if e > 0 else -2 * e - 1)
+            if code >= self._action_width:  # a tuple preset's table, rebuilt wider on its next read
+                self.__dict__.pop("_action", None)
+                self._action_width = 1 << 2 * code.bit_length()
+            self._code_of[factor] = code
         return code
 
     def _merge(self, top: int, f: int) -> tuple[int, ...] | None:
@@ -181,6 +194,8 @@ class GroupPreset:
                 factors = [c for c in map(self._code_of.__getitem__, factors) if c]
             except KeyError:
                 factors = [c for c in map(self._encode, factors) if c]
+        elif factors and max(factors) >= self._action_width:  # codes no reduction here has met
+            self._encode(self._letter_of[max(factors)])
         return self._word_type(self._rewrite([], factors))
 
     def product(self, u: Codes, v: Codes) -> Codes:
@@ -209,6 +224,7 @@ class GroupPreset:
                     act = action[top * width + f]
                 except KeyError:
                     act = action[top * width + f] = self._merge(top, f)
+                    action, width = self._action, self._action_width  # a merge may widen them
                 if act is None:
                     out.append(f)
                     top = f
@@ -261,6 +277,22 @@ class GroupPreset:
         import json
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class _Letters(dict):
+    """The letters of a tuple preset by code, computed on first read.  With
+    n generators, g^e has code 1 + i + n * z for g the i-th generator and z
+    the zigzag 2e - 2 (e > 0) or -2e - 1 (e < 0) of e, so that a code word
+    means the same letters on every preset with these generators."""
+
+    def __init__(self, names: tuple[str, ...]):
+        super().__init__({0: None})
+        self.names = names
+
+    def __missing__(self, code: int) -> Factor:
+        q, i = divmod(code - 1, len(self.names))
+        letter = self[code] = self.names[i], (q >> 1) + 1 if q & 1 == 0 else ~(q >> 1)
+        return letter
 
 
 def _power_rule(lhs: Factors, rhs: Factors) -> bool:
@@ -486,23 +518,37 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
         issues.append(ValidationIssue("unsupported-degree", "degree", why))
     names = [g.name for g in preset.generators]
     if len(set(names)) != len(names):
-        issues.append(ValidationIssue("duplicate-name", "generators", "generator names not distinct"))
+        issues.append(
+            ValidationIssue("duplicate-name", "generators", "generator names not distinct")
+        )
     known = set(names)
 
     def check_word(factors, where):
-        issues.extend(ValidationIssue("unknown-symbol", where, f"undeclared generator {g!r}")
-                      for g, _ in factors if g not in known)
+        for g, _ in factors:
+            if g not in known:
+                issues.append(
+                    ValidationIssue("unknown-symbol", where, f"undeclared generator {g!r}")
+                )
 
     for g in preset.generators:
-        where = f"generator {g.name}"
         if sorted(g.root_perm) != list(range(d)):
-            why = f"root_perm {g.root_perm} is not a bijection of 0..{d - 1}"
-            issues.append(ValidationIssue("not-a-permutation", where, why))
+            issues.append(
+                ValidationIssue(
+                    "not-a-permutation",
+                    f"generator {g.name}",
+                    f"root_perm {g.root_perm} is not a bijection of 0..{d - 1}",
+                )
+            )
         if len(g.sections) != d:
-            why = f"expected {d} sections, got {len(g.sections)}"
-            issues.append(ValidationIssue("wrong-section-count", where, why))
+            issues.append(
+                ValidationIssue(
+                    "wrong-section-count",
+                    f"generator {g.name}",
+                    f"expected {d} sections, got {len(g.sections)}",
+                )
+            )
         for i, s in enumerate(g.sections):
-            check_word(s, f"{where}, section {i}")
+            check_word(s, f"generator {g.name}, section {i}")
     rules = preset.reduction_rules
     kept = {lhs[0][0]: i for i, (lhs, rhs) in enumerate(rules) if _power_rule(lhs, rhs)}  # the last wins
     for i, (lhs, rhs) in enumerate(rules):
@@ -511,8 +557,11 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
         llen = sum(abs(e) for _, e in lhs)
         rlen = sum(abs(e) for _, e in rhs)
         if rlen > llen:
-            why = f"|rhs|={rlen} > |lhs|={llen}"
-            issues.append(ValidationIssue("length-increasing-rule", f"rule {i}", why))
+            issues.append(
+                ValidationIssue(
+                    "length-increasing-rule", f"rule {i}", f"|rhs|={rlen} > |lhs|={llen}"
+                )
+            )
         why = _never_applied(preset, i, lhs, rhs, kept)
         if why:
             issues.append(ValidationIssue("unsupported-rule", f"rule {i}", why))
@@ -524,20 +573,20 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
 def _false_rules(preset: GroupPreset) -> list[ValidationIssue]:
     """Each rule lhs -> rhs as a claim: lhs rhs^-1 is trivial in the shadow
     preset, the definition without rules or branching, decided by the word
-    problem within RULE_BUDGET sections."""
+    problem within RULE_BUDGET sections of RULE_LETTERS letters in all."""
     from .subgroups import first_moved_vertex  # subgroups imports this module
     from .tree import LEVEL_CAP, format_vertex
-    from .words import BudgetExhausted, Word
+    from .words import BudgetExhausted, Word, is_identity_factors
     data = preset.to_dict()
     del data["rules"], data["branching"]
     shadow, issues = _preset_from_dict(data), []
     for i, (lhs, rhs) in enumerate(preset.reduction_rules):
         w = Word(shadow, lhs + tuple((g, -e) for g, e in reversed(rhs)))
         try:
-            if w.is_identity(RULE_BUDGET):
+            if is_identity_factors(shadow, w.factors, RULE_BUDGET, letters=RULE_LETTERS):
                 continue
         except BudgetExhausted:
-            why = f"lhs rhs^-1 not decided within {RULE_BUDGET} sections"
+            why = f"lhs rhs^-1 not decided within {RULE_BUDGET} sections of {RULE_LETTERS} letters in all"
             issues.append(ValidationIssue("unchecked-rule", f"rule {i}", why))
             continue
         n = next((n for n in range(1, LEVEL_CAP + 1) if not w.fixes_level(n)), None)

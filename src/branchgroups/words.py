@@ -173,7 +173,8 @@ def section_factors(preset: GroupPreset, factors: Codes, v: Vertex) -> Codes:
 
 
 def is_identity_factors(
-    preset: GroupPreset, factors: Codes, budget: int | None = None, level: int | None = None
+    preset: GroupPreset, factors: Codes, budget: int | None = None, level: int | None = None,
+    letters: float = math.inf,
 ) -> bool:
     """True iff the word acts trivially on the whole tree or, given a level
     n, fixes level n.
@@ -181,8 +182,9 @@ def is_identity_factors(
     Depth first over the word's distinct iterated sections, stopping at the
     first nontrivial root permutation; a section is walked again only when
     met with more levels to go.  On the whole tree the budget bounds the
-    distinct sections walked, None meaning DEFAULT_IDENTITY_BUDGET; a walk
-    to a level takes no budget, and looks no section at level n up.
+    distinct sections walked, None meaning DEFAULT_IDENTITY_BUDGET, and
+    letters bounds their letters in all; a walk to a level takes no budget,
+    and looks no section at level n up.
     """
     if level is None:
         level = math.inf
@@ -204,7 +206,8 @@ def is_identity_factors(
                 if seen.get(child, 0) < togo:
                     seen[child] = togo
                     stack.append((child, togo))
-                    if len(seen) > budget:
+                    letters -= len(s)
+                    if len(seen) > budget or letters < 0:
                         raise BudgetExhausted("is_identity", budget)
     return True
 

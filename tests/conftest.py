@@ -46,6 +46,17 @@ def adding_machine():
     return preset_from_dict(ADDING_MACHINE)
 
 
+# g1 = (1 0)(1, g2), ..., g8 = (1 0)(1, g9), g9 = (1 0): g1 adds 1 to the
+# first nine digits read as a binary number, first digit least significant,
+# so g1 has order 512, and the letters of the nine generators number 1,013.
+CHAIN = {
+    "degree": 2,
+    "generators": [{"name": f"g{i}", "root_perm": [1, 0], "sections": ["", f"g{i + 1}" if i < 9 else ""]}
+                   for i in range(1, 10)],
+    "rules": [{"lhs": f"g{i}^{2 ** (10 - i)}", "rhs": "1"} for i in range(1, 10)],
+}
+
+
 # a = (a a, a a) fixes every vertex, but its sections a^(2^t) are new at
 # every level, so no state repeats along any path and the fixed-tree walk
 # stops at the level cap; c swaps the root's children.

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,9 @@ from branchgroups.presets import (
     validate_preset,
 )
 from branchgroups.subgroups import enumerate_reduced_words
-from branchgroups.words import expand_factors
+from branchgroups.words import Word, expand_factors
 
-from conftest import DOUBLING, HANOI, RANDOM_DEGREE_3
+from conftest import ADDING_MACHINE, CHAIN, DOUBLING, HANOI, RANDOM_DEGREE_3
 
 
 def test_grigorchuk_shape(grig):
@@ -452,9 +453,22 @@ def test_a_rule_the_budget_cannot_decide_is_unchecked(monkeypatch):
     data = {**DOUBLING, "rules": [{"lhs": "a^2", "rhs": "1"}]}
     issues = validate_preset(_preset_from_dict(data))
     assert [(i.code, i.location, i.message) for i in issues] == [
-        ("unchecked-rule", "rule 0", "lhs rhs^-1 not decided within 50 sections")]
+        ("unchecked-rule", "rule 0", "lhs rhs^-1 not decided within 50 sections of 50000 letters in all")]
     with pytest.raises(PresetError, match="unchecked-rule at rule 0"):
         preset_from_dict(data)
+
+
+def test_a_rule_whose_sections_outgrow_the_letter_budget_is_refused_quickly():
+    # a = (a b, a b) and b = (b a, b a) fix every vertex, so a^2 -> 1 holds,
+    # but the one section of a^2 at each level doubles in letters: the walk
+    # would run out of memory long before it spent RULE_BUDGET sections.
+    data = {"degree": 2, "rules": [{"lhs": "a^2", "rhs": "1"}], "generators": [
+        {"name": "a", "root_perm": [0, 1], "sections": ["a b", "a b"]},
+        {"name": "b", "root_perm": [0, 1], "sections": ["b a", "b a"]}]}
+    start = time.process_time()
+    with pytest.raises(PresetError, match="unchecked-rule at rule 0"):
+        preset_from_dict(data)
+    assert time.process_time() - start < 5
 
 
 def test_a_false_pair_rule_names_the_vertex_it_moves():
@@ -478,8 +492,21 @@ def test_code_words_sort_as_their_letters(name, rng):
     assert [preset.decode(w) for w in sorted(words)] == sorted(preset.decode(w) for w in words)
 
 
-def test_a_code_word_reads_the_same_on_another_instance(grig):
-    # Codes are a pure function of the definition.
-    word = grig.parse_word("a b a c a d")
-    other = grigorchuk_preset()
-    assert other.reduce(word) == word and other.decode(word) == grig.decode(word)
+@pytest.mark.parametrize("name, text, met_first", [
+    ("grigorchuk", "a b a c a d", "d c"),
+    ("adding machine", "a^-1000001", "a^3 a^-7 a^1000000"),
+    ("adding machine", f"a^{2 ** 40} a^-3", "a"),  # a code past the other's table width
+    ("chain", "g1^300 g3^-5 g9 g2^17", "g2^7 g1^17 g5"),
+])
+def test_a_code_word_reads_the_same_on_another_instance(name, text, met_first):
+    # Codes are a pure function of the definition, whatever letters another
+    # instance met first; the chain's 1,013 letters and the adding machine's
+    # undeclared order make their words tuples.
+    make = {"grigorchuk": grigorchuk_preset, "adding machine": lambda: preset_from_dict(ADDING_MACHINE),
+            "chain": lambda: preset_from_dict(CHAIN)}[name]
+    one, other = make(), make()
+    other.parse_word(met_first)
+    word = one.parse_word(text)
+    assert other.reduce(word) == word and other.decode(word) == one.decode(word)
+    assert str(Word(other, word)) == str(Word(one, word)) == str(Word.from_str(other, text))
+    assert type(word) is (bytes if name == "grigorchuk" else tuple)

@@ -59,13 +59,15 @@ def test_only_presets_and_words_know_how_words_are_coded():
     # stay private to presets and the word engine: every other module reads
     # words through `decode`, `reduce` and `Word`.
     private = {"_letter_of", "_code_of", "_encode", "_merge", "_action", "_action_width", "_word_type",
-               "_rewrite", "_letter_cache"}
+               "_rewrite", "_letter_cache", "_Letters"}
     leaks = []
     for path in SOURCES:
         if path.name in ("presets.py", "words.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in private:
+            if isinstance(node, ast.ImportFrom):
+                leaks += [f"{path.name}: imports {a.name}" for a in node.names if a.name in private]
+            elif isinstance(node, ast.Attribute) and node.attr in private:
                 leaks.append(f"{path.name}: reads {node.attr}")
     assert leaks == []
 

@@ -39,7 +39,7 @@ from branchgroups.words import (
     section1,
 )
 
-from conftest import ADDING_MACHINE, HANOI, RANDOM_DEGREE_3, random_word
+from conftest import ADDING_MACHINE, CHAIN, HANOI, RANDOM_DEGREE_3, random_word
 
 
 def W(preset, text):
@@ -989,17 +989,6 @@ def test_order_budget_is_charged_before_a_child_is_expanded():
         W(preset, "b").order(budget=20)
     nodes = preset._section_cache.values()
     assert (len(nodes), sum(len(node.word) for node in nodes)) == (20, 77_518)
-
-
-# g1 = (1 0)(1, g2), ..., g8 = (1 0)(1, g9), g9 = (1 0): g1 adds 1 to the
-# first nine digits read as a binary number, first digit least significant,
-# so g1 has order 512, and the letters of the nine generators number 1,013.
-CHAIN = {
-    "degree": 2,
-    "generators": [{"name": f"g{i}", "root_perm": [1, 0], "sections": ["", f"g{i + 1}" if i < 9 else ""]}
-                   for i in range(1, 10)],
-    "rules": [{"lhs": f"g{i}^{2 ** (10 - i)}", "rhs": "1"} for i in range(1, 10)],
-}
 
 
 def test_more_than_255_letters_reduce_expand_and_answer():
