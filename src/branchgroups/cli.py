@@ -165,13 +165,15 @@ def _cmd_group(args, preset, rep) -> int:
         rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
         return EXIT_OK
     issues = validate_preset(preset)
-    payload = {
-        "issues": [
-            {"code": i.code, "location": i.location, "message": i.message}
-            for i in issues
-        ]
-    }
+    payload = {}
+    if preset.branch_key and not issues:  # only a shipped preset has branch data, to be re-derived
+        from . import branching
+        payload["branch_data"], issues = branching.check(preset)
+    payload["issues"] = [{"code": i.code, "location": i.location, "message": i.message} for i in issues]
     text = "\n".join(f"{i.code} at {i.location}: {i.message}" for i in issues) or "ok"
+    if "branch_data" in payload and not issues:
+        line = "branch data: m = {m}, |G:K'| = {index}, |K':L| = {lift_index}, {entries} lift entries checked"
+        text += "\n" + line.format(**payload["branch_data"])
     rep.emit(payload, text)
     return EXIT_OK if not issues else EXIT_FALSE
 
@@ -213,11 +215,24 @@ def _cmd_elem(args, preset, rep) -> int:
     return EXIT_OK if ans else EXIT_FALSE
 
 
+_CHUNK = 10**600
+
+
+def _decimal(m: int) -> str:
+    """m in decimal, in full: chunks of 600 digits stay under any int-to-str
+    digit limit Python allows (640 at least), which is left as it is."""
+    chunks = []
+    while m >= _CHUNK:
+        m, r = divmod(m, _CHUNK)
+        chunks.append(f"{r:0600d}")
+    return str(m) + "".join(reversed(chunks))
+
+
 def _cmd_quotient(args, preset, rep) -> int:
     from . import quotients
     if args.cmd == "order":
-        m = quotients.quotient_order(preset, args.level)
-        rep.emit({"level": args.level, "order": str(m)}, str(m))
+        m = _decimal(quotients.quotient_order(preset, args.level))
+        rep.emit({"level": args.level, "order": m}, m)
         return EXIT_OK
     if args.cmd == "transitive":
         ans = quotients.is_level_transitive(preset, args.level)
@@ -225,8 +240,8 @@ def _cmd_quotient(args, preset, rep) -> int:
         return EXIT_OK if ans else EXIT_FALSE
     if args.cmd == "index":
         words = [Word.from_str(preset, t) for t in args.gens]
-        m = quotients.subgroup_index_in_quotient(words, args.level)
-        rep.emit({"level": args.level, "index": str(m)}, str(m))
+        m = _decimal(quotients.subgroup_index_in_quotient(words, args.level))
+        rep.emit({"level": args.level, "index": m}, m)
         return EXIT_OK
     v = parse_vertex(args.vertex, preset.degree)
     words = quotients.point_stabilizer_words(preset, v)

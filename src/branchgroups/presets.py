@@ -64,6 +64,7 @@ class ValidationIssue:
 
 class GroupPreset:
     unknown_keys: tuple[str, ...] = ()  # of the definition dict it was read from
+    branch_key: str | None = None  # set by the shipped constructors only: a key of `branching.BRANCH_DATA`
 
     def __init__(
         self,
@@ -420,7 +421,7 @@ def grigorchuk_preset() -> GroupPreset:
             ("d", "c", "b"),
         ]
     )
-    return GroupPreset(
+    preset = GroupPreset(
         degree=2,
         generators=gens,
         reduction_rules=rules + pair_rules,
@@ -428,6 +429,8 @@ def grigorchuk_preset() -> GroupPreset:
         contracting_certified=True,
         name="grigorchuk",
     )
+    preset.branch_key = "grigorchuk"
+    return preset
 
 
 def ggs_preset(d: int, E) -> GroupPreset:
@@ -447,7 +450,7 @@ def ggs_preset(d: int, E) -> GroupPreset:
     )
     rules = (((("a", d),), ()), ((("b", d),), ()))
     commutator = (("a", -1), ("b", -1), ("a", 1), ("b", 1))
-    return GroupPreset(
+    preset = GroupPreset(
         degree=d,
         generators=gens,
         reduction_rules=rules,
@@ -455,6 +458,8 @@ def ggs_preset(d: int, E) -> GroupPreset:
         contracting_certified=True,  # a bounded automaton group is contracting
         name=f"ggs-{d}-" + ",".join(str(e) for e in E),
     )
+    preset.branch_key = {(3, (1, 2)): "gupta-sidki", (3, (1, 0)): "ggs:3:1,0"}.get((d, E))
+    return preset
 
 
 def gupta_sidki_preset() -> GroupPreset:

@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from branchgroups.cli import (
     build_parser,
     run_command,
 )
-from branchgroups.presets import grigorchuk_preset, gupta_sidki_preset
+from branchgroups.presets import ggs_preset, grigorchuk_preset, gupta_sidki_preset
 from branchgroups.quotients import LEVEL_CAP
 from branchgroups.subgroups import SubgroupHandle
 from branchgroups.tree import parse_vertex
@@ -102,12 +103,14 @@ def test_quotient_order_at_the_level_cap_stays_small():
 
 
 def test_quotient_order_past_the_point_cap_exits_2():
-    # Gupta-Sidki level 8 has 3^8 = 6,561 vertices, over POINT_CAP = 5^5;
-    # computed, it ran out of memory under a 1.5 GB address-space limit.
+    # Level 8 of a degree-3 tree has 3^8 = 6,561 vertices, over POINT_CAP =
+    # 5^5; computed, Gupta-Sidki's ran out of memory under a 1.5 GB
+    # address-space limit.  ggs:3:1,1 has no branch data, so its level-8
+    # order needs the whole level image.
     src = str(Path(construction.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-m", "branchgroups.cli", "quotient", "order",
-         "--preset", "gupta-sidki", "--level", "8"],
+         "--preset", "ggs:3:1,1", "--level", "8"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == EXIT_USAGE
@@ -120,7 +123,7 @@ def test_the_point_cap_refuses_before_any_work(monkeypatch):
 
     monkeypatch.setattr(quotients, "word_perm", no_work)
     with pytest.raises(quotients.LevelCapExceeded, match="over the cap of 3125"):
-        quotients.quotient_order(gupta_sidki_preset(), 8)
+        quotients.quotient_order(ggs_preset(3, (1, 1)), 8)
 
 
 def test_subgroup_images_past_the_point_cap_still_answer(capsys):
@@ -173,6 +176,57 @@ def test_sub_psi_not_in_stabilizer(capsys):
 
 def test_group_validate_ok(capsys):
     assert run(capsys, "group", "validate")[0] == EXIT_OK
+
+
+def test_group_validate_reports_the_branch_data(capsys):
+    line = "branch data: m = 3, |G:K'| = 16, |K':L| = 4, 20 lift entries checked"
+    assert run(capsys, "group", "validate") == (EXIT_OK, "ok\n" + line)
+    code, out = run(capsys, "group", "validate", "--preset", "gupta-sidki", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["branch_data"] == {"m": 2, "index": 9, "lift_index": 9, "entries": 18}
+    assert run(capsys, "group", "validate", "--preset", "ggs:3:1,1") == (EXIT_OK, "ok")
+
+
+def test_group_validate_names_a_corrupted_lift_entry(capsys, monkeypatch):
+    from branchgroups import branching
+
+    data = branching.BRANCH_DATA["grigorchuk"]
+    lifts = dict(data.lifts)
+    lifts["b a b a"] = (lifts["b a b a"][0], lifts["b a b a"][0])  # the entry at 0 stands in at 1
+    corrupted = branching.BranchData(data.m, data.index, data.lift_index, lifts)
+    table = dict(branching.BRANCH_DATA, grigorchuk=corrupted)
+    monkeypatch.setattr(branching, "BRANCH_DATA", table)
+    issue = "bad-lift at lift entry 1 of b a b a: a d a b a d a b: its section at 0 is not 1"
+    assert run(capsys, "group", "validate") == (EXIT_FALSE, issue)
+
+
+def test_a_definition_named_grigorchuk_stays_on_the_engine(tmp_path, capsys):
+    data = dict(gupta_sidki_preset().to_dict(), name="grigorchuk")
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "quotient", "order", "--preset", str(path), "--level", "5") == (EXIT_OK, str(3**55))
+    assert run(capsys, "group", "validate", "--preset", str(path)) == (EXIT_OK, "ok")
+
+
+def test_quotient_order_prints_an_order_past_the_int_digit_limit(capsys):
+    # Gupta-Sidki level 10 has order 3^13123, 6,262 digits: past the 4,300
+    # that str() of an int allows by default on Python 3.11.  The limit is
+    # left as it was.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7000
+        expected = str(decimal.Decimal(3) ** 13123)
+    argv = ["quotient", "order", "--preset", "gupta-sidki", "--level", "10"]
+    assert run(capsys, *argv) == (EXIT_OK, expected) and len(expected) == 6262
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["order"] == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_quotient_index_past_the_point_cap_answers(capsys):
+    # |G_8| = 3^1459 by the branch recursion, and <a> has order 3
+    argv = ["quotient", "index", "--preset", "gupta-sidki", "--gens", "a", "--level", "8"]
+    assert run(capsys, *argv) == (EXIT_OK, str(3**1458))
 
 
 def test_usage_error_exit_2(capsys):

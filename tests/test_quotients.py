@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from branchgroups import quotients
+from branchgroups.branching import BRANCH_DATA, check
 from branchgroups.quotients import (
     LayeredGroup,
     LevelCapExceeded,
@@ -199,6 +201,60 @@ def test_closed_form_orders_at_deeper_levels(grig, gs):
     assert quotient_order(grig, 10) == 2**642
     assert quotient_order(gs, 5) == 3**55
     assert quotient_order(gs, 6) == 3**163
+
+
+def _ggs_3_1_0_order(n):
+    # |G_n| = |G_(n-1)|^3 / 9 from |G_2| = 3^4
+    return 3**4 if n == 2 else _ggs_3_1_0_order(n - 1) ** 3 // 9
+
+
+CLOSED_FORMS = {
+    "grigorchuk": lambda n: 2 ** (5 * 2 ** (n - 3) + 2),
+    "gupta-sidki": lambda n: 3 ** (2 * 3 ** (n - 2) + 1),
+    "ggs:3:1,0": _ggs_3_1_0_order,
+}
+
+
+@pytest.mark.parametrize("name, levels", [("grigorchuk", range(5, 9)), ("gupta-sidki", range(4, 7)),
+                                          ("ggs:3:1,0", range(4, 6))])
+def test_the_engine_and_the_branch_recursion_agree_at_deep_levels(name, levels):
+    for n in levels:
+        preset = builtin_preset(name)
+        assert quotient_order(preset, n) == CLOSED_FORMS[name](n)
+        # the recursion built no letter table past level m + 1
+        assert max(preset._perm_cache) == BRANCH_DATA[preset.branch_key].m + 1 < n
+        assert full_level_group(preset, n).order() == CLOSED_FORMS[name](n)
+
+
+def test_the_branch_recursion_answers_up_to_the_level_cap_only():
+    for name in ("gupta-sidki", "ggs:3:1,0"):
+        # 3^10 points, past the point cap, which bounds the engine path only
+        assert quotient_order(builtin_preset(name), 10) == CLOSED_FORMS[name](10)
+        with pytest.raises(LevelCapExceeded):
+            quotient_order(builtin_preset(name), 11)
+    start = time.perf_counter()
+    assert quotient_order(builtin_preset("grigorchuk"), 10) == 2**642
+    assert time.perf_counter() - start < 0.05
+
+
+def test_branch_data_of_every_shipped_preset_checks():
+    # m, |G:K'| and |K':L| re-derived, every lift entry checked by the word problem
+    start = time.perf_counter()
+    summaries = {name: check(builtin_preset(name)) for name in BRANCH_DATA}
+    assert summaries == {
+        "grigorchuk": ({"m": 3, "index": 16, "lift_index": 4, "entries": 20}, []),
+        "gupta-sidki": ({"m": 2, "index": 9, "lift_index": 9, "entries": 18}, []),
+        "ggs:3:1,0": ({"m": 2, "index": 9, "lift_index": 9, "entries": 18}, []),
+    }
+    assert time.perf_counter() - start < 3
+    assert builtin_preset("ggs:3:1,2").branch_key == "gupta-sidki"
+    for name in ("ggs:3:1,1", "ggs:3:2,1", "ggs:5:1,2,0,0"):
+        assert builtin_preset(name).branch_key is None
+
+
+def test_a_preset_read_from_a_definition_has_no_branch_data():
+    for name in BRANCH_DATA:
+        assert preset_from_dict(builtin_preset(name).to_dict()).branch_key is None
 
 
 def test_hanoi_quotient_orders_match_closed_form(hanoi):
@@ -701,3 +757,22 @@ def test_point_stabilizer_words_match_the_full_products(spec, v):
     assert [w.factors for w in point_stabilizer_words(preset, v)] == [
         w.factors for w in _naive_stabilizer_words(preset, v)
     ]
+
+
+@pytest.mark.parametrize("change, issue", [
+    (dict(lift_index=2), "bad-branch-index at |G:K'| and |K':L|: shipped 16 and 2, derived 16 and 4"),
+    (dict(drop="a b a b"), "bad-lift-table at lift table: the keys are not the Schreier generators"),
+    (dict(swap="c a b a d"),
+     "bad-lift at lift entry 0 of c a b a d: b a b a d a b a c: its section at 0 is not c a b a d"),
+])
+def test_branch_data_check_names_what_is_wrong(monkeypatch, change, issue):
+    from branchgroups import branching
+
+    data = branching.BRANCH_DATA["grigorchuk"]
+    lifts = {k: v for k, v in data.lifts.items() if k != change.get("drop")}
+    if "swap" in change:
+        lifts[change["swap"]] = lifts[change["swap"]][::-1]
+    corrupted = branching.BranchData(data.m, data.index, change.get("lift_index", data.lift_index), lifts)
+    monkeypatch.setattr(branching, "BRANCH_DATA", dict(branching.BRANCH_DATA, grigorchuk=corrupted))
+    _, [found] = check(builtin_preset("grigorchuk"))
+    assert f"{found.code} at {found.location}: {found.message}".startswith(issue)

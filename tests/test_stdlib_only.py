@@ -109,9 +109,10 @@ def _cli_imports(*argv: str) -> tuple[str, set[str]]:
 
 
 def test_package_import_loads_only_the_word_and_quotient_core():
-    # the word core only; quotients, subgroups, construction, the
-    # fingerprint's hashlib and JSON load on first use
-    lazy = ("hashlib", "branchgroups.quotients", "branchgroups.subgroups", "branchgroups.construction")
+    # the word core only; quotients, subgroups, construction, the branch
+    # data, the fingerprint's hashlib and JSON load on first use
+    lazy = ("hashlib", "branchgroups.quotients", "branchgroups.subgroups", "branchgroups.construction",
+            "branchgroups.branching")
     assert _fresh_imports("import branchgroups", "json", *lazy) == []
     assert _fresh_imports("import branchgroups.cli", "json", *lazy) == []
     first_use = "import branchgroups\nbranchgroups.fixed_tree"
@@ -125,6 +126,19 @@ def test_package_import_loads_only_the_word_and_quotient_core():
         assert loaded.isdisjoint({"json", *lazy}), cmd
     out, loaded = _cli_imports("elem", "identity", "--format", "json", "a")
     assert {"json", "branchgroups.quotients"} & loaded == {"json"}
+
+
+def test_only_quotient_order_and_group_validate_load_the_branch_data(tmp_path):
+    # certificate processes compile none of it; the reference build is at level 6
+    cert = tmp_path / "cert.json"
+    build = ["wm", "build", "--q-gens", "a", "--avoid-vertex", "00", "01", "10", "--out", str(cert)]
+    out, loaded = _cli_imports(*build)
+    assert out and "branchgroups.construction" in loaded and "branchgroups.branching" not in loaded
+    out, loaded = _cli_imports("wm", "validate", str(cert))
+    assert out.endswith("passed\n") and "branchgroups.branching" not in loaded
+    for argv in (["quotient", "order", "--level", "6"], ["group", "validate"]):
+        out, loaded = _cli_imports(*argv)
+        assert out and "branchgroups.branching" in loaded, argv
 
 
 def test_elem_portrait_loads_no_quotients():
