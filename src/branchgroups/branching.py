@@ -15,11 +15,11 @@ n >= m + 1
 (Grigorchuk's computation of |G:St(n)| through K: de la Harpe, Topics in
 Geometric Group Theory, 2000, ch. VIII; Bartholdi, Grigorchuk and Sunic,
 Branch groups, Handbook of Algebra 3, 2003).  `quotients.quotient_order`
-trusts the data: above level m + 1 it reads |G_{m+1}| from the engine and
-applies the recursion.  `check` re-derives all of it exactly; `group
-validate` and a test run it, not every start.  Only the shipped
-constructors set `GroupPreset.branch_key`, so a preset read from a
-definition stays on the engine whatever its name.
+trusts the data: above level m it applies the recursion to |G_m| from the
+engine.  `check` re-derives all of it exactly, the level-(m + 1) step
+against the engine too; `group validate` and a test run it, not every
+start.  Only the shipped constructors set `GroupPreset.branch_key`, so a
+preset read from a definition stays on the engine whatever its name.
 
 Each entry is the first word of one `subgroups.enumerate_reduced_words`
 walk, within 100,000 words, that lies in St(1) and K' and has exactly one
@@ -41,8 +41,8 @@ class BranchData:
         self.m, self.index, self.lift_index, self.lifts = m, index, lift_index, lifts
 
     def order(self, d: int, top: int, n: int) -> int:
-        """|G_n| for n >= m + 1, from top = |G_{m+1}|."""
-        for _ in range(n - self.m - 1):
+        """|G_n| for n >= m, from top = |G_m|."""
+        for _ in range(n - self.m):
             top = self.index * self.lift_index * (top // self.index) ** d
         return top
 

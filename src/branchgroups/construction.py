@@ -29,10 +29,10 @@ from itertools import islice
 from .presets import GroupPreset
 from .quotients import (
     _check_points,
-    full_level_group,
     image_subgroup,
     orbit_transversal,
     point_stabilizer_words,
+    quotient_order,
     word_perm,
 )
 from .subgroups import (
@@ -254,8 +254,8 @@ def trap_subgroup(
     level k + 2.
 
     Such a word exists iff |G/St(k+1)| > |G/St(k)|.  The caps on that
-    whole level image are checked first, the orders only once the search
-    is spent: CertificateBuildError if they are equal, else BudgetExhausted.
+    whole level image are checked first, the orders (`quotient_order`) once
+    the search is spent: CertificateBuildError if equal, else BudgetExhausted.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -267,8 +267,7 @@ def trap_subgroup(
             base = w**m
             break
     else:
-        full = full_level_group(preset, k + 1)
-        if full.order() == full.order(k):
+        if quotient_order(preset, k + 1) == quotient_order(preset, k):
             raise CertificateBuildError(0, f"no level-{k} stabilizer moves level {k + 1}")
         raise BudgetExhausted("trap base search", budget)
 

@@ -506,14 +506,14 @@ def full_level_group(preset: GroupPreset, n: int):
 
 
 def quotient_order(preset: GroupPreset, n: int) -> int:
-    """|G / Stab_G(n)|: the order of the level-n image, above level m + 1 on
-    a preset with branch data by the recursion from level m + 1 (`branching`)."""
+    """|G / Stab_G(n)|: the order of the level-n image, above level m on a
+    preset with branch data by the recursion from |G_m| (`branching`)."""
     if preset.branch_key:
         from .branching import BRANCH_DATA
         data = BRANCH_DATA[preset.branch_key]
-        if n > data.m + 1:
+        if n > data.m:
             _check_level(preset, n)
-            return data.order(preset.degree, quotient_order(preset, data.m + 1), n)
+            return data.order(preset.degree, quotient_order(preset, data.m), n)
     return full_level_group(preset, n).order()
 
 

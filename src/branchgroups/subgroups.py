@@ -19,7 +19,7 @@ Escaping conjugators read the conjugate walk `quotients.conjugate_images`.
 from __future__ import annotations
 
 from .presets import GroupPreset
-from .quotients import conjugate_images, full_level_group, image_subgroup, word_perm
+from .quotients import _check_points, conjugate_images, image_subgroup, quotient_order, word_perm
 from .tree import LEVEL_CAP, Vertex, _check_level, format_vertex, level_vertices
 from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, is_identity_factors, node_of
 
@@ -244,13 +244,14 @@ def index_growth_profile(h: SubgroupHandle, n_max: int) -> list[int]:
     """Indices of the image subgroup in the level quotient, levels 1..n_max.
 
     A strictly increasing tail is evidence of infinite index; a constant
-    tail is evidence of finite index.  Neither is a proof.  For a p-preset
-    every level is read off one run of G and one of H at n_max.
+    tail is evidence of finite index.  Neither is a proof.  |G_n| is read
+    from `quotient_order`, H's orders off one run of H at n_max.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    full, sub = full_level_group(h.preset, n_max), h.image(n_max)
-    return [full.order(n) // sub.order(n) for n in range(1, n_max + 1)]
+    _check_points(h.preset, n_max)
+    sub = h.image(n_max)
+    return [quotient_order(h.preset, n) // sub.order(n) for n in range(1, n_max + 1)]
 
 
 def enumerate_reduced_words(preset: GroupPreset):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from branchgroups import cli, construction, quotients
+from branchgroups import cli, construction, quotients, subgroups
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
@@ -227,6 +227,47 @@ def test_quotient_index_past_the_point_cap_answers(capsys):
     # |G_8| = 3^1459 by the branch recursion, and <a> has order 3
     argv = ["quotient", "index", "--preset", "gupta-sidki", "--gens", "a", "--level", "8"]
     assert run(capsys, *argv) == (EXIT_OK, str(3**1458))
+
+
+def _branch_order(name, n):
+    # [DERIVED] |G_n| of the presets with branch data; below the closed
+    # forms' first level, from the root permutations
+    if name == "grigorchuk":
+        return (1, 2, 8)[n] if n < 3 else 2 ** (5 * 2 ** (n - 3) + 2)
+    if n < 2:
+        return 3**n
+    return 3 ** (2 * 3 ** (n - 2) + 1) if name == "gupta-sidki" else 3 ** (3 ** (n - 1) + 1)
+
+
+BRANCH_PRESETS = ["grigorchuk", "gupta-sidki", "ggs:3:1,0"]
+
+
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("name", BRANCH_PRESETS)
+def test_quotient_order_prints_the_closed_form(capsys, name, n):
+    # decimal prints every digit past the int-to-str limit
+    expected = str(decimal.Decimal(_branch_order(name, n)))
+    assert run(capsys, "quotient", "order", "--preset", name, "--level", str(n)) == (EXIT_OK, expected)
+
+
+@pytest.mark.parametrize("name, n", zip(BRANCH_PRESETS, (4, 3, 3)))
+def test_quotient_order_json_reads_the_closed_form(capsys, name, n):
+    code, out = run(capsys, "quotient", "order", "--preset", name, "--level", str(n), "--format", "json")
+    assert (code, json.loads(out)["order"]) == (EXIT_OK, str(_branch_order(name, n)))
+
+
+def test_sub_profile_reads_the_closed_forms(capsys):
+    # <a> has order 2 at every level from 1
+    expected = " ".join(str(_branch_order("grigorchuk", n) // 2) for n in range(1, 11))
+    assert run(capsys, "sub", "profile", "--gens", "a", "--max-level", "10") == (EXIT_OK, expected)
+
+
+def test_sub_profile_past_the_point_cap_exits_2_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr(subgroups, "image_subgroup", lambda *_: pytest.fail("built the image of H"))
+    monkeypatch.setattr(subgroups, "quotient_order", lambda *_: pytest.fail("read an order of G"))
+    argv = ["sub", "profile", "--preset", "gupta-sidki", "--gens", "a", "b", "--max-level", "8"]
+    assert run_command(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: level 8 has 6561 vertices, over the cap of 3125\n"
 
 
 def test_usage_error_exit_2(capsys):

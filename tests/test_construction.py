@@ -2,6 +2,8 @@ from itertools import islice
 
 import pytest
 
+from branchgroups import quotients
+from branchgroups.branching import BRANCH_DATA
 from branchgroups.construction import (
     _CANDIDATES_PER_VERTEX,
     CertificateBuildError,
@@ -120,6 +122,20 @@ def test_trap_pipeline_k1(grig):
 def test_trap_pipeline_k2(grig):
     h = trap_subgroup(grig, 2)
     assert level_trap_check(h, 2).passed
+
+
+def test_a_spent_trap_search_builds_no_level_image_above_m(monkeypatch):
+    # |G_5| and |G_4| come from the branch recursion over |G_3|
+    levels, build = [], quotients.full_level_group
+
+    def record(preset, n):
+        levels.append(n)
+        return build(preset, n)
+
+    monkeypatch.setattr(quotients, "full_level_group", record)
+    with pytest.raises(BudgetExhausted):
+        trap_subgroup(grigorchuk_preset(), 4, budget=1)
+    assert levels and max(levels) <= BRANCH_DATA["grigorchuk"].m
 
 
 def test_trap_check_fails_on_moving_generator(grig):
