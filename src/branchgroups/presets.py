@@ -12,14 +12,14 @@ g^e (e mod the declared order of g): `bytes` numbered 1..L in (name,
 exponent) order when every generator has a declared order and L < 256,
 else a tuple of ints coded from g's index and a zigzag of e (`_Letters`).
 Either way a code is a function of the definition alone, so a code word
-means the same on every instance of a preset.  An action table indexed
-by top * width + incoming (a list, or for tuples a dict filled on first
-read and rebuilt wider when a larger code comes) says whether a letter
-is pushed or, with the top letter, replaced by others.  Definitions and
-text hold (name, exponent) factors: `reduce` encodes them, `decode`
-gives them back.  The text syntax is whitespace-separated factors with
-optional ^-exponents ("a b a^-1"); a single run of one-letter generator
-names may also be written without spaces ("abab").
+means the same on every instance of a preset.  An action table with one
+row per top letter, indexed by the incoming letter (lists, or for tuples
+dicts filled on first read), says whether a letter is pushed or, with
+the top letter, replaced by others.  Definitions and text hold (name,
+exponent) factors: `reduce` encodes them, `decode` gives them back.  The
+text syntax is whitespace-separated factors with optional ^-exponents
+("a b a^-1"); a single run of one-letter generator names may also be
+written without spaces ("abab").
 
 A preset read from a definition dict or file is checked by
 `validate_preset` as it loads and refused with every issue listed; the
@@ -28,6 +28,7 @@ shipped presets are built directly and skip the check.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from math import isqrt
 
@@ -125,25 +126,21 @@ class GroupPreset:
         return {f: c for c, f in enumerate(self._letter_of) if c} if self._word_type is bytes else {}
 
     @cached_property
-    def _action_width(self) -> int:  # above every code; `_encode` widens it on tuple presets
-        return len(self._letter_of) if self._word_type is bytes else 1 << 32
-
-    @cached_property
-    def _action(self) -> list | dict:
-        """Entry top * width + incoming: None to push the incoming letter, else
-        the letters that replace both, reversed; top 0 is the empty stack.  A
-        full list for `bytes` words, else a dict that `_rewrite` fills."""
-        pairs = {}
+    def _action(self) -> list | defaultdict:
+        """Row top, entry incoming: None to push the incoming letter, else
+        the letters that replace both, reversed; top 0 is the empty stack.
+        Full lists for `bytes` words, else dicts that `_rewrite` fills."""
+        if self._word_type is bytes:
+            n = len(self._letter_of)
+            rows = [[self._merge(t, f) for f in range(n)] for t in range(n)]
+        else:
+            rows = defaultdict(dict)
         for lhs, rhs in self.reduction_rules:
             if len(lhs) == 2 and lhs[0][0] != lhs[1][0] and all(g in self.gen_map for g, _ in lhs):
                 t, f = map(self._encode, lhs)
                 if (self._letter_of[t], self._letter_of[f]) == lhs:  # else no reduced word holds it
-                    pairs[t, f] = tuple(c for c in map(self._encode, reversed(rhs)) if c)
-        n = self._action_width
-        table = {} if self._word_type is tuple else [self._merge(t, f) for t in range(n) for f in range(n)]
-        for (t, f), act in pairs.items():
-            table[t * n + f] = act
-        return table
+                    rows[t][f] = tuple(c for c in map(self._encode, reversed(rhs)) if c)
+        return rows
 
     @cached_property
     def is_p_preset(self) -> bool:
@@ -168,9 +165,6 @@ class GroupPreset:
                 code = self._code_of[g, e]
             else:  # see `_Letters`
                 code = 1 + self.gen_names.index(g) + len(self.gen_names) * (2 * e - 2 if e > 0 else -2 * e - 1)
-            if code >= self._action_width:  # a tuple preset's table, rebuilt wider on its next read
-                self.__dict__.pop("_action", None)
-                self._action_width = 1 << 2 * code.bit_length()
             self._code_of[factor] = code
         return code
 
@@ -195,8 +189,6 @@ class GroupPreset:
                 factors = [c for c in map(self._code_of.__getitem__, factors) if c]
             except KeyError:
                 factors = [c for c in map(self._encode, factors) if c]
-        elif factors and max(factors) >= self._action_width:  # codes no reduction here has met
-            self._encode(self._letter_of[max(factors)])
         return self._word_type(self._rewrite([], factors))
 
     def product(self, u: Codes, v: Codes) -> Codes:
@@ -211,30 +203,32 @@ class GroupPreset:
 
     def _rewrite(self, out: list, word) -> list:
         """One stack pass of the rules over word onto out, a reduced stack;
-        returns out.  An incoming letter meets the top letter in the action
-        table: it is pushed, or the top is popped and the letters replacing
-        both come in next.  out stays irreducible, so on a confluent rule
-        set the result is the canonical form."""
-        action, width = self._action, self._action_width
+        returns out.  An incoming letter is looked up in the top letter's
+        row of the action table: it is pushed, or the top is popped and the
+        letters replacing both come in next.  out stays irreducible, so on a
+        confluent rule set the result is the canonical form."""
+        action = self._action
         limit = _MAX_REDUCTION_PASSES * (len(out) + len(word) + 1)
         top = out[-1] if out else 0
+        row = action[top]
         pending = []
         for f in word:
             while True:
                 try:
-                    act = action[top * width + f]
+                    act = row[f]
                 except KeyError:
-                    act = action[top * width + f] = self._merge(top, f)
-                    action, width = self._action, self._action_width  # a merge may widen them
+                    act = row[f] = self._merge(top, f)
                 if act is None:
                     out.append(f)
                     top = f
+                    row = action[f]
                 else:
                     limit -= 1
                     if limit < 0:
                         raise PresetError("reduction did not terminate (non-terminating rules?)")
                     out.pop()
                     top = out[-1] if out else 0
+                    row = action[top]
                     pending += act
                 if not pending:
                     break

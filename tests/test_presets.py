@@ -161,6 +161,7 @@ NEVER_APPLIED_RULES = {
     "pair-inverse": ([("b a^-1", "b")], "a^-1 is no letter of a reduced word: its exponent must be in 1..1,"
                                         " as a has order 2"),
     "pair-zero": ([("b^0 a", "a")], "b^0 is no letter of a reduced word: its exponent must be nonzero"),
+    "three-factors": ([("b a b", "a")], "rule lhs must have 1 or 2 factors"),
 }
 
 
@@ -495,7 +496,8 @@ def test_code_words_sort_as_their_letters(name, rng):
 @pytest.mark.parametrize("name, text, met_first", [
     ("grigorchuk", "a b a c a d", "d c"),
     ("adding machine", "a^-1000001", "a^3 a^-7 a^1000000"),
-    ("adding machine", f"a^{2 ** 40} a^-3", "a"),  # a code past the other's table width
+    ("adding machine", f"a^{2 ** 40} a^-3", "a"),
+    ("adding machine", f"a^{2 ** 32 + 1}", "a^2 a"),
     ("chain", "g1^300 g3^-5 g9 g2^17", "g2^7 g1^17 g5"),
 ])
 def test_a_code_word_reads_the_same_on_another_instance(name, text, met_first):
@@ -507,6 +509,10 @@ def test_a_code_word_reads_the_same_on_another_instance(name, text, met_first):
     one, other = make(), make()
     other.parse_word(met_first)
     word = one.parse_word(text)
+    # Before `reduce` on other: a product must read the code word as it is.
+    for g in one.gen_names:
+        assert (str(Word.generator(other, g) * Word(other, word, True))
+                == str(Word.generator(one, g) * Word(one, word, True)))
     assert other.reduce(word) == word and other.decode(word) == one.decode(word)
     assert str(Word(other, word)) == str(Word(one, word)) == str(Word.from_str(other, text))
     assert type(word) is (bytes if name == "grigorchuk" else tuple)

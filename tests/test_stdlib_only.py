@@ -58,7 +58,7 @@ def test_only_presets_and_words_know_how_words_are_coded():
     # The letter codes, the action table and the bytes-or-tuple container
     # stay private to presets and the word engine: every other module reads
     # words through `decode`, `reduce` and `Word`.
-    private = {"_letter_of", "_code_of", "_encode", "_merge", "_action", "_action_width", "_word_type",
+    private = {"_letter_of", "_code_of", "_encode", "_merge", "_action", "_word_type",
                "_rewrite", "_letter_cache", "_Letters"}
     leaks = []
     for path in SOURCES:

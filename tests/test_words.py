@@ -191,7 +191,8 @@ def test_proved_infinite_order_is_not_budget_exhaustion():
 
 def test_order_leaves_no_reference_cycle():
     # The recursion must not keep its preset and memo tables alive as
-    # cyclic garbage until a full collection runs.
+    # cyclic garbage until a full collection runs, nor must the action rows
+    # that a tuple preset (the adding machine) fills as it reduces.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -200,6 +201,12 @@ def test_order_leaves_no_reference_cycle():
         m = Word.from_str(preset, "a b").order()
         del preset
         assert m == 16
+        assert ref() is None
+        preset = preset_from_dict(ADDING_MACHINE)
+        ref = weakref.ref(preset)
+        text = str(Word.from_str(preset, "a^3 a^-1") * Word.from_str(preset, "a^-2 a"))
+        del preset
+        assert text == "a"
         assert ref() is None
     finally:
         if was_enabled:
