@@ -17,6 +17,14 @@ output.
 
 A malformed preset file or certificate is a usage error (exit 2); only
 `group validate` reads a preset file unchecked, to report its issues.
+
+Each handler returns its report, (payload, text, exit code); `run_command`
+alone prints it, the payload with its `meta` as JSON or else the text, and
+alone maps an exception that escapes a handler to an exit code:
+BudgetExhausted and MemoryError to 3 (`undecided: ...` on stderr),
+ValueError, KeyError and OSError to 2 (`error: ...`).  A certificate error
+exits by its exception type.  A handler catches an exception only to
+report on stdout: `elem order|identity` undecided, `sub psi` refuted.
 """
 
 from __future__ import annotations
@@ -36,22 +44,6 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 DEFAULT_LEVEL = 4
-
-
-class _Reporter:
-    def __init__(self, preset: GroupPreset, args):
-        self.preset = preset
-        self.meta = {"budget": args.budget} if hasattr(args, "budget") else {}
-        self.format = args.format
-
-    def emit(self, payload: dict, text: str) -> None:
-        if self.format == "json":
-            import json
-            body = dict(payload)
-            body["meta"] = {"preset_fingerprint": self.preset.fingerprint(), **self.meta}
-            print(json.dumps(body, sort_keys=True))
-        else:
-            print(text)
 
 
 def _resolve_preset(args) -> GroupPreset:
@@ -157,13 +149,30 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_group(args, preset, rep) -> int:
+def _exit(passed: bool) -> int:
+    return EXIT_OK if passed else EXIT_FALSE
+
+
+def _pretty(data: dict, code: int = EXIT_OK) -> tuple[dict, str, int]:
+    """A report whose text is its payload as indented JSON."""
+    import json
+    return data, json.dumps(data, sort_keys=True, indent=2), code
+
+
+def _truth(key: str, ans: bool, **payload) -> tuple[dict, str, int]:
+    """A check's report: true, exit 0, or false, exit 1."""
+    return {key: ans, **payload}, "true" if ans else "false", _exit(ans)
+
+
+def _undecided(key: str, text: str = "undecided (budget exhausted)", **payload) -> tuple[dict, str, int]:
+    return {key: None, "undecided": True, **payload}, text, EXIT_UNDECIDED
+
+
+def _cmd_group(args, preset) -> tuple[dict, str, int]:
     if args.cmd == "show":
-        import json
         data = preset.to_dict()
         data["fingerprint"] = preset.fingerprint()
-        rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
-        return EXIT_OK
+        return _pretty(data)
     issues = validate_preset(preset)
     payload = {}
     if preset.branch_key and not issues:  # only a shipped preset has branch data, to be re-derived
@@ -174,45 +183,32 @@ def _cmd_group(args, preset, rep) -> int:
     if "branch_data" in payload and not issues:
         line = "branch data: m = {m}, |G:K'| = {index}, |K':L| = {lift_index}, {entries} lift entries checked"
         text += "\n" + line.format(**payload["branch_data"])
-    rep.emit(payload, text)
-    return EXIT_OK if not issues else EXIT_FALSE
+    return payload, text, _exit(not issues)
 
 
-def _cmd_elem(args, preset, rep) -> int:
+def _cmd_elem(args, preset) -> tuple[dict, str, int]:
     w = Word.from_str(preset, args.word)
     if args.cmd == "apply":
-        v = parse_vertex(args.vertex, preset.degree)
-        out = format_vertex(w.apply(v))
-        rep.emit({"image": out}, out)
-        return EXIT_OK
+        out = format_vertex(w.apply(parse_vertex(args.vertex, preset.degree)))
+        return {"image": out}, out, EXIT_OK
     if args.cmd == "section":
-        v = parse_vertex(args.vertex, preset.degree)
-        out = str(w.section(v)) or "1"
-        rep.emit({"section": out}, out)
-        return EXIT_OK
+        out = str(w.section(parse_vertex(args.vertex, preset.degree))) or "1"
+        return {"section": out}, out, EXIT_OK
     if args.cmd == "order":
         try:
             m = w.order(args.budget)
         except BudgetExhausted:
-            rep.emit({"order": None, "undecided": True}, "undecided (budget exhausted)")
-            return EXIT_UNDECIDED
+            return _undecided("order")
         except InfiniteOrder:
             m = "infinite"
-        rep.emit({"order": str(m)}, str(m))
-        return EXIT_OK
+        return {"order": str(m)}, str(m), EXIT_OK
     if args.cmd == "portrait":
-        import json
         _check_level(preset, args.depth)
-        data = w.portrait(args.depth).to_dict()
-        rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
-        return EXIT_OK
+        return _pretty(w.portrait(args.depth).to_dict())
     try:
-        ans = w.is_identity(args.budget)
+        return _truth("identity", w.is_identity(args.budget))
     except BudgetExhausted:
-        rep.emit({"identity": None, "undecided": True}, "undecided (budget exhausted)")
-        return EXIT_UNDECIDED
-    rep.emit({"identity": ans}, "true" if ans else "false")
-    return EXIT_OK if ans else EXIT_FALSE
+        return _undecided("identity")
 
 
 _CHUNK = 10**600
@@ -228,162 +224,118 @@ def _decimal(m: int) -> str:
     return str(m) + "".join(reversed(chunks))
 
 
-def _cmd_quotient(args, preset, rep) -> int:
+def _cmd_quotient(args, preset) -> tuple[dict, str, int]:
     from . import quotients
     if args.cmd == "order":
         m = _decimal(quotients.quotient_order(preset, args.level))
-        rep.emit({"level": args.level, "order": m}, m)
-        return EXIT_OK
+        return {"level": args.level, "order": m}, m, EXIT_OK
     if args.cmd == "transitive":
-        ans = quotients.is_level_transitive(preset, args.level)
-        rep.emit({"level": args.level, "transitive": ans}, "true" if ans else "false")
-        return EXIT_OK if ans else EXIT_FALSE
+        return _truth("transitive", quotients.is_level_transitive(preset, args.level), level=args.level)
     if args.cmd == "index":
         words = [Word.from_str(preset, t) for t in args.gens]
         m = _decimal(quotients.subgroup_index_in_quotient(words, args.level))
-        rep.emit({"level": args.level, "index": m}, m)
-        return EXIT_OK
+        return {"level": args.level, "index": m}, m, EXIT_OK
     v = parse_vertex(args.vertex, preset.degree)
-    words = quotients.point_stabilizer_words(preset, v)
-    payload = {"vertex": format_vertex(v), "generators": [str(w) for w in words]}
-    rep.emit(payload, "\n".join(str(w) for w in words))
-    return EXIT_OK
+    gens = [str(w) for w in quotients.point_stabilizer_words(preset, v)]
+    return {"vertex": format_vertex(v), "generators": gens}, "\n".join(gens), EXIT_OK
 
 
-def _cmd_sub(args, preset, rep) -> int:
+def _cmd_sub(args, preset) -> tuple[dict, str, int]:
     from . import subgroups
     if args.cmd == "fix":
-        import json
-        h = _handle(preset, args.gens)
-        data = subgroups.fixed_tree(h, args.depth).to_dict()
-        rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
-        return EXIT_OK
+        return _pretty(subgroups.fixed_tree(_handle(preset, args.gens), args.depth).to_dict())
     if args.cmd == "fixlevel":
         lvl = subgroups.minimal_non_fixing_level(_handle(preset, args.gens))
         text = "never: a ray is fixed" if lvl is None else str(lvl)
-        rep.emit({"minimal_non_fixing_level": lvl}, text)
-        return EXIT_OK
+        return {"minimal_non_fixing_level": lvl}, text, EXIT_OK
     if args.cmd == "psi":
         w = Word.from_str(preset, args.word)
         try:
             secs = subgroups.psi_sections(w, args.level)
         except subgroups.NotInLevelStabilizerError as exc:
-            rep.emit({"error": str(exc)}, f"not in level stabilizer: {exc}")
-            return EXIT_FALSE
+            return {"error": str(exc)}, f"not in level stabilizer: {exc}", EXIT_FALSE
         texts = [str(s) or "1" for s in secs]
-        rep.emit({"level": args.level, "sections": texts}, " | ".join(texts))
-        return EXIT_OK
+        return {"level": args.level, "sections": texts}, " | ".join(texts), EXIT_OK
     if args.cmd == "rist":
         w = Word.from_str(preset, args.word)
         v = parse_vertex(args.vertex, preset.degree)
-        ans = subgroups.in_rigid_stabilizer(w, v)
-        rep.emit({"in_rigid_stabilizer": ans}, "true" if ans else "false")
-        return EXIT_OK if ans else EXIT_FALSE
+        return _truth("in_rigid_stabilizer", subgroups.in_rigid_stabilizer(w, v))
     if args.cmd == "profile":
-        h = _handle(preset, args.gens)
-        prof = subgroups.index_growth_profile(h, args.max_level)
-        payload = {"indices": [str(x) for x in prof]}
-        rep.emit(payload, " ".join(str(x) for x in prof))
-        return EXIT_OK
+        prof = [str(x) for x in subgroups.index_growth_profile(_handle(preset, args.gens), args.max_level)]
+        return {"indices": prof}, " ".join(prof), EXIT_OK
     h = _handle(preset, args.gens)
     gamma = Word.from_str(preset, args.gamma)
     f, visited = subgroups.conjugate_escaping(h, gamma, args.level, budget=args.budget)
     if f is None and visited < args.budget:
-        rep.emit(
-            {"conjugator": None, "undecided": True, "conjugates": visited, "all_contain_gamma": True},
-            f"undecided (all {visited} level-{args.level} conjugates contain gamma)",
-        )
-        return EXIT_UNDECIDED
+        text = f"undecided (all {visited} level-{args.level} conjugates contain gamma)"
+        return _undecided("conjugator", text, conjugates=visited, all_contain_gamma=True)
     if f is None:
-        rep.emit({"conjugator": None, "undecided": True}, "undecided (budget exhausted)")
-        return EXIT_UNDECIDED
-    rep.emit({"conjugator": str(f) or "1"}, str(f) or "1")
-    return EXIT_OK
+        return _undecided("conjugator")
+    return {"conjugator": str(f) or "1"}, str(f) or "1", EXIT_OK
 
 
-def _cmd_wm(args, preset, rep) -> int:
+def _cmd_wm(args, preset) -> tuple[dict, str, int]:
     from . import construction
-    try:
-        if args.cmd == "rist-search":
-            v = parse_vertex(args.vertex, preset.degree)
-            g = next(construction.iter_rist_elements(v, preset, args.budget), None)
-            if g is None:
-                rep.emit({"word": None, "undecided": True}, "not found (budget exhausted)")
-                return EXIT_UNDECIDED
-            rep.emit({"word": str(g)}, str(g))
-            return EXIT_OK
-        if args.cmd == "trap":
-            import json
-            h = construction.trap_subgroup(preset, args.k, budget=args.budget)
-            report = construction.level_trap_check(h, args.k)
-            data = {"subgroup": h.to_dict(), "check": report.to_dict()}
-            rep.emit(data, json.dumps(data, sort_keys=True, indent=2))
-            return EXIT_OK if report.passed else EXIT_FALSE
-        if args.cmd == "build":
-            q = _handle(preset, args.q_gens)
-            seeds = [parse_vertex(t, preset.degree) for t in args.avoid_vertex]
-            cert = construction.build_certificate(
-                q, seeds, rist_budget=args.budget, verification_level=args.level
-            )
-            text = cert.to_json()
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            rep.emit(cert.to_dict(), text if not args.out else f"certificate written to {args.out}")
-            return EXIT_OK
-        if args.cmd == "validate":
-            with open(args.certificate, encoding="utf-8") as fh:
-                cert = construction.WMCertificate.from_json(fh.read(), preset)
-            report = construction.validate_certificate(cert, preset)
-            lines = [
-                f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
-                for c in report.clauses
-            ]
-            lines.append("passed" if report.passed else "failed")
-            rep.emit(report.to_dict(), "\n".join(lines))
-            return EXIT_OK if report.passed else EXIT_FALSE
-        if args.cmd == "separate":
-            ha, hb = _handle(preset, args.gens_a), _handle(preset, args.gens_b)
-            t = construction.fix_separation_witness(ha, hb)
-            if t is None:
-                rep.emit({"witness": None, "undecided": True}, "inconclusive")
-                return EXIT_UNDECIDED
-            rep.emit({"witness": t}, str(t))
-            return EXIT_OK
-        from .quotients import conjugate_images
-        words = [Word.from_str(preset, t) for t in args.gens]
-        conjugators = [str(c) or "1" for c, _ in conjugate_images(words, args.level, args.budget)]
-        data = {"count": len(conjugators), "conjugators": conjugators, "level": args.level}
-        rep.emit(data, str(len(conjugators)))
-        return EXIT_OK
-    except construction.RistSearchExhausted as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
-    except construction.CertificateBuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.cmd == "rist-search":
+        v = parse_vertex(args.vertex, preset.degree)
+        g = next(construction.iter_rist_elements(v, preset, args.budget), None)
+        if g is None:
+            return _undecided("word", "not found (budget exhausted)")
+        return {"word": str(g)}, str(g), EXIT_OK
+    if args.cmd == "trap":
+        h = construction.trap_subgroup(preset, args.k, budget=args.budget)
+        report = construction.level_trap_check(h, args.k)
+        return _pretty({"subgroup": h.to_dict(), "check": report.to_dict()}, _exit(report.passed))
+    if args.cmd == "build":
+        q = _handle(preset, args.q_gens)
+        seeds = [parse_vertex(t, preset.degree) for t in args.avoid_vertex]
+        cert = construction.build_certificate(
+            q, seeds, rist_budget=args.budget, verification_level=args.level
+        )
+        text = cert.to_json()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            text = f"certificate written to {args.out}"
+        return cert.to_dict(), text, EXIT_OK
+    if args.cmd == "validate":
+        with open(args.certificate, encoding="utf-8") as fh:
+            cert = construction.WMCertificate.from_json(fh.read(), preset)
+        report = construction.validate_certificate(cert, preset)
+        lines = [f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.clauses]
+        lines.append("passed" if report.passed else "failed")
+        return report.to_dict(), "\n".join(lines), _exit(report.passed)
+    if args.cmd == "separate":
+        t = construction.fix_separation_witness(_handle(preset, args.gens_a), _handle(preset, args.gens_b))
+        if t is None:
+            return _undecided("witness", "inconclusive")
+        return {"witness": t}, str(t), EXIT_OK
+    from .quotients import conjugate_images
+    words = [Word.from_str(preset, t) for t in args.gens]
+    conjugators = [str(c) or "1" for c, _ in conjugate_images(words, args.level, args.budget)]
+    data = {"count": len(conjugators), "conjugators": conjugators, "level": args.level}
+    return data, str(len(conjugators)), EXIT_OK
 
 
-_DISPATCH = {
-    "group": _cmd_group,
-    "elem": _cmd_elem,
-    "quotient": _cmd_quotient,
-    "sub": _cmd_sub,
-    "wm": _cmd_wm,
-}
+_DISPATCH = {"group": _cmd_group, "elem": _cmd_elem, "quotient": _cmd_quotient, "sub": _cmd_sub, "wm": _cmd_wm}
 
 
 def run_command(argv=None) -> int:
+    """Run one subcommand: its handler returns (payload, text, exit code),
+    and only here is the report printed and an exception given its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         preset = _resolve_preset(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rep = _Reporter(preset, args)
-    try:
-        return _DISPATCH[args.group_cmd](args, preset, rep)
+        payload, text, code = _DISPATCH[args.group_cmd](args, preset)
+        if args.format == "json":
+            import json
+            meta = {"preset_fingerprint": preset.fingerprint()}
+            if hasattr(args, "budget"):
+                meta["budget"] = args.budget
+            text = json.dumps({**payload, "meta": meta}, sort_keys=True)
+        print(text)
+        return code
     except BudgetExhausted as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

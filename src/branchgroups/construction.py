@@ -48,14 +48,16 @@ from .tree import parse_vertex, vertex_leq
 from .words import DEFAULT_SEARCH_BUDGET, BudgetExhausted, Word, root_perm_of
 
 
-class CertificateBuildError(RuntimeError):
-    """A stage of the certificate construction could not be completed."""
+class CertificateBuildError(ValueError):
+    """A stage of the certificate construction could not be completed: a
+    ValueError, a precondition the inputs fail, unless it is also the
+    BudgetExhausted `RistSearchExhausted`."""
 
     def __init__(self, stage: int, reason: str):
         super().__init__(f"stage {stage}: {reason}")
 
 
-class RistSearchExhausted(CertificateBuildError):
+class RistSearchExhausted(CertificateBuildError, BudgetExhausted):
     """A stage's rigid-stabilizer candidates ran out: undecided, not a refutation."""
 
 

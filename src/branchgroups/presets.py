@@ -483,7 +483,8 @@ def builtin_preset(name: str) -> GroupPreset:
 def _never_applied(preset: GroupPreset, i: int, lhs: Factors, rhs: Factors, kept: dict) -> str | None:
     """Why `reduce` never applies rule i, lhs -> rhs, or None if it can.
     kept maps each generator to its last power rule, the one `gen_order`
-    keeps; pair rules are matched on canonical letters only."""
+    keeps, and each pair lhs to its last rule, the one `_action` keeps;
+    pair rules are matched on canonical letters only."""
     if not (len(lhs) == 1 or len(lhs) == 2):
         return "rule lhs must have 1 or 2 factors"
     (g, _), *rest = lhs
@@ -498,6 +499,8 @@ def _never_applied(preset: GroupPreset, i: int, lhs: Factors, rhs: Factors, kept
             o = preset.gen_order.get(g)
             return f"{g}^{e} is no letter of a reduced word: its exponent must be " + (
                 f"in 1..{o - 1}, as {g} has order {o}" if o else "nonzero")
+    if kept[lhs] != i:
+        return f"rule {kept[lhs]} also rewrites {preset.format_factors(lhs)}; only the last is kept"
     return None
 
 
@@ -549,7 +552,8 @@ def validate_preset(preset: GroupPreset) -> list[ValidationIssue]:
         for i, s in enumerate(g.sections):
             check_word(s, f"generator {g.name}, section {i}")
     rules = preset.reduction_rules
-    kept = {lhs[0][0]: i for i, (lhs, rhs) in enumerate(rules) if _power_rule(lhs, rhs)}  # the last wins
+    # the last rule wins: a power rule per generator, a pair rule per lhs
+    kept = {lhs[0][0] if _power_rule(lhs, rhs) else lhs: i for i, (lhs, rhs) in enumerate(rules)}
     for i, (lhs, rhs) in enumerate(rules):
         check_word(lhs, f"rule {i} lhs")
         check_word(rhs, f"rule {i} rhs")

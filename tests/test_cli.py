@@ -377,6 +377,44 @@ def test_option_surface():
     assert len(settable) == 89
 
 
+# One argv per registered subcommand, each of which prints a report;
+# "{certificate}" stands for a certificate file.
+REPORT_ARGV = {
+    "group show": [], "group validate": [],
+    "elem apply": ["a b", "010"], "elem section": ["a b", "1"], "elem order": ["a c"],
+    "elem portrait": ["a b", "--depth", "2"], "elem identity": ["a b"],
+    "quotient order": ["--level", "3"], "quotient transitive": ["--level", "3"],
+    "quotient index": ["--level", "3", "--gens", "b", "c"], "quotient stab": ["01"],
+    "sub fix": ["--gens", "b", "--depth", "3"], "sub fixlevel": ["--gens", "b"], "sub psi": ["b"],
+    "sub rist": ["b", "0"], "sub profile": ["--gens", "b", "--max-level", "3"],
+    "sub escape": ["--gens", "b", "--gamma", "a b a b", "--level", "3"],
+    "wm rist-search": ["00"], "wm trap": ["--k", "1"],
+    "wm build": ["--q-gens", "a", "--avoid-vertex", "00", "01", "10"], "wm validate": ["{certificate}"],
+    "wm separate": ["--gens-a", "b", "--gens-b", "a b"], "wm conjbound": ["--gens", "a", "--level", "3"],
+}
+
+
+def test_the_report_argv_covers_every_subcommand():
+    assert set(REPORT_ARGV) == set(_subcommands())
+    assert len(REPORT_ARGV) == 23
+
+
+@pytest.mark.parametrize("cmd", sorted(REPORT_ARGV))
+def test_every_json_report_is_one_object_line_with_its_meta(capsys, tmp_path, reference_certificate, cmd):
+    certificate = tmp_path / "cert.json"
+    certificate.write_text(json.dumps(reference_certificate))
+    argv = [*cmd.split(), *(a.format(certificate=certificate) for a in REPORT_ARGV[cmd])]
+    run_command([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    data = json.loads(out)
+    assert isinstance(data, dict)
+    meta = {"preset_fingerprint": grigorchuk_preset().fingerprint()}
+    if cmd in BUDGETED:
+        meta["budget"] = build_parser().parse_args(argv).budget
+    assert data["meta"] == meta
+
+
 def _readme_subcommands(marker):
     """Subcommands named by `group cmd|cmd` spans in the README block that
     starts with the marker line and ends at a blank line."""
@@ -767,6 +805,16 @@ def test_wm_build_whose_rist_candidates_run_out_is_undecided(capsys):
     assert capsys.readouterr().err == (
         "error: stage 0: Q is trivial or never satisfies the level-selection conditions\n"
     )
+
+
+def test_a_seed_list_deeper_than_every_split_is_refused_before_any_search(monkeypatch, capsys):
+    # Q = <a> plans stage i at level i + 1, so stage 8 is at level 9 and stage 9
+    # would need a level past LEVEL_CAP - 1 = 9: refused in the stage plan.
+    monkeypatch.setattr(construction, "iter_rist_elements", lambda *_: pytest.fail("searched"))
+    argv = ["wm", "build", "--q-gens", "a", "--avoid-vertex", *["0"] * 9]
+    assert run_command(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: stage 9: no suitable next level found\n")
 
 
 def test_definition_file_as_preset(tmp_path, capsys):

@@ -410,6 +410,19 @@ def test_default_level_is_capped(grig):
         build_certificate(q, [(0,)], rist_budget=50)
 
 
+def test_a_spent_rist_search_is_undecided_and_a_build_error():
+    # Gupta-Sidki <a> against the ray through 0: stage 1's candidates run
+    # out at the default budget.  The error is a BudgetExhausted, so the CLI
+    # exits 3, and a CertificateBuildError; every other build error is a
+    # ValueError, so the CLI exits 2.
+    q = SubgroupHandle.from_strings(builtin_preset("gupta-sidki"), ["a"])
+    with pytest.raises(BudgetExhausted) as exc:
+        build_certificate(q, [(0,)])
+    assert isinstance(exc.value, CertificateBuildError)
+    assert str(exc.value).startswith("stage 1: no rigid-stabilizer element escaping avoid subgroup 1 at level 2")
+    assert issubclass(CertificateBuildError, ValueError)
+
+
 def test_rist_elements_off_the_avoided_ray_lie_in_the_avoid_subgroup(grig):
     # An element of Rist(y) fixes every vertex outside the subtree at y, so at
     # every level-k_i vertex but v_i the candidates fix x_i: none escapes W_i.

@@ -182,6 +182,17 @@ def test_rules_that_reduce_never_applies_are_unsupported(name):
     assert validate_preset(preset_from_dict(data)) == []
 
 
+def test_a_pair_rule_that_a_later_rule_replaces_is_unsupported():
+    # `reduce` keeps one rule per pair of letters, the last: rule 4, b c -> d, never applies.
+    data = grigorchuk_preset().to_dict()
+    data["rules"].append({"lhs": "b c", "rhs": "d"})
+    issues = validate_preset(_preset_from_dict(data))
+    why = "rule 10 also rewrites b c; only the last is kept"
+    assert [(i.code, i.location, i.message) for i in issues] == [("unsupported-rule", "rule 4", why)]
+    with pytest.raises(PresetError, match="unsupported-rule at rule 4"):
+        preset_from_dict(data)
+
+
 def test_validate_preset_reports_issues():
     bad = GroupPreset(
         degree=2,
